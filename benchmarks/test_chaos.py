@@ -13,7 +13,8 @@ session's journal on the replica, so the measured questions are:
   vs failed outright — the run asserts **100% eventual success** and
   byte-identical answers, crash or no crash.
 
-Results land in ``BENCH_chaos.json`` at the repo root (a CI artifact).
+Results land in ``BENCH_chaos.json`` under ``REPRO_BENCH_DIR`` (see
+``bench_output.py``; a CI artifact).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 
@@ -36,14 +36,22 @@ from repro.service import (
 )
 from repro.service import faults
 
+from bench_output import bench_path
+
 N_CLIENTS = int(os.environ.get("REPRO_CHAOS_CLIENTS", "16"))
 MAX_CLIENT_THREADS = 32
 #: Crash-aware retries per request (the router usually heals first).
 RETRY_LIMIT = 16
+#: The primary dies on this request after the herd is released. Each
+#: client sends 7 requests, so 2 per client lands mid-load whatever the
+#: client count. Counting requests, not sleeping, keeps the kill under
+#: load however fast a cycle answers (a repeated selection's debug is a
+#: memo hit).
+KILL_ON_REQUEST = 2 * N_CLIENTS
 
 TOY_SQL = "SELECT g, avg(v) AS avg_v FROM toy GROUP BY g ORDER BY g"
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_chaos.json"
+BENCH_PATH = bench_path("BENCH_chaos.json")
 
 
 def chaos_catalog() -> DatasetCatalog:
@@ -154,16 +162,20 @@ class TestChaosKillWorker:
                         pool.submit(one_client, i) for i in range(N_CLIENTS)
                     ]
                     started.wait(timeout=60)
-                    release.set()
-                    # Let the herd hit the primary, then kill it cold on
-                    # its next request. One shot, deterministic.
-                    time.sleep(0.2)
-                    faults.install(
-                        FaultPlan(kill_worker=primary, kill_on_request=1)
+                    # Kill the primary cold mid-herd. One shot,
+                    # deterministic.
+                    plan = FaultPlan(
+                        kill_worker=primary, kill_on_request=KILL_ON_REQUEST
                     )
-                    kill_armed = time.perf_counter()
+                    faults.install(plan)
+                    release.set()
+                    deadline = time.perf_counter() + 60
+                    while not plan.describe()["kill"]["fired"]:
+                        assert time.perf_counter() < deadline, "kill never fired"
+                        time.sleep(0.001)
+                    killed = time.perf_counter()
                     probe_answer = _chaos_cycle(probe, [])
-                    recovery_seconds = time.perf_counter() - kill_armed
+                    recovery_seconds = time.perf_counter() - killed
                     outcomes = [f.result(timeout=600) for f in futures]
                 load_elapsed = time.perf_counter() - load_start
 

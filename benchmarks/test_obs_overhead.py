@@ -4,25 +4,28 @@ The observability contract is *always-on-cheap*: spans, stage
 histograms, and request counters stay enabled in production, so their
 cost must be provably small. At each workload scale of
 ``REPRO_OBS_BENCH_SCALES`` (default ``1`` — the tier-1 smoke; CI runs
-``1,10``) this benchmark times warm partitioned ``debug()`` calls with
-the kill switch on and off, **interleaved** A/B so clock drift and
+``1,10``) this benchmark times partitioned ``debug()`` calls with the
+kill switch on and off, **interleaved** A/B so clock drift and
 cache-warming cancel, and asserts the median enabled run is within 5%
-of the median disabled run.
+of the median disabled run. Each sample debugs on a fresh
+:class:`DBWipesSession` over one shared :class:`Database`: a session
+memoizes its last answer, so re-debugging one session would time a
+memo hit instead of the five pipeline stages the spans instrument.
 
 The partitioned backend is used deliberately: it exercises the densest
 instrumentation (per-stage spans *and* per-partition block timing), so
 the bound it proves covers the worst case.
 
-Results land in ``BENCH_obs.json`` at the repo root (a CI artifact),
-one section per scale.
+Results land in ``BENCH_obs.json`` under ``REPRO_BENCH_DIR`` (see
+``bench_output.py``; a CI artifact), one section per scale.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,13 +36,15 @@ from repro.db import Database
 from repro.frontend import Brush, DBWipesSession
 from repro.obs import set_enabled, tracer
 
+from bench_output import bench_path
+
 SCALES = tuple(
     int(scale)
     for scale in os.environ.get("REPRO_OBS_BENCH_SCALES", "1").split(",")
     if scale.strip()
 )
 #: A/B rounds per scale; medians over this many samples per arm.
-N_ROUNDS = 5
+N_ROUNDS = 9
 #: The acceptance bound: enabled vs disabled warm-debug medians.
 MAX_OVERHEAD_PCT = 5.0
 BASE_MINUTES = 240
@@ -49,10 +54,10 @@ BOOTSTRAP = (
     "stddev(temp) AS std_temp FROM readings GROUP BY minute / 30 ORDER BY w"
 )
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
+BENCH_PATH = bench_path("BENCH_obs.json")
 
 
-def _intel_session(scale: int) -> DBWipesSession:
+def _intel_db(scale: int) -> Database:
     table, __ = generate_intel(
         IntelConfig(
             n_sensors=54,
@@ -65,6 +70,11 @@ def _intel_session(scale: int) -> DBWipesSession:
     )
     db = Database()
     db.register(table)
+    return db
+
+
+def _brushed_session(db: Database) -> DBWipesSession:
+    """A fresh session with the selection and metric set, not yet debugged."""
     session = DBWipesSession(
         db, PipelineConfig(backend="partitioned", n_partitions=4)
     )
@@ -92,25 +102,31 @@ def _merge_into_bench(section: str, payload) -> None:
 class TestObsOverhead:
     @pytest.mark.parametrize("scale", SCALES)
     def test_warm_debug_overhead_within_bound(self, scale):
-        session = _intel_session(scale)
+        db = _intel_db(scale)
         samples: dict[bool, list[float]] = {True: [], False: []}
         try:
-            # Warm both arms once: the first debug preprocesses and
-            # fills the cache; the first disabled debug absorbs any
-            # flag-flip effects. Neither is timed.
+            # Warm both arms once (imports, allocator, flag-flip
+            # effects). Neither is timed.
             for enabled in (True, False):
                 set_enabled(enabled)
-                session.debug()
-            for __ in range(N_ROUNDS):
-                for enabled in (False, True):  # interleaved A/B
+                _brushed_session(db).debug()
+            for round_index in range(N_ROUNDS):
+                # Interleaved A/B, alternating which arm goes first.
+                order = (False, True) if round_index % 2 == 0 else (True, False)
+                for enabled in order:
                     set_enabled(enabled)
+                    session = _brushed_session(db)
+                    # Collect the previous sample's garbage outside the
+                    # timed window, so neither arm pays for the other.
+                    gc.collect()
                     start = time.perf_counter()
                     session.debug()
                     samples[enabled].append(time.perf_counter() - start)
         finally:
             set_enabled(True)
 
-        # One warm instrumented debug() worth of spans, for the record.
+        # One instrumented debug() worth of spans, for the record.
+        session = _brushed_session(db)
         with tracer().span("bench.root") as root:
             session.debug()
         spans_per_debug = len(tracer().spans(root.trace_id)) - 1
@@ -141,6 +157,6 @@ class TestObsOverhead:
             f"({spans_per_debug} spans/debug) -> {BENCH_PATH.name}"
         )
         assert overhead_pct <= MAX_OVERHEAD_PCT, (
-            f"instrumentation costs {overhead_pct:.2f}% on warm debug() "
+            f"instrumentation costs {overhead_pct:.2f}% on debug() "
             f"at {scale}x (bound: {MAX_OVERHEAD_PCT}%)"
         )

@@ -20,8 +20,8 @@ runs ``1,10,50``):
    (byte-identical answers; the parity suite enforces that — here we
    only time them).
 
-Results land in ``BENCH_partition.json`` at the repo root (a CI
-artifact), one section per scale.
+Results land in ``BENCH_partition.json`` under ``REPRO_BENCH_DIR`` (see
+``bench_output.py``; a CI artifact), one section per scale.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import pytest
 
@@ -45,6 +44,8 @@ from repro.service import (
     ServiceClient,
     SessionManager,
 )
+
+from bench_output import bench_path
 
 SCALES = tuple(
     int(scale)
@@ -64,7 +65,7 @@ BOOTSTRAP = (
     "stddev(temp) AS std_temp FROM readings GROUP BY minute / 30 ORDER BY w"
 )
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_partition.json"
+BENCH_PATH = bench_path("BENCH_partition.json")
 
 
 def _sharded_dataset_names() -> list[str]:

@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,7 +52,9 @@ from repro.core.merger import PredicateMerger
 from repro.data import IntelConfig, generate_intel
 from repro.db import Database
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_rank.json"
+from bench_output import bench_path
+
+BENCH_PATH = bench_path("BENCH_rank.json")
 MIN_SPEEDUP = 5.0
 #: Debug cycles per measurement (the §3 demo loop debugs repeatedly and
 #: the service shares one PreprocessResult across sessions; 6 is far

@@ -5,8 +5,8 @@ replay the scripted §3.2 FEC debug cycle (execute → brush S → zoom →
 brush D' → metric → debug → apply → undo) against one server process.
 Asserts correctness (every client sees the single-session ranked
 answer) and records requests/sec plus shared preprocess-cache hit/miss
-counts to ``BENCH_service.json`` at the repo root (uploaded as a CI
-artifact).
+counts to ``BENCH_service.json`` under ``REPRO_BENCH_DIR`` (see
+``bench_output.py``; uploaded as a CI artifact).
 
 A second benchmark sweeps a stepped load curve — one debug cycle per
 client at each step of ``REPRO_SERVICE_LOAD_STEPS`` concurrent clients
@@ -21,7 +21,6 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import pytest
 
@@ -33,6 +32,8 @@ from repro.service import (
     ServiceClient,
     SessionManager,
 )
+
+from bench_output import bench_path
 
 SCALE = int(os.environ.get("REPRO_BENCH_SCALE", "1"))
 N_CLIENTS = 8
@@ -48,7 +49,7 @@ LOAD_STEPS = tuple(
 #: Client-side thread cap per step (512 logical clients share 64 threads).
 MAX_CLIENT_THREADS = 64
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
+BENCH_PATH = bench_path("BENCH_service.json")
 
 
 def _merge_into_bench(section: str, payload) -> None:

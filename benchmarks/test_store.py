@@ -14,8 +14,8 @@ workload at 1× / 10× / 50× rows via ``REPRO_STORE_BENCH_SCALES``):
   table vs the in-memory reference must stay within a small constant
   factor (the lazy gathers hit the page cache, not the disk).
 
-Results merge into ``BENCH_store.json`` at the repo root (uploaded as
-a CI artifact).
+Results merge into ``BENCH_store.json`` under ``REPRO_BENCH_DIR`` (see
+``bench_output.py``; uploaded as a CI artifact).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -34,13 +33,15 @@ from repro.db import Database, Table
 from repro.frontend import Brush, DBWipesSession
 from repro.service.cache import DatasetCatalog
 
+from bench_output import bench_path
+
 SCALES = tuple(
     int(s)
     for s in os.environ.get("REPRO_STORE_BENCH_SCALES", "1,10,50").split(",")
     if s.strip()
 )
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_store.json"
+BENCH_PATH = bench_path("BENCH_store.json")
 
 INTEL_SQL = (
     "SELECT minute / 30 AS window, avg(temp) AS avg_temp, "

@@ -6,15 +6,15 @@ strategies) on the intel workload (|F| ≈ 4050) twice — once with the
 shared-``SplitIndex`` histogram kernels, once with the exact
 per-threshold masking reference scoring the identical candidate
 thresholds — asserts the outputs are answer-identical and the fast path
-is ≥5× faster, and records the numbers to ``BENCH_tree.json`` at the
-repo root (uploaded as a CI artifact next to ``BENCH_service.json``).
+is ≥5× faster, and records the numbers to ``BENCH_tree.json`` under
+``REPRO_BENCH_DIR`` (see ``bench_output.py``; uploaded as a CI artifact
+next to ``BENCH_service.json``).
 """
 
 from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +25,9 @@ from repro.core.predicates import PredicateEnumerator
 from repro.core.preprocessor import Preprocessor
 from repro.learn import DecisionTree, SplitIndex
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_tree.json"
+from bench_output import bench_path
+
+BENCH_PATH = bench_path("BENCH_tree.json")
 MIN_SPEEDUP = 5.0
 
 

@@ -16,6 +16,12 @@ a backend decides *how*:
   combined results are **byte-identical** to the in-process engine's:
   the established parity contract extends to every partition count.
 
+Both backends memoize the two enumeration stages on the
+:class:`~repro.core.preprocessor.PreprocessResult`: their outputs are
+pure functions of that result, D' and the stages' tunables, so a debug
+that repeats those inputs skips k-means cleaning, CN2-SD and every tree
+fit, and only ranks and merges again.
+
 ``RankedProvenance`` is a thin facade over a backend; the service tier
 reads :meth:`ExecutionBackend.stats` into ``snapshot()`` so clients can
 see the physical fan-out behind their answers.
@@ -23,6 +29,7 @@ see the physical fan-out behind their answers.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from typing import Callable, Sequence
 
@@ -47,6 +54,9 @@ from .report import DebugReport
 
 #: Recognized ``PipelineConfig.backend`` values.
 BACKENDS = ("in_process", "partitioned")
+
+_MEMO_HITS = "dbwipes_stage_memo_hits_total"
+_MEMO_MISSES = "dbwipes_stage_memo_misses_total"
 
 
 def make_backend(config, preprocess_cache: PreprocessCache | None = None):
@@ -73,6 +83,15 @@ class InProcessBackend:
         self.config = config
         self._scatter: dict = {}
         self._debug_count = 0
+        self._memo_hits = 0
+        self._memo_misses = 0
+        # Registered up front so both expose at zero before any debug.
+        reg = obs_registry()
+        reg.counter(
+            _MEMO_HITS,
+            help="Debugs whose enumeration stages were served from the memo.",
+        )
+        reg.counter(_MEMO_MISSES, help="Debugs that ran the enumeration stages.")
         self._preprocessor = Preprocessor(
             fast_influence=config.fast_influence,
             cache=preprocess_cache,
@@ -128,8 +147,8 @@ class InProcessBackend:
     # -- shared machinery ----------------------------------------------
 
     @property
-    def preprocess_cache(self) -> PreprocessCache | None:
-        """The shared preprocess cache, when one is attached."""
+    def preprocess_cache(self) -> PreprocessCache:
+        """The preprocess cache: the shared one, or the private one-entry cache."""
         return self._preprocessor.cache
 
     def stats(self) -> dict:
@@ -139,7 +158,16 @@ class InProcessBackend:
             "n_partitions": self.influence_partitions(),
             "debug_count": self._debug_count,
             "scatter": dict(self._scatter),
+            "stage_memo": {"hits": self._memo_hits, "misses": self._memo_misses},
         }
+
+    def _count_memo(self, hit: bool) -> None:
+        if hit:
+            self._memo_hits += 1
+        else:
+            self._memo_misses += 1
+        if obs_enabled():
+            obs_registry().counter(_MEMO_HITS if hit else _MEMO_MISSES).inc()
 
     def debug(
         self,
@@ -169,14 +197,36 @@ class InProcessBackend:
             timings["preprocess"] = time.perf_counter() - start
             self._note_preprocess(pre)
 
+            # Both enumeration stages are pure functions of (pre, D',
+            # their tunables): a repeated debug reuses their outputs.
+            memo_key = (
+                _dprime_digest(dprime_tids),
+                self._enumerator.memo_key(),
+                self._predicates.memo_key(),
+            )
+            memo = pre.stage_memo(memo_key)
+            self._count_memo(hit=memo is not None)
+            source = "memo" if memo is not None else "computed"
+
             start = time.perf_counter()
-            with obs_span("stage.enumerate_datasets"):
-                candidates = self._enumerator.run(pre, dprime_tids)
+            with obs_span("stage.enumerate_datasets", source=source):
+                if memo is None:
+                    candidates = tuple(self._enumerator.run(pre, dprime_tids))
+                    for candidate in candidates:
+                        _freeze_candidate(candidate)
+                else:
+                    candidates = memo[0]
             timings["enumerate_datasets"] = time.perf_counter() - start
 
             start = time.perf_counter()
-            with obs_span("stage.enumerate_predicates"):
-                candidate_rules = self._predicates.run(pre, candidates)
+            with obs_span("stage.enumerate_predicates", source=source):
+                if memo is None:
+                    candidate_rules = tuple(self._predicates.run(pre, candidates))
+                    for candidate_rule in candidate_rules:
+                        _freeze_rule(candidate_rule.rule)
+                    pre.remember_stages(memo_key, (candidates, candidate_rules))
+                else:
+                    candidate_rules = memo[1]
             timings["enumerate_predicates"] = time.perf_counter() - start
 
             start = time.perf_counter()
@@ -225,6 +275,32 @@ class InProcessBackend:
             n_candidates=len(candidates),
             timings=timings,
         )
+
+
+def _dprime_digest(dprime_tids: Sequence[int] | np.ndarray) -> str:
+    """Content digest of D' as a set (the enumerator dedupes it)."""
+    tids = np.unique(np.asarray(dprime_tids, dtype=np.int64).ravel())
+    return hashlib.blake2b(tids.tobytes(), digest_size=16).hexdigest()
+
+
+def _freeze_array(value) -> None:
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+
+
+def _freeze_rule(rule) -> None:
+    """Make a memoized rule's arrays reject in-place writes."""
+    for value in rule.extra.values():
+        _freeze_array(value)
+
+
+def _freeze_candidate(candidate) -> None:
+    """Make a memoized candidate set's arrays reject in-place writes."""
+    _freeze_array(candidate.tids)
+    for value in candidate.extra.values():
+        _freeze_array(value)
+    for rule in candidate.rules:
+        _freeze_rule(rule)
 
 
 class PartitionedBackend(InProcessBackend):

@@ -97,6 +97,26 @@ class DatasetEnumerator:
         self.min_keep_fraction = min_keep_fraction
         self.seed = seed
 
+    def memo_key(self) -> tuple:
+        """``(name, value)`` of every constructor tunable, for memo keys.
+
+        Two enumerators with equal keys produce identical candidates from
+        the same (PreprocessResult, D'), so the key is by value: sessions
+        with equal configs share one memoized answer.
+        """
+        return (
+            ("clean_strategy", self.clean_strategy),
+            ("extend", self.extend),
+            ("influence_quantile", self.influence_quantile),
+            ("fallback_quantiles", tuple(self.fallback_quantiles)),
+            ("subgroup", self.subgroup.memo_key()),
+            ("feature_columns", self.feature_columns),
+            ("max_candidates", self.max_candidates),
+            ("nb_mad_threshold", self.nb_mad_threshold),
+            ("min_keep_fraction", self.min_keep_fraction),
+            ("seed", self.seed),
+        )
+
     # ------------------------------------------------------------------
 
     def run(

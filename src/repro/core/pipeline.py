@@ -98,8 +98,8 @@ class RankedProvenance:
         self.backend = make_backend(self.config, preprocess_cache=preprocess_cache)
 
     @property
-    def preprocess_cache(self) -> PreprocessCache | None:
-        """The shared preprocess cache, when one is attached."""
+    def preprocess_cache(self) -> PreprocessCache:
+        """The preprocess cache: the shared one, or the private one-entry cache."""
         return self.backend.preprocess_cache
 
     def debug(

@@ -102,6 +102,20 @@ class PredicateEnumerator:
         self.max_categories = max_categories
         self.seed = seed
 
+    def memo_key(self) -> tuple:
+        """``(name, value)`` of every constructor tunable, for memo keys."""
+        return (
+            ("strategies", self.strategies),
+            ("feature_columns", self.feature_columns),
+            ("min_precision", self.min_precision),
+            ("weight_by_influence", self.weight_by_influence),
+            ("validation_fraction", self.validation_fraction),
+            ("tree_algorithm", self.tree_algorithm),
+            ("max_thresholds", self.max_thresholds),
+            ("max_categories", self.max_categories),
+            ("seed", self.seed),
+        )
+
     def run(
         self, pre: PreprocessResult, candidates: Sequence[CandidateSet]
     ) -> list[CandidateRule]:

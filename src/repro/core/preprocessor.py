@@ -36,7 +36,7 @@ from ..db.table import Table
 from ..errors import PipelineError
 from ..obs.flags import enabled as obs_enabled
 from ..obs.metrics import registry as obs_registry
-from .error_metrics import ErrorMetric
+from .error_metrics import ErrorMetric, metric_spec
 from .influence import InfluenceResult, leave_one_out_influence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -217,6 +217,26 @@ class PreprocessResult:
         )
         self._column_memo[key] = cached
         return cached
+
+    def stage_memo(self, key: Hashable):
+        """The enumeration outputs remembered for ``key``, or ``None``.
+
+        The dataset and predicate enumerators' outputs depend only on
+        this result, D' and the two stages' tunables; the backend keys
+        them on a D' digest plus a value key of those tunables and keeps
+        them here, next to :meth:`split_index` and :meth:`mask_engine`,
+        so a repeated debug — in the service, by any session with an
+        equal config — skips both stages. One entry: the last answer,
+        replaced by :meth:`remember_stages` on a different key.
+        """
+        entry = self._column_memo.get(("stages",))
+        if entry is not None and entry[0] == key:
+            return entry[1]
+        return None
+
+    def remember_stages(self, key: Hashable, outputs) -> None:
+        """Make ``outputs`` the one :meth:`stage_memo` entry."""
+        self._column_memo[("stages",)] = (key, outputs)
 
     def partition_blocks(
         self, n_partitions: int
@@ -466,8 +486,13 @@ def preprocess_key(
     every session the same :class:`~repro.db.table.Table` object), never
     between coincidentally equal tables. The statement text captures the
     WHERE clause, so the post-WHERE base needs no separate identity.
+    Built-in metrics also contribute their exact parameters, because
+    ``describe()`` rounds a threshold to six significant digits; any
+    other metric contributes the object itself (identity-hashed), since
+    its description need not capture its behaviour.
     """
     base = result.source
+    spec = metric_spec(metric)
     # The table object itself (identity-hashed) anchors the key: holding
     # it in the cache prevents id() reuse after garbage collection.
     return (
@@ -478,12 +503,19 @@ def preprocess_key(
         type(metric).__name__,
         metric.describe(),
         metric.combine,
+        tuple(sorted(spec.items())) if spec is not None else metric,
         agg_name,
     )
 
 
 class Preprocessor:
-    """Computes F and the influence ranking for a debugging request."""
+    """Computes F and the influence ranking for a debugging request.
+
+    Every request goes through a :class:`PreprocessCache`: the shared
+    one when given (the service's), else a private one-entry cache, so
+    a standalone session re-debugging one selection reuses its result
+    and everything memoized on it.
+    """
 
     def __init__(
         self,
@@ -493,7 +525,7 @@ class Preprocessor:
         scatter_stats: dict | None = None,
     ):
         self.fast_influence = fast_influence
-        self.cache = cache
+        self.cache = cache if cache is not None else PreprocessCache(max_entries=1)
         #: Scatter the influence stage over this many group-aligned
         #: blocks (the partitioned backend sets > 1). Deliberately NOT
         #: part of the cache key: any partition count produces
@@ -513,12 +545,10 @@ class Preprocessor:
         """Compute :class:`PreprocessResult` for the selection ``S``.
 
         ``agg_name`` picks which aggregate output column is being debugged;
-        it defaults to the first aggregate in the SELECT list. When a
-        :class:`PreprocessCache` is attached, identical requests (same
-        table object, query, S, ε, aggregate) reuse one result.
+        it defaults to the first aggregate in the SELECT list. Identical
+        requests (same table object, query, S, ε, aggregate) reuse one
+        cached result.
         """
-        if self.cache is None:
-            return self._compute(result, selected_rows, metric, agg_name)
         if agg_name is None and result.aggregate_names:
             # Normalize the default so explicit and implicit requests for
             # the first aggregate share one cache entry.

@@ -56,7 +56,9 @@ class DBWipesSession:
     :class:`~repro.core.preprocessor.PreprocessCache` so that many
     sessions served over the same catalog reuse preprocessing work; the
     serving tier (:mod:`repro.service`) wires one cache into every
-    session it manages.
+    session it manages. Without one, the session keeps a private
+    one-entry cache, so re-debugging an unchanged selection reuses its
+    preprocessing and its memoized enumeration stages.
     """
 
     def __init__(

@@ -92,6 +92,19 @@ class SubgroupDiscovery:
         self.discretizer = discretizer
         self.max_values = max_values
 
+    def memo_key(self) -> tuple:
+        """``(name, value)`` of every constructor tunable, for memo keys."""
+        return (
+            ("beam_width", self.beam_width),
+            ("max_conditions", self.max_conditions),
+            ("n_rules", self.n_rules),
+            ("gamma", self.gamma),
+            ("min_coverage", self.min_coverage),
+            ("numeric_bins", self.numeric_bins),
+            ("discretizer", self.discretizer),
+            ("max_values", self.max_values),
+        )
+
     # ------------------------------------------------------------------
 
     def fit(
