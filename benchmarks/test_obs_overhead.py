@@ -4,17 +4,13 @@ The observability contract is *always-on-cheap*: spans, stage
 histograms, and request counters stay enabled in production, so their
 cost must be provably small. At each workload scale of
 ``REPRO_OBS_BENCH_SCALES`` (default ``1`` — the tier-1 smoke; CI runs
-``1,10``) this benchmark times partitioned ``debug()`` calls with the
+``1,10``) this benchmark times ``debug()`` calls with the
 kill switch on and off, **interleaved** A/B so clock drift and
 cache-warming cancel, and asserts the median enabled run is within 5%
 of the median disabled run. Each sample debugs on a fresh
 :class:`DBWipesSession` over one shared :class:`Database`: a session
 memoizes its last answer, so re-debugging one session would time a
 memo hit instead of the five pipeline stages the spans instrument.
-
-The partitioned backend is used deliberately: it exercises the densest
-instrumentation (per-stage spans *and* per-partition block timing), so
-the bound it proves covers the worst case.
 
 Results land in ``BENCH_obs.json`` under ``REPRO_BENCH_DIR`` (see
 ``bench_output.py``; a CI artifact), one section per scale.
@@ -75,9 +71,7 @@ def _intel_db(scale: int) -> Database:
 
 def _brushed_session(db: Database) -> DBWipesSession:
     """A fresh session with the selection and metric set, not yet debugged."""
-    session = DBWipesSession(
-        db, PipelineConfig(backend="partitioned", n_partitions=4)
-    )
+    session = DBWipesSession(db, PipelineConfig())
     result = session.execute(BOOTSTRAP)
     std = np.asarray(result.column("std_temp"), dtype=float)
     cutoff = 4.0 * float(np.median(std[np.isfinite(std)]))
@@ -140,8 +134,6 @@ class TestObsOverhead:
             "scale": scale,
             "rows": 54 * (BASE_MINUTES * scale) // 2,
             "n_rounds": N_ROUNDS,
-            "backend": "partitioned",
-            "n_partitions": 4,
             "spans_per_debug": spans_per_debug,
             "enabled_seconds_median": enabled_median,
             "disabled_seconds_median": disabled_median,

@@ -1,24 +1,16 @@
-"""Partitioned-execution benchmarks: 1 vs N workers, in-process vs blocks.
+"""Cross-session sharding benchmark: 1 vs N workers.
 
-Two questions, answered at each workload scale of
-``REPRO_PARTITION_BENCH_SCALES`` (default ``1`` — the tier-1 smoke; CI
-runs ``1,10,50``):
-
-1. **Scatter-gather serving** — the same multi-dataset debug workload
-   through a single-process server and through an N-worker server with
-   consistent-hash routing. Datasets shard across workers, so the
-   worker tier preprocesses and ranks in true parallel processes; at
-   the 50× scale the compute dominates the IPC and the multi-worker
-   req/s should exceed the single-process baseline on a multi-core
-   host (on one core the expectation degenerates to ~1.0, so the
-   record carries ``cpu_count``). Per-worker preprocess-cache hit
-   rates are recorded — cache affinity means each shard keeps its own
-   hit rate high.
-
-2. **Partitioned backend latency** — one ``debug()`` on the same
-   selection with ``backend="in_process"`` vs ``backend="partitioned"``
-   (byte-identical answers; the parity suite enforces that — here we
-   only time them).
+At each workload scale of ``REPRO_PARTITION_BENCH_SCALES`` (default
+``1`` — the tier-1 smoke; CI runs ``1,10,50``), the same multi-dataset
+debug workload runs through a single-process server and through an
+N-worker server with consistent-hash routing. Datasets shard across
+workers, so the worker tier preprocesses and ranks in true parallel
+processes; at the 50× scale the compute dominates the IPC and the
+multi-worker req/s should exceed the single-process baseline on a
+multi-core host (on one core the expectation degenerates to ~1.0, so
+the record carries ``cpu_count``). Per-worker preprocess-cache hit
+rates are recorded — cache affinity means each shard keeps its own hit
+rate high.
 
 Results land in ``BENCH_partition.json`` under ``REPRO_BENCH_DIR`` (see
 ``bench_output.py``; a CI artifact), one section per scale.
@@ -33,10 +25,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core import PipelineConfig
 from repro.data import IntelConfig, generate_intel
 from repro.db import Database
-from repro.frontend import Brush, DBWipesSession
 from repro.service import (
     DatasetCatalog,
     DBWipesServer,
@@ -240,46 +230,4 @@ class TestPartitionedServing:
             f"{N_WORKERS} workers={multi_record['requests_per_second']:.1f} "
             f"req/s (speedup {section['speedup']:.2f}, "
             f"{len(busy)} shards busy) -> {BENCH_PATH.name}"
-        )
-
-
-class TestPartitionedBackendLatency:
-    @pytest.mark.parametrize("scale", SCALES)
-    def test_in_process_vs_partitioned_debug(self, scale):
-        db = _intel_db(scale, seed=100)
-        timings = {}
-        answers = {}
-        for backend, n_partitions in (("in_process", 1), ("partitioned", 4)):
-            session = DBWipesSession(
-                db,
-                PipelineConfig(backend=backend, n_partitions=n_partitions),
-            )
-            result = session.execute(BOOTSTRAP)
-            import numpy as np
-
-            std = np.asarray(result.column("std_temp"), dtype=float)
-            cutoff = 4.0 * float(np.median(std[np.isfinite(std)]))
-            session.select_results(Brush.above(cutoff), y="std_temp")
-            session.set_metric("too_high")
-            start = time.perf_counter()
-            report = session.debug()
-            timings[backend] = time.perf_counter() - start
-            answers[backend] = [
-                ranked.describe() for ranked in report
-            ]
-        assert answers["partitioned"] == answers["in_process"]
-        section = {
-            "benchmark": "partitioned_debug_latency",
-            "scale": scale,
-            "n_partitions": 4,
-            "in_process_seconds": timings["in_process"],
-            "partitioned_seconds": timings["partitioned"],
-            "n_ranked": len(answers["in_process"]),
-        }
-        _merge_into_bench(f"latency_scale_{scale}x", section)
-        print(
-            f"\npartitioned debug {scale}x: "
-            f"in_process={timings['in_process']:.3f}s, "
-            f"partitioned(4)={timings['partitioned']:.3f}s "
-            f"-> {BENCH_PATH.name}"
         )

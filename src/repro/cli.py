@@ -10,8 +10,8 @@ provided bootstrap queries. This CLI is that experience in a terminal:
   non-interactively (useful for demos, docs, and tests);
 * ``python -m repro serve`` — boot the multi-session TCP service
   (options: ``--host``, ``--port``, ``--max-sessions``, ``--ttl``,
-  ``--workers``, ``--backend``, ``--partitions``, ``--data-dir``
-  for the durable storage tier, ``--slow-threshold``; ``--async``
+  ``--workers``, ``--data-dir`` for the durable storage tier,
+  ``--slow-threshold``; ``--async``
   boots the admission-controlled asyncio gateway with
   ``--max-inflight`` (a count, or ``auto`` to self-tune),
   ``--max-queue``, ``--exec-threads``, ``--rate``, ``--burst``);
@@ -468,14 +468,33 @@ def _flag_value(argv: list[str], name: str, default: str) -> str:
     return value
 
 
+#: The ``serve`` flags that take a value; ``--async`` is its one switch.
+_SERVE_VALUE_FLAGS = frozenset({
+    "--host", "--port", "--max-sessions", "--ttl", "--workers",
+    "--data-dir", "--slow-threshold", "--max-inflight", "--max-queue",
+    "--exec-threads", "--rate", "--burst",
+})
+
+
+def _check_serve_flags(argv: list[str]) -> None:
+    """Reject an unknown ``serve`` argument or a value flag with no value."""
+    i = 0
+    while i < len(argv):
+        if argv[i] == "--async":
+            i += 1
+        elif argv[i] not in _SERVE_VALUE_FLAGS:
+            raise ValueError(f"unknown serve argument {argv[i]!r}")
+        elif i + 1 == len(argv):
+            raise ValueError(f"{argv[i]} needs a value")
+        else:
+            i += 2
+
+
 def serve_main(argv: list[str]) -> int:
     """``python -m repro serve`` — boot the multi-session service.
 
     ``--workers N`` (N >= 1) serves from N worker processes behind the
-    consistent-hash router instead of one in-process session manager;
-    ``--backend`` / ``--partitions`` pick the execution backend every
-    session's pipeline uses (``partitioned`` splits the influence pass
-    into ``--partitions`` row blocks — byte-identical results).
+    consistent-hash router instead of one in-process session manager.
     ``--slow-threshold S`` marks requests slower than S seconds in the
     slow-request log (exported via the env so workers inherit it).
     ``--data-dir D`` makes the catalog durable: datasets persist as
@@ -490,24 +509,22 @@ def serve_main(argv: list[str]) -> int:
     ``retry_after``), per-connection token-bucket rate limiting
     (``--rate`` / ``--burst`` heavy commands per second), a bounded
     executor (``--exec-threads``), and streamed partial ``debug``
-    frames (``args: {"stream": true}``).
+    frames (``args: {"stream": true}``). An unknown argument, or a
+    value flag given last, is an error before anything boots.
     """
     import os
 
-    from .core.backend import BACKENDS
-    from .core.pipeline import PipelineConfig
     from .obs import set_slow_threshold
     from .service import AsyncDBWipesServer, DBWipesServer, SessionManager
     from .service.cache import DATA_DIR_ENV
 
     try:
+        _check_serve_flags(argv)
         host = _flag_value(argv, "--host", "127.0.0.1")
         port = int(_flag_value(argv, "--port", "8642"))
         max_sessions = int(_flag_value(argv, "--max-sessions", "64"))
         ttl = _flag_value(argv, "--ttl", "")
         workers = int(_flag_value(argv, "--workers", "0"))
-        backend = _flag_value(argv, "--backend", "in_process")
-        partitions = int(_flag_value(argv, "--partitions", "1"))
         data_dir = _flag_value(argv, "--data-dir", "")
         slow = _flag_value(argv, "--slow-threshold", "")
         use_async = "--async" in argv
@@ -527,11 +544,6 @@ def serve_main(argv: list[str]) -> int:
             # in-process one, or each forked worker's own — resolves the
             # durable root from the environment.
             os.environ[DATA_DIR_ENV] = data_dir
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown --backend {backend!r} (known: {list(BACKENDS)})"
-            )
-        config = PipelineConfig(backend=backend, n_partitions=partitions)
         ttl_seconds = float(ttl) if ttl else None
         gateway_kwargs = dict(
             max_inflight=max_inflight,
@@ -545,7 +557,6 @@ def serve_main(argv: list[str]) -> int:
                 host=host,
                 port=port,
                 workers=workers,
-                config=config,
                 max_sessions=max_sessions,
                 ttl_seconds=ttl_seconds,
             )
@@ -557,7 +568,6 @@ def serve_main(argv: list[str]) -> int:
             datasets = "per-worker demo catalogs"
         else:
             manager = SessionManager(
-                config=config,
                 max_sessions=max_sessions,
                 ttl_seconds=ttl_seconds,
             )
@@ -583,7 +593,7 @@ def serve_main(argv: list[str]) -> int:
         tier += f", data_dir={data_dir}"
     print(
         f"dbwipes service listening on {bound_host}:{bound_port} "
-        f"({front}, {tier}, backend={backend}, {datasets})",
+        f"({front}, {tier}, {datasets})",
         flush=True,
     )
     try:

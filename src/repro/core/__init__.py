@@ -4,12 +4,7 @@ Pipeline: Preprocessor → Dataset Enumerator → Predicate Enumerator →
 Predicate Ranker, orchestrated by :class:`RankedProvenance`.
 """
 
-from .backend import (
-    BACKENDS,
-    InProcessBackend,
-    PartitionedBackend,
-    make_backend,
-)
+from .backend import InProcessBackend
 from .enumerator import CLEAN_STRATEGIES, CandidateSet, DatasetEnumerator
 from .error_metrics import (
     DiffFromConstant,
@@ -21,13 +16,9 @@ from .error_metrics import (
     metric_from_form,
 )
 from .influence import (
-    DeltaEpsilonScorer,
     GroupInfluence,
     InfluenceResult,
-    PartitionedDeltaEpsilonScorer,
-    SegmentPartitions,
     leave_one_out_influence,
-    partition_segments,
     subset_epsilon,
     subset_epsilon_grouped,
     subset_epsilon_grouped_batch,
@@ -51,14 +42,12 @@ from .ranker import SCORE_ALGORITHMS, PredicateRanker, RankerWeights
 from .report import DebugReport, RankedPredicate
 
 __all__ = [
-    "BACKENDS",
     "CLEAN_STRATEGIES",
     "DEFAULT_STRATEGIES",
     "SCORE_ALGORITHMS",
     "CandidateRule",
     "CandidateSet",
     "ClauseMaskCache",
-    "DeltaEpsilonScorer",
     "MaskSet",
     "DatasetEnumerator",
     "DebugReport",
@@ -68,8 +57,6 @@ __all__ = [
     "InProcessBackend",
     "InfluenceResult",
     "NotEqual",
-    "PartitionedBackend",
-    "PartitionedDeltaEpsilonScorer",
     "PipelineConfig",
     "PredicateEnumerator",
     "PredicateMerger",
@@ -80,16 +67,13 @@ __all__ = [
     "RankedPredicate",
     "RankedProvenance",
     "RankerWeights",
-    "SegmentPartitions",
     "TooHigh",
     "TooLow",
     "TreeStrategy",
     "available_metric_ids",
     "hull",
     "leave_one_out_influence",
-    "make_backend",
     "metric_from_form",
-    "partition_segments",
     "preprocess_key",
     "subset_epsilon",
     "subset_epsilon_grouped",

@@ -1,30 +1,19 @@
-"""Execution backends: how one ``debug()`` request is physically run.
+"""The execution backend: how one ``debug()`` request is run.
 
 The pipeline's five stages (Preprocessor → Dataset Enumerator →
 Predicate Enumerator → Ranker → optional Merger) are *what* to compute;
-a backend decides *how*:
+:class:`InProcessBackend` runs them, one after another, over the whole
+selection in one process.
 
-* :class:`InProcessBackend` — the original single-pass engine: every
-  stage runs over the whole table in one process.
-* :class:`PartitionedBackend` — the scatter-gather engine: the segment
-  array is split into contiguous, group-aligned row blocks
-  (:func:`~repro.core.influence.partition_segments`), the influence and
-  Δε kernels — and on the per-rule path the predicate masks themselves —
-  run per block, and a combine step concatenates the per-group partials
-  before one global metric application. Because every grouped kernel is
-  a per-group-local fold and partitions never split a group, the
-  combined results are **byte-identical** to the in-process engine's:
-  the established parity contract extends to every partition count.
-
-Both backends memoize the two enumeration stages on the
+The backend memoizes the two enumeration stages on the
 :class:`~repro.core.preprocessor.PreprocessResult`: their outputs are
 pure functions of that result, D' and the stages' tunables, so a debug
 that repeats those inputs skips k-means cleaning, CN2-SD and every tree
 fit, and only ranks and merges again.
 
-``RankedProvenance`` is a thin facade over a backend; the service tier
-reads :meth:`ExecutionBackend.stats` into ``snapshot()`` so clients can
-see the physical fan-out behind their answers.
+``RankedProvenance`` is a thin facade over the backend; the service
+tier reads :meth:`InProcessBackend.stats` into ``snapshot()`` so
+clients can see the debug and stage-memo counters behind their answers.
 """
 
 from __future__ import annotations
@@ -36,52 +25,25 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..db.result import ResultSet
-from ..errors import PipelineError
 from ..obs.flags import enabled as obs_enabled
 from ..obs.metrics import registry as obs_registry
 from ..obs.trace import span as obs_span
 from .enumerator import DatasetEnumerator
 from .error_metrics import ErrorMetric
-from .influence import (
-    DeltaEpsilonScorer,
-    PartitionedDeltaEpsilonScorer,
-    partition_segments,
-)
 from .predicates import PredicateEnumerator
-from .preprocessor import PreprocessCache, Preprocessor, PreprocessResult
+from .preprocessor import PreprocessCache, Preprocessor
 from .ranker import PredicateRanker
 from .report import DebugReport
-
-#: Recognized ``PipelineConfig.backend`` values.
-BACKENDS = ("in_process", "partitioned")
 
 _MEMO_HITS = "dbwipes_stage_memo_hits_total"
 _MEMO_MISSES = "dbwipes_stage_memo_misses_total"
 
 
-def make_backend(config, preprocess_cache: PreprocessCache | None = None):
-    """Build the execution backend selected by ``config.backend``."""
-    name = getattr(config, "backend", "in_process")
-    if name == "in_process":
-        return InProcessBackend(config, preprocess_cache=preprocess_cache)
-    if name == "partitioned":
-        return PartitionedBackend(config, preprocess_cache=preprocess_cache)
-    raise PipelineError(f"backend must be one of {BACKENDS}, got {name!r}")
-
-
 class InProcessBackend:
-    """The single-process engine: one pass over the whole table.
-
-    Also the base class of :class:`PartitionedBackend` — the stage
-    wiring and the ``debug()`` loop are identical; subclasses override
-    the scorer injection and the influence partition count.
-    """
-
-    name = "in_process"
+    """The single-process engine: one pass over the whole table."""
 
     def __init__(self, config, preprocess_cache: PreprocessCache | None = None):
         self.config = config
-        self._scatter: dict = {}
         self._debug_count = 0
         self._memo_hits = 0
         self._memo_misses = 0
@@ -95,8 +57,6 @@ class InProcessBackend:
         self._preprocessor = Preprocessor(
             fast_influence=config.fast_influence,
             cache=preprocess_cache,
-            partitions=self.influence_partitions(),
-            scatter_stats=self._scatter,
         )
         self._enumerator = DatasetEnumerator(
             clean_strategy=config.clean_strategy,
@@ -119,7 +79,6 @@ class InProcessBackend:
             weights=config.ranker_weights,
             max_terms=config.max_terms,
             algorithm=config.score_algorithm,
-            scorer=self._make_scorer(),
         )
         self._merger = None
         if config.merge_predicates:
@@ -129,22 +88,7 @@ class InProcessBackend:
                 weights=config.ranker_weights,
                 max_terms=config.max_terms,
                 algorithm=config.score_algorithm,
-                scorer=self._make_scorer(),
             )
-
-    # -- backend-specific hooks ----------------------------------------
-
-    def influence_partitions(self) -> int:
-        """How many blocks the Preprocessor's influence stage scatters over."""
-        return 1
-
-    def _make_scorer(self) -> DeltaEpsilonScorer:
-        return DeltaEpsilonScorer()
-
-    def _note_preprocess(self, pre: PreprocessResult) -> None:
-        """Record backend-specific fan-out after the preprocess stage."""
-
-    # -- shared machinery ----------------------------------------------
 
     @property
     def preprocess_cache(self) -> PreprocessCache:
@@ -152,12 +96,9 @@ class InProcessBackend:
         return self._preprocessor.cache
 
     def stats(self) -> dict:
-        """Physical-execution counters for ``snapshot()`` / observability."""
+        """Execution counters for ``snapshot()`` / observability."""
         return {
-            "backend": self.name,
-            "n_partitions": self.influence_partitions(),
             "debug_count": self._debug_count,
-            "scatter": dict(self._scatter),
             "stage_memo": {"hits": self._memo_hits, "misses": self._memo_misses},
         }
 
@@ -188,14 +129,13 @@ class InProcessBackend:
         """
         timings: dict[str, float] = {}
 
-        with obs_span("pipeline.debug", backend=self.name):
+        with obs_span("pipeline.debug"):
             start = time.perf_counter()
             with obs_span("stage.preprocess"):
                 pre = self._preprocessor.run(
                     result, selected_rows, metric, agg_name=agg_name
                 )
             timings["preprocess"] = time.perf_counter() - start
-            self._note_preprocess(pre)
 
             # Both enumeration stages are pure functions of (pre, D',
             # their tunables): a repeated debug reuses their outputs.
@@ -255,9 +195,7 @@ class InProcessBackend:
         if obs_enabled():
             reg = obs_registry()
             reg.counter(
-                "dbwipes_debugs_total",
-                labels={"backend": self.name},
-                help="Pipeline debug() executions.",
+                "dbwipes_debugs_total", help="Pipeline debug() executions."
             ).inc()
             for stage, seconds in timings.items():
                 reg.histogram(
@@ -301,45 +239,3 @@ def _freeze_candidate(candidate) -> None:
         _freeze_array(value)
     for rule in candidate.rules:
         _freeze_rule(rule)
-
-
-class PartitionedBackend(InProcessBackend):
-    """The scatter-gather engine over contiguous group-aligned blocks.
-
-    ``config.n_partitions`` sets the fan-out; every stage that touches
-    flat tuple volume (influence, Δε previews, per-rule masks) scatters
-    over the blocks and combines exactly. The scorer and this backend
-    share one scatter-counter dict, surfaced via :meth:`stats`.
-    """
-
-    name = "partitioned"
-
-    def __init__(self, config, preprocess_cache: PreprocessCache | None = None):
-        self.n_partitions = max(1, int(getattr(config, "n_partitions", 1)))
-        super().__init__(config, preprocess_cache=preprocess_cache)
-
-    def influence_partitions(self) -> int:
-        return self.n_partitions
-
-    def _make_scorer(self) -> DeltaEpsilonScorer:
-        return PartitionedDeltaEpsilonScorer(self.n_partitions, stats=self._scatter)
-
-    def _note_preprocess(self, pre: PreprocessResult) -> None:
-        plan = partition_segments(pre.segments, self.n_partitions)
-        self._scatter["influence_blocks"] = (
-            self._scatter.get("influence_blocks", 0) + plan.n_blocks
-        )
-
-    def stats(self) -> dict:
-        data = super().stats()
-        timed = int(self._scatter.get("blocks_timed", 0))
-        total = float(self._scatter.get("block_seconds_total", 0.0))
-        data["partition"] = {
-            "blocks_timed": timed,
-            "block_seconds_total": total,
-            "block_seconds_max": float(
-                self._scatter.get("block_seconds_max", 0.0)
-            ),
-            "block_seconds_mean": (total / timed) if timed else 0.0,
-        }
-        return data

@@ -32,72 +32,14 @@ Two implementations are provided:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from ..db.aggregates import Aggregate
-from ..db.segments import (
-    SegmentedValues,
-    SegmentPairs,
-    as_segments,
-    partition_offsets,
-)
+from ..db.segments import SegmentedValues, SegmentPairs, as_segments
 from ..errors import PipelineError
-from ..obs.flags import enabled as obs_enabled
-from ..obs.metrics import registry as obs_registry
-from ..obs.trace import span as obs_span
-
-
-#: (registry generation, blocks counter, block-seconds histogram) —
-#: resolved lazily and re-resolved after a registry ``clear()`` (worker
-#: startup), so the per-block hot path below pays one generation check
-#: instead of two name lookups per event.
-_BLOCK_METRICS: tuple[int, object, object] | None = None
-
-
-def _block_metrics():
-    global _BLOCK_METRICS
-    reg = obs_registry()
-    generation = reg.generation
-    cached = _BLOCK_METRICS
-    if cached is None or cached[0] != generation:
-        cached = (
-            generation,
-            reg.counter(
-                "dbwipes_partition_blocks_total",
-                help="Partition blocks executed by the scatter-gather kernels.",
-            ),
-            reg.histogram(
-                "dbwipes_partition_block_seconds",
-                help="Wall seconds per partition block.",
-            ),
-        )
-        _BLOCK_METRICS = cached
-    return cached[1], cached[2]
-
-
-def _record_block_time(seconds: float, stats: dict | None) -> None:
-    """Account one partition block's wall time.
-
-    Feeds two sinks: the backend's scatter-stats dict (surfaced as block
-    count + max/mean in ``snapshot()["timings"]``) and, when telemetry
-    is on, the shared registry's partition-block histogram/counter. This
-    runs per block per scored predicate — keep it allocation-free.
-    """
-    if stats is not None:
-        stats["blocks_timed"] = stats.get("blocks_timed", 0) + 1
-        stats["block_seconds_total"] = (
-            stats.get("block_seconds_total", 0.0) + seconds
-        )
-        if seconds > stats.get("block_seconds_max", 0.0):
-            stats["block_seconds_max"] = seconds
-    if obs_enabled():
-        counter, histogram = _block_metrics()
-        counter.inc()
-        histogram.observe(seconds)
 
 
 @dataclass(frozen=True)
@@ -165,58 +107,6 @@ class InfluenceResult:
         return np.where(found, sorted_scores[pos], 0.0)
 
 
-@dataclass(frozen=True)
-class SegmentPartitions:
-    """A group-aligned partition plan over one :class:`SegmentedValues`.
-
-    ``bounds`` are segment-index cut points (see
-    :func:`~repro.db.segments.partition_offsets`); ``blocks`` are the
-    matching contiguous sub-:class:`SegmentedValues` views. A block
-    never splits a segment, so every per-segment statistic computed on a
-    block is bit-identical to the same statistic computed globally —
-    the combine step of the partitioned backend is therefore pure
-    concatenation in segment order, followed by one global metric
-    application.
-    """
-
-    seg: SegmentedValues
-    bounds: np.ndarray
-    blocks: tuple[SegmentedValues, ...]
-
-    @property
-    def n_blocks(self) -> int:
-        """Number of contiguous partition blocks."""
-        return len(self.blocks)
-
-    def flat_bounds(self, block: int) -> tuple[int, int]:
-        """The flat-position range ``[lo, hi)`` covered by ``block``."""
-        return (
-            int(self.seg.offsets[self.bounds[block]]),
-            int(self.seg.offsets[self.bounds[block + 1]]),
-        )
-
-
-def partition_segments(seg: SegmentedValues, n_partitions: int) -> SegmentPartitions:
-    """The (memoized) group-aligned partition plan for ``seg``.
-
-    Plans ride on ``seg.memo`` keyed by the partition count, so the
-    Preprocessor, Ranker, and Merger of one debugging request — and
-    every later debug of a cached selection — share one plan and one
-    set of block views (with their own per-block kernel memos).
-    """
-    key = ("partition_plan", int(n_partitions))
-    plan = seg.memo.get(key)
-    if plan is None:
-        bounds = partition_offsets(seg.offsets, n_partitions)
-        blocks = tuple(
-            seg.slice_segments(int(bounds[b]), int(bounds[b + 1]))
-            for b in range(len(bounds) - 1)
-        )
-        plan = SegmentPartitions(seg=seg, bounds=bounds, blocks=blocks)
-        seg.memo[key] = plan
-    return plan
-
-
 def leave_one_out_influence(
     group_values: list[np.ndarray],
     group_tids: list[np.ndarray],
@@ -224,8 +114,6 @@ def leave_one_out_influence(
     aggregate: Aggregate,
     metric,
     fast: bool = True,
-    n_partitions: int = 1,
-    scatter_stats: dict | None = None,
 ) -> InfluenceResult:
     """Compute influence for every tuple of the selected groups.
 
@@ -243,35 +131,11 @@ def leave_one_out_influence(
         The user's :class:`~repro.core.error_metrics.ErrorMetric`.
     fast:
         Use closed-form leave-one-out (True) or naive recomputation.
-    n_partitions:
-        Scatter the grouped passes over this many group-aligned blocks
-        (the partitioned backend's influence stage). Per-group results
-        concatenate in group order, so any count is bit-identical to 1.
-    scatter_stats:
-        Optional dict accumulating per-block timing (the partitioned
-        backend shares its scatter-counter dict here).
     """
     if len(group_values) != len(group_tids) or len(group_values) != len(rows):
         raise PipelineError("group_values, group_tids, and rows must align")
     seg = as_segments(group_values)
-    if fast and n_partitions > 1:
-        # Scatter: each block holds whole groups, and the grouped
-        # kernels are per-group-local folds, so per-block current and
-        # leave-one-out values concatenate into exactly the global ones.
-        plan = partition_segments(seg, n_partitions)
-        currents: list[np.ndarray] = []
-        loos: list[np.ndarray] = []
-        for index, block in enumerate(plan.blocks):
-            with obs_span(
-                "partition.block", index=index, rows=len(block.values)
-            ):
-                t0 = time.perf_counter()
-                currents.append(aggregate.compute_grouped(block))
-                loos.append(aggregate.leave_one_out_grouped(block))
-                _record_block_time(time.perf_counter() - t0, scatter_stats)
-        current = np.concatenate(currents)
-        loo_flat = np.concatenate(loos)
-    elif fast:
+    if fast:
         # One grouped pass over every selected group at once: current
         # values, leave-one-out values, and per-value errors are all
         # flat vectorized computations with no Python per-group loop.
@@ -347,30 +211,15 @@ def subset_epsilon_grouped(
     remove_mask: np.ndarray,
     aggregate: Aggregate,
     metric,
-    n_partitions: int = 1,
 ) -> float:
     """:func:`subset_epsilon` over an already-segmented selection.
 
     The Ranker and Merger call this once per candidate predicate with a
     single flat mask over the segment table, so the whole Δε preview is
     one grouped :meth:`~repro.db.aggregates.Aggregate.compute_without_grouped`
-    pass. With ``n_partitions > 1`` the pass scatters over group-aligned
-    blocks (flat-sliced masks) and the per-group values concatenate
-    before the single global metric application — bit-identical.
+    pass.
     """
-    if n_partitions > 1:
-        plan = partition_segments(seg, n_partitions)
-        new_values = np.concatenate(
-            [
-                aggregate.compute_without_grouped(
-                    block, remove_mask[slice(*plan.flat_bounds(b))]
-                )
-                for b, block in enumerate(plan.blocks)
-            ]
-        )
-    else:
-        new_values = aggregate.compute_without_grouped(seg, remove_mask)
-    return metric(new_values)
+    return metric(aggregate.compute_without_grouped(seg, remove_mask))
 
 
 #: Soft cap on the elements of one batched Δε slab (rows × flat values).
@@ -397,9 +246,21 @@ def subset_epsilon_grouped_batch(
     of the result is bit-identical to
     ``subset_epsilon_grouped(seg, remove_masks[r], ...)``, which is what
     lets the batched Ranker stay byte-identical to the per-rule
-    reference.
+    reference. Rows are chunked by ``max_elements`` so the 2-D kernel
+    temporaries stay bounded; the chunking cannot perturb values because
+    each chunk is an independent set of mask rows.
     """
-    new_values = _new_values_grouped_batch(seg, remove_masks, aggregate, max_elements)
+    remove_masks = np.asarray(remove_masks, dtype=bool)
+    if remove_masks.ndim != 2 or remove_masks.shape[1] != len(seg.values):
+        raise PipelineError("remove mask matrix shape does not match segments")
+    n_rows = remove_masks.shape[0]
+    new_values = np.empty((n_rows, seg.n_segments), dtype=np.float64)
+    chunk = max(1, max_elements // max(len(seg.values), 1))
+    for start in range(0, n_rows, chunk):
+        block = remove_masks[start: start + chunk]
+        new_values[start: start + block.shape[0]] = (
+            aggregate.compute_without_grouped_batch(seg, block)
+        )
     return _metric_rows(new_values, metric)
 
 
@@ -408,34 +269,6 @@ def _metric_rows(new_values: np.ndarray, metric) -> np.ndarray:
     out = np.empty(new_values.shape[0], dtype=np.float64)
     for row in range(new_values.shape[0]):
         out[row] = metric(new_values[row])
-    return out
-
-
-def _new_values_grouped_batch(
-    seg: SegmentedValues,
-    remove_masks: np.ndarray,
-    aggregate: Aggregate,
-    max_elements: int = BATCH_MAX_ELEMENTS,
-) -> np.ndarray:
-    """The dense ``(R, n_segments)`` after-removal value matrix.
-
-    Row-chunked by ``max_elements`` so the 2-D kernel temporaries stay
-    bounded; the chunking cannot perturb values because each chunk is an
-    independent set of mask rows.
-    """
-    remove_masks = np.asarray(remove_masks, dtype=bool)
-    if remove_masks.ndim != 2 or remove_masks.shape[1] != len(seg.values):
-        raise PipelineError("remove mask matrix shape does not match segments")
-    n_rows = remove_masks.shape[0]
-    out = np.empty((n_rows, seg.n_segments), dtype=np.float64)
-    if n_rows == 0:
-        return out
-    chunk = max(1, max_elements // max(len(seg.values), 1))
-    for start in range(0, n_rows, chunk):
-        block = remove_masks[start: start + chunk]
-        out[start: start + block.shape[0]] = (
-            aggregate.compute_without_grouped_batch(seg, block)
-        )
     return out
 
 
@@ -451,8 +284,6 @@ def subset_epsilon_for_mask_set(
     aggregate: Aggregate,
     metric,
     positions: np.ndarray | None = None,
-    n_partitions: int = 1,
-    scatter_stats: dict | None = None,
 ) -> np.ndarray:
     """Batched Δε over a :class:`~repro.core.maskset.MaskSet`.
 
@@ -469,11 +300,6 @@ def subset_epsilon_for_mask_set(
       aggregate-after-removal is, fold-for-fold, the no-removal value —
       so only the touched (rule, group) pairs are re-aggregated, over a
       compacted copy of exactly those groups.
-
-    With ``n_partitions > 1`` the unique masks score through
-    :func:`_epsilons_partitioned` instead — and because the partitioned
-    values are bit-identical to the global ones, the ε memo is safely
-    shared across partition counts and backends.
     """
     digests = mask_set.digests()
     # ε per distinct mask is memoized on the segments: a repeated debug
@@ -503,12 +329,7 @@ def subset_epsilon_for_mask_set(
         bools = mask_set.bools(np.asarray(unique_rows, dtype=np.int64))
         if positions is not None:
             bools = bools[:, positions]
-        if n_partitions > 1:
-            unique = _epsilons_partitioned(
-                seg, bools, aggregate, metric, n_partitions, scatter_stats
-            )
-        else:
-            unique = _epsilons_group_sparse(seg, bools, aggregate, metric)
+        unique = _epsilons_group_sparse(seg, bools, aggregate, metric)
         for digest, index in first_row.items():
             cache[digest] = float(unique[index])
     return np.fromiter(
@@ -536,34 +357,18 @@ def _epsilons_group_sparse(
     bit-identical to the dense ones. Falls back to the dense batch
     kernels when the touched volume approaches the dense volume.
     """
-    new_values = _new_values_group_sparse(seg, remove_masks, aggregate)
-    return _metric_rows(new_values, metric)
-
-
-def _new_values_group_sparse(
-    seg: SegmentedValues,
-    remove_masks: np.ndarray,
-    aggregate: Aggregate,
-) -> np.ndarray:
-    """The ``(R, n_segments)`` after-removal matrix, touched pairs only.
-
-    Value producer behind :func:`_epsilons_group_sparse`, factored out
-    so the partitioned scatter can run it per block and concatenate the
-    per-group columns (both the sparse and its dense-fallback values are
-    bit-identical, so a block may take either branch independently).
-    """
     from ..db.segments import _count_reduceat_batch
 
     n_rows = remove_masks.shape[0]
     n_flat = len(seg.values)
     if n_rows == 0:
-        return np.empty((0, seg.n_segments), dtype=np.float64)
+        return np.empty(0, dtype=np.float64)
     removed_counts = _count_reduceat_batch(remove_masks, seg.offsets)
     row_idx, group_idx = np.nonzero(removed_counts > 0)
     lengths = seg.lengths[group_idx]
     touched_volume = int(lengths.sum())
     if touched_volume >= SPARSE_DENSITY_CUTOFF * n_rows * n_flat:
-        return _new_values_grouped_batch(seg, remove_masks, aggregate)
+        return subset_epsilon_grouped_batch(seg, remove_masks, aggregate, metric)
 
     # The no-removal baseline, through the same masked kernel so the
     # accumulation of untouched groups matches the dense path; memoized
@@ -593,120 +398,4 @@ def _new_values_group_sparse(
         new_values[row_idx, group_idx] = aggregate.compute_without_pairs(
             pairs, mini_masks
         )
-    return new_values
-
-
-def _epsilons_partitioned(
-    seg: SegmentedValues,
-    remove_masks: np.ndarray,
-    aggregate: Aggregate,
-    metric,
-    n_partitions: int,
-    stats: dict | None = None,
-) -> np.ndarray:
-    """ε per mask row via the partitioned scatter-gather.
-
-    Scatter: each group-aligned block computes its own after-removal
-    value sub-matrix over the flat-sliced mask columns — exactly the
-    sparse-with-dense-fallback kernels the single-process path runs on
-    the whole array. Gather: the blocks' per-group columns concatenate
-    in group order (bit-identical, since every grouped kernel is a
-    per-group-local fold) and the metric collapses each full row once.
-    Byte-identity therefore holds even when a block's sparse/dense
-    cutover decision differs from the global one. ``stats`` accumulates
-    the scatter fan-out counters the backend surfaces in ``snapshot()``.
-    """
-    plan = partition_segments(seg, n_partitions)
-    parts: list[np.ndarray] = []
-    for b, block in enumerate(plan.blocks):
-        t0 = time.perf_counter()
-        parts.append(
-            _new_values_group_sparse(
-                block, remove_masks[:, slice(*plan.flat_bounds(b))], aggregate
-            )
-        )
-        _record_block_time(time.perf_counter() - t0, stats)
-    new_values = np.hstack(parts)
-    if stats is not None:
-        stats["delta_blocks"] = stats.get("delta_blocks", 0) + plan.n_blocks
-        stats["delta_mask_rows"] = (
-            stats.get("delta_mask_rows", 0) + int(remove_masks.shape[0])
-        )
     return _metric_rows(new_values, metric)
-
-
-class DeltaEpsilonScorer:
-    """Default Δε scorer: single-pass global kernels.
-
-    The Ranker and Merger call one of two hooks depending on their
-    ``algorithm``: :meth:`epsilons_for_mask_set` on the batched path,
-    :meth:`epsilon_for_predicate` on the per-rule reference path. The
-    execution backend injects the scorer, so the partitioned engine can
-    swap in scatter-gather evaluation without the Ranker or Merger
-    knowing which backend is running.
-    """
-
-    def epsilons_for_mask_set(self, pre, mask_set) -> np.ndarray:
-        """Δε previews for every row of a packed mask set."""
-        return subset_epsilon_for_mask_set(
-            pre.segments,
-            mask_set,
-            pre.aggregate,
-            pre.metric,
-            positions=pre.segment_positions,
-        )
-
-    def epsilon_for_predicate(self, pre, predicate) -> float:
-        """ε after removing one predicate's tuples (mask included)."""
-        remove_mask = predicate.mask(pre.segment_table)
-        return subset_epsilon_grouped(
-            pre.segments, remove_mask, pre.aggregate, pre.metric
-        )
-
-
-class PartitionedDeltaEpsilonScorer(DeltaEpsilonScorer):
-    """Scatter-gather Δε scorer for the partitioned backend.
-
-    Batched previews scatter over group-aligned blocks via
-    :func:`_epsilons_partitioned`; the per-rule path goes further and
-    evaluates each predicate's *mask* per block too, over the sliced
-    :class:`~repro.learn.split_index.SplitIndex` views that
-    :meth:`~repro.core.preprocessor.PreprocessResult.partition_blocks`
-    builds — the whole rule pipeline (mask, masked aggregate, metric)
-    runs block-local with one global combine. ``stats`` is shared with
-    the owning backend and surfaces in ``snapshot()``.
-    """
-
-    def __init__(self, n_partitions: int, stats: dict | None = None):
-        self.n_partitions = max(1, int(n_partitions))
-        self.stats = stats if stats is not None else {}
-
-    def epsilons_for_mask_set(self, pre, mask_set) -> np.ndarray:
-        return subset_epsilon_for_mask_set(
-            pre.segments,
-            mask_set,
-            pre.aggregate,
-            pre.metric,
-            positions=pre.segment_positions,
-            n_partitions=self.n_partitions,
-            scatter_stats=self.stats,
-        )
-
-    def epsilon_for_predicate(self, pre, predicate) -> float:
-        plan = partition_segments(pre.segments, self.n_partitions)
-        parts = []
-        for block_table, engine, block_seg in pre.partition_blocks(
-            self.n_partitions
-        ):
-            t0 = time.perf_counter()
-            remove_block = engine.predicate_mask(block_table, predicate)
-            parts.append(
-                pre.aggregate.compute_without_grouped(block_seg, remove_block)
-            )
-            _record_block_time(time.perf_counter() - t0, self.stats)
-        self.stats["rule_blocks"] = (
-            self.stats.get("rule_blocks", 0) + plan.n_blocks
-        )
-        return pre.metric(np.concatenate(parts))
-
-

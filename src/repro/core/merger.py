@@ -40,7 +40,7 @@ from ..db.predicate import CategoricalClause, NumericClause, Predicate
 from ..errors import PipelineError
 from ..learn.metrics import confusion
 from .enumerator import CandidateSet
-from .influence import DeltaEpsilonScorer
+from .influence import subset_epsilon_for_mask_set, subset_epsilon_grouped
 from .preprocessor import PreprocessResult
 from .ranker import SCORE_ALGORITHMS, confusion_scores
 from .report import RankedPredicate
@@ -114,8 +114,7 @@ class PredicateMerger:
     """Greedy hull-merging over the top of a ranked predicate list."""
 
     def __init__(self, weights, max_terms: int = 8, top_n: int = 12,
-                 max_rounds: int = 4, algorithm: str = "batch",
-                 scorer: DeltaEpsilonScorer | None = None):
+                 max_rounds: int = 4, algorithm: str = "batch"):
         if top_n < 2:
             raise PipelineError("top_n must be >= 2")
         if algorithm not in SCORE_ALGORITHMS:
@@ -127,9 +126,6 @@ class PredicateMerger:
         self.top_n = top_n
         self.max_rounds = max_rounds
         self.algorithm = algorithm
-        #: Δε evaluation strategy, injected by the execution backend
-        #: (same contract as the Ranker's: byte-identical by design).
-        self.scorer = scorer if scorer is not None else DeltaEpsilonScorer()
 
     def run(
         self,
@@ -237,8 +233,12 @@ class PredicateMerger:
         for pos in range(len(to_score)):
             if f_masks.counts[pos] == 0:
                 pair_scores[to_score[pos][0]] = None
-        epsilons_after = self.scorer.epsilons_for_mask_set(
-            pre, f_masks.subset(live)
+        epsilons_after = subset_epsilon_for_mask_set(
+            pre.segments,
+            f_masks.subset(live),
+            pre.aggregate,
+            pre.metric,
+            positions=pre.segment_positions,
         )
         epsilon = pre.epsilon
         tp_by_origin: dict[str, np.ndarray] = {}
@@ -351,7 +351,12 @@ class PredicateMerger:
         if n_matched == 0:
             return None
         epsilon = pre.epsilon
-        epsilon_after = self.scorer.epsilon_for_predicate(pre, predicate)
+        epsilon_after = subset_epsilon_grouped(
+            pre.segments,
+            predicate.mask(pre.segment_table),
+            pre.aggregate,
+            pre.metric,
+        )
         relative = (epsilon - epsilon_after) / epsilon if epsilon > 0 else 0.0
         if relative <= 0:
             return None

@@ -7,8 +7,7 @@
                        ──> ranked predicates
 
 Each stage's wall-clock time is recorded in the report for the scaling
-benchmarks. The physical execution strategy lives behind
-:mod:`~repro.core.backend` (``PipelineConfig.backend`` selects it);
+benchmarks. The stages run in :class:`~repro.core.backend.InProcessBackend`;
 ``RankedProvenance`` is the stable facade the frontend and service tiers
 program against.
 """
@@ -22,7 +21,7 @@ import numpy as np
 
 from ..db.result import ResultSet
 from ..learn.subgroup import SubgroupDiscovery
-from .backend import make_backend
+from .backend import InProcessBackend
 from .error_metrics import ErrorMetric
 from .predicates import DEFAULT_STRATEGIES, TreeStrategy
 from .preprocessor import PreprocessCache
@@ -68,13 +67,6 @@ class PipelineConfig:
     subgroup: SubgroupDiscovery | None = None
     #: Random seed shared by all stochastic stages.
     seed: int = 0
-    #: Execution backend: "in_process" (one pass over the whole table)
-    #: or "partitioned" (scatter-gather over group-aligned row blocks;
-    #: byte-identical output per the parity contract).
-    backend: str = "in_process"
-    #: Scatter fan-out of the partitioned backend (ignored by
-    #: "in_process"; 1 degenerates to a single block).
-    n_partitions: int = 1
 
 
 class RankedProvenance:
@@ -94,8 +86,10 @@ class RankedProvenance:
     ):
         self.config = config or PipelineConfig()
         #: The execution backend running the five stages (see
-        #: :mod:`~repro.core.backend`). ``config.backend`` selects it.
-        self.backend = make_backend(self.config, preprocess_cache=preprocess_cache)
+        #: :mod:`~repro.core.backend`).
+        self.backend = InProcessBackend(
+            self.config, preprocess_cache=preprocess_cache
+        )
 
     @property
     def preprocess_cache(self) -> PreprocessCache:

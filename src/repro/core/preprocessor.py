@@ -238,61 +238,6 @@ class PreprocessResult:
         """Make ``outputs`` the one :meth:`stage_memo` entry."""
         self._column_memo[("stages",)] = (key, outputs)
 
-    def partition_blocks(
-        self, n_partitions: int
-    ) -> tuple[tuple[Table, "ClauseMaskCache", SegmentedValues], ...]:
-        """Per-block ``(table, mask engine, segments)`` scatter units.
-
-        The partitioned backend's per-rule path runs the whole rule
-        pipeline block-locally: each block gets the rows of
-        :attr:`segment_table` in its flat range, its own
-        :class:`~repro.core.maskset.ClauseMaskCache` backed by a
-        zero-copy :meth:`~repro.learn.split_index.SplitIndex.slice_rows`
-        view of one segment-order index, and the matching
-        group-aligned :class:`SegmentedValues` block. Engine masks are
-        byte-equal to ``predicate.mask(block_table)`` (the engine's
-        exactness invariant), and a mask is per-row, so per-block masks
-        concatenate into exactly the global segment-order mask. Memoized
-        like every other artifact, so N sessions debugging one cached
-        selection share one set of blocks.
-        """
-        from ..learn.split_index import NumericColumnIndex
-        from .influence import partition_segments
-        from .maskset import ClauseMaskCache
-
-        key = ("partition_blocks", int(n_partitions))
-        cached = self._column_memo.get(key)
-        if cached is not None:
-            return cached
-        plan = partition_segments(self.segments, n_partitions)
-        index_key = ("segment_split_index",)
-        seg_index = self._column_memo.get(index_key)
-        if seg_index is None:
-            # One segment-order re-alignment of the shared tree grid;
-            # every partition count slices views out of this one gather.
-            seg_index = self.split_index().take(self.segment_positions)
-            self._column_memo[index_key] = seg_index
-        blocks = []
-        for b in range(plan.n_blocks):
-            lo, hi = plan.flat_bounds(b)
-            # A zero-copy row window of the shared segment-order table:
-            # each block's columns are slices of one gather instead of a
-            # fresh per-block tid lookup + copy, so scatter setup cost no
-            # longer scales with (partition count × column bytes).
-            block_table = self.segment_table.slice_rows(lo, hi)
-            index_view = seg_index.slice_rows(lo, hi)
-
-            def block_column_index(column: str, view=index_view):
-                index = view.columns.get(column)
-                return index if isinstance(index, NumericColumnIndex) else None
-
-            engine = ClauseMaskCache()
-            engine.register(block_table, column_index=block_column_index)
-            blocks.append((block_table, engine, plan.blocks[b]))
-        cached = tuple(blocks)
-        self._column_memo[key] = cached
-        return cached
-
     def group_masks_for_tids(self, tids: np.ndarray) -> list[np.ndarray]:
         """Per-group boolean masks marking which group tuples are in ``tids``."""
         wanted = np.unique(np.asarray(tids, dtype=np.int64).ravel())
@@ -521,19 +466,9 @@ class Preprocessor:
         self,
         fast_influence: bool = True,
         cache: PreprocessCache | None = None,
-        partitions: int = 1,
-        scatter_stats: dict | None = None,
     ):
         self.fast_influence = fast_influence
         self.cache = cache if cache is not None else PreprocessCache(max_entries=1)
-        #: Scatter the influence stage over this many group-aligned
-        #: blocks (the partitioned backend sets > 1). Deliberately NOT
-        #: part of the cache key: any partition count produces
-        #: bit-identical results, so backends share cache entries.
-        self.partitions = max(1, int(partitions))
-        #: Per-block timing accumulator shared with the owning backend
-        #: (surfaced as block count + max/mean in ``snapshot()``).
-        self.scatter_stats = scatter_stats
 
     def run(
         self,
@@ -609,8 +544,6 @@ class Preprocessor:
             aggregate,
             metric,
             fast=self.fast_influence,
-            n_partitions=self.partitions,
-            scatter_stats=self.scatter_stats,
         )
         F = result.fine.lineage_table_many(list(selected))
         return PreprocessResult(

@@ -21,7 +21,7 @@ Two scoring paths produce byte-identical ranked lists:
   :class:`~repro.core.maskset.ClauseMaskCache`: each distinct clause is
   evaluated once per table, conjunctions are bitwise ANDs of packed
   bits, Δε for all rules is one grouped
-  :func:`~repro.core.influence.subset_epsilon_grouped_batch` pass, and
+  :func:`~repro.core.influence.subset_epsilon_for_mask_set` pass, and
   the confusion statistics come from popcounts of packed-mask
   intersections. Dedupe reuses the already-computed packed masks, keyed
   on a ``blake2b`` digest of (packed bits, column set).
@@ -40,7 +40,7 @@ import numpy as np
 from ..errors import PipelineError
 from ..learn.metrics import confusion
 from .enumerator import CandidateSet
-from .influence import DeltaEpsilonScorer
+from .influence import subset_epsilon_for_mask_set, subset_epsilon_grouped
 from .predicates import CandidateRule
 from .preprocessor import PreprocessResult
 from .report import RankedPredicate
@@ -97,7 +97,6 @@ class PredicateRanker:
         max_terms: int = 8,
         drop_nonpositive_error: bool = True,
         algorithm: str = "batch",
-        scorer: DeltaEpsilonScorer | None = None,
     ):
         if algorithm not in SCORE_ALGORITHMS:
             raise PipelineError(
@@ -107,10 +106,6 @@ class PredicateRanker:
         self.max_terms = max_terms
         self.drop_nonpositive_error = drop_nonpositive_error
         self.algorithm = algorithm
-        #: Δε evaluation strategy, injected by the execution backend (the
-        #: partitioned backend swaps in scatter-gather scoring; any
-        #: scorer is byte-identical to the default by construction).
-        self.scorer = scorer if scorer is not None else DeltaEpsilonScorer()
 
     def run(
         self,
@@ -150,8 +145,12 @@ class PredicateRanker:
         # segment table is F re-ordered, so the remove-masks are gathers
         # of the F masks (no second evaluation); distinct masks are
         # scored once and broadcast by digest.
-        epsilons_after = self.scorer.epsilons_for_mask_set(
-            pre, f_masks.subset(kept)
+        epsilons_after = subset_epsilon_for_mask_set(
+            pre.segments,
+            f_masks.subset(kept),
+            pre.aggregate,
+            pre.metric,
+            positions=pre.segment_positions,
         )
 
         # Confusion batch: per candidate, all true-positive counts are
@@ -259,10 +258,12 @@ class PredicateRanker:
             if n_matched == 0:
                 continue
             # Δε via grouped removable aggregates: mask evaluation over
-            # the segment table plus the grouped compute_without pass,
-            # both behind the scorer (block-local under partitioning).
-            epsilon_after = self.scorer.epsilon_for_predicate(
-                pre, rule.predicate
+            # the segment table plus the grouped compute_without pass.
+            epsilon_after = subset_epsilon_grouped(
+                pre.segments,
+                rule.predicate.mask(pre.segment_table),
+                pre.aggregate,
+                pre.metric,
             )
             relative_reduction = (
                 (epsilon - epsilon_after) / epsilon if epsilon > 0 else 0.0

@@ -59,7 +59,6 @@ from .store import (
     GatherStore,
     InMemoryStore,
     MmapColumnStore,
-    SliceStore,
     table_digest,
 )
 from .table import Table
@@ -83,7 +82,6 @@ __all__ = [
     "GatherStore",
     "InMemoryStore",
     "MmapColumnStore",
-    "SliceStore",
     "Expr",
     "FineProvenance",
     "FuncCall",

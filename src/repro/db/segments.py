@@ -161,27 +161,6 @@ class SegmentedValues:
             return []
         return np.split(flat, self.offsets[1:-1])
 
-    def slice_segments(self, start: int, stop: int) -> "SegmentedValues":
-        """Segments ``[start, stop)`` as a standalone SegmentedValues.
-
-        The flat values are a *view* into the parent array and the
-        offsets are rebased, so a contiguous segment block costs O(stop
-        − start) regardless of the flat volume. Because every grouped
-        kernel is a per-segment-local fold, running it over the block
-        yields bit-identical per-segment results to running it over the
-        whole array — the property the partitioned execution backend's
-        scatter step is built on.
-        """
-        if start < 0 or stop < start or stop > self.n_segments:
-            raise AggregateError(
-                f"segment slice [{start}, {stop}) out of range "
-                f"(have {self.n_segments} segments)"
-            )
-        base = self.offsets[start]
-        values = self.values[base: self.offsets[stop]]
-        offsets = self.offsets[start: stop + 1] - base
-        return SegmentedValues(values, offsets)
-
     def __repr__(self) -> str:
         return (
             f"SegmentedValues({len(self.values)} values, "
@@ -192,11 +171,9 @@ class SegmentedValues:
 def blocked_ranges(n_rows: int, block_rows: int) -> Iterator[tuple[int, int]]:
     """Yield ``(lo, hi)`` row bounds that tile ``n_rows`` in fixed blocks.
 
-    The fixed-size counterpart of :func:`partition_offsets`: that one
-    cuts on segment boundaries for grouped math, this one tiles a flat
-    row range. It is the chunk layout of
-    :class:`~repro.db.store.MmapColumnStore` on both the write and the
-    read path — kept tiny and shared so the two can never disagree.
+    It is the chunk layout of :class:`~repro.db.store.MmapColumnStore`
+    on both the write and the read path — kept tiny and shared so the
+    two can never disagree.
     """
     if block_rows < 1:
         raise StorageError("block_rows must be >= 1")
@@ -205,32 +182,6 @@ def blocked_ranges(n_rows: int, block_rows: int) -> Iterator[tuple[int, int]]:
         return
     for lo in range(0, n_rows, block_rows):
         yield (lo, min(lo + block_rows, n_rows))
-
-
-def partition_offsets(offsets: np.ndarray, n_partitions: int) -> np.ndarray:
-    """Segment-boundary cut points for ≤ ``n_partitions`` contiguous blocks.
-
-    Returns an ascending int64 array ``bounds`` with ``bounds[0] == 0``
-    and ``bounds[-1] == n_segments``; block ``b`` covers segments
-    ``[bounds[b], bounds[b + 1])``. Cuts always land on segment
-    boundaries (a segment is never split across blocks — that is what
-    keeps per-block grouped folds bit-identical to the global ones) and
-    are placed so blocks balance *flat element counts*, not segment
-    counts. Degenerate cuts (several targets inside one huge segment)
-    collapse, so fewer than ``n_partitions`` blocks may come back.
-    """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    n_segments = len(offsets) - 1
-    if n_partitions < 1:
-        raise AggregateError("n_partitions must be >= 1")
-    if n_segments <= 0 or n_partitions == 1:
-        return np.array([0, max(n_segments, 0)], dtype=np.int64)
-    total = int(offsets[-1])
-    targets = (total * np.arange(1, n_partitions, dtype=np.int64)) // n_partitions
-    cuts = np.searchsorted(offsets, targets, side="left")
-    cuts = np.clip(cuts, 0, n_segments)
-    bounds = np.unique(np.concatenate([[0], cuts, [n_segments]]))
-    return np.asarray(bounds, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------

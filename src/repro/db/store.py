@@ -15,9 +15,9 @@ knows (or cares) which physical representation backs a table:
   first touch (and only for the columns a query actually references),
   so datasets much larger than RAM open in milliseconds and a restarted
   server starts from warm page cache instead of regenerating data.
-* :class:`GatherStore` / :class:`SliceStore` — lazy derived views used
-  by ``Table.take``/``filter``/``slice_rows``: a filter of a 10M-row
-  mmap table gathers a column only when that column is first read.
+* :class:`GatherStore` — the lazy derived view used by
+  ``Table.take``/``filter``: a filter of a 10M-row mmap table gathers a
+  column only when that column is first read.
 
 String columns cannot be memory-mapped as numpy object arrays, so they
 are **dictionary-encoded** on write: an ``int64`` code per row (−1 for
@@ -60,7 +60,6 @@ __all__ = [
     "GatherStore",
     "InMemoryStore",
     "MmapColumnStore",
-    "SliceStore",
     "blocked_ranges",
     "store_for_columns",
     "table_digest",
@@ -133,9 +132,6 @@ class GatherStore(ColumnStore):
         if isinstance(base, GatherStore):
             positions = base._positions[positions]
             base = base._base
-        elif isinstance(base, SliceStore):
-            positions = positions + base._lo
-            base = base._base
         self._base = base
         self._positions = positions
         self._cache: dict[str, np.ndarray] = {}
@@ -150,33 +146,6 @@ class GatherStore(ColumnStore):
 
     def row_block(self, name: str, lo: int, hi: int) -> np.ndarray:
         return self.column(name)[lo:hi]
-
-    def has_column(self, name: str) -> bool:
-        return self._base.has_column(name)
-
-
-class SliceStore(ColumnStore):
-    """A zero-copy contiguous row window ``[lo, hi)`` over another store.
-
-    Backing for ``Table.slice_rows``: the partitioned backend's
-    group-aligned row blocks are contiguous in segment order, so each
-    block's columns are views — no per-block gather, no copies.
-    """
-
-    def __init__(self, base: ColumnStore, lo: int, hi: int):
-        if isinstance(base, SliceStore):
-            lo, hi = base._lo + lo, base._lo + hi
-            base = base._base
-        self._base = base
-        self._lo = lo
-        self._hi = hi
-        self.num_rows = hi - lo
-
-    def column(self, name: str) -> np.ndarray:
-        return self._base.row_block(name, self._lo, self._hi)
-
-    def row_block(self, name: str, lo: int, hi: int) -> np.ndarray:
-        return self._base.row_block(name, self._lo + lo, self._lo + hi)
 
     def has_column(self, name: str) -> bool:
         return self._base.has_column(name)

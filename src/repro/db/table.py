@@ -19,7 +19,6 @@ from .store import (
     ColumnStore,
     GatherStore,
     MmapColumnStore,
-    SliceStore,
     store_for_columns,
     table_digest,
 )
@@ -322,18 +321,6 @@ class Table:
         if len(mask) != self._length:
             raise SchemaError(f"mask length {len(mask)} != table length {self._length}")
         return self.take(np.flatnonzero(mask))
-
-    def slice_rows(self, lo: int, hi: int) -> "Table":
-        """The contiguous row window ``[lo, hi)`` as a zero-copy view.
-
-        Feeds the partitioned backend's group-aligned row blocks: each
-        block's columns are slices of the parent's storage, so scatter-
-        gather never copies column data per partition.
-        """
-        lo = max(0, min(lo, self._length))
-        hi = max(lo, min(hi, self._length))
-        store = SliceStore(self._store, lo, hi)
-        return Table(self._schema, store, tids=self._tids[lo:hi], name=self.name)
 
     def exclude_tids(self, tids: Iterable[int]) -> "Table":
         """Rows whose tid is *not* in the given collection."""

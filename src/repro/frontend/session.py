@@ -105,8 +105,7 @@ class DBWipesSession:
         (or a reconnecting dashboard) needs to re-render its controls
         without replaying the interaction history.
         """
-        backend_stats = self.pipeline.backend.stats()
-        snapshot: dict = {
+        return {
             "state": self._state,
             "sql": self._rewriter.sql() if self._rewriter is not None else None,
             "num_rows": self._result.num_rows if self._result is not None else None,
@@ -127,14 +126,8 @@ class DBWipesSession:
                 "last": dict(self._stage_timings),
                 "total": dict(self._stage_totals),
             },
-            "backend": backend_stats,
+            "backend": self.pipeline.backend.stats(),
         }
-        if "partition" in backend_stats:
-            # Per-partition timing detail (block count + max/mean block
-            # seconds) rides next to the stage timings so dashboards see
-            # skew across blocks, not just the collapsed stage total.
-            snapshot["timings"]["partition"] = dict(backend_stats["partition"])
-        return snapshot
 
     # ------------------------------------------------------------------
     # stage 1: execute + visualize

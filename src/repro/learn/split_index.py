@@ -82,10 +82,6 @@ class NumericColumnIndex:
         """The index re-aligned with a row subset."""
         return NumericColumnIndex(self.attr, self.thresholds, self.codes[indices])
 
-    def slice_rows(self, start: int, stop: int) -> "NumericColumnIndex":
-        """A zero-copy contiguous-block view (shared thresholds)."""
-        return NumericColumnIndex(self.attr, self.thresholds, self.codes[start:stop])
-
 
 class CategoricalColumnIndex:
     """Distinct values and per-row value codes of one categorical column."""
@@ -112,10 +108,6 @@ class CategoricalColumnIndex:
     def take(self, indices: np.ndarray) -> "CategoricalColumnIndex":
         """The index re-aligned with a row subset."""
         return CategoricalColumnIndex(self.attr, self.values, self.codes[indices])
-
-    def slice_rows(self, start: int, stop: int) -> "CategoricalColumnIndex":
-        """A zero-copy contiguous-block view (shared value codes)."""
-        return CategoricalColumnIndex(self.attr, self.values, self.codes[start:stop])
 
 
 ColumnIndex = NumericColumnIndex | CategoricalColumnIndex
@@ -179,24 +171,6 @@ class SplitIndex:
         indices = np.asarray(indices, dtype=np.int64)
         columns = {name: column.take(indices) for name, column in self.columns.items()}
         return SplitIndex(self.features, self.max_thresholds, columns, len(indices))
-
-    def slice_rows(self, start: int, stop: int) -> "SplitIndex":
-        """A contiguous-block view of the index, sharing every code array.
-
-        The partitioned execution backend re-aligns one segment-order
-        index with each row block this way: the per-column code arrays
-        are numpy slices of the parent's, so N partitions cost O(columns)
-        per block, not O(rows). Codes are per-row, which is what makes a
-        block's clause masks bit-identical to the matching slice of the
-        global mask.
-        """
-        columns = {
-            name: column.slice_rows(start, stop)
-            for name, column in self.columns.items()
-        }
-        return SplitIndex(
-            self.features, self.max_thresholds, columns, max(0, stop - start)
-        )
 
 
 def _build_numeric(

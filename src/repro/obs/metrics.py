@@ -405,12 +405,10 @@ CORE_METRICS = (
     "dbwipes_slow_requests_total",
     "dbwipes_debugs_total",
     "dbwipes_stage_seconds",
-    # Registered by every backend at construction time, so they expose
+    # Registered by the backend at construction time, so they expose
     # at zero before the first debug.
     "dbwipes_stage_memo_hits_total",
     "dbwipes_stage_memo_misses_total",
-    "dbwipes_partition_blocks_total",
-    "dbwipes_partition_block_seconds",
     # Fault tolerance (PR 10) — registered at construction time by the
     # RoutingDispatcher (failovers/breaker/drains) and SessionManager
     # (recoveries), so they expose at zero before any fault occurs.

@@ -3,16 +3,13 @@
 One *trace* is one request's story across the whole stack: the server
 accept path mints a trace id, the wire envelope carries it across the
 router and the worker pipe transport, and the execution backend opens a
-span per pipeline stage (plus per-partition block spans), so a single
-``debug()`` yields one tree::
+span per pipeline stage, so a single ``debug()`` yields one tree::
 
     server.debug (front end)
     └─ router.debug (worker=1)
        └─ worker.debug (worker process)
           └─ pipeline.debug
              ├─ stage.preprocess
-             │  ├─ partition.block (index=0)
-             │  └─ partition.block (index=1)
              ├─ stage.enumerate_datasets
              ├─ stage.enumerate_predicates
              ├─ stage.rank

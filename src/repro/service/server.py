@@ -9,7 +9,7 @@ Two dispatchers exist:
   the original single-process mode: one
   :class:`~repro.service.sessions.SessionManager` in this process.
 * :class:`~repro.service.router.RoutingDispatcher` (``workers=N``) —
-  the partitioned serving tier: the front end routes session commands
+  the multi-worker serving tier: the front end routes session commands
   to N worker processes by consistent hash of the dataset id, so each
   worker's caches stay hot for its shard of the catalog.
 

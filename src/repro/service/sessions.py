@@ -346,12 +346,6 @@ class SessionManager:
                 "journal": (
                     self.journals.stats() if self.journals is not None else None
                 ),
-                "backend": getattr(self.config, "backend", "in_process")
-                if self.config is not None
-                else "in_process",
-                "n_partitions": int(getattr(self.config, "n_partitions", 1))
-                if self.config is not None
-                else 1,
             }
 
     def __len__(self) -> int:

@@ -1,6 +1,7 @@
 """Tests for the conference-demo CLI shell."""
 
 import io
+import socket
 
 import numpy as np
 import pytest
@@ -142,3 +143,18 @@ class TestDatasetsAndMain:
         out = capsys.readouterr().out
         assert "Ranked predicates" in out
         assert "applied: NOT" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--backend", "partitioned"], ["--partitions", "4"], ["--port"]],
+        ids=["unknown-backend", "unknown-partitions", "port-without-value"],
+    )
+    def test_serve_rejects_bad_flags_before_booting(
+        self, argv, capsys, monkeypatch
+    ):
+        def no_bind(sock, address):
+            raise AssertionError(f"serve bound {address}")
+
+        monkeypatch.setattr(socket.socket, "bind", no_bind)
+        assert main(["serve", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

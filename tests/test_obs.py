@@ -3,10 +3,10 @@
 Unit coverage for the :mod:`repro.obs` primitives (counter / gauge /
 histogram semantics, registry get-or-create, merge rules, Prometheus
 rendering, span trees, the slow-request log), plus the acceptance path:
-one ``debug()`` through a 2-worker partitioned server must produce one
-trace — server → router → worker → pipeline stages → per-partition
-block spans, all under a single trace id — and ``metrics`` must return
-a cluster-merged snapshot covering every documented metric name.
+one ``debug()`` through a 2-worker server must produce one trace —
+server → router → worker → pipeline stages, all under a single trace
+id — and ``metrics`` must return a cluster-merged snapshot covering
+every documented metric name.
 """
 
 from __future__ import annotations
@@ -266,17 +266,12 @@ class TestSlowRequestLog:
 
 @pytest.fixture(scope="module")
 def cluster_debug():
-    """One debug cycle through a 2-worker partitioned server.
+    """One debug cycle through a 2-worker server.
 
-    Yields the trace, the cluster-merged metrics, and the session
-    snapshot so the acceptance assertions below share one (relatively
-    expensive) server boot.
+    Yields the trace and the cluster-merged metrics so the acceptance
+    assertions below share one (relatively expensive) server boot.
     """
-    server = DBWipesServer(
-        port=0,
-        workers=2,
-        config=PipelineConfig(backend="partitioned", n_partitions=4),
-    )
+    server = DBWipesServer(port=0, workers=2, config=PipelineConfig())
     host, port = server.start()
     try:
         with ServiceClient(host, port, session="obs") as client:
@@ -290,7 +285,6 @@ def cluster_debug():
                 "debug_trace": debug_trace,
                 "trace": client.trace(debug_trace),
                 "metrics": client.metrics(),
-                "snapshot": client.snapshot(),
             }
     finally:
         server.stop()
@@ -316,16 +310,12 @@ class TestClusterAcceptance:
             "stage.enumerate_datasets",
             "stage.enumerate_predicates",
             "stage.rank",
-            "partition.block",
         ):
             assert needed in names, f"missing span {needed!r}"
         # One root (the front-end accept span), stages under the worker.
         tree = trace["tree"]
         assert len(tree) == 1
         assert tree[0]["name"] == "server.debug"
-        block_spans = [s for s in spans if s["name"] == "partition.block"]
-        assert len(block_spans) == 4
-        assert {s["attrs"]["index"] for s in block_spans} == {0, 1, 2, 3}
 
     def test_merged_metrics_cover_core_names(self, cluster_debug):
         merged = cluster_debug["metrics"]["merged"]
@@ -343,7 +333,6 @@ class TestClusterAcceptance:
                 )
         assert totals["dbwipes_preprocess_cache_misses_total"] >= 1
         assert totals["dbwipes_debugs_total"] >= 1
-        assert totals["dbwipes_partition_blocks_total"] >= 4
         # Requests counted at both roles, kept distinguishable by label.
         roles = {
             dict(m["labels"]).get("role")
@@ -367,13 +356,6 @@ class TestClusterAcceptance:
         } <= stages
         text = render_prometheus(merged)
         assert 'dbwipes_stage_seconds_bucket{stage="rank",le="+Inf"}' in text
-
-    def test_partition_timings_in_snapshot(self, cluster_debug):
-        timings = cluster_debug["snapshot"]["timings"]
-        partition = timings["partition"]
-        assert partition["blocks_timed"] >= 4
-        assert partition["block_seconds_total"] > 0
-        assert partition["block_seconds_max"] >= partition["block_seconds_mean"]
 
     def test_registry_smoke_duplicate_kind_fails(self):
         # The CI registry smoke check: every core name must keep its

@@ -238,18 +238,11 @@ class TestLazyStores:
             table.column("tag")[i] for i in (3, 170, 44, 3)
         ]
 
-    def test_slice_rows_matches_filter(self):
-        table = toy_table()
-        window = table.slice_rows(40, 90)
-        mask = np.zeros(table.num_rows, dtype=bool)
-        mask[40:90] = True
-        reference = table.filter(mask)
-        assert list(window.tids) == list(reference.tids)
-        np.testing.assert_array_equal(window.column("v"), reference.column("v"))
-
     def test_compositions_stay_flat_and_correct(self):
         table = toy_table()
-        chained = table.take(np.arange(0, 180, 2)).slice_rows(10, 50).take(
+        mask = np.zeros(90, dtype=bool)
+        mask[10:50] = True
+        chained = table.take(np.arange(0, 180, 2)).filter(mask).take(
             np.array([0, 5, 39])
         )
         expected = np.arange(0, 180, 2)[10:50][[0, 5, 39]]
@@ -479,17 +472,8 @@ class TestStoreParity:
         return build_toy_db().save(directory / "toy")
 
     @pytest.mark.parametrize("score_algorithm", ["batch", "per_rule"])
-    @pytest.mark.parametrize(
-        "backend,n_partitions", [("in_process", 1), ("partitioned", 3)]
-    )
-    def test_mmap_matches_in_memory(
-        self, baseline, mmap_db, backend, n_partitions, score_algorithm
-    ):
-        config = PipelineConfig(
-            backend=backend,
-            n_partitions=n_partitions,
-            score_algorithm=score_algorithm,
-        )
+    def test_mmap_matches_in_memory(self, baseline, mmap_db, score_algorithm):
+        config = PipelineConfig(score_algorithm=score_algorithm)
         assert debug_lines(mmap_db, config) == baseline
 
     def test_scaled_intel_config_scales_rows_only(self):
