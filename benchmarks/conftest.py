@@ -4,11 +4,17 @@ Each fixture is session-scoped: dataset generation is not part of any
 measured benchmark. Sizes are laptop-scale (the paper's demo ran live on
 a laptop too) but configurable via the ``REPRO_BENCH_SCALE`` environment
 variable (1 = default, 2 = double duration/rows, ...).
+
+The ablations compare against the parity oracles in ``tests/reference``;
+``tests/`` goes on ``sys.path`` here so ``import reference`` also works
+when one benchmark file runs on its own.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +28,8 @@ from repro.data import (
     generate_synthetic,
 )
 from repro.db import Database
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 SCALE = int(os.environ.get("REPRO_BENCH_SCALE", "1"))
 

@@ -2,14 +2,16 @@
 
 The Preprocessor's leave-one-out ranking is O(|F|) with the
 removable-aggregate closed forms and O(|F|²) with naive per-tuple
-recomputation. This ablation measures both on growing group sizes and
-checks they agree numerically — the speedup is the price of admission
-for interactive debugging of large groups.
+recomputation (the oracle in ``tests/reference/influence.py``). This
+ablation measures both on growing group sizes and checks they agree
+numerically — the speedup is the price of admission for interactive
+debugging of large groups.
 """
 
 import numpy as np
 import pytest
 
+from reference.influence import naive_leave_one_out_influence
 from repro.core import TooHigh
 from repro.core.influence import leave_one_out_influence
 from repro.db import get_aggregate
@@ -31,9 +33,7 @@ def test_a1_fast_influence(benchmark, n, agg_name):
     agg = get_aggregate(agg_name)
     metric = TooHigh(55.0)
 
-    result = benchmark(
-        leave_one_out_influence, [values], [tids], [0], agg, metric, True
-    )
+    result = benchmark(leave_one_out_influence, [values], [tids], [0], agg, metric)
     assert len(result.scores) == n
 
 
@@ -45,7 +45,7 @@ def test_a1_naive_influence(benchmark, n, agg_name):
     metric = TooHigh(55.0)
 
     result = benchmark(
-        leave_one_out_influence, [values], [tids], [0], agg, metric, False
+        naive_leave_one_out_influence, [values], [tids], [0], agg, metric
     )
     assert len(result.scores) == n
 
@@ -56,8 +56,6 @@ def test_a1_fast_equals_naive(benchmark, agg_name):
     agg = get_aggregate(agg_name)
     metric = TooHigh(55.0)
 
-    fast = benchmark(
-        leave_one_out_influence, [values], [tids], [0], agg, metric, True
-    )
-    naive = leave_one_out_influence([values], [tids], [0], agg, metric, False)
+    fast = benchmark(leave_one_out_influence, [values], [tids], [0], agg, metric)
+    naive = naive_leave_one_out_influence([values], [tids], [0], agg, metric)
     np.testing.assert_allclose(fast.scores, naive.scores, rtol=1e-7, atol=1e-7)

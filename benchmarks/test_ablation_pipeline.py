@@ -1,6 +1,6 @@
 """A2: pipeline design-choice ablations.
 
-DESIGN.md calls out four design choices; this bench measures each one's
+The pipeline makes four design choices; this bench measures each one's
 contribution to explanation quality (F1 of the top predicate vs ground
 truth) on the decoy workload, plus the latency cost of the full
 configuration:

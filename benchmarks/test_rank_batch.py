@@ -2,13 +2,13 @@
 reference across the Ranker + Merger tier.
 
 Scales the intel workload 1×/10×/50× (rows), runs the rank+merge stage
-with the per-rule reference (``algorithm="per_rule"``: one mask
+with the per-rule reference (``tests/reference/scoring.py``: one mask
 evaluation per rule per table, one grouped Δε pass per rule, a second
 mask evaluation in dedupe, O(n²) pair rescans in the merger) and with
-the batched engine (``algorithm="batch"``: distinct clauses evaluated
-once, bit-packed conjunctions, digest-deduped one-pass grouped Δε,
-popcount confusion, cached merge pairs), and asserts the ranked output
-is byte-identical — order, scores, descriptions.
+the production batched engine (distinct clauses evaluated once,
+bit-packed conjunctions, digest-deduped one-pass grouped Δε, popcount
+confusion, cached merge pairs), and asserts the ranked output is
+byte-identical — order, scores, descriptions.
 
 Timings are recorded two ways, matching how the stage is actually paid
 for in production:
@@ -53,6 +53,7 @@ from repro.data import IntelConfig, generate_intel
 from repro.db import Database
 
 from bench_output import bench_path
+from reference.scoring import PerRuleMerger, PerRuleRanker
 
 BENCH_PATH = bench_path("BENCH_rank.json")
 MIN_SPEEDUP = 5.0
@@ -124,10 +125,19 @@ def _lines(ranked) -> list[str]:
     ]
 
 
+#: The rank+merge stage's two implementations: the per-rule oracle and
+#: the production batch path.
+SCORERS = {
+    "per_rule": (PerRuleRanker, PerRuleMerger),
+    "batch": (PredicateRanker, PredicateMerger),
+}
+
+
 def _measure(pre, candidates, rules, algorithm: str, repeats: int):
     """Best-of cold and ``CYCLES``-total stage times, plus the output."""
-    ranker = PredicateRanker(algorithm=algorithm)
-    merger = PredicateMerger(weights=RankerWeights(), algorithm=algorithm)
+    ranker_class, merger_class = SCORERS[algorithm]
+    ranker = ranker_class()
+    merger = merger_class(weights=RankerWeights())
 
     def stage():
         ranked = ranker.run(pre, candidates, rules)

@@ -6,10 +6,10 @@ execution. Expected shape: near-linear growth in |F| — the pipeline's
 stages are all linear passes over F (influence via removable aggregates,
 condition-mask precomputation, tree building with capped thresholds).
 
-The grouped-kernel ablation compares the segmented vectorized kernels
-(`compute_grouped` / `leave_one_out_grouped` / `compute_without_grouped`)
-against the per-group Python loop they replaced, on the same data the
-scaling sweep uses.
+The grouped-kernel ablation (A5) compares the segmented vectorized
+kernels (`compute_grouped` / `leave_one_out_grouped` /
+`compute_without_grouped`) against the per-group Python loop they
+replaced, on the same data the scaling sweep uses.
 """
 
 import time
@@ -17,6 +17,11 @@ import time
 import numpy as np
 import pytest
 
+from reference.aggregates import (
+    compute_grouped_loop,
+    compute_without_grouped_loop,
+    leave_one_out_grouped_loop,
+)
 from repro.core import RankedProvenance, TooHigh
 from repro.data import IntelConfig, generate_intel
 from repro.db import Database, SegmentedValues, get_aggregate
@@ -107,11 +112,12 @@ def _best_of(fn, repeats: int = 3) -> float:
 
 @pytest.mark.parametrize("agg_name", ["avg", "stddev", "max"])
 def test_q2_grouped_kernels_vs_python_loop(agg_name):
-    """A1 ablation: the segmented kernels must beat the per-group loop.
+    """A5 ablation: the segmented kernels must beat the per-group loop.
 
-    Runs on the largest configured input size. `*_grouped_loop` is the
-    exact code shape the executor/influence/ranker hot paths used before
-    the segmented rewrite (one Python-level Aggregate call per group).
+    Runs on the largest configured input size. The loops in
+    ``tests/reference/aggregates.py`` are the exact code shape the
+    executor/influence/ranker hot paths used before the segmented
+    rewrite (one Python-level Aggregate call per group).
     """
     seg = _intel_segments(ROWS_SWEEP[-1])
     assert seg.n_segments > 500  # many groups: the loop's worst case
@@ -121,20 +127,22 @@ def test_q2_grouped_kernels_vs_python_loop(agg_name):
 
     timings = {}
     for kernel, grouped, loop in [
-        ("compute", agg.compute_grouped, agg.compute_grouped_loop),
-        ("leave_one_out", agg.leave_one_out_grouped, agg.leave_one_out_grouped_loop),
+        ("compute", agg.compute_grouped, compute_grouped_loop),
+        ("leave_one_out", agg.leave_one_out_grouped, leave_one_out_grouped_loop),
     ]:
-        np.testing.assert_allclose(grouped(seg), loop(seg), rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(
+            grouped(seg), loop(agg, seg), rtol=1e-6, atol=1e-6
+        )
         timings[kernel] = (_best_of(lambda: grouped(seg)),
-                           _best_of(lambda: loop(seg)))
+                           _best_of(lambda: loop(agg, seg)))
     np.testing.assert_allclose(
         agg.compute_without_grouped(seg, mask),
-        agg.compute_without_grouped_loop(seg, mask),
+        compute_without_grouped_loop(agg, seg, mask),
         rtol=1e-6, atol=1e-6,
     )
     timings["compute_without"] = (
         _best_of(lambda: agg.compute_without_grouped(seg, mask)),
-        _best_of(lambda: agg.compute_without_grouped_loop(seg, mask)),
+        _best_of(lambda: compute_without_grouped_loop(agg, seg, mask)),
     )
 
     report = ", ".join(
@@ -142,7 +150,7 @@ def test_q2_grouped_kernels_vs_python_loop(agg_name):
         f"({slow / fast:.0f}x)"
         for kernel, (fast, slow) in timings.items()
     )
-    print(f"\nA1 ablation [{agg_name}] |values|={len(seg.values)}, "
+    print(f"\nA5 ablation [{agg_name}] |values|={len(seg.values)}, "
           f"groups={seg.n_segments} -> {report}")
     for kernel, (fast, slow) in timings.items():
         assert fast < slow, f"{agg_name}/{kernel}: grouped kernel slower than loop"

@@ -1,24 +1,27 @@
-"""A2 ablation: histogram tree induction vs the exact per-threshold
+"""A4 ablation: histogram tree induction vs the exact per-threshold
 reference inside the Predicate Enumerator.
 
 Runs the full enumerate-predicates stage (K candidate sets × 5 tree
 strategies) on the intel workload (|F| ≈ 4050) twice — once with the
 shared-``SplitIndex`` histogram kernels, once with the exact
-per-threshold masking reference scoring the identical candidate
-thresholds — asserts the outputs are answer-identical and the fast path
-is ≥5× faster, and records the numbers to ``BENCH_tree.json`` under
-``REPRO_BENCH_DIR`` (see ``bench_output.py``; uploaded as a CI artifact
-next to ``BENCH_service.json``).
+per-threshold masking reference (``tests/reference/tree.py``) scoring
+the identical candidate thresholds — asserts the outputs are
+answer-identical and the fast path is ≥5× faster, and records the
+numbers to ``BENCH_tree.json`` under ``REPRO_BENCH_DIR`` (see
+``bench_output.py``; uploaded as a CI artifact next to
+``BENCH_service.json``).
 """
 
 from __future__ import annotations
 
 import json
 import time
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
+from reference.tree import ExactDecisionTree, exact_trees
 from repro.core import TooHigh
 from repro.core.enumerator import DatasetEnumerator
 from repro.core.predicates import PredicateEnumerator
@@ -70,14 +73,18 @@ class TestTreeInductionAblation:
 
         outputs: dict[str, list[str]] = {}
         seconds: dict[str, float] = {}
-        for algorithm, repeats in (("exact", 2), ("hist", 3)):
-            enumerator = PredicateEnumerator(tree_algorithm=algorithm)
+        enumerator = PredicateEnumerator()
+        for algorithm, trees, repeats in (
+            ("exact", exact_trees, 2),
+            ("hist", nullcontext, 3),
+        ):
 
             def run():
                 _drop_split_index(pre)
                 outputs[algorithm] = _rule_lines(enumerator.run(pre, candidates))
 
-            seconds[algorithm] = _best_of(run, repeats)
+            with trees():
+                seconds[algorithm] = _best_of(run, repeats)
 
         # Answer parity end-to-end: same rules for every candidate.
         assert outputs["hist"] == outputs["exact"]
@@ -92,8 +99,11 @@ class TestTreeInductionAblation:
         )
         index = pre.split_index(features=list(pre.F.schema.names))
         fit_seconds: dict[str, float] = {}
-        for algorithm, repeats in (("exact", 2), ("hist", 3)):
-            tree = DecisionTree(max_depth=5, min_samples_leaf=2, algorithm=algorithm)
+        for algorithm, tree_class, repeats in (
+            ("exact", ExactDecisionTree, 2),
+            ("hist", DecisionTree, 3),
+        ):
+            tree = tree_class(max_depth=5, min_samples_leaf=2)
             fit_seconds[algorithm] = _best_of(
                 lambda: tree.fit(pre.F, labels, split_index=index), repeats
             )
@@ -119,7 +129,7 @@ class TestTreeInductionAblation:
         BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
         print(
-            f"\nA2: |F|={f_size}, {len(candidates)} candidates x "
+            f"\nA4: |F|={f_size}, {len(candidates)} candidates x "
             f"{payload['n_strategies']} strategies: "
             f"exact {seconds['exact'] * 1000:.0f} ms, "
             f"hist {seconds['hist'] * 1000:.0f} ms ({speedup:.1f}x); "

@@ -19,8 +19,6 @@ from .influence import (
     GroupInfluence,
     InfluenceResult,
     leave_one_out_influence,
-    subset_epsilon,
-    subset_epsilon_grouped,
     subset_epsilon_grouped_batch,
 )
 from .maskset import ClauseMaskCache, MaskSet
@@ -38,13 +36,12 @@ from .preprocessor import (
     Preprocessor,
     preprocess_key,
 )
-from .ranker import SCORE_ALGORITHMS, PredicateRanker, RankerWeights
+from .ranker import PredicateRanker, RankerWeights
 from .report import DebugReport, RankedPredicate
 
 __all__ = [
     "CLEAN_STRATEGIES",
     "DEFAULT_STRATEGIES",
-    "SCORE_ALGORITHMS",
     "CandidateRule",
     "CandidateSet",
     "ClauseMaskCache",
@@ -75,7 +72,5 @@ __all__ = [
     "leave_one_out_influence",
     "metric_from_form",
     "preprocess_key",
-    "subset_epsilon",
-    "subset_epsilon_grouped",
     "subset_epsilon_grouped_batch",
 ]

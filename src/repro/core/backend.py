@@ -30,6 +30,7 @@ from ..obs.metrics import registry as obs_registry
 from ..obs.trace import span as obs_span
 from .enumerator import DatasetEnumerator
 from .error_metrics import ErrorMetric
+from .merger import PredicateMerger
 from .predicates import PredicateEnumerator
 from .preprocessor import PreprocessCache, Preprocessor
 from .ranker import PredicateRanker
@@ -54,10 +55,7 @@ class InProcessBackend:
             help="Debugs whose enumeration stages were served from the memo.",
         )
         reg.counter(_MEMO_MISSES, help="Debugs that ran the enumeration stages.")
-        self._preprocessor = Preprocessor(
-            fast_influence=config.fast_influence,
-            cache=preprocess_cache,
-        )
+        self._preprocessor = Preprocessor(cache=preprocess_cache)
         self._enumerator = DatasetEnumerator(
             clean_strategy=config.clean_strategy,
             extend=config.extend_with_subgroups,
@@ -72,22 +70,15 @@ class InProcessBackend:
             feature_columns=config.feature_columns,
             min_precision=config.min_precision,
             weight_by_influence=config.weight_by_influence,
-            tree_algorithm=config.tree_algorithm,
             seed=config.seed,
         )
         self._ranker = PredicateRanker(
-            weights=config.ranker_weights,
-            max_terms=config.max_terms,
-            algorithm=config.score_algorithm,
+            weights=config.ranker_weights, max_terms=config.max_terms
         )
         self._merger = None
         if config.merge_predicates:
-            from .merger import PredicateMerger
-
             self._merger = PredicateMerger(
-                weights=config.ranker_weights,
-                max_terms=config.max_terms,
-                algorithm=config.score_algorithm,
+                weights=config.ranker_weights, max_terms=config.max_terms
             )
 
     @property

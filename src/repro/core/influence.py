@@ -16,18 +16,14 @@ metric, the global ε only moves when the worst group improves, which
 would zero out the ranking for every other selected group — useless for
 finding suspicious tuples across all of S. For sum-combined metrics the
 local and global deltas coincide. The *global* ε and the ranker's Δε do
-use the metric's combine (see :func:`subset_epsilon`).
+use the metric's combine (see :func:`subset_epsilon_for_mask_set`).
 
-Two implementations are provided:
-
-* **fast** — one grouped pass over a
-  :class:`~repro.db.segments.SegmentedValues` holding every selected
-  group (:meth:`~repro.db.aggregates.Aggregate.leave_one_out_grouped`)
-  plus the max/sum decomposition of the metric: O(|F|) total with no
-  Python per-group loop.
-* **naive** — recomputes the aggregate from scratch per removal:
-  O(|F|²) within each group. Exists for correctness testing and the A1
-  ablation benchmark.
+Influence is one grouped pass over a
+:class:`~repro.db.segments.SegmentedValues` holding every selected
+group (:meth:`~repro.db.aggregates.Aggregate.leave_one_out_grouped`)
+plus the max/sum decomposition of the metric: O(|F|) total with no
+Python per-group loop. The naive O(|F|²) recomputation it replaced is
+the parity oracle in ``tests/reference/influence.py``.
 """
 
 from __future__ import annotations
@@ -113,7 +109,6 @@ def leave_one_out_influence(
     rows: list[int],
     aggregate: Aggregate,
     metric,
-    fast: bool = True,
 ) -> InfluenceResult:
     """Compute influence for every tuple of the selected groups.
 
@@ -129,30 +124,15 @@ def leave_one_out_influence(
         The aggregate implementation of the debugged output column.
     metric:
         The user's :class:`~repro.core.error_metrics.ErrorMetric`.
-    fast:
-        Use closed-form leave-one-out (True) or naive recomputation.
     """
     if len(group_values) != len(group_tids) or len(group_values) != len(rows):
         raise PipelineError("group_values, group_tids, and rows must align")
     seg = as_segments(group_values)
-    if fast:
-        # One grouped pass over every selected group at once: current
-        # values, leave-one-out values, and per-value errors are all
-        # flat vectorized computations with no Python per-group loop.
-        current = aggregate.compute_grouped(seg)
-        loo_flat = aggregate.leave_one_out_grouped(seg)
-    else:
-        current = np.array(
-            [aggregate.compute(values) for values in group_values],
-            dtype=np.float64,
-        )
-        loo_flat = (
-            np.concatenate(
-                [aggregate.leave_one_out_naive(v) for v in group_values]
-            )
-            if len(group_values)
-            else np.empty(0, dtype=np.float64)
-        )
+    # One grouped pass over every selected group at once: current
+    # values, leave-one-out values, and per-value errors are all flat
+    # vectorized computations with no Python per-group loop.
+    current = aggregate.compute_grouped(seg)
+    loo_flat = aggregate.leave_one_out_grouped(seg)
     epsilon = metric(current)
     phi = metric.per_value_error(current)
     phi_new_flat = metric.per_value_error(loo_flat)
@@ -181,47 +161,6 @@ def leave_one_out_influence(
     )
 
 
-def subset_epsilon(
-    group_values: list[np.ndarray],
-    group_remove_masks: list[np.ndarray],
-    aggregate: Aggregate,
-    metric,
-) -> float:
-    """ε(S) after removing a per-group masked subset of input tuples.
-
-    This is the ranker's Δε evaluator: it answers "what would the error be
-    if this predicate's tuples were deleted" using the removable-aggregate
-    sufficient statistics rather than re-running the query.
-    """
-    if len(group_values) != len(group_remove_masks):
-        raise PipelineError("group_values and masks must align")
-    seg = as_segments(group_values)
-    remove_mask = (
-        np.concatenate(
-            [np.asarray(m, dtype=bool) for m in group_remove_masks]
-        )
-        if len(group_remove_masks)
-        else np.empty(0, dtype=bool)
-    )
-    return subset_epsilon_grouped(seg, remove_mask, aggregate, metric)
-
-
-def subset_epsilon_grouped(
-    seg: SegmentedValues,
-    remove_mask: np.ndarray,
-    aggregate: Aggregate,
-    metric,
-) -> float:
-    """:func:`subset_epsilon` over an already-segmented selection.
-
-    The Ranker and Merger call this once per candidate predicate with a
-    single flat mask over the segment table, so the whole Δε preview is
-    one grouped :meth:`~repro.db.aggregates.Aggregate.compute_without_grouped`
-    pass.
-    """
-    return metric(aggregate.compute_without_grouped(seg, remove_mask))
-
-
 #: Soft cap on the elements of one batched Δε slab (rows × flat values).
 #: Above this the mask matrix is split into row chunks so the float64
 #: temporaries of the 2-D kernels stay within a few hundred MB even on
@@ -236,7 +175,7 @@ def subset_epsilon_grouped_batch(
     metric,
     max_elements: int = BATCH_MAX_ELEMENTS,
 ) -> np.ndarray:
-    """:func:`subset_epsilon_grouped` for R remove-masks in one pass.
+    """ε(S) after removing each of R remove-masks, in one grouped pass.
 
     ``remove_masks`` is an ``(R, len(seg))`` boolean matrix — one
     candidate predicate's flat remove-mask per row. The whole batch is
@@ -244,9 +183,9 @@ def subset_epsilon_grouped_batch(
     :meth:`~repro.db.aggregates.Aggregate.compute_without_grouped_batch`
     pass per row-chunk instead of R separate grouped passes; row ``r``
     of the result is bit-identical to
-    ``subset_epsilon_grouped(seg, remove_masks[r], ...)``, which is what
-    lets the batched Ranker stay byte-identical to the per-rule
-    reference. Rows are chunked by ``max_elements`` so the 2-D kernel
+    ``metric(aggregate.compute_without_grouped(seg, remove_masks[r]))``,
+    which keeps the batched Ranker byte-identical to scoring one rule at
+    a time. Rows are chunked by ``max_elements`` so the 2-D kernel
     temporaries stay bounded; the chunking cannot perturb values because
     each chunk is an independent set of mask rows.
     """

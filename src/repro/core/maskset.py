@@ -363,9 +363,9 @@ class ClauseMaskCache:
     """The batched mask engine: per-table clause/predicate mask caches.
 
     Tables are keyed by object identity (the engine holds a strong
-    reference, so ids cannot be recycled); in the pipeline the two
-    registered tables are ``pre.F`` and ``pre.segment_table``, both
-    stable ``cached_property`` objects of one ``PreprocessResult``.
+    reference, so ids cannot be recycled); in the pipeline the one
+    registered table is ``pre.F``, which lives as long as its
+    ``PreprocessResult``.
     """
 
     def __init__(self) -> None:

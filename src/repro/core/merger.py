@@ -14,20 +14,15 @@ post-pass:
   outscores both parents** — a bad merge never survives.
 
 The pass runs greedily over the top of the ranked list until no merge
-improves.
-
-Like the Ranker, two implementations produce byte-identical output:
-
-* ``algorithm="batch"`` (default) — candidate pairs are grouped by
-  ``frozenset(columns())`` up front (cross-column pairs can never hull),
-  every round's un-scored hulls are evaluated as **one** batched
-  mask-and-Δε pass through the shared
-  :class:`~repro.core.maskset.ClauseMaskCache`, and scored pairs are
-  cached across rounds — after an accepted merge only pairs involving
-  the newly inserted hull (or entries newly promoted into the head
-  window) are scored, instead of rescanning all O(n²) pairs.
-* ``algorithm="per_rule"`` — the original rescan-everything greedy loop,
-  kept as the parity reference.
+improves. Candidate pairs are grouped by ``frozenset(columns())`` up
+front (cross-column pairs can never hull), every round's un-scored hulls
+are evaluated as **one** batched mask-and-Δε pass through the shared
+:class:`~repro.core.maskset.ClauseMaskCache`, and scored pairs are
+cached across rounds — after an accepted merge only pairs involving the
+newly inserted hull (or entries newly promoted into the head window) are
+scored, instead of rescanning all O(n²) pairs. The rescan-everything
+greedy loop it replaced is the byte-identity oracle in
+``tests/reference/scoring.py``.
 """
 
 from __future__ import annotations
@@ -38,11 +33,10 @@ import numpy as np
 
 from ..db.predicate import CategoricalClause, NumericClause, Predicate
 from ..errors import PipelineError
-from ..learn.metrics import confusion
 from .enumerator import CandidateSet
-from .influence import subset_epsilon_for_mask_set, subset_epsilon_grouped
+from .influence import subset_epsilon_for_mask_set
 from .preprocessor import PreprocessResult
-from .ranker import SCORE_ALGORITHMS, confusion_scores
+from .ranker import confusion_scores, score_predicate
 from .report import RankedPredicate
 
 
@@ -114,18 +108,15 @@ class PredicateMerger:
     """Greedy hull-merging over the top of a ranked predicate list."""
 
     def __init__(self, weights, max_terms: int = 8, top_n: int = 12,
-                 max_rounds: int = 4, algorithm: str = "batch"):
+                 max_rounds: int = 4):
         if top_n < 2:
             raise PipelineError("top_n must be >= 2")
-        if algorithm not in SCORE_ALGORITHMS:
-            raise PipelineError(
-                f"algorithm must be one of {SCORE_ALGORITHMS}, got {algorithm!r}"
-            )
+        if max_terms < 1:
+            raise PipelineError(f"max_terms must be >= 1, got {max_terms}")
         self.weights = weights
         self.max_terms = max_terms
         self.top_n = top_n
         self.max_rounds = max_rounds
-        self.algorithm = algorithm
 
     def run(
         self,
@@ -142,24 +133,6 @@ class PredicateMerger:
         merge computation (and therefore the final list) is byte-for-byte
         identical with or without it.
         """
-        if self.algorithm == "per_rule":
-            ranked = self._run_per_rule(pre, candidates, ranked, on_round)
-        else:
-            ranked = self._run_batch(pre, candidates, ranked, on_round)
-        ranked.sort(key=lambda r: (-r.score, r.complexity, r.predicate.describe()))
-        return ranked
-
-    # ------------------------------------------------------------------
-    # batched greedy pass (default)
-    # ------------------------------------------------------------------
-
-    def _run_batch(
-        self,
-        pre: PreprocessResult,
-        candidates: Sequence[CandidateSet],
-        ranked: list[RankedPredicate],
-        on_round: Callable[[list[RankedPredicate]], None] | None = None,
-    ) -> list[RankedPredicate]:
         ranked = list(ranked)
         candidate_by_origin = {c.origin: c for c in candidates}
         engine = pre.mask_engine()
@@ -172,8 +145,8 @@ class PredicateMerger:
             head = sorted(ranked, key=lambda r: -r.score)[: self.top_n]
             # Candidate pairs grouped by column set up front: a hull only
             # exists within one frozenset(columns()) group, so cross-set
-            # pairs are dropped before any hull/mask work. The i<j
-            # enumeration order matches the reference tie-breaking.
+            # pairs are dropped before any hull/mask work. Ties go to the
+            # first pair in i<j order.
             column_sets = [frozenset(r.predicate.columns()) for r in head]
             pairs = [
                 (i, j)
@@ -215,6 +188,7 @@ class PredicateMerger:
             ranked.append(best_merge)
             if on_round is not None:
                 on_round(list(ranked))
+        ranked.sort(key=lambda r: (-r.score, r.complexity, r.predicate.describe()))
         return ranked
 
     def _score_pairs_batch(
@@ -264,129 +238,22 @@ class PredicateMerger:
                         label_cache[origin][0]
                     )
                 tp = int(tp_by_origin[origin][pos])
-                f1, precision, recall = confusion_scores(
-                    tp, n_matched, label_cache[origin][1]
-                )
+                stats = confusion_scores(tp, n_matched, label_cache[origin][1])
             else:
-                f1 = max(parent_a.accuracy, parent_b.accuracy)
-                precision = max(parent_a.precision, parent_b.precision)
-                recall = max(parent_a.recall, parent_b.recall)
-            penalty = min(predicate.complexity / self.max_terms, 1.0)
-            matched_fraction = n_matched / max(len(pre.F), 1)
-            score = (
-                self.weights.error * relative
-                + self.weights.accuracy * f1
-                - self.weights.complexity * penalty
-                - self.weights.parsimony * matched_fraction
+                stats = (
+                    max(parent_a.accuracy, parent_b.accuracy),
+                    max(parent_a.precision, parent_b.precision),
+                    max(parent_a.recall, parent_b.recall),
+                )
+            pair_scores[key] = score_predicate(
+                pre,
+                self.weights,
+                self.max_terms,
+                predicate,
+                epsilon_after,
+                relative,
+                stats,
+                n_matched,
+                parent_a.candidate_origin,
+                f"merge({parent_a.source}+{parent_b.source})",
             )
-            pair_scores[key] = RankedPredicate(
-                predicate=predicate,
-                score=score,
-                epsilon_before=epsilon,
-                epsilon_after=epsilon_after,
-                accuracy=f1,
-                precision=precision,
-                recall=recall,
-                complexity=predicate.complexity,
-                n_matched=n_matched,
-                candidate_origin=parent_a.candidate_origin,
-                source=f"merge({parent_a.source}+{parent_b.source})",
-            )
-
-    # ------------------------------------------------------------------
-    # per-rule reference path
-    # ------------------------------------------------------------------
-
-    def _run_per_rule(
-        self,
-        pre: PreprocessResult,
-        candidates: Sequence[CandidateSet],
-        ranked: list[RankedPredicate],
-        on_round: Callable[[list[RankedPredicate]], None] | None = None,
-    ) -> list[RankedPredicate]:
-        """The original rescan-all-pairs greedy loop (parity reference)."""
-        ranked = list(ranked)
-        candidate_by_origin = {c.origin: c for c in candidates}
-        for _ in range(self.max_rounds):
-            best_merge: RankedPredicate | None = None
-            merged_from: tuple[int, int] | None = None
-            head = sorted(ranked, key=lambda r: -r.score)[: self.top_n]
-            for i in range(len(head)):
-                for j in range(i + 1, len(head)):
-                    if head[i].predicate == head[j].predicate:
-                        continue
-                    merged = hull(head[i].predicate, head[j].predicate)
-                    if merged is None:
-                        continue
-                    entry = self._score(
-                        pre, candidate_by_origin.get(head[i].candidate_origin),
-                        merged, head[i], head[j],
-                    )
-                    if entry is None:
-                        continue
-                    if entry.score <= max(head[i].score, head[j].score):
-                        continue
-                    if best_merge is None or entry.score > best_merge.score:
-                        best_merge = entry
-                        merged_from = (i, j)
-            if best_merge is None or merged_from is None:
-                break
-            drop = {head[merged_from[0]].predicate, head[merged_from[1]].predicate}
-            ranked = [r for r in ranked if r.predicate not in drop]
-            ranked.append(best_merge)
-            if on_round is not None:
-                on_round(list(ranked))
-        return ranked
-
-    def _score(
-        self,
-        pre: PreprocessResult,
-        candidate: CandidateSet | None,
-        predicate: Predicate,
-        parent_a: RankedPredicate,
-        parent_b: RankedPredicate,
-    ) -> RankedPredicate | None:
-        mask_f = predicate.mask(pre.F)
-        n_matched = int(mask_f.sum())
-        if n_matched == 0:
-            return None
-        epsilon = pre.epsilon
-        epsilon_after = subset_epsilon_grouped(
-            pre.segments,
-            predicate.mask(pre.segment_table),
-            pre.aggregate,
-            pre.metric,
-        )
-        relative = (epsilon - epsilon_after) / epsilon if epsilon > 0 else 0.0
-        if relative <= 0:
-            return None
-        if candidate is not None:
-            stats = confusion(candidate.label_mask(pre.F), mask_f)
-            f1 = stats.f1
-            precision = stats.precision
-            recall = stats.recall
-        else:
-            f1 = max(parent_a.accuracy, parent_b.accuracy)
-            precision = max(parent_a.precision, parent_b.precision)
-            recall = max(parent_a.recall, parent_b.recall)
-        penalty = min(predicate.complexity / self.max_terms, 1.0)
-        matched_fraction = n_matched / max(len(pre.F), 1)
-        score = (
-            self.weights.error * relative
-            + self.weights.accuracy * f1
-            - self.weights.complexity * penalty
-            - self.weights.parsimony * matched_fraction
-        )
-        return RankedPredicate(
-            predicate=predicate,
-            score=score,
-            epsilon_before=epsilon,
-            epsilon_after=epsilon_after,
-            accuracy=f1,
-            precision=precision,
-            recall=recall,
-            complexity=predicate.complexity,
-            n_matched=n_matched,
-            candidate_origin=parent_a.candidate_origin,
-            source=f"merge({parent_a.source}+{parent_b.source})",
-        )

@@ -9,7 +9,10 @@
 Each stage's wall-clock time is recorded in the report for the scaling
 benchmarks. The stages run in :class:`~repro.core.backend.InProcessBackend`;
 ``RankedProvenance`` is the stable facade the frontend and service tiers
-program against.
+program against. Every stage kernel has one implementation, so
+:class:`PipelineConfig` holds what the analysis should do, not how; the
+slower reference implementations the parity tests compare against live
+in ``tests/reference/``.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ from .report import DebugReport
 class PipelineConfig:
     """All tunables of the ranked provenance pipeline in one place."""
 
-    #: Use closed-form leave-one-out influence (False = naive recompute).
-    fast_influence: bool = True
     #: How to clean D': "kmeans", "nb", or "none".
     clean_strategy: str = "kmeans"
     #: Extend candidates with subgroup discovery.
@@ -43,9 +44,6 @@ class PipelineConfig:
     influence_quantile: float = 0.75
     #: Tree strategies for the predicate enumerator (the paper's m).
     strategies: tuple[TreeStrategy, ...] = DEFAULT_STRATEGIES
-    #: Split-finding algorithm: "hist" (shared SplitIndex + histogram
-    #: kernels) or "exact" (per-threshold reference; ablation only).
-    tree_algorithm: str = "hist"
     #: Columns usable in predicates (None = every column of F).
     feature_columns: tuple[str, ...] | None = None
     #: Minimum positive-leaf precision for tree rules.
@@ -55,10 +53,6 @@ class PipelineConfig:
     #: Ranker weights and complexity cap.
     ranker_weights: RankerWeights = field(default_factory=RankerWeights)
     max_terms: int = 8
-    #: Ranker/Merger scoring path: "batch" (bit-packed clause masks +
-    #: one-pass grouped Δε over the whole rule set) or "per_rule" (the
-    #: original loop; byte-identical output, kept for ablation).
-    score_algorithm: str = "batch"
     #: Post-rank hull merging of fragmented predicates (Scorpion-style).
     merge_predicates: bool = False
     #: Cap on candidate datasets.

@@ -30,7 +30,7 @@ from ..db.table import Table
 from ..errors import PipelineError
 from ..learn.rules import Rule, dedupe_rules
 from ..learn.split_index import SplitIndex
-from ..learn.tree import ALGORITHMS, DecisionTree
+from ..learn.tree import DecisionTree
 from .enumerator import CandidateSet
 from .preprocessor import PreprocessResult
 
@@ -44,6 +44,12 @@ class TreeStrategy:
     prune: str = "none"  # "none" | "rep" | "ccp"
     ccp_alpha: float = 0.0
     min_samples_leaf: int = 2
+
+    def __post_init__(self) -> None:
+        if self.prune not in ("none", "rep", "ccp"):
+            raise PipelineError(
+                f"prune must be 'none', 'rep' or 'ccp', got {self.prune!r}"
+            )
 
     def describe(self) -> str:
         """Short label, e.g. ``gini/rep``."""
@@ -79,7 +85,6 @@ class PredicateEnumerator:
         min_precision: float = 0.5,
         weight_by_influence: bool = False,
         validation_fraction: float = 0.3,
-        tree_algorithm: str = "hist",
         max_thresholds: int = 32,
         max_categories: int = 32,
         seed: int = 0,
@@ -88,16 +93,11 @@ class PredicateEnumerator:
             raise PipelineError("at least one tree strategy is required")
         if not 0.0 < validation_fraction < 1.0:
             raise PipelineError("validation_fraction must be in (0, 1)")
-        if tree_algorithm not in ALGORITHMS:
-            raise PipelineError(
-                f"tree_algorithm must be one of {ALGORITHMS}, got {tree_algorithm!r}"
-            )
         self.strategies = tuple(strategies)
         self.feature_columns = tuple(feature_columns) if feature_columns else None
         self.min_precision = min_precision
         self.weight_by_influence = weight_by_influence
         self.validation_fraction = validation_fraction
-        self.tree_algorithm = tree_algorithm
         self.max_thresholds = max_thresholds
         self.max_categories = max_categories
         self.seed = seed
@@ -110,7 +110,6 @@ class PredicateEnumerator:
             ("min_precision", self.min_precision),
             ("weight_by_influence", self.weight_by_influence),
             ("validation_fraction", self.validation_fraction),
-            ("tree_algorithm", self.tree_algorithm),
             ("max_thresholds", self.max_thresholds),
             ("max_categories", self.max_categories),
             ("seed", self.seed),
@@ -161,7 +160,6 @@ class PredicateEnumerator:
             min_samples_leaf=strategy.min_samples_leaf,
             max_thresholds=self.max_thresholds,
             max_categories=self.max_categories,
-            algorithm=self.tree_algorithm,
         )
         if strategy.prune == "rep":
             train_idx, val_idx = self._split_indices(len(F), labels)

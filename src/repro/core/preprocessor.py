@@ -95,17 +95,6 @@ class PreprocessResult:
             [np.asarray(t, dtype=np.int64) for t in self.group_tids]
         )
 
-    @cached_property
-    def segment_table(self) -> Table:
-        """Rows of F in segment order (one table, aligned with ``segments``).
-
-        Evaluating a predicate mask once against this table yields the
-        flat remove-mask for
-        :func:`~repro.core.influence.subset_epsilon_grouped` — one
-        evaluation per predicate instead of one per (predicate, group).
-        """
-        return self.F.take_tids(self.flat_tids)
-
     # -- shared per-column artifacts ------------------------------------
 
     def numeric_values(self, column: str) -> np.ndarray:
@@ -177,8 +166,9 @@ class PreprocessResult:
         """Row positions of F's tuples in segment order.
 
         Gathering any F-aligned per-row artifact (numeric casts,
-        ``SplitIndex`` bin codes) through this permutation re-aligns it
-        with :attr:`segment_table` without re-deriving it.
+        ``SplitIndex`` bin codes, predicate masks) through this
+        permutation re-aligns it with :attr:`segments` without
+        re-deriving it.
         """
         return self.F.positions_of(self.flat_tids)
 
@@ -462,12 +452,7 @@ class Preprocessor:
     and everything memoized on it.
     """
 
-    def __init__(
-        self,
-        fast_influence: bool = True,
-        cache: PreprocessCache | None = None,
-    ):
-        self.fast_influence = fast_influence
+    def __init__(self, cache: PreprocessCache | None = None):
         self.cache = cache if cache is not None else PreprocessCache(max_entries=1)
 
     def run(
@@ -543,7 +528,6 @@ class Preprocessor:
             list(selected),
             aggregate,
             metric,
-            fast=self.fast_influence,
         )
         F = result.fine.lineage_table_many(list(selected))
         return PreprocessResult(

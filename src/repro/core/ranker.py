@@ -11,23 +11,16 @@ Concretely, for predicate p over candidate c::
              + w_acc  · F1(p matches F, c labels F)
              − w_cmpl · min(terms(p) / max_terms, 1)
 
-Δε is evaluated with removable-aggregate subset removal
-(:func:`repro.core.influence.subset_epsilon`) — no query re-execution.
-
-Two scoring paths produce byte-identical ranked lists:
-
-* ``algorithm="batch"`` (default) — the whole rule set is scored as one
-  vectorized batch through the shared
-  :class:`~repro.core.maskset.ClauseMaskCache`: each distinct clause is
-  evaluated once per table, conjunctions are bitwise ANDs of packed
-  bits, Δε for all rules is one grouped
-  :func:`~repro.core.influence.subset_epsilon_for_mask_set` pass, and
-  the confusion statistics come from popcounts of packed-mask
-  intersections. Dedupe reuses the already-computed packed masks, keyed
-  on a ``blake2b`` digest of (packed bits, column set).
-* ``algorithm="per_rule"`` — the original one-rule-at-a-time loop, kept
-  as the reference implementation for parity tests and the A3 ablation
-  (like ``tree_algorithm="exact"``).
+Δε is evaluated with removable-aggregate subset removal — no query
+re-execution. The whole rule set is scored as one vectorized batch
+through the shared :class:`~repro.core.maskset.ClauseMaskCache`: each
+distinct clause is evaluated once per table, conjunctions are bitwise
+ANDs of packed bits, Δε for all rules is one grouped
+:func:`~repro.core.influence.subset_epsilon_for_mask_set` pass, and the
+confusion statistics come from popcounts of packed-mask intersections.
+Dedupe reuses the already-computed packed masks, keyed on a ``blake2b``
+digest of (packed bits, column set). The one-rule-at-a-time scorer it
+replaced is the byte-identity oracle in ``tests/reference/scoring.py``.
 """
 
 from __future__ import annotations
@@ -37,16 +30,13 @@ from typing import Sequence
 
 import numpy as np
 
+from ..db.predicate import Predicate
 from ..errors import PipelineError
-from ..learn.metrics import confusion
 from .enumerator import CandidateSet
-from .influence import subset_epsilon_for_mask_set, subset_epsilon_grouped
+from .influence import subset_epsilon_for_mask_set
 from .predicates import CandidateRule
 from .preprocessor import PreprocessResult
 from .report import RankedPredicate
-
-#: Scoring implementations: vectorized batch vs per-rule reference.
-SCORE_ALGORITHMS = ("batch", "per_rule")
 
 
 @dataclass(frozen=True)
@@ -78,14 +68,56 @@ def confusion_scores(
     Mirrors :class:`~repro.learn.metrics.Confusion` exactly: the counts
     there are float sums of unit weights (exact integers), so dividing
     the same integer-valued floats here yields bit-identical statistics
-    — which keeps the batched popcount-based confusion byte-identical
-    to the per-rule reference.
+    — which keeps the popcount-based confusion byte-identical to
+    :func:`~repro.learn.metrics.confusion` over boolean masks.
     """
     tp_f = float(tp)
     precision = tp_f / float(n_matched) if n_matched else 0.0
     recall = tp_f / float(n_pos) if n_pos else 0.0
     f1 = 2 * precision * recall / (precision + recall) if (precision + recall) else 0.0
     return f1, precision, recall
+
+
+def score_predicate(
+    pre: PreprocessResult,
+    weights: RankerWeights,
+    max_terms: int,
+    predicate: Predicate,
+    epsilon_after: float,
+    relative_reduction: float,
+    stats: tuple[float, float, float],
+    n_matched: int,
+    candidate_origin: str,
+    source: str,
+) -> RankedPredicate:
+    """The scored :class:`RankedPredicate` for one predicate over F.
+
+    ``stats`` is ``(f1, precision, recall)``. The Ranker and the Merger
+    both score through here, so a merged hull and the rules it replaces
+    are ranked by one formula.
+    """
+    f1, precision, recall = stats
+    penalty = min(predicate.complexity / max_terms, 1.0)
+    matched_fraction = n_matched / max(len(pre.F), 1)
+    score = (
+        weights.error * relative_reduction
+        + weights.accuracy * f1
+        - weights.complexity * penalty
+        - weights.parsimony * matched_fraction
+    )
+    return RankedPredicate(
+        predicate=predicate,
+        score=score,
+        epsilon_before=pre.epsilon,
+        epsilon_after=epsilon_after,
+        accuracy=f1,
+        precision=precision,
+        recall=recall,
+        complexity=predicate.complexity,
+        n_matched=n_matched,
+        candidate_origin=candidate_origin,
+        source=source,
+    )
 
 
 class PredicateRanker:
@@ -96,16 +128,12 @@ class PredicateRanker:
         weights: RankerWeights = RankerWeights(),
         max_terms: int = 8,
         drop_nonpositive_error: bool = True,
-        algorithm: str = "batch",
     ):
-        if algorithm not in SCORE_ALGORITHMS:
-            raise PipelineError(
-                f"algorithm must be one of {SCORE_ALGORITHMS}, got {algorithm!r}"
-            )
+        if max_terms < 1:
+            raise PipelineError(f"max_terms must be >= 1, got {max_terms}")
         self.weights = weights
         self.max_terms = max_terms
         self.drop_nonpositive_error = drop_nonpositive_error
-        self.algorithm = algorithm
 
     def run(
         self,
@@ -114,23 +142,6 @@ class PredicateRanker:
         candidate_rules: Sequence[CandidateRule],
     ) -> list[RankedPredicate]:
         """Rank every enumerated predicate; best first."""
-        if self.algorithm == "per_rule":
-            ranked = self._run_per_rule(pre, candidates, candidate_rules)
-        else:
-            ranked = self._run_batch(pre, candidates, candidate_rules)
-        ranked.sort(key=lambda r: (-r.score, r.complexity, r.predicate.describe()))
-        return ranked
-
-    # ------------------------------------------------------------------
-    # batched scoring (default)
-    # ------------------------------------------------------------------
-
-    def _run_batch(
-        self,
-        pre: PreprocessResult,
-        candidates: Sequence[CandidateSet],
-        candidate_rules: Sequence[CandidateRule],
-    ) -> list[RankedPredicate]:
         epsilon = pre.epsilon
         engine = pre.mask_engine()
         candidate_rules = list(candidate_rules)
@@ -183,123 +194,30 @@ class PredicateRanker:
             c_index = candidate_rule.candidate_index
             n_matched = int(f_masks.counts[index])
             tp = int(tp_by_candidate[c_index][index])
-            f1, precision, recall = confusion_scores(
-                tp, n_matched, label_packed[c_index][1]
-            )
-            penalty = min(rule.predicate.complexity / self.max_terms, 1.0)
-            matched_fraction = n_matched / max(len(pre.F), 1)
-            score = (
-                self.weights.error * relative_reduction
-                + self.weights.accuracy * f1
-                - self.weights.complexity * penalty
-                - self.weights.parsimony * matched_fraction
-            )
-            entry = RankedPredicate(
-                predicate=rule.predicate,
-                score=score,
-                epsilon_before=epsilon,
-                epsilon_after=epsilon_after,
-                accuracy=f1,
-                precision=precision,
-                recall=recall,
-                complexity=rule.predicate.complexity,
-                n_matched=n_matched,
-                candidate_origin=candidates[c_index].origin,
-                source=rule.source,
+            entry = score_predicate(
+                pre,
+                self.weights,
+                self.max_terms,
+                rule.predicate,
+                epsilon_after,
+                relative_reduction,
+                confusion_scores(tp, n_matched, label_packed[c_index][1]),
+                n_matched,
+                candidates[c_index].origin,
+                rule.source,
             )
             dedupe_key = (
                 digests[index],
                 frozenset(rule.predicate.columns()),
             )
             scored.append((entry, dedupe_key))
-        return self._dedupe_digests(scored)
-
-    @staticmethod
-    def _dedupe_digests(
-        scored: list[tuple[RankedPredicate, tuple]]
-    ) -> list[RankedPredicate]:
-        """:meth:`_dedupe` keyed on packed-mask digests.
-
-        Same equivalence classes and same keep-the-best rule as the
-        per-rule reference, but the keys are 16-byte digests of the
-        packed bits already computed by the engine — no second mask
-        evaluation, no full ``tobytes()`` buffers held in the dict.
-        """
-        best: dict[tuple, RankedPredicate] = {}
-        for entry, key in scored:
-            existing = best.get(key)
-            if (
-                existing is None
-                or entry.score > existing.score
-                or (entry.score == existing.score
-                    and entry.complexity < existing.complexity)
-            ):
-                best[key] = entry
-        return list(best.values())
-
-    # ------------------------------------------------------------------
-    # per-rule reference path
-    # ------------------------------------------------------------------
-
-    def _run_per_rule(
-        self,
-        pre: PreprocessResult,
-        candidates: Sequence[CandidateSet],
-        candidate_rules: Sequence[CandidateRule],
-    ) -> list[RankedPredicate]:
-        """The original one-rule-at-a-time scorer (parity reference)."""
-        epsilon = pre.epsilon
-        ranked: list[RankedPredicate] = []
-        for candidate_rule in candidate_rules:
-            candidate = candidates[candidate_rule.candidate_index]
-            rule = candidate_rule.rule
-            mask_f = rule.predicate.mask(pre.F)
-            n_matched = int(mask_f.sum())
-            if n_matched == 0:
-                continue
-            # Δε via grouped removable aggregates: mask evaluation over
-            # the segment table plus the grouped compute_without pass.
-            epsilon_after = subset_epsilon_grouped(
-                pre.segments,
-                rule.predicate.mask(pre.segment_table),
-                pre.aggregate,
-                pre.metric,
-            )
-            relative_reduction = (
-                (epsilon - epsilon_after) / epsilon if epsilon > 0 else 0.0
-            )
-            if self.drop_nonpositive_error and relative_reduction <= 0:
-                continue
-            labels = candidate.label_mask(pre.F)
-            stats = confusion(labels, mask_f)
-            penalty = min(rule.predicate.complexity / self.max_terms, 1.0)
-            matched_fraction = n_matched / max(len(pre.F), 1)
-            score = (
-                self.weights.error * relative_reduction
-                + self.weights.accuracy * stats.f1
-                - self.weights.complexity * penalty
-                - self.weights.parsimony * matched_fraction
-            )
-            ranked.append(
-                RankedPredicate(
-                    predicate=rule.predicate,
-                    score=score,
-                    epsilon_before=epsilon,
-                    epsilon_after=epsilon_after,
-                    accuracy=stats.f1,
-                    precision=stats.precision,
-                    recall=stats.recall,
-                    complexity=rule.predicate.complexity,
-                    n_matched=n_matched,
-                    candidate_origin=candidate.origin,
-                    source=rule.source,
-                )
-            )
-        return self._dedupe(ranked, pre)
+        ranked = self._dedupe(scored)
+        ranked.sort(key=lambda r: (-r.score, r.complexity, r.predicate.describe()))
+        return ranked
 
     @staticmethod
     def _dedupe(
-        ranked: list[RankedPredicate], pre: PreprocessResult
+        scored: list[tuple[RankedPredicate, tuple]]
     ) -> list[RankedPredicate]:
         """Keep one entry per (matched tuple set, columns used).
 
@@ -310,14 +228,11 @@ class PredicateRanker:
         columns* are kept even when they denote the same tuples (e.g.
         ``memo = 'REATTRIBUTION TO SPOUSE'`` vs ``amount <= -249``) —
         alternative framings of the anomaly are exactly what the user
-        wants to compare.
+        wants to compare. The tuple set is keyed by the 16-byte digest
+        of the packed mask the engine already computed.
         """
         best: dict[tuple, RankedPredicate] = {}
-        for entry in ranked:
-            key = (
-                entry.predicate.mask(pre.F).tobytes(),
-                frozenset(entry.predicate.columns()),
-            )
+        for entry, key in scored:
             existing = best.get(key)
             if (
                 existing is None

@@ -21,8 +21,8 @@ at once. The ``*_grouped`` methods answer them for a whole
 :class:`~repro.db.segments.SegmentedValues` in single vectorized passes
 (``np.add.reduceat`` closed forms for count/sum/avg/var/stddev, two
 masked segmented reductions for min/max) with no Python per-group loop.
-The ``*_grouped_loop`` variants keep the per-group Python iteration as
-the naive reference for parity tests and the scaling ablation.
+The per-group loops and the naive O(n²) leave-one-out they replaced
+live in ``tests/reference/aggregates.py`` as the parity oracles.
 
 NULL handling follows SQL: NaN values (the FLOAT NULL encoding) are
 ignored by every aggregate; an aggregate over zero non-null values is NaN
@@ -64,22 +64,9 @@ class Aggregate:
         raise NotImplementedError
 
     def leave_one_out(self, values: np.ndarray) -> np.ndarray:
-        """``out[i]`` = aggregate over ``values`` with element ``i`` removed.
-
-        The default implementation is the naive O(n²) loop; algebraic
-        subclasses override with O(n) closed forms. Kept callable for the
-        ablation benchmark (A1 in DESIGN.md).
-        """
-        return self.leave_one_out_naive(values)
-
-    def leave_one_out_naive(self, values: np.ndarray) -> np.ndarray:
-        """Reference O(n²) leave-one-out used for testing and ablation."""
-        values = _as_float(values)
-        n = len(values)
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            out[i] = self.compute(np.delete(values, i))
-        return out
+        """``out[i]`` = aggregate over ``values`` with element ``i`` removed,
+        in one O(n) pass."""
+        raise NotImplementedError
 
     def compute_without(self, values: np.ndarray, remove_mask: np.ndarray) -> float:
         """The aggregate over ``values`` with masked elements removed.
@@ -96,54 +83,21 @@ class Aggregate:
     # ------------------------------------------------------------------
 
     def compute_grouped(self, seg: SegmentedValues) -> np.ndarray:
-        """``out[g]`` = the aggregate over segment ``g``, in one pass.
-
-        Algebraic subclasses override with vectorized kernels; the base
-        version falls back to the per-group Python loop.
-        """
-        return self.compute_grouped_loop(seg)
-
-    def compute_grouped_loop(self, seg: SegmentedValues) -> np.ndarray:
-        """Reference per-group loop for :meth:`compute_grouped`."""
-        return np.array(
-            [self.compute(seg.segment(g)) for g in range(seg.n_segments)],
-            dtype=np.float64,
-        )
+        """``out[g]`` = the aggregate over segment ``g``, in one pass."""
+        raise NotImplementedError
 
     def leave_one_out_grouped(self, seg: SegmentedValues) -> np.ndarray:
         """Flat leave-one-out values: ``out[i]`` = aggregate of the
         segment owning flat position ``i`` with that element removed.
         """
-        return self.leave_one_out_grouped_loop(seg)
-
-    def leave_one_out_grouped_loop(self, seg: SegmentedValues) -> np.ndarray:
-        """Reference per-group loop for :meth:`leave_one_out_grouped`."""
-        if seg.n_segments == 0:
-            return np.empty(0, dtype=np.float64)
-        return np.concatenate(
-            [self.leave_one_out(seg.segment(g)) for g in range(seg.n_segments)]
-        )
+        raise NotImplementedError
 
     def compute_without_grouped(
         self, seg: SegmentedValues, remove_mask: np.ndarray
     ) -> np.ndarray:
         """``out[g]`` = aggregate over segment ``g`` with masked flat
         positions removed (the grouped Δε-preview kernel)."""
-        return self.compute_without_grouped_loop(seg, remove_mask)
-
-    def compute_without_grouped_loop(
-        self, seg: SegmentedValues, remove_mask: np.ndarray
-    ) -> np.ndarray:
-        """Reference per-group loop for :meth:`compute_without_grouped`."""
-        remove_mask = _as_flat_mask(seg, remove_mask)
-        mask_parts = seg.split_flat(remove_mask)
-        return np.array(
-            [
-                self.compute_without(seg.segment(g), mask_parts[g])
-                for g in range(seg.n_segments)
-            ],
-            dtype=np.float64,
-        )
+        raise NotImplementedError
 
     def compute_without_grouped_batch(
         self, seg: SegmentedValues, remove_masks: np.ndarray
@@ -152,24 +106,13 @@ class Aggregate:
         masked flat positions removed — R Δε previews in one grouped pass.
 
         ``remove_masks`` is a ``(R, len(seg))`` boolean matrix (one
-        candidate predicate per row). Algebraic subclasses override with
-        2-D kernels whose per-segment accumulation order matches the 1-D
+        candidate predicate per row). Every override is a 2-D kernel
+        whose per-segment accumulation order matches the 1-D
         :meth:`compute_without_grouped` exactly, so row ``r`` of the
-        result is bit-identical to the per-rule call — the batched
-        Ranker/Merger scoring path depends on that.
+        result is bit-identical to the one-mask call — the Δε memo and
+        the Ranker/Merger scoring depend on that.
         """
-        return self.compute_without_grouped_batch_loop(seg, remove_masks)
-
-    def compute_without_grouped_batch_loop(
-        self, seg: SegmentedValues, remove_masks: np.ndarray
-    ) -> np.ndarray:
-        """Reference per-row loop for :meth:`compute_without_grouped_batch`."""
-        remove_masks = _as_mask_matrix(seg, remove_masks)
-        if remove_masks.shape[0] == 0:
-            return np.empty((0, seg.n_segments), dtype=np.float64)
-        return np.stack(
-            [self.compute_without_grouped(seg, row) for row in remove_masks]
-        )
+        raise NotImplementedError
 
     def compute_without_pairs(
         self, pairs: SegmentPairs, remove_mask: np.ndarray
@@ -178,22 +121,14 @@ class Aggregate:
         masked positions removed — the sparse Δε kernel.
 
         ``remove_mask`` is flat over ``pairs`` (aligned with
-        ``pairs.values``). Algebraic subclasses override to reuse
-        segment-only statistics precomputed once on the *parent*
-        ``SegmentedValues`` (gathered through ``pairs.flat``), so the
-        per-pair work is only the mask-dependent folds; every override
-        is bit-identical to :meth:`compute_without_grouped` over the
-        same segment because segments are copied wholesale.
+        ``pairs.values``). Overrides reuse segment-only statistics
+        precomputed once on the *parent* ``SegmentedValues`` (gathered
+        through ``pairs.flat``), so the per-pair work is only the
+        mask-dependent folds; every override is bit-identical to
+        :meth:`compute_without_grouped` over the same segment because
+        segments are copied wholesale.
         """
-        return self.compute_without_pairs_loop(pairs, remove_mask)
-
-    def compute_without_pairs_loop(
-        self, pairs: SegmentPairs, remove_mask: np.ndarray
-    ) -> np.ndarray:
-        """Reference for :meth:`compute_without_pairs`: rebuild the pairs
-        as a standalone segmented array and run the 1-D grouped kernel."""
-        mini = SegmentedValues(pairs.values, pairs.offsets)
-        return self.compute_without_grouped(mini, remove_mask)
+        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"<aggregate {self.name}>"

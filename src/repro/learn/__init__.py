@@ -34,10 +34,9 @@ from .metrics import (
 from .rules import Rule, dedupe_rules
 from .split_index import CategoricalColumnIndex, NumericColumnIndex, SplitIndex
 from .subgroup import SubgroupDiscovery
-from .tree import ALGORITHMS, CRITERIA, CategoricalSplit, DecisionTree, NumericSplit
+from .tree import CRITERIA, CategoricalSplit, DecisionTree, NumericSplit
 
 __all__ = [
-    "ALGORITHMS",
     "CRITERIA",
     "CategoricalColumnIndex",
     "CategoricalSplit",

@@ -14,16 +14,16 @@ candidate dataset using "m standard splitting and pruning strategies
 * extraction of positive root-to-leaf paths as
   :class:`~repro.learn.rules.Rule` objects whose predicates render to SQL.
 
-Split finding runs in one of two algorithms over a shared
+Split finding runs over a shared
 :class:`~repro.learn.split_index.SplitIndex` of candidate thresholds:
-
-* ``"hist"`` (default): per node, accumulate per-bin weight /
-  positive-weight / count histograms (weighted ``np.bincount``) and
-  score **every** threshold of a column in one ``cumsum`` pass;
-* ``"exact"``: the reference per-threshold masking path — one boolean
-  mask and one weight reduction per candidate threshold. It scores the
-  identical candidate set, so ``tests/test_tree_parity.py`` can assert
-  the histogram path picks the same splits with the same gains.
+per node, it accumulates per-bin weight / positive-weight / count
+histograms (weighted ``np.bincount``) and scores **every** threshold of
+a column in one ``cumsum`` pass, and rows are routed to children by bin
+code. The per-threshold masking path it replaced (one boolean mask and
+one weight reduction per candidate threshold, routing by raw values)
+is ``tests/reference/tree.py``; it scores the identical candidate set,
+so ``tests/test_tree_parity.py`` asserts both pick the same splits with
+the same gains.
 
 Ties (equal-gain splits) are broken deterministically: lowest column
 name first, then lowest threshold / lowest categorical value — never by
@@ -48,13 +48,12 @@ from .rules import Rule
 from .split_index import CategoricalColumnIndex, NumericColumnIndex, SplitIndex
 
 CRITERIA = ("gini", "entropy", "gain_ratio")
-ALGORITHMS = ("hist", "exact")
 
 #: Scores within this (relative) distance of a column's / node's best are
 #: treated as tied and resolved by the deterministic tie-break. The
-#: tolerance absorbs float-associativity noise between the histogram and
-#: exact paths (bin-cumsum vs per-mask reductions), so both pick the
-#: same split.
+#: tolerance absorbs float-associativity noise between the histogram
+#: kernels and the per-threshold reference in ``tests/reference/tree.py``
+#: (bin-cumsum vs per-mask reductions), so both pick the same split.
 TIE_REL_TOL = 1e-9
 
 
@@ -167,23 +166,12 @@ class _FitContext:
     """Everything one ``fit`` needs, bundled so ``_build`` recursion and
     the parity tests can drive split finding without re-deriving state."""
 
-    __slots__ = ("labels", "weights", "index", "arrays", "algorithm")
+    __slots__ = ("labels", "weights", "index")
 
-    def __init__(
-        self,
-        labels: np.ndarray,
-        weights: np.ndarray,
-        index: SplitIndex,
-        arrays: dict[str, np.ndarray] | None,
-        algorithm: str,
-    ):
+    def __init__(self, labels: np.ndarray, weights: np.ndarray, index: SplitIndex):
         self.labels = labels
         self.weights = weights
         self.index = index
-        #: Raw column arrays; only materialized for the exact algorithm
-        #: (the histogram path routes rows purely through bin codes).
-        self.arrays = arrays
-        self.algorithm = algorithm
 
 
 class DecisionTree:
@@ -198,14 +186,9 @@ class DecisionTree:
         min_score: float = 1e-9,
         max_thresholds: int = 32,
         max_categories: int = 32,
-        algorithm: str = "hist",
     ):
         if criterion not in CRITERIA:
             raise LearnError(f"unknown criterion {criterion!r}; choose from {CRITERIA}")
-        if algorithm not in ALGORITHMS:
-            raise LearnError(
-                f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}"
-            )
         if max_depth < 1:
             raise LearnError("max_depth must be >= 1")
         if min_samples_leaf < 1:
@@ -217,7 +200,6 @@ class DecisionTree:
         self.min_score = min_score
         self.max_thresholds = max_thresholds
         self.max_categories = max_categories
-        self.algorithm = algorithm
         self._root: _Node | None = None
         self._features: tuple[str, ...] = ()
         self._numeric: dict[str, bool] = {}
@@ -294,11 +276,7 @@ class DecisionTree:
             missing = [f for f in self._features if f not in split_index.columns]
             if missing:
                 raise LearnError(f"split index is missing columns {missing}")
-        arrays = None
-        if self.algorithm == "exact":
-            arrays = {name: table.column(name) for name in self._features}
-        ctx = _FitContext(labels, weights, split_index, arrays, self.algorithm)
-        return ctx, len(table)
+        return _FitContext(labels, weights, split_index), len(table)
 
     def _build(self, ctx: _FitContext, indices: np.ndarray, depth: int) -> _Node:
         node_weights = ctx.weights[indices]
@@ -335,9 +313,7 @@ class DecisionTree:
     def _left_mask(
         self, ctx: _FitContext, split: Split, indices: np.ndarray
     ) -> np.ndarray:
-        """Rows of the node routed left, via raw values (exact) or codes."""
-        if ctx.arrays is not None:
-            return split.go_left(ctx.arrays[split.attr][indices])
+        """Rows of the node routed left, via the columns' bin codes."""
         column = ctx.index.column(split.attr)
         codes = column.codes[indices]
         if isinstance(split, NumericSplit):
@@ -357,33 +333,13 @@ class DecisionTree:
         for attr in self._features:
             column = ctx.index.column(attr)
             if self._numeric[attr]:
-                if ctx.algorithm == "hist":
-                    candidate = self._best_numeric_split_hist(
-                        column, indices, node_weights, pos_weights, total_w, total_pos
-                    )
-                else:
-                    candidate = self._best_numeric_split_exact(
-                        column,
-                        ctx.arrays[attr][indices],
-                        node_weights,
-                        pos_weights,
-                        total_w,
-                        total_pos,
-                    )
+                candidate = self._best_numeric_split(
+                    column, indices, node_weights, pos_weights, total_w, total_pos
+                )
             else:
-                if ctx.algorithm == "hist":
-                    candidate = self._best_categorical_split_hist(
-                        column, indices, node_weights, pos_weights, total_w, total_pos
-                    )
-                else:
-                    candidate = self._best_categorical_split_exact(
-                        column,
-                        ctx.arrays[attr][indices],
-                        node_weights,
-                        pos_weights,
-                        total_w,
-                        total_pos,
-                    )
+                candidate = self._best_categorical_split(
+                    column, indices, node_weights, pos_weights, total_w, total_pos
+                )
             if candidate is not None:
                 found.append(candidate)
         if not found:
@@ -399,7 +355,7 @@ class DecisionTree:
 
     # -- histogram kernels ---------------------------------------------
 
-    def _best_numeric_split_hist(
+    def _best_numeric_split(
         self,
         column: NumericColumnIndex,
         indices: np.ndarray,
@@ -436,7 +392,7 @@ class DecisionTree:
         threshold = float(thresholds[best])
         return NumericSplit(column.attr, threshold), float(scores[best]), threshold
 
-    def _best_categorical_split_hist(
+    def _best_categorical_split(
         self,
         column: CategoricalColumnIndex,
         indices: np.ndarray,
@@ -476,115 +432,6 @@ class DecisionTree:
         code = int(candidates[best])
         split = CategoricalSplit(column.attr, column.values[code])
         return split, float(scores[best]), code
-
-    # -- exact per-threshold reference paths ---------------------------
-
-    def _best_numeric_split_exact(
-        self,
-        column: NumericColumnIndex,
-        values: np.ndarray,
-        weights: np.ndarray,
-        pos_weights: np.ndarray,
-        total_w: float,
-        total_pos: float,
-    ) -> tuple[Split, float, float] | None:
-        """Reference path: one mask + reduction per candidate threshold."""
-        if len(column.thresholds) == 0:
-            return None
-        values = np.asarray(values, dtype=np.float64)
-        n_node = len(values)
-        scored: list[tuple[float, float]] = []  # (score, threshold)
-        for threshold in column.thresholds:
-            with np.errstate(invalid="ignore"):
-                left = values <= threshold  # NaN compares False: routes right
-            left_count = int(left.sum())
-            if (
-                left_count < self.min_samples_leaf
-                or (n_node - left_count) < self.min_samples_leaf
-            ):
-                continue
-            left_w = float(weights[left].sum())
-            left_p = float(pos_weights[left].sum())
-            score = float(
-                self._score_children(
-                    total_w,
-                    total_pos,
-                    np.array([left_w]),
-                    np.array([left_p]),
-                    np.array([total_w - left_w]),
-                    np.array([total_pos - left_p]),
-                )[0]
-            )
-            scored.append((score, float(threshold)))
-        if not scored:
-            return None
-        cutoff = _tie_cutoff(max(score for score, __ in scored))
-        score, threshold = min(
-            (entry for entry in scored if entry[0] >= cutoff),
-            key=lambda entry: entry[1],
-        )
-        return NumericSplit(column.attr, threshold), score, threshold
-
-    def _best_categorical_split_exact(
-        self,
-        column: CategoricalColumnIndex,
-        values: np.ndarray,
-        weights: np.ndarray,
-        pos_weights: np.ndarray,
-        total_w: float,
-        total_pos: float,
-    ) -> tuple[Split, float, int] | None:
-        """Reference path: one equality mask + reduction per value."""
-        # Per-value weight accumulation (row order, matching the hist
-        # path's weighted bincount).
-        weight_by_value: dict[Any, float] = {}
-        count_by_value: dict[Any, int] = {}
-        for i in range(len(values)):
-            value = values[i]
-            if value is None:
-                continue
-            weight_by_value[value] = weight_by_value.get(value, 0.0) + weights[i]
-            count_by_value[value] = count_by_value.get(value, 0) + 1
-        if len(weight_by_value) < 2:
-            return None
-        candidates = sorted(
-            weight_by_value, key=lambda value: (-weight_by_value[value], value)
-        )[: self.max_categories]
-        n_node = len(values)
-        scored: list[tuple[float, int]] = []  # (score, value code)
-        for value in candidates:
-            left_count = count_by_value[value]
-            if (
-                left_count < self.min_samples_leaf
-                or (n_node - left_count) < self.min_samples_leaf
-            ):
-                continue
-            left = np.fromiter(
-                (v is not None and v == value for v in values),
-                dtype=bool,
-                count=n_node,
-            )
-            left_w = float(weights[left].sum())
-            left_p = float(pos_weights[left].sum())
-            score = float(
-                self._score_children(
-                    total_w,
-                    total_pos,
-                    np.array([left_w]),
-                    np.array([left_p]),
-                    np.array([total_w - left_w]),
-                    np.array([total_pos - left_p]),
-                )[0]
-            )
-            scored.append((score, column.code_of(value)))
-        if not scored:
-            return None
-        cutoff = _tie_cutoff(max(score for score, __ in scored))
-        score, code = min(
-            (entry for entry in scored if entry[0] >= cutoff),
-            key=lambda entry: entry[1],
-        )
-        return CategoricalSplit(column.attr, column.values[code]), score, code
 
     def _score_children(
         self,
@@ -838,8 +685,8 @@ def _node_histograms(
     n_bins = column.n_bins
     hist_n = np.bincount(codes, minlength=n_bins)
     # bincount accumulates weights sequentially in row order — the same
-    # float-sum order as the exact path's dict accumulation, which the
-    # tie-break parity relies on.
+    # float-sum order as the per-threshold reference's dict accumulation,
+    # which the tie-break parity relies on.
     hist_w = np.bincount(codes, weights=weights, minlength=n_bins)
     hist_p = np.bincount(codes, weights=pos_weights, minlength=n_bins)
     return codes, hist_n, hist_w, hist_p

@@ -15,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from reference.scoring import per_rule_scoring
 from repro.core import PipelineConfig
 from repro.data import FECConfig, generate_fec, walkthrough_query
 from repro.db import Database
@@ -124,21 +125,18 @@ class TestBatchedScoringParity:
 
     def test_batch_and_per_rule_reference_are_byte_identical(self):
         db = _fec_db()
-        batch = _debug_lines(db, PipelineConfig(score_algorithm="batch"))
-        reference = _debug_lines(db, PipelineConfig(score_algorithm="per_rule"))
+        batch = _debug_lines(db)
+        with per_rule_scoring():
+            reference = _debug_lines(db)
         assert batch  # the cycle must actually rank something
         assert batch == reference
 
     def test_parity_holds_with_merging_enabled(self):
         db = _fec_db()
-        batch = _debug_lines(
-            db,
-            PipelineConfig(score_algorithm="batch", merge_predicates=True),
-        )
-        reference = _debug_lines(
-            db,
-            PipelineConfig(score_algorithm="per_rule", merge_predicates=True),
-        )
+        config = PipelineConfig(merge_predicates=True)
+        batch = _debug_lines(db, config)
+        with per_rule_scoring():
+            reference = _debug_lines(db, config)
         assert batch
         assert batch == reference
 

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference.influence import naive_leave_one_out_influence, subset_epsilon
 from repro.core import Preprocessor, TooHigh, TooLow
-from repro.core.influence import leave_one_out_influence, subset_epsilon
+from repro.core.influence import leave_one_out_influence, subset_epsilon_for_mask_set
 from repro.db import Database, get_aggregate
+from repro.db.predicate import CategoricalClause, Predicate
 from repro.errors import PipelineError
 
 
@@ -44,10 +46,10 @@ class TestLeaveOneOutInfluence:
         group_values, group_tids = _make_groups()
         metric = TooHigh(20.0)
         fast = leave_one_out_influence(
-            group_values, group_tids, [0, 1], get_aggregate("avg"), metric, fast=True
+            group_values, group_tids, [0, 1], get_aggregate("avg"), metric
         )
-        naive = leave_one_out_influence(
-            group_values, group_tids, [0, 1], get_aggregate("avg"), metric, fast=False
+        naive = naive_leave_one_out_influence(
+            group_values, group_tids, [0, 1], get_aggregate("avg"), metric
         )
         np.testing.assert_allclose(fast.scores, naive.scores, rtol=1e-9)
 
@@ -66,8 +68,8 @@ class TestLeaveOneOutInfluence:
         tids = np.arange(len(array))
         metric = TooHigh(threshold)
         agg = get_aggregate(agg_name)
-        fast = leave_one_out_influence([array], [tids], [0], agg, metric, fast=True)
-        naive = leave_one_out_influence([array], [tids], [0], agg, metric, fast=False)
+        fast = leave_one_out_influence([array], [tids], [0], agg, metric)
+        naive = naive_leave_one_out_influence([array], [tids], [0], agg, metric)
         spread = float(array.max() - array.min()) if len(array) else 0.0
         atol = 1e-6 + 1e-10 * (1.0 + spread) ** 2
         np.testing.assert_allclose(fast.scores, naive.scores, rtol=1e-6, atol=atol)
@@ -146,7 +148,7 @@ class TestSubsetEpsilon:
         assert subset_epsilon(values, masks, get_aggregate("sum"), metric) == 0.0
 
     def test_matches_query_reexecution(self, donations_db):
-        """subset_epsilon must agree with actually re-running the query."""
+        """The Ranker's batched Δε must agree with re-running the query."""
         result = donations_db.sql(
             "SELECT day, sum(amount) AS total FROM donations GROUP BY day "
             "ORDER BY day"
@@ -157,20 +159,18 @@ class TestSubsetEpsilon:
             S = [int(np.argmin(totals))]
         metric = TooLow(0.0)
         pre = Preprocessor().run(result, S, metric)
-        # Remove all memo'd rows via masks.
-        F = pre.F
-        memo_tids = set(
-            int(t)
-            for t in np.asarray(F.tids)[
-                np.asarray(F.column("memo"), dtype=object) == "REATTRIBUTION TO SPOUSE"
-            ]
+        # Remove all memo'd rows, masked the way the Ranker masks a rule.
+        memo = Predicate(
+            [CategoricalClause("memo", frozenset(["REATTRIBUTION TO SPOUSE"]))]
         )
-        masks = [
-            np.fromiter((int(t) in memo_tids for t in tids), dtype=bool, count=len(tids))
-            for tids in pre.group_tids
-        ]
-        fast = subset_epsilon(
-            list(pre.group_values), masks, pre.aggregate, metric
+        mask_set = pre.mask_engine().mask_set(pre.F, [memo])
+        assert mask_set.counts[0] > 0
+        (fast,) = subset_epsilon_for_mask_set(
+            pre.segments,
+            mask_set,
+            pre.aggregate,
+            metric,
+            positions=pre.segment_positions,
         )
         cleaned = donations_db.sql(
             "SELECT day, sum(amount) AS total FROM donations "

@@ -1,8 +1,8 @@
 """Property harness: the batched mask engine ≡ ``Predicate.mask``.
 
 The batched Ranker/Merger path is only byte-identical to the per-rule
-reference if every engine-evaluated mask equals the reference mask
-bit-for-bit. This harness drives :class:`repro.core.ClauseMaskCache`
+oracle in ``reference.scoring`` if every engine-evaluated mask equals
+the reference mask bit-for-bit. This harness drives :class:`repro.core.ClauseMaskCache`
 over seeded random tables mixing numeric (int and float-with-NaN) and
 categorical (string-with-NULL) columns, with random predicates covering
 inclusive/exclusive/unbounded interval ends, equality intervals, and
@@ -15,11 +15,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ClauseMaskCache, subset_epsilon_grouped_batch
-from repro.core.influence import (
-    subset_epsilon_for_mask_set,
-    subset_epsilon_grouped,
+from reference.aggregates import (
+    compute_without_grouped_batch_loop,
+    compute_without_pairs_loop,
 )
+from reference.influence import subset_epsilon_grouped
+from repro.core import ClauseMaskCache, subset_epsilon_grouped_batch
+from repro.core.influence import subset_epsilon_for_mask_set
 from repro.core.maskset import MaskSet, pack_mask, popcount, unpack_masks
 from repro.db import Table, get_aggregate
 from repro.db.predicate import CategoricalClause, NumericClause, Predicate
@@ -181,7 +183,7 @@ class TestBatchDeltaEpsilonKernels:
         seg = SegmentedValues(values, offsets)
         masks = rng.random((17, 300)) < 0.3
         batch = aggregate.compute_without_grouped_batch(seg, masks)
-        loop = aggregate.compute_without_grouped_batch_loop(seg, masks)
+        loop = compute_without_grouped_batch_loop(aggregate, seg, masks)
         np.testing.assert_array_equal(batch, loop)
 
     def test_subset_epsilon_grouped_batch_matches_scalar(self):
@@ -224,7 +226,7 @@ class TestBatchDeltaEpsilonKernels:
         mask = rng.random(len(flat)) < 0.35
         np.testing.assert_array_equal(
             aggregate.compute_without_pairs(pairs, mask),
-            aggregate.compute_without_pairs_loop(pairs, mask),
+            compute_without_pairs_loop(aggregate, pairs, mask),
         )
 
     def test_mask_set_epsilons_match_scalar_and_memoize(self):

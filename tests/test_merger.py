@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference.scoring import per_rule_scoring
 from repro.core import PipelineConfig, RankedProvenance, TooHigh, hull
 from repro.core.merger import PredicateMerger
 from repro.core.ranker import RankerWeights
@@ -113,22 +114,19 @@ class TestMergerEndToEnd:
         with pytest.raises(PipelineError):
             PredicateMerger(weights=RankerWeights(), top_n=1)
 
-    def test_algorithm_validation(self):
+    @pytest.mark.parametrize("max_terms", [0, -1])
+    def test_max_terms_below_one_rejected(self, max_terms):
         with pytest.raises(PipelineError):
-            PredicateMerger(weights=RankerWeights(), algorithm="nope")
+            PredicateMerger(weights=RankerWeights(), max_terms=max_terms)
 
     def test_batch_is_byte_identical_to_reference(self, fragmented_workload):
         """The batched greedy pass (pair cache, grouped pairs, batched
         Δε) must reproduce the rescan-everything reference exactly."""
         result, bad_tids = fragmented_workload
 
-        def lines(score_algorithm):
+        def lines():
             report = RankedProvenance(
-                PipelineConfig(
-                    feature_columns=("x",),
-                    merge_predicates=True,
-                    score_algorithm=score_algorithm,
-                )
+                PipelineConfig(feature_columns=("x",), merge_predicates=True)
             ).debug(result, [0], TooHigh(52.0), dprime_tids=bad_tids)
             return [
                 "|".join(
@@ -143,7 +141,9 @@ class TestMergerEndToEnd:
                 for entry in report
             ]
 
-        batch = lines("batch")
-        assert batch == lines("per_rule")
+        batch = lines()
+        with per_rule_scoring():
+            reference = lines()
+        assert batch == reference
         # The workload fragments, so the parity covers accepted merges.
         assert any("merge(" in line for line in batch)

@@ -118,7 +118,6 @@ class TestSyntheticEndToEnd:
             PipelineConfig(clean_strategy="nb"),
             PipelineConfig(extend_with_subgroups=False),
             PipelineConfig(weight_by_influence=True),
-            PipelineConfig(fast_influence=False),
         ):
             report = RankedProvenance(config).debug(result, S, TooHigh(55.0))
             assert report.epsilon >= 0

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from reference.scoring import PerRuleRanker
 from repro.core import (
     DatasetEnumerator,
+    PipelineConfig,
     PredicateEnumerator,
     PredicateRanker,
     Preprocessor,
+    RankedProvenance,
     RankerWeights,
     TooHigh,
     TreeStrategy,
@@ -77,6 +80,12 @@ class TestPredicateEnumerator:
         with pytest.raises(PipelineError):
             PredicateEnumerator(validation_fraction=0.0)
 
+    @pytest.mark.parametrize("prune", ["REP", "cost_complexity", ""])
+    def test_unknown_prune_mode_rejected(self, prune):
+        # Its trees would be fitted unpruned yet labelled with the mode.
+        with pytest.raises(PipelineError):
+            TreeStrategy(prune=prune)
+
 
 class TestPredicateRanker:
     def test_rank_order_is_descending_score(self, stage_setup):
@@ -136,9 +145,13 @@ class TestPredicateRanker:
         with pytest.raises(PipelineError):
             RankerWeights(error=-1.0)
 
-    def test_unknown_algorithm_rejected(self):
+    @pytest.mark.parametrize("max_terms", [0, -1])
+    def test_max_terms_below_one_rejected(self, max_terms):
+        # The complexity penalty divides by max_terms.
         with pytest.raises(PipelineError):
-            PredicateRanker(algorithm="nope")
+            PredicateRanker(max_terms=max_terms)
+        with pytest.raises(PipelineError):
+            RankedProvenance(PipelineConfig(max_terms=max_terms))
 
 
 class TestBatchReferenceParity:
@@ -166,20 +179,20 @@ class TestBatchReferenceParity:
     def test_batch_is_byte_identical_to_per_rule(self, stage_setup):
         pre, candidates = stage_setup
         rules = PredicateEnumerator().run(pre, candidates)
-        batch = PredicateRanker(algorithm="batch").run(pre, candidates, rules)
-        reference = PredicateRanker(algorithm="per_rule").run(pre, candidates, rules)
+        batch = PredicateRanker().run(pre, candidates, rules)
+        reference = PerRuleRanker().run(pre, candidates, rules)
         assert self._lines(batch) == self._lines(reference)
         assert batch  # the comparison is not vacuous
 
     def test_batch_parity_without_nonpositive_drop(self, stage_setup):
         pre, candidates = stage_setup
         rules = PredicateEnumerator().run(pre, candidates)
-        batch = PredicateRanker(
-            algorithm="batch", drop_nonpositive_error=False
-        ).run(pre, candidates, rules)
-        reference = PredicateRanker(
-            algorithm="per_rule", drop_nonpositive_error=False
-        ).run(pre, candidates, rules)
+        batch = PredicateRanker(drop_nonpositive_error=False).run(
+            pre, candidates, rules
+        )
+        reference = PerRuleRanker(drop_nonpositive_error=False).run(
+            pre, candidates, rules
+        )
         assert self._lines(batch) == self._lines(reference)
 
     def test_mask_engine_memoized_on_preprocess_result(self, stage_setup):

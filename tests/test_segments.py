@@ -2,7 +2,8 @@
 
 The grouped kernels (`compute_grouped`, `leave_one_out_grouped`,
 `compute_without_grouped`) must agree with the per-group reference
-implementations — and with the naive O(n²) recomputation — across
+loops in ``reference.aggregates`` — and with the naive O(n²)
+recomputation — across
 NaN-heavy, single-element, empty, and all-NULL segments for all seven
 aggregates. These are the invariants the executor, Preprocessor, and
 Ranker rely on after the hot paths were rewritten to consume
@@ -14,6 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference.aggregates import (
+    compute_grouped_loop,
+    compute_without_grouped_loop,
+    leave_one_out_grouped_loop,
+    leave_one_out_naive,
+)
 from repro.db.aggregates import AGGREGATE_NAMES, get_aggregate
 from repro.db.segments import (
     SegmentedValues,
@@ -140,7 +147,7 @@ class TestGroupedParityHandPicked:
     def test_compute_grouped(self, agg):
         seg = SegmentedValues.from_arrays(self.EDGE_SEGMENTS)
         _assert_grouped_matches(
-            seg, agg.compute_grouped(seg), agg.compute_grouped_loop(seg), 1e-9
+            seg, agg.compute_grouped(seg), compute_grouped_loop(agg, seg), 1e-9
         )
 
     @pytest.mark.parametrize("agg", ALL, ids=lambda a: a.name)
@@ -149,7 +156,7 @@ class TestGroupedParityHandPicked:
         _assert_grouped_matches(
             seg,
             agg.leave_one_out_grouped(seg),
-            agg.leave_one_out_grouped_loop(seg),
+            leave_one_out_grouped_loop(agg, seg),
             1e-9,
         )
 
@@ -159,7 +166,7 @@ class TestGroupedParityHandPicked:
         naive = (
             np.concatenate(
                 [
-                    agg.leave_one_out_naive(seg.segment(g))
+                    leave_one_out_naive(agg, seg.segment(g))
                     for g in range(seg.n_segments)
                 ]
             )
@@ -177,7 +184,7 @@ class TestGroupedParityHandPicked:
         _assert_grouped_matches(
             seg,
             agg.compute_without_grouped(seg, mask),
-            agg.compute_without_grouped_loop(seg, mask),
+            compute_without_grouped_loop(agg, seg, mask),
             1e-9,
         )
 
@@ -200,7 +207,7 @@ class TestGroupedParityProperties:
         _assert_grouped_matches(
             seg,
             agg.compute_grouped(seg),
-            agg.compute_grouped_loop(seg),
+            compute_grouped_loop(agg, seg),
             _tolerance(seg),
         )
 
@@ -214,7 +221,7 @@ class TestGroupedParityProperties:
         _assert_grouped_matches(
             seg,
             agg.leave_one_out_grouped(seg),
-            agg.leave_one_out_grouped_loop(seg),
+            leave_one_out_grouped_loop(agg, seg),
             _tolerance(seg),
         )
 
@@ -242,6 +249,6 @@ class TestGroupedParityProperties:
         _assert_grouped_matches(
             seg,
             agg.compute_without_grouped(seg, mask),
-            agg.compute_without_grouped_loop(seg, mask),
+            compute_without_grouped_loop(agg, seg, mask),
             _tolerance(seg),
         )

@@ -195,7 +195,6 @@ class TestInvalidation:
             {"extend_with_subgroups": False},
             {"influence_quantile": 0.5},
             {"strategies": DEFAULT_STRATEGIES[:2]},
-            {"tree_algorithm": "exact"},
             {"min_precision": 0.8},
             {"weight_by_influence": True},
             {"max_candidates": 3},
@@ -316,7 +315,6 @@ ALTERNATES = {
         "min_precision": 0.8,
         "weight_by_influence": True,
         "validation_fraction": 0.5,
-        "tree_algorithm": "exact",
         "max_thresholds": 16,
         "max_categories": 8,
         "seed": 7,

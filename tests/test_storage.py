@@ -24,10 +24,12 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
+from reference.scoring import per_rule_scoring
 from repro.core import Preprocessor, TooHigh
 from repro.core.artifacts import ArtifactStore, artifact_key
 from repro.core.pipeline import PipelineConfig
@@ -455,7 +457,7 @@ class TestDurableCatalog:
 
 
 # ----------------------------------------------------------------------
-# parity: mmap vs in-memory, across backends × score algorithms
+# parity: mmap vs in-memory, batched and per-rule scoring
 # ----------------------------------------------------------------------
 
 
@@ -471,10 +473,11 @@ class TestStoreParity:
         directory = tmp_path_factory.mktemp("parity")
         return build_toy_db().save(directory / "toy")
 
-    @pytest.mark.parametrize("score_algorithm", ["batch", "per_rule"])
-    def test_mmap_matches_in_memory(self, baseline, mmap_db, score_algorithm):
-        config = PipelineConfig(score_algorithm=score_algorithm)
-        assert debug_lines(mmap_db, config) == baseline
+    @pytest.mark.parametrize("scoring", ["batch", "per_rule"])
+    def test_mmap_matches_in_memory(self, baseline, mmap_db, scoring):
+        with per_rule_scoring() if scoring == "per_rule" else nullcontext():
+            lines = debug_lines(mmap_db, PipelineConfig())
+        assert lines == baseline
 
     def test_scaled_intel_config_scales_rows_only(self):
         base = intel_at_scale(1)

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from reference.tree import ExactDecisionTree
 from repro.db import Table
 from repro.errors import LearnError, NotFittedError
-from repro.learn import ALGORITHMS, CRITERIA, DecisionTree, SplitIndex
+from repro.learn import CRITERIA, DecisionTree, SplitIndex
 from repro.learn.tree import CategoricalSplit, NumericSplit
+
+#: The production tree and its per-threshold parity oracle.
+TREES = {"hist": DecisionTree, "exact": ExactDecisionTree}
 
 
 @pytest.fixture
@@ -196,7 +200,7 @@ class TestTieBreaking:
     categorical value (here ``"b"``).
     """
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", TREES)
     def test_cross_column_tie_picks_lowest_column_name(self, algorithm):
         values = [1.0, 2.0, 10.0, 11.0]
         table = Table.from_columns(
@@ -206,10 +210,10 @@ class TestTieBreaking:
             types={"z_col": "float", "a_col": "float"},
         )
         labels = np.array([1, 1, 0, 0], dtype=bool)
-        tree = DecisionTree(max_depth=1, algorithm=algorithm).fit(table, labels)
+        tree = TREES[algorithm](max_depth=1).fit(table, labels)
         assert tree._root.split.attr == "a_col"
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", TREES)
     def test_categorical_tie_picks_lowest_value(self, algorithm):
         # "b" is inserted first and ties "a" exactly (symmetric labels,
         # equal weight): selection must still be "a".
@@ -217,17 +221,15 @@ class TestTieBreaking:
             {"k": ["b", "b", "a", "a"]}, types={"k": "str"}
         )
         labels = np.array([1, 1, 0, 0], dtype=bool)
-        tree = DecisionTree(max_depth=1, algorithm=algorithm).fit(table, labels)
+        tree = TREES[algorithm](max_depth=1).fit(table, labels)
         assert tree._root.split.value == "a"
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", TREES)
     def test_numeric_threshold_tie_picks_lowest_threshold(self, algorithm):
         # Symmetric gains at t=1.5 and t=2.5: must choose 1.5.
         table = Table.from_columns({"x": [1.0, 2.0, 3.0]})
         labels = np.array([1, 0, 1], dtype=bool)
-        tree = DecisionTree(max_depth=1, min_samples_leaf=1, algorithm=algorithm).fit(
-            table, labels
-        )
+        tree = TREES[algorithm](max_depth=1, min_samples_leaf=1).fit(table, labels)
         assert tree._root.split.threshold == 1.5
 
     def test_both_algorithms_agree_on_crafted_ties(self):
@@ -238,10 +240,8 @@ class TestTieBreaking:
         )
         labels = np.array([1, 1, 0, 0], dtype=bool)
         texts = {
-            algorithm: DecisionTree(max_depth=2, algorithm=algorithm)
-            .fit(table, labels)
-            .to_text()
-            for algorithm in ALGORITHMS
+            algorithm: tree(max_depth=2).fit(table, labels).to_text()
+            for algorithm, tree in TREES.items()
         }
         assert texts["hist"] == texts["exact"]
 
@@ -263,9 +263,9 @@ class TestPruningOnHistogramTrees:
 
     def test_reduced_error_pruning_invariants(self):
         train, train_labels, val, val_labels = _noisy_split_data()
-        tree = DecisionTree(
-            max_depth=8, min_samples_leaf=1, algorithm="hist"
-        ).fit(train, train_labels)
+        tree = DecisionTree(max_depth=8, min_samples_leaf=1).fit(
+            train, train_labels
+        )
         leaves_before = tree.n_leaves
         depth_before = tree.depth
         tree.prune_reduced_error(val, val_labels)
@@ -278,10 +278,10 @@ class TestPruningOnHistogramTrees:
         train, train_labels, val, val_labels = _noisy_split_data()
         index = SplitIndex.build(train)
         texts = []
-        for algorithm in ALGORITHMS:
-            tree = DecisionTree(
-                max_depth=8, min_samples_leaf=1, algorithm=algorithm
-            ).fit(train, train_labels, split_index=index)
+        for tree_class in TREES.values():
+            tree = tree_class(max_depth=8, min_samples_leaf=1).fit(
+                train, train_labels, split_index=index
+            )
             tree.prune_reduced_error(val, val_labels)
             texts.append(tree.to_text())
         assert texts[0] == texts[1]
@@ -291,9 +291,9 @@ class TestPruningOnHistogramTrees:
         leaves = []
         depths = []
         for alpha in (0.0, 0.5, 2.0, 8.0, 1e9):
-            tree = DecisionTree(
-                max_depth=8, min_samples_leaf=1, algorithm="hist"
-            ).fit(train, train_labels)
+            tree = DecisionTree(max_depth=8, min_samples_leaf=1).fit(
+                train, train_labels
+            )
             tree.cost_complexity_prune(alpha)
             leaves.append(tree.n_leaves)
             depths.append(tree.depth)
@@ -305,17 +305,17 @@ class TestPruningOnHistogramTrees:
         train, train_labels, __, __ = _noisy_split_data(seed=11)
         index = SplitIndex.build(train)
         texts = []
-        for algorithm in ALGORITHMS:
-            tree = DecisionTree(
-                max_depth=7, min_samples_leaf=2, algorithm=algorithm
-            ).fit(train, train_labels, split_index=index)
+        for tree_class in TREES.values():
+            tree = tree_class(max_depth=7, min_samples_leaf=2).fit(
+                train, train_labels, split_index=index
+            )
             tree.cost_complexity_prune(0.8)
             texts.append(tree.to_text())
         assert texts[0] == texts[1]
 
     def test_pruned_hist_tree_still_extracts_rules(self, separable_table):
         table, labels = separable_table
-        tree = DecisionTree(max_depth=5, algorithm="hist").fit(table, labels)
+        tree = DecisionTree(max_depth=5).fit(table, labels)
         tree.cost_complexity_prune(0.01)
         rules = tree.positive_rules()
         assert rules
@@ -363,10 +363,6 @@ class TestSplitIndexSharing:
         index = SplitIndex.build(table, max_thresholds=64)
         with pytest.raises(LearnError):
             DecisionTree(max_thresholds=8).fit(table, labels, split_index=index)
-
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(LearnError):
-            DecisionTree(algorithm="magic")
 
 
 class TestSplits:

@@ -1,5 +1,5 @@
 """Parity harness: the histogram split path is answer-identical to the
-exact per-threshold reference.
+exact per-threshold reference (``reference.tree.ExactDecisionTree``).
 
 A seeded randomized property sweep (≥200 generated tables mixing
 numeric / categorical / NULL columns, class skews, and sample weights)
@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from reference.tree import ExactDecisionTree
 from repro.db import Table
 from repro.learn import CRITERIA, DecisionTree, SplitIndex
 from repro.learn.tree import _Node
@@ -100,10 +101,10 @@ def _signature(node: _Node):
 def _fit_pair(table, labels, weights, params):
     """Fit (hist, exact) trees over one shared SplitIndex."""
     index = SplitIndex.build(table, max_thresholds=params.get("max_thresholds", 32))
-    hist = DecisionTree(algorithm="hist", **params).fit(
+    hist = DecisionTree(**params).fit(
         table, labels, sample_weight=weights, split_index=index
     )
-    exact = DecisionTree(algorithm="exact", **params).fit(
+    exact = ExactDecisionTree(**params).fit(
         table, labels, sample_weight=weights, split_index=index
     )
     return hist, exact, index
