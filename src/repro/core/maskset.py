@@ -23,8 +23,10 @@ grid. This module exploits both redundancies:
   once.
 * **Masks are stored bit-packed** (``np.packbits``): a conjunction is a
   bitwise AND of uint8 rows (n/8 bytes per predicate), match counts are
-  a 256-entry popcount table away, and dedupe keys are ``blake2b``
-  digests of the packed bits instead of full ``tobytes()`` buffers.
+  popcounts, and dedupe keys are ``blake2b`` digests of the packed bits
+  instead of full ``tobytes()`` buffers. The pack, unpack and popcount
+  helpers live in :mod:`repro.learn.bitmask`, which the CN2-SD beam
+  uses too (``learn/`` imports nothing from ``core/``).
 
 A :class:`ClauseMaskCache` is memoized on
 :class:`~repro.core.preprocessor.PreprocessResult` (see
@@ -33,45 +35,23 @@ the service tier one cache serves every session debugging the same
 selection — exactly like the segmented aggregates and the SplitIndex.
 Concurrent use is safe the same way the other ``PreprocessResult``
 memos are: races are benign because recomputation yields an identical
-value and dict assignment is atomic.
+value and dict assignment is atomic. The result owns its engine; the
+engine's column providers reach the result only weakly, and no cached
+column captures the engine, so neither forms a reference cycle.
 """
 
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 
 import numpy as np
 
 from ..db.predicate import CategoricalClause, Clause, NumericClause, Predicate
 from ..db.table import Table
+from ..learn.bitmask import pack_mask, popcount, unpack_masks
 
 __all__ = ["ClauseMaskCache", "MaskSet", "pack_mask", "unpack_masks"]
-
-#: Per-byte popcount lookup: ``_POPCOUNT[packed].sum()`` counts set bits.
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
-
-
-def pack_mask(mask: np.ndarray) -> np.ndarray:
-    """A boolean mask as packed uint8 bits (zero-padded to a whole byte)."""
-    return np.packbits(np.asarray(mask, dtype=bool))
-
-
-def unpack_masks(packed: np.ndarray, n_rows: int) -> np.ndarray:
-    """Packed rows back to a ``(rows, n_rows)`` boolean matrix."""
-    if packed.ndim == 1:
-        packed = packed[None, :]
-    return np.unpackbits(packed, axis=1, count=n_rows).view(bool)
-
-
-def popcount(packed: np.ndarray) -> np.ndarray:
-    """Set-bit count per row of a packed matrix (padding bits are zero)."""
-    if packed.ndim == 1:
-        packed = packed[None, :]
-    if packed.shape[1] == 0:
-        return np.zeros(packed.shape[0], dtype=np.int64)
-    if hasattr(np, "bitwise_count"):  # numpy >= 2.0: one C-level pass
-        return np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
-    return _POPCOUNT[packed].sum(axis=1)
 
 
 class _NumericColumn:
@@ -198,6 +178,10 @@ class _CategoricalCodes:
         return ~mask if clause.negated else mask
 
 
+def _float_column(table: Table, column: str) -> np.ndarray:
+    return np.asarray(table.column(column), dtype=np.float64)
+
+
 class _TableMasks:
     """All cached mask artifacts of one table: column codes, packed
     clause masks, packed predicate conjunctions."""
@@ -235,12 +219,12 @@ class _TableMasks:
     def _numeric_column(self, column: str) -> _NumericColumn:
         cached = self._numeric.get(column)
         if cached is None:
+            # The provider must not capture ``self``: the column lives in
+            # ``self._numeric``, and a cycle would outlast every holder.
             if self.numeric_values is not None:
-                values_provider = lambda: self.numeric_values(column)  # noqa: E731
+                values_provider = partial(self.numeric_values, column)
             else:
-                values_provider = lambda: np.asarray(  # noqa: E731
-                    self.table.column(column), dtype=np.float64
-                )
+                values_provider = partial(_float_column, self.table, column)
             index = self.column_index(column) if self.column_index else None
             thresholds = index.thresholds if index is not None else None
             codes = index.codes if index is not None else None

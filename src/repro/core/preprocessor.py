@@ -21,6 +21,7 @@ tree-induction :class:`~repro.learn.split_index.SplitIndex` it caches).
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -186,6 +187,14 @@ class PreprocessResult:
         Like the other memos, the engine rides on this (cached) result,
         so in the service one clause-mask cache serves every session
         debugging the same selection.
+
+        Ownership: this result owns the engine (through its memo), and
+        the engine reaches back only through a weak reference, for the
+        float64 casts and the ``split_index`` grid. So nothing forms a
+        reference cycle, and a result is freed as soon as its last
+        holder drops it, without waiting for the cyclic garbage
+        collector. An engine used after its result is gone raises
+        :class:`~repro.errors.PipelineError` when it needs a column.
         """
         from ..learn.split_index import NumericColumnIndex
         from .maskset import ClauseMaskCache
@@ -194,15 +203,27 @@ class PreprocessResult:
         cached = self._column_memo.get(key)
         if cached is not None:
             return cached
+        owner = weakref.ref(self)
+
+        def live() -> PreprocessResult:
+            result = owner()
+            if result is None:
+                raise PipelineError(
+                    "mask engine used after its PreprocessResult was freed"
+                )
+            return result
+
+        def numeric_values(column: str) -> np.ndarray:
+            return live().numeric_values(column)
 
         def f_column_index(column: str):
-            index = self.split_index().columns.get(column)
+            index = live().split_index().columns.get(column)
             return index if isinstance(index, NumericColumnIndex) else None
 
         cached = ClauseMaskCache()
         cached.register(
             self.F,
-            numeric_values=self.numeric_values,
+            numeric_values=numeric_values,
             column_index=f_column_index,
         )
         self._column_memo[key] = cached

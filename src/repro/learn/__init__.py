@@ -7,12 +7,7 @@ ML dependencies; numpy only.
 """
 
 from .classify import MixedNaiveBayes
-from .discretize import (
-    bin_index,
-    equal_frequency_edges,
-    equal_width_edges,
-    mdl_entropy_edges,
-)
+from .discretize import bin_index, equal_frequency_edges, mdl_entropy_edges
 from .kmeans import (
     KMeansResult,
     choose_k,
@@ -56,7 +51,6 @@ __all__ = [
     "dominant_cluster_mask",
     "entropy",
     "equal_frequency_edges",
-    "equal_width_edges",
     "gini_impurity",
     "jaccard",
     "kmeans",

@@ -5,6 +5,15 @@ The Dataset Enumerator's first job is to *clean* the user's example set
 the two techniques the authors name is clustering. This module provides
 the primitives: standardization, k-means, silhouette scoring for model
 selection, and the dominant-cluster mask used by the cleaner.
+
+The cleaner fits each candidate k once: :func:`dominant_cluster_mask`
+keeps the largest cluster of the fit that won the silhouette contest,
+rather than fitting the winning k a second time (a refit with the same
+data, k and seed is the same clustering; the refitting version is kept
+as a parity oracle in ``tests/reference``). What remains of the
+cleaner's time is mostly :func:`silhouette`'s per-point loop, which
+stays scalar: a row-sum vectorization of it changes the mean in the
+last bit.
 """
 
 from __future__ import annotations
@@ -183,7 +192,16 @@ def choose_k(
     blob", which for D' cleaning means keep everything.
     """
     X = np.asarray(X, dtype=np.float64)
-    best_k = 1
+    best = _chosen_fit(X, k_values, seed, min_silhouette)
+    return best.k if best is not None else 1
+
+
+def _chosen_fit(
+    X: np.ndarray, k_values: tuple[int, ...] = (2, 3, 4), seed: int = 0,
+    min_silhouette: float = 0.5,
+) -> KMeansResult | None:
+    """The fit of the k :func:`choose_k` picks, or ``None`` for k = 1."""
+    best: KMeansResult | None = None
     best_score = min_silhouette
     for k in k_values:
         if len(X) < max(k * 2, 3):
@@ -192,26 +210,27 @@ def choose_k(
         score = silhouette(X, result.labels, seed=seed)
         if score > best_score:
             best_score = score
-            best_k = k
-    return best_k
+            best = result
+    return best
 
 
 def dominant_cluster_mask(X: np.ndarray, seed: int = 0) -> np.ndarray:
     """The self-consistent-subset mask used to clean D'.
 
-    Standardizes, picks k by silhouette, clusters, and keeps the largest
-    cluster. If no multi-cluster structure is found (k = 1) every point is
-    kept.
+    Standardizes, picks k by silhouette, and keeps the largest cluster of
+    the winning fit (the one :func:`choose_k` made; ``kmeans`` is
+    deterministic in its data, k and seed, so fitting that k again would
+    return the same clustering). If no multi-cluster structure is found
+    (k = 1) every point is kept.
     """
     X = np.asarray(X, dtype=np.float64)
     if len(X) == 0:
         return np.zeros(0, dtype=bool)
     Z, __, __ = standardize(X)
     Z = np.nan_to_num(Z, nan=0.0)
-    k = choose_k(Z, seed=seed)
-    if k <= 1:
+    result = _chosen_fit(Z, seed=seed)
+    if result is None:
         return np.ones(len(X), dtype=bool)
-    result = kmeans(Z, k, seed=seed)
     sizes = result.cluster_sizes()
     dominant = int(np.argmax(sizes))
     return result.labels == dominant

@@ -16,6 +16,22 @@ This is a faithful from-scratch CN2-SD:
 Numeric attributes are discretized with class-aware MDL cut points
 (falling back to equal-frequency quantiles), yielding threshold
 conditions such as ``temp > 100.3``.
+
+The beam is an array program over bit-packed masks (:mod:`.bitmask`).
+Every condition's mask is packed once per :meth:`SubgroupDiscovery.fit`.
+Rows fall into weight groups: the negatives (weight 1) and, per
+``k``, the positives that ``k`` emitted rules have covered (weight
+``γ^k``). A beam level counts, for every (beam entry, condition) child
+at once, the covered rows of each group as popcounts of
+``condition ∧ entry ∧ group``, and forms a covered weight as
+``Σ_k w_k · count_k`` in a fixed order (negatives, then ``k`` = 0, 1,
+…). Only the ``beam_width`` survivors get real masks. The child order,
+the filters, the dedupe and the stable sort are those of the
+one-child-at-a-time search (kept as a parity oracle in
+``tests/reference``). At the default γ = 0.5 every weight is dyadic and
+both ways of summing are exact; at other γ a quality may differ in its
+last bit from a float sum over the rows, but it no longer depends on
+summation order.
 """
 
 from __future__ import annotations
@@ -28,17 +44,16 @@ import numpy as np
 from ..db.predicate import CategoricalClause, Clause, NumericClause, Predicate
 from ..db.table import Table
 from ..errors import LearnError
+from .bitmask import pack_words, popcount, unpack_masks
 from .discretize import equal_frequency_edges, mdl_entropy_edges
-from .metrics import wracc
 from .rules import Rule, dedupe_rules
 
 
 @dataclass(frozen=True)
 class _Condition:
-    """A primitive condition: a clause plus its precomputed row mask."""
+    """A primitive condition: a clause and the rule slot it occupies."""
 
     clause: Clause
-    mask: np.ndarray
     column: str
     #: "le" (upper bound), "gt" (lower bound), or "eq" (categorical).
     direction: str
@@ -49,15 +64,104 @@ class _Condition:
         return (self.column, self.direction)
 
 
+class _Conditions:
+    """The conditions of one fit, their packed masks and integer ids.
+
+    (column, direction) slots and clauses become small ints, so a beam
+    level can filter slots and dedupe children with array operations.
+    Equal clauses share an id, which keeps the dedupe by clause set.
+    """
+
+    def __init__(self, conditions: list[_Condition], bits: np.ndarray):
+        self.conditions = conditions
+        #: ``(C, words)`` packed row masks.
+        self.bits = bits
+        slot_ids: dict = {}
+        self.slot = np.array(
+            [slot_ids.setdefault(c.slot, len(slot_ids)) for c in conditions],
+            dtype=np.int64,
+        )
+        #: Each condition's column's categorical slot: a categorical
+        #: value on a column excludes every other condition on it.
+        self.eq_slot = np.array(
+            [slot_ids.setdefault((c.column, "eq"), len(slot_ids)) for c in conditions],
+            dtype=np.int64,
+        )
+        self.n_slots = len(slot_ids)
+        clause_ids: dict = {}
+        self.clause_id = np.array(
+            [clause_ids.setdefault(c.clause, i) for i, c in enumerate(conditions)],
+            dtype=np.int64,
+        )
+
+    def __len__(self) -> int:
+        return len(self.conditions)
+
+    def allowed(self, slots: frozenset) -> np.ndarray:
+        """Conditions a rule holding ``slots`` may still gain."""
+        used = np.zeros(self.n_slots, dtype=bool)
+        used[list(slots)] = True
+        return ~(used[self.slot] | used[self.eq_slot])
+
+
+class _WeightGroups:
+    """The rows of one beam search, grouped by their weighted-covering
+    weight: group 0 holds the negatives (weight 1.0), and each later
+    group the positives covered by ``k`` emitted rules, weighing 1.0
+    multiplied by γ ``k`` times (as the decay computes it)."""
+
+    def __init__(self, labels: np.ndarray, times_covered: np.ndarray, gamma: float):
+        masks = [~labels]
+        self.weights = [1.0]
+        weight = 1.0
+        for times in range(int(times_covered.max()) + 1):
+            members = labels & (times_covered == times)
+            if members.any():
+                masks.append(members)
+                self.weights.append(weight)
+            weight *= gamma
+        self.bits = pack_words(np.array(masks))
+        sizes = popcount(self.bits)[None, :]
+        #: Total positive weight and total weight.
+        self.pos_weight = float(self._positive_weight(sizes)[0])
+        self.total_weight = float(sizes[0, 0] + self.pos_weight)
+
+    def counts(self, bits: np.ndarray) -> np.ndarray:
+        """``(rows, groups)`` set-bit counts of each packed row in each group."""
+        return np.column_stack([popcount(bits & group) for group in self.bits])
+
+    def _positive_weight(self, counts: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(counts))
+        for group in range(1, len(self.weights)):
+            out += self.weights[group] * counts[:, group]
+        return out
+
+    def quality(self, counts: np.ndarray) -> np.ndarray:
+        """WRAcc (:func:`~.metrics.wracc`) of rows with these group counts."""
+        covered_pos = self._positive_weight(counts)
+        covered = counts[:, 0] + covered_pos
+        base_rate = self.pos_weight / self.total_weight
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coverage = covered / self.total_weight
+            quality = coverage * (covered_pos / covered - base_rate)
+        return np.where(covered > 0, quality, 0.0)
+
+
 @dataclass
 class _BeamEntry:
     clauses: tuple[Clause, ...]
-    mask: np.ndarray
+    #: Clause ids of ``clauses`` (the identity the dedupe compares).
+    ids: tuple[int, ...]
+    #: Packed covered rows.
+    bits: np.ndarray
+    #: Rows and positive rows covered.
+    count: int
+    n_pos: int
     quality: float
-    #: (column, direction) pairs already used; direction is "le"/"gt" for
-    #: numeric bounds and "eq" for categorical, so a rule may carry both
-    #: bounds of a numeric interval but never two categorical values or two
-    #: upper bounds on one column.
+    #: Slot ids already used; a slot is a (column, direction) pair, with
+    #: direction "le"/"gt" for numeric bounds and "eq" for categorical,
+    #: so a rule may carry both bounds of a numeric interval but never
+    #: two categorical values or two upper bounds on one column.
     slots: frozenset
 
 
@@ -72,7 +176,6 @@ class SubgroupDiscovery:
         gamma: float = 0.5,
         min_coverage: int = 2,
         numeric_bins: int = 8,
-        discretizer: str = "mdl",
         max_values: int = 16,
     ):
         if not 0.0 <= gamma <= 1.0:
@@ -81,15 +184,18 @@ class SubgroupDiscovery:
             raise LearnError("beam_width must be >= 1")
         if max_conditions < 1:
             raise LearnError("max_conditions must be >= 1")
-        if discretizer not in ("mdl", "frequency", "both"):
-            raise LearnError("discretizer must be 'mdl', 'frequency', or 'both'")
+        if n_rules < 1:
+            raise LearnError("n_rules must be >= 1")
+        if numeric_bins < 1:
+            raise LearnError("numeric_bins must be >= 1")
+        if max_values < 0:
+            raise LearnError("max_values must be >= 0")
         self.beam_width = beam_width
         self.max_conditions = max_conditions
         self.n_rules = n_rules
         self.gamma = gamma
         self.min_coverage = min_coverage
         self.numeric_bins = numeric_bins
-        self.discretizer = discretizer
         self.max_values = max_values
 
     def memo_key(self) -> tuple:
@@ -101,7 +207,6 @@ class SubgroupDiscovery:
             ("gamma", self.gamma),
             ("min_coverage", self.min_coverage),
             ("numeric_bins", self.numeric_bins),
-            ("discretizer", self.discretizer),
             ("max_values", self.max_values),
         )
 
@@ -131,18 +236,20 @@ class SubgroupDiscovery:
         if features is None:
             features = table.schema.names
         conditions = self._build_conditions(table, labels, features, shared_edges)
-        if not conditions:
+        if not len(conditions):
             return []
-        weights = np.ones(len(table), dtype=np.float64)
+        # How many emitted rules have covered each row (weighted covering
+        # decays a positive's weight by γ each time).
+        times_covered = np.zeros(len(table), dtype=np.int64)
         rules: list[Rule] = []
         emitted: set[Predicate] = set()
         for _ in range(self.n_rules):
-            best = self._beam_search(conditions, labels, weights, emitted)
+            groups = _WeightGroups(labels, times_covered, self.gamma)
+            if groups.pos_weight < 1e-9:
+                break
+            best = self._beam_search(conditions, groups, emitted)
             if best is None or best.quality <= 0:
                 break
-            covered = best.mask
-            n_covered = int(covered.sum())
-            n_pos = int((covered & labels).sum())
             predicate = Predicate(best.clauses).simplify()
             if predicate is None:
                 break
@@ -150,17 +257,14 @@ class SubgroupDiscovery:
             rules.append(
                 Rule(
                     predicate=predicate,
-                    n_covered=float(n_covered),
-                    n_pos_covered=float(n_pos),
+                    n_covered=float(best.count),
+                    n_pos_covered=float(best.n_pos),
                     quality=best.quality,
                     source="cn2sd",
                 )
             )
-            # Weighted covering: decay covered positives.
-            decay = covered & labels
-            weights[decay] *= self.gamma
-            if weights[labels].sum() < 1e-9:
-                break
+            covered = unpack_masks(best.bits, len(table))[0]
+            times_covered[covered & labels] += 1
         return dedupe_rules(rules)
 
     # ------------------------------------------------------------------
@@ -171,8 +275,9 @@ class SubgroupDiscovery:
         labels: np.ndarray,
         features: Sequence[str],
         shared_edges: Mapping[str, Sequence[float]] | None = None,
-    ) -> list[_Condition]:
+    ) -> _Conditions:
         conditions: list[_Condition] = []
+        masks: list[np.ndarray] = []
         for name in features:
             ctype = table.schema.type_of(name)
             values = table.column(name)
@@ -181,31 +286,51 @@ class SubgroupDiscovery:
                     shared_edges.get(name) if shared_edges is not None else None
                 )
                 edges = self._numeric_edges(values, labels, precomputed)
-                for edge in edges:
+                # NumericClause.mask's comparisons, one column at a time.
+                cuts = np.asarray(edges, dtype=np.float64)[:, None]
+                with np.errstate(invalid="ignore"):
+                    at_most = values[None, :] <= cuts
+                    above = values[None, :] > cuts
+                for row, edge in enumerate(edges):
                     low = NumericClause(name, None, float(edge), hi_inclusive=True)
                     high = NumericClause(name, float(edge), None, lo_inclusive=False)
-                    conditions.append(_Condition(low, low.mask(table), name, "le"))
-                    conditions.append(_Condition(high, high.mask(table), name, "gt"))
+                    conditions.append(_Condition(low, name, "le"))
+                    masks.append(at_most[row])
+                    conditions.append(_Condition(high, name, "gt"))
+                    masks.append(above[row])
             else:
-                counts: dict = {}
-                for value in values:
-                    if value is None:
-                        continue
-                    counts[value] = counts.get(value, 0) + 1
-                top = sorted(counts, key=lambda v: -counts[v])[: self.max_values]
-                for value in top:
-                    clause = CategoricalClause(name, frozenset([value]))
-                    conditions.append(
-                        _Condition(clause, clause.mask(table), name, "eq")
-                    )
+                for clause, mask in self._categorical_conditions(table, name):
+                    conditions.append(_Condition(clause, name, "eq"))
+                    masks.append(mask)
+        n = len(table)
+        bits = pack_words(np.array(masks).reshape(len(masks), n))
+        counts = popcount(bits)
         # Vacuous conditions (covering all rows or none — e.g. the single
         # value of a constant column) restrict nothing and would only pad
         # rules with noise conjuncts.
-        return [
-            condition
-            for condition in conditions
-            if 0 < int(condition.mask.sum()) < len(table)
-        ]
+        keep = np.flatnonzero((counts > 0) & (counts < n))
+        return _Conditions([conditions[i] for i in keep], bits[keep])
+
+    def _categorical_conditions(self, table: Table, name: str):
+        """``(clause, mask)`` of the column's ``max_values`` commonest values."""
+        values = table.column(name)
+        # One pass: a code per row (first-seen order; NULL is -1). Dict
+        # lookups match rows to values exactly as CategoricalClause.mask
+        # does (set membership, or ``==`` on a bool column).
+        code_of: dict = {}
+        codes = np.fromiter(
+            (
+                -1 if value is None else code_of.setdefault(value, len(code_of))
+                for value in values
+            ),
+            dtype=np.int64,
+            count=len(values),
+        )
+        counts = np.bincount(codes[codes >= 0], minlength=len(code_of))
+        top = sorted(range(len(code_of)), key=lambda code: -counts[code])
+        distinct = list(code_of)
+        for code in top[: self.max_values]:
+            yield CategoricalClause(name, frozenset([distinct[code]])), codes == code
 
     def _numeric_edges(
         self,
@@ -214,105 +339,118 @@ class SubgroupDiscovery:
         precomputed: Sequence[float] | None = None,
     ) -> list[float]:
         values = np.asarray(values, dtype=np.float64)
-
-        def frequency_edges() -> list[float]:
-            if precomputed is not None:
-                return list(precomputed)
-            return equal_frequency_edges(values, self.numeric_bins)
-
-        edges: list[float] = []
-        if self.discretizer in ("mdl", "both"):
-            edges = mdl_entropy_edges(values, labels)
-        if self.discretizer == "frequency" or (
-            self.discretizer in ("mdl", "both") and not edges
-        ):
-            edges = frequency_edges()
-        elif self.discretizer == "both":
-            merged = sorted(set(edges) | set(frequency_edges()))
-            edges = merged
-        return edges
+        edges = mdl_entropy_edges(values, labels)
+        if edges:
+            return edges
+        if precomputed is not None:
+            return list(precomputed)
+        return equal_frequency_edges(values, self.numeric_bins)
 
     def _beam_search(
         self,
-        conditions: list[_Condition],
-        labels: np.ndarray,
-        weights: np.ndarray,
-        emitted: set[Predicate] | None = None,
+        conditions: _Conditions,
+        groups: _WeightGroups,
+        emitted: set[Predicate],
     ) -> _BeamEntry | None:
-        total_w = float(weights.sum())
-        pos_w = float(weights[labels].sum())
-        if pos_w <= 0:
-            return None
-        emitted = emitted or set()
-
-        def quality_of(mask: np.ndarray) -> float:
-            covered_w = float(weights[mask].sum())
-            covered_pos_w = float(weights[mask & labels].sum())
-            return wracc(total_w, pos_w, covered_w, covered_pos_w)
-
         def is_new(entry: _BeamEntry) -> bool:
             predicate = Predicate(entry.clauses).simplify()
             return predicate is not None and predicate not in emitted
 
-        beam: list[_BeamEntry] = []
-        best: _BeamEntry | None = None
         # Level 1: single conditions.
-        for condition in conditions:
-            mask = condition.mask
-            if int(mask.sum()) < self.min_coverage or not (mask & labels).any():
-                continue
-            entry = _BeamEntry(
-                clauses=(condition.clause,),
-                mask=mask,
-                quality=quality_of(mask),
-                slots=frozenset([condition.slot]),
-            )
-            beam.append(entry)
-        beam.sort(key=lambda e: -e.quality)
-        beam = beam[: self.beam_width]
-        for entry in beam:
-            if is_new(entry):
-                best = entry
-                break
-        # Deeper levels.
+        counts = groups.counts(conditions.bits)
+        rows = np.arange(len(conditions))
+        beam = self._survivors(conditions, groups, None, rows, counts)
+        best = next((entry for entry in beam if is_new(entry)), None)
+        # Deeper levels: every (entry, condition) child, entries in beam
+        # order and conditions in order within each entry.
         for _ in range(1, self.max_conditions):
-            children: list[_BeamEntry] = []
-            seen: set[frozenset] = set()
-            for entry in beam:
-                for condition in conditions:
-                    # One condition per (column, direction) slot: numeric
-                    # columns can gain both an upper and a lower bound
-                    # (forming an interval), categoricals only one value.
-                    if condition.slot in entry.slots:
-                        continue
-                    if (condition.column, "eq") in entry.slots:
-                        continue
-                    mask = entry.mask & condition.mask
-                    count = int(mask.sum())
-                    if count < self.min_coverage or not (mask & labels).any():
-                        continue
-                    if count == int(entry.mask.sum()):
-                        # The condition restricted nothing on this branch.
-                        continue
-                    clauses = entry.clauses + (condition.clause,)
-                    key = frozenset(clauses)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    children.append(
-                        _BeamEntry(
-                            clauses=clauses,
-                            mask=mask,
-                            quality=quality_of(mask),
-                            slots=entry.slots | {condition.slot},
-                        )
-                    )
-            if not children:
+            if not beam:
                 break
-            children.sort(key=lambda e: -e.quality)
-            beam = children[: self.beam_width]
+            parent_rows, condition_rows, child_counts = [], [], []
+            for index, entry in enumerate(beam):
+                # One condition per (column, direction) slot: numeric
+                # columns can gain both an upper and a lower bound
+                # (forming an interval), categoricals only one value.
+                allowed = np.flatnonzero(conditions.allowed(entry.slots))
+                counts = groups.counts(conditions.bits[allowed] & entry.bits)
+                total = counts.sum(axis=1)
+                # A child that keeps every row restricted nothing.
+                keep = total != entry.count
+                parent_rows.append(np.full(int(keep.sum()), index))
+                condition_rows.append(allowed[keep])
+                child_counts.append(counts[keep])
+            beam = self._survivors(
+                conditions,
+                groups,
+                beam,
+                np.concatenate(condition_rows),
+                np.concatenate(child_counts),
+                np.concatenate(parent_rows),
+            )
             for entry in beam:
                 if is_new(entry) and (best is None or entry.quality > best.quality):
                     best = entry
                     break
         return best
+
+    def _survivors(
+        self,
+        conditions: _Conditions,
+        groups: _WeightGroups,
+        parents: list[_BeamEntry] | None,
+        condition_rows: np.ndarray,
+        counts: np.ndarray,
+        parent_rows: np.ndarray | None = None,
+    ) -> list[_BeamEntry]:
+        """The next beam: the ``beam_width`` best candidates, as entries.
+
+        Candidates are single conditions (``parents`` is ``None``) or
+        children ``parents[parent_rows[i]] + condition_rows[i]``, in
+        order, with their group ``counts``. A candidate must cover at
+        least ``min_coverage`` rows and one positive, and a child whose
+        clause set an earlier child already has is dropped.
+        """
+        total = counts.sum(axis=1)
+        n_pos = total - counts[:, 0]
+        keep = np.flatnonzero((total >= self.min_coverage) & (n_pos > 0))
+        if parents is not None and len(keep):
+            parent_ids = np.array([parent.ids for parent in parents])
+            ids = np.column_stack(
+                [
+                    parent_ids[parent_rows[keep]],
+                    conditions.clause_id[condition_rows[keep]],
+                ]
+            )
+            ids.sort(axis=1)
+            __, first = np.unique(ids, axis=0, return_index=True)
+            keep = keep[np.sort(first)]
+        quality = groups.quality(counts[keep])
+        order = np.argsort(-quality, kind="stable")[: self.beam_width]
+        beam = []
+        for position in order:
+            row = keep[position]
+            condition = int(condition_rows[row])
+            clause = conditions.conditions[condition].clause
+            bits = conditions.bits[condition]
+            slot = int(conditions.slot[condition])
+            clause_id = int(conditions.clause_id[condition])
+            if parents is None:
+                clauses, ids, slots = (clause,), (clause_id,), frozenset([slot])
+            else:
+                parent = parents[int(parent_rows[row])]
+                bits = bits & parent.bits
+                clauses = parent.clauses + (clause,)
+                ids = tuple(sorted(parent.ids + (clause_id,)))
+                slots = parent.slots | {slot}
+            beam.append(
+                _BeamEntry(
+                    clauses=clauses,
+                    ids=ids,
+                    bits=bits,
+                    count=int(total[row]),
+                    n_pos=int(n_pos[row]),
+                    quality=float(quality[position]),
+                    slots=slots,
+                )
+            )
+        return beam

@@ -6,7 +6,9 @@ Each module here keeps the straightforward shape of a kernel that
 * ``aggregates`` — per-group loops and naive O(n²) leave-one-out;
 * ``influence`` — naive leave-one-out influence and the one-mask Δε;
 * ``tree`` — per-threshold split finding (:class:`ExactDecisionTree`);
-* ``scoring`` — the one-rule-at-a-time Ranker and Merger.
+* ``scoring`` — the one-rule-at-a-time Ranker and Merger;
+* ``learn`` — scalar MDL, the per-child CN2-SD beam and the refitting
+  k-means cleaner.
 
 The tests and the ablation benchmarks compare the production path
 against these, and plug them in from the test side only (subclasses

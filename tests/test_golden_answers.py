@@ -1,0 +1,170 @@
+"""Golden answers of the scripted demo flows, to the last bit.
+
+The printed ``python -m repro intel|fec --script`` transcripts round
+scores to three or four digits, so they cannot catch a one-ulp change.
+This module replays both flows in process (scale 1, with and without
+merging) and compares one blake2b digest per ``debug`` against
+``tests/golden/scripted_flows.json``. A digest covers, in order:
+
+* every field of every ranked predicate: the predicate's exact clause
+  bounds, then ``repr`` of score, ε before/after, accuracy, precision,
+  recall, complexity, match count, candidate origin and source;
+* every CN2-SD rule the debug's subgroup fits returned: predicate,
+  ``repr(quality)``, covered and covered-positive weights.
+
+Re-record (only for an intended answer change, stated in CHANGES.md)::
+
+    PYTHONPATH=src python tests/test_golden_answers.py
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import io
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.cli import BOOTSTRAP_QUERIES, SCRIPTS, DemoShell, load_dataset
+from repro.core import PipelineConfig
+from repro.db.predicate import NumericClause, Predicate
+from repro.frontend import DBWipesSession
+from repro.learn import SubgroupDiscovery
+
+GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "scripted_flows.json"
+
+FLOWS = [
+    (dataset, merge) for dataset in ("intel", "fec") for merge in (False, True)
+]
+
+
+def _flow_id(dataset: str, merge: bool) -> str:
+    return f"{dataset}-{'merge' if merge else 'nomerge'}"
+
+
+def _num(value) -> str:
+    return "None" if value is None else repr(float(value))
+
+
+def _predicate_text(predicate: Predicate) -> str:
+    """Exact and hash-seed independent (``describe`` rounds bounds)."""
+    parts = []
+    for clause in predicate.clauses:
+        if isinstance(clause, NumericClause):
+            parts.append(
+                f"{clause.column}:{_num(clause.lo)}:{_num(clause.hi)}:"
+                f"{clause.lo_inclusive}:{clause.hi_inclusive}"
+            )
+        else:
+            values = sorted(repr(value) for value in clause.values)
+            parts.append(f"{clause.column}:{values}:{clause.negated}")
+    return " & ".join(parts)
+
+
+def _field_text(value) -> str:
+    if isinstance(value, Predicate):
+        return _predicate_text(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return repr(int(value))
+    return repr(value)
+
+
+def answer_lines(report, rules) -> list[str]:
+    """The text a debug's digest is taken over."""
+    lines = [
+        "|".join(
+            _field_text(getattr(ranked, field.name))
+            for field in dataclasses.fields(ranked)
+        )
+        for ranked in report
+    ]
+    lines.extend(
+        "cn2sd|"
+        + "|".join(
+            (
+                _predicate_text(rule.predicate),
+                repr(rule.quality),
+                _num(rule.n_covered),
+                _num(rule.n_pos_covered),
+            )
+        )
+        for rule in rules
+    )
+    return lines
+
+
+def digest(lines: list[str]) -> str:
+    text = "\n".join(lines)
+    return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
+
+
+def run_flow(dataset: str, merge: bool, monkeypatch) -> list[tuple]:
+    """``(report, cn2sd rules)`` for each debug of the scripted flow."""
+    fitted: list = []
+    real_fit = SubgroupDiscovery.fit
+
+    def recording_fit(self, *args, **kwargs):
+        rules = real_fit(self, *args, **kwargs)
+        fitted.extend(rules)
+        return rules
+
+    monkeypatch.setattr(SubgroupDiscovery, "fit", recording_fit)
+    db = load_dataset(dataset)
+    shell = DemoShell(db, out=io.StringIO())
+    shell.session = DBWipesSession(db, PipelineConfig(merge_predicates=merge))
+    shell.run_line(f"sql {BOOTSTRAP_QUERIES[dataset]}")
+    answers = []
+    for line in SCRIPTS[dataset]:
+        shell.run_line(line)
+        if line == "debug":
+            answers.append((shell.session.report, list(fitted)))
+            fitted.clear()
+    return answers
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text())["digests"]
+
+
+@pytest.mark.parametrize(
+    "dataset, merge", FLOWS, ids=[_flow_id(d, m) for d, m in FLOWS]
+)
+def test_scripted_flow_matches_golden(dataset, merge, golden, monkeypatch):
+    answers = run_flow(dataset, merge, monkeypatch)
+    # Every flow debugs, and every debug's digest covers CN2-SD rules.
+    assert answers and all(rules for __, rules in answers)
+    digests = [digest(answer_lines(report, rules)) for report, rules in answers]
+    assert digests == golden[_flow_id(dataset, merge)]
+
+
+def test_one_ulp_nudge_to_a_score_changes_the_digest(golden, monkeypatch):
+    (report, rules), = run_flow("intel", False, monkeypatch)
+    assert digest(answer_lines(report, rules)) == golden["intel-nomerge"][0]
+    first = report.predicates[0]
+    nudged = dataclasses.replace(first, score=math.nextafter(first.score, math.inf))
+    lines = answer_lines((nudged, *report.predicates[1:]), rules)
+    assert digest(lines) != golden["intel-nomerge"][0]
+
+
+if __name__ == "__main__":
+    patcher = pytest.MonkeyPatch()
+    recorded = {
+        _flow_id(dataset, merge): [
+            digest(answer_lines(report, rules))
+            for report, rules in run_flow(dataset, merge, patcher)
+        ]
+        for dataset, merge in FLOWS
+    }
+    patcher.undo()
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(
+        json.dumps({"digests": recorded}, indent=2, sort_keys=True) + "\n"
+    )
+    print(f"recorded {GOLDEN_PATH}")

@@ -11,7 +11,6 @@ from repro.learn import (
     confusion,
     entropy,
     equal_frequency_edges,
-    equal_width_edges,
     gini_impurity,
     jaccard,
     mdl_entropy_edges,
@@ -128,24 +127,18 @@ class TestConfusion:
 
 
 class TestDiscretize:
-    def test_equal_width_count_and_spacing(self):
-        values = np.linspace(0, 100, 101)
-        edges = equal_width_edges(values, 4)
-        assert edges == pytest.approx([25.0, 50.0, 75.0])
-
-    def test_equal_width_constant_column(self):
-        assert equal_width_edges(np.full(10, 3.0), 4) == []
-
-    def test_equal_width_ignores_nan(self):
-        values = np.array([0.0, np.nan, 10.0])
-        edges = equal_width_edges(values, 2)
-        assert edges == pytest.approx([5.0])
-
     def test_equal_frequency_quantiles(self):
         values = np.arange(100, dtype=np.float64)
         edges = equal_frequency_edges(values, 4)
         assert len(edges) == 3
         assert edges[1] == pytest.approx(49.5)
+
+    def test_equal_frequency_constant_column(self):
+        assert equal_frequency_edges(np.full(10, 3.0), 4) == []
+
+    def test_equal_frequency_ignores_nan(self):
+        values = np.array([0.0, np.nan, 10.0, np.nan, 20.0])
+        assert equal_frequency_edges(values, 2) == [10.0]
 
     def test_equal_frequency_dedupes(self):
         values = np.array([1.0] * 90 + [2.0] * 10)
@@ -154,7 +147,7 @@ class TestDiscretize:
 
     def test_bins_must_be_positive(self):
         with pytest.raises(LearnError):
-            equal_width_edges(np.array([1.0]), 0)
+            equal_frequency_edges(np.array([1.0]), 0)
 
     def test_mdl_finds_class_boundary(self):
         rng = np.random.default_rng(0)
@@ -190,11 +183,8 @@ class TestDiscretize:
     )
     def test_edges_sorted_and_interior(self, values, bins):
         array = np.array(values)
-        for edges in (
-            equal_width_edges(array, bins),
-            equal_frequency_edges(array, bins),
-        ):
-            assert edges == sorted(edges)
-            if edges:
-                assert min(edges) > array.min() - 1e-9
-                assert max(edges) < array.max() + 1e-9
+        edges = equal_frequency_edges(array, bins)
+        assert edges == sorted(edges)
+        if edges:
+            assert min(edges) > array.min() - 1e-9
+            assert max(edges) < array.max() + 1e-9

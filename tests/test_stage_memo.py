@@ -9,7 +9,9 @@ the Figure-1 loop, so a stale memo entry fails loudly.
 
 from __future__ import annotations
 
+import gc
 import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -17,9 +19,11 @@ import pytest
 from repro.core import PipelineConfig, RankedProvenance
 from repro.core.enumerator import DatasetEnumerator
 from repro.core.predicates import DEFAULT_STRATEGIES, PredicateEnumerator
-from repro.core.preprocessor import PreprocessCache
+from repro.core.preprocessor import PreprocessCache, Preprocessor
 from repro.data import FECConfig, generate_fec, walkthrough_query
 from repro.db import Database
+from repro.db.predicate import NumericClause, Predicate
+from repro.errors import PipelineError
 from repro.frontend import Brush, DBWipesSession
 from repro.learn.subgroup import SubgroupDiscovery
 from repro.obs import registry
@@ -306,7 +310,6 @@ ALTERNATES = {
         "gamma": 0.25,
         "min_coverage": 3,
         "numeric_bins": 4,
-        "discretizer": "frequency",
         "max_values": 8,
     },
     PredicateEnumerator: {
@@ -347,3 +350,41 @@ class TestCounters:
         # The fresh reference pipelines each count one miss too.
         assert reg.counter("dbwipes_stage_memo_hits_total").value == hits + 2
         assert reg.counter("dbwipes_stage_memo_misses_total").value == misses + 4
+
+
+class TestLifetime:
+    """A selection's state is freed by refcount, not by the cyclic GC.
+
+    The memo, the mask engine and the split index ride on the
+    ``PreprocessResult``; none of them may point back at it strongly,
+    or every debugged selection waits for a full collection.
+    """
+
+    def test_result_is_freed_without_the_cyclic_collector(self, db):
+        gc.collect()
+        gc.disable()
+        try:
+            session = _session(db, shared=False)
+            _brush(session)
+            session.debug()
+            pre = _pre_of(session)
+            touched = {key[0] for key in pre._column_memo}
+            assert {"mask_engine", "split_index", "stages"} <= touched
+            # F and the engine's caches must go with the result.
+            held = [weakref.ref(obj) for obj in (pre, pre.F, pre.mask_engine())]
+            del pre, session
+            assert [ref() for ref in held] == [None, None, None]
+        finally:
+            gc.enable()
+
+    def test_engine_outliving_its_result_fails_loudly(self, db):
+        session = _session(db, shared=False)
+        metric = _brush(session)
+        preprocessor = Preprocessor()
+        pre = preprocessor.run(session.result, session.selected_rows, metric)
+        F, engine = pre.F, pre.mask_engine()
+        predicate = Predicate([NumericClause("amount", 0.0, None)])
+        del pre, preprocessor
+        gc.collect()
+        with pytest.raises(PipelineError, match="freed"):
+            engine.mask_set(F, [predicate])

@@ -101,15 +101,49 @@ class TestDiscovery:
             SubgroupDiscovery(beam_width=0)
         with pytest.raises(LearnError):
             SubgroupDiscovery(max_conditions=0)
-        with pytest.raises(LearnError):
-            SubgroupDiscovery(discretizer="nope")
 
-    def test_frequency_discretizer_also_works(self, planted):
+    def test_frequency_fallback_when_mdl_keeps_no_cut(self):
+        # Labels unrelated to x: MDL keeps no cut, so x's conditions come
+        # from the equal-frequency edges (shared ones when supplied).
+        rng = np.random.default_rng(3)
+        x = rng.uniform(0, 100, 400)
+        labels = rng.random(400) < 0.5
+        table = Table.from_columns({"x": x}, types={"x": "float"})
+        shared = {"x": (25.0, 50.0, 75.0)}
+        rules = SubgroupDiscovery(n_rules=3).fit(table, labels, shared_edges=shared)
+        bounds = {
+            bound
+            for rule in rules
+            for clause in rule.predicate.clauses
+            for bound in (clause.lo, clause.hi)
+            if bound is not None
+        }
+        assert rules and bounds <= set(shared["x"])
+
+    @pytest.mark.parametrize("bins", [0, -1])
+    def test_numeric_bins_below_one_rejected(self, bins):
+        # Accepting it would fail every later fit that falls back to
+        # equal-frequency edges ("bins must be >= 1").
+        with pytest.raises(LearnError, match="numeric_bins"):
+            SubgroupDiscovery(numeric_bins=bins)
+
+    @pytest.mark.parametrize("n_rules", [0, -2])
+    def test_n_rules_below_one_rejected(self, n_rules):
+        # Zero rules would silently turn discovery off; the enumerator's
+        # ``extend=False`` is the switch for that.
+        with pytest.raises(LearnError, match="n_rules"):
+            SubgroupDiscovery(n_rules=n_rules)
+
+    def test_negative_max_values_rejected(self):
+        # ``top[:-1]`` would silently drop the least frequent value.
+        with pytest.raises(LearnError, match="max_values"):
+            SubgroupDiscovery(max_values=-1)
+
+    def test_zero_max_values_drops_categorical_conditions(self, planted):
         table, labels = planted
-        rules = SubgroupDiscovery(discretizer="frequency", n_rules=3).fit(
-            table, labels
-        )
+        rules = SubgroupDiscovery(max_values=0, n_rules=3).fit(table, labels)
         assert rules
+        assert all(rule.predicate.columns() == {"x"} for rule in rules)
 
     def test_rules_sql_renderable(self, planted):
         table, labels = planted
