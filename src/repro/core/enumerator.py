@@ -86,6 +86,15 @@ class DatasetEnumerator:
             raise PipelineError(
                 f"clean_strategy must be one of {CLEAN_STRATEGIES}"
             )
+        if max_candidates < 1:
+            raise PipelineError(f"max_candidates must be >= 1, got {max_candidates}")
+        for name, value in (
+            ("influence_quantile", influence_quantile),
+            ("min_keep_fraction", min_keep_fraction),
+            *(("fallback_quantiles", quantile) for quantile in fallback_quantiles),
+        ):
+            if not 0.0 <= value <= 1.0:
+                raise PipelineError(f"{name} must be in [0, 1], got {value!r}")
         self.clean_strategy = clean_strategy
         self.extend = extend
         self.influence_quantile = influence_quantile

@@ -10,10 +10,18 @@ The cleaner fits each candidate k once: :func:`dominant_cluster_mask`
 keeps the largest cluster of the fit that won the silhouette contest,
 rather than fitting the winning k a second time (a refit with the same
 data, k and seed is the same clustering; the refitting version is kept
-as a parity oracle in ``tests/reference``). What remains of the
-cleaner's time is mostly :func:`silhouette`'s per-point loop, which
-stays scalar: a row-sum vectorization of it changes the mean in the
-last bit.
+as a parity oracle in ``tests/reference``).
+
+The contest scores every k on one distance matrix, built 32 rows at a
+time over one seeded subsample (the sample depends only on the number
+of points and the seed). The silhouette is an array program that
+computes the floats of the per-point loop it replaced (the oracle
+``loop_silhouette`` in ``tests/reference``), bit for bit: numpy sums a
+contiguous 1-D array pairwise, so each per-cluster row sum must be
+taken along the fast axis of a C-ordered array, where ``sum(axis=1)``
+runs that same pairwise sum on every row. A row sum across the slow
+axis (``distances[:, mask].sum(axis=1)``, whose gather is F-ordered)
+adds the columns one by one and differs in the last bit.
 """
 
 from __future__ import annotations
@@ -23,6 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import LearnError
+
+#: Points the silhouette is computed on; larger inputs are subsampled.
+_SILHOUETTE_POINTS = 512
+#: Rows of the distance matrix built per step: a 32 × n × d temporary
+#: (1 MB at 512 points and 8 columns) instead of an n × n × d one.
+_BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -75,6 +89,8 @@ def kmeans(
         raise LearnError("k must be >= 1")
     if n < k:
         raise LearnError(f"cannot form {k} clusters from {n} points")
+    if max_iter < 1:
+        raise LearnError("max_iter must be >= 1")
     rng = np.random.default_rng(seed)
     best: KMeansResult | None = None
     for _ in range(max(n_init, 1)):
@@ -140,8 +156,8 @@ def _pairwise_sq(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diffs, diffs)
 
 
-def silhouette(X: np.ndarray, labels: np.ndarray, max_points: int = 512,
-               seed: int = 0) -> float:
+def silhouette(X: np.ndarray, labels: np.ndarray,
+               max_points: int = _SILHOUETTE_POINTS, seed: int = 0) -> float:
     """Mean silhouette coefficient (subsampled beyond ``max_points``).
 
     Returns 0.0 when there are fewer than 2 clusters or 3 points, where
@@ -149,36 +165,83 @@ def silhouette(X: np.ndarray, labels: np.ndarray, max_points: int = 512,
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    unique = np.unique(labels)
-    if len(unique) < 2 or len(X) < 3:
+    if len(labels) != len(X):
+        raise LearnError(f"silhouette got {len(labels)} labels for {len(X)} points")
+    if len(np.unique(labels)) < 2 or len(X) < 3:
         return 0.0
+    (score,) = _silhouettes(X, [labels], seed, max_points)
+    return score
+
+
+def _silhouettes(
+    X: np.ndarray, labelings: list[np.ndarray], seed: int,
+    max_points: int = _SILHOUETTE_POINTS,
+) -> list[float]:
+    """The mean silhouette of each labeling of ``X``.
+
+    All are scored on one seeded subsample (it depends only on
+    ``len(X)`` and the seed) and one distance matrix.
+    """
+    picks: slice | np.ndarray = slice(None)
     if len(X) > max_points:
         rng = np.random.default_rng(seed)
         picks = rng.choice(len(X), size=max_points, replace=False)
-        X = X[picks]
-        labels = labels[picks]
-        unique = np.unique(labels)
-        if len(unique) < 2:
-            return 0.0
-    diffs = X[:, None, :] - X[None, :, :]
-    distances = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
-    scores = np.zeros(len(X))
-    for i in range(len(X)):
-        own = labels[i]
-        own_mask = labels == own
-        n_own = own_mask.sum()
-        if n_own <= 1:
-            scores[i] = 0.0
-            continue
-        a = distances[i][own_mask].sum() / (n_own - 1)
-        b = np.inf
-        for other in unique:
-            if other == own:
-                continue
-            other_mask = labels == other
-            b = min(b, distances[i][other_mask].mean())
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    distances = _distances(X[picks])
+    return [_mean_silhouette(distances, labels[picks]) for labels in labelings]
+
+
+def _distances(X: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``X``, in row blocks.
+
+    Each element is the ``einsum`` of the same differences a single
+    (n, n, d) temporary would give it.
+    """
+    n = len(X)
+    squared = np.empty((n, n))
+    for start in range(0, n, _BLOCK_ROWS):
+        diffs = X[start:start + _BLOCK_ROWS, None, :] - X[None, :, :]
+        squared[start:start + _BLOCK_ROWS] = np.einsum("ijk,ijk->ij", diffs, diffs)
+    return np.sqrt(squared, out=squared)
+
+
+def _cluster_row_sums(
+    distances: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(clusters, sizes, sums)``: ``sums[i, c]`` is row i's distance sum
+    over the members of ``clusters[c]`` (its columns of ``distances``).
+
+    Each sum equals ``distances[i][labels == clusters[c]].sum()`` bit for
+    bit: ``np.take`` gathers the columns cluster by cluster into a new
+    C-ordered array, so each cluster's slice of a row lies on the fast
+    axis, where ``sum(axis=1)`` is numpy's 1-D pairwise sum.
+    """
+    order = np.argsort(labels, kind="stable")
+    clusters, starts, sizes = np.unique(
+        labels[order], return_index=True, return_counts=True
+    )
+    grouped = np.take(distances, order, axis=1)
+    sums = np.empty((len(distances), len(clusters)))
+    for c, (start, size) in enumerate(zip(starts, sizes)):
+        sums[:, c] = grouped[:, start:start + size].sum(axis=1)
+    return clusters, sizes, sums
+
+
+def _mean_silhouette(distances: np.ndarray, labels: np.ndarray) -> float:
+    """Mean silhouette of ``labels`` over their points' distance matrix."""
+    clusters, sizes, sums = _cluster_row_sums(distances, labels)
+    if len(clusters) < 2:
+        return 0.0
+    rows = np.arange(len(labels))
+    own = np.searchsorted(clusters, labels)
+    n_own = sizes[own]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = sums[rows, own] / (n_own - 1)
+        means = sums / sizes
+        # b is the nearest other cluster's mean; NaN means never win it.
+        means[rows, own] = np.inf
+        b = np.fmin.reduce(means, axis=1)
+        denom = np.where(b > a, b, a)
+        scores = np.where((n_own <= 1) | (denom == 0), 0.0, (b - a) / denom)
     return float(scores.mean())
 
 
@@ -201,16 +264,16 @@ def _chosen_fit(
     min_silhouette: float = 0.5,
 ) -> KMeansResult | None:
     """The fit of the k :func:`choose_k` picks, or ``None`` for k = 1."""
+    fits = [kmeans(X, k, seed=seed) for k in k_values if len(X) >= max(k * 2, 3)]
+    if not fits:
+        return None
+    scores = _silhouettes(X, [fit.labels for fit in fits], seed)
     best: KMeansResult | None = None
     best_score = min_silhouette
-    for k in k_values:
-        if len(X) < max(k * 2, 3):
-            continue
-        result = kmeans(X, k, seed=seed)
-        score = silhouette(X, result.labels, seed=seed)
+    for fit, score in zip(fits, scores):
         if score > best_score:
             best_score = score
-            best = result
+            best = fit
     return best
 
 

@@ -7,8 +7,8 @@ Each module here keeps the straightforward shape of a kernel that
 * ``influence`` — naive leave-one-out influence and the one-mask Δε;
 * ``tree`` — per-threshold split finding (:class:`ExactDecisionTree`);
 * ``scoring`` — the one-rule-at-a-time Ranker and Merger;
-* ``learn`` — scalar MDL, the per-child CN2-SD beam and the refitting
-  k-means cleaner.
+* ``learn`` — scalar MDL, the per-child CN2-SD beam, the per-point
+  silhouette and the refitting k-means cleaner.
 
 The tests and the ablation benchmarks compare the production path
 against these, and plug them in from the test side only (subclasses

@@ -13,9 +13,13 @@
   :class:`FloatSumSubgroupDiscovery` sums the row weights instead, as
   the beam did before it was batched; at γ = 0.5 the two agree bit for
   bit.
-* :func:`refitting_dominant_cluster_mask` picks k by silhouette,
-  throwing the fits away, and fits k-means again for that k, where the
-  production cleaner keeps the winning fit.
+* :func:`refitting_dominant_cluster_mask` picks k by
+  :func:`loop_silhouette`, throwing the fits away, and fits k-means
+  again for that k, where the production cleaner keeps the winning fit.
+  :func:`loop_silhouette` rebuilds the whole distance matrix per call
+  and scores one point at a time, where
+  :func:`repro.learn.kmeans.silhouette` shares one blocked matrix
+  across the contest and scores every point at once.
 
 :func:`loop_learners` makes every Dataset Enumerator built inside it
 use all three, for stage-level parity and the learner ablation;
@@ -38,7 +42,7 @@ from repro.db.predicate import CategoricalClause, Clause, NumericClause, Predica
 from repro.db.table import Table
 from repro.errors import LearnError
 from repro.learn.discretize import equal_frequency_edges
-from repro.learn.kmeans import kmeans, silhouette, standardize
+from repro.learn.kmeans import kmeans, standardize
 from repro.learn.metrics import entropy, wracc
 from repro.learn.rules import Rule, dedupe_rules
 from repro.learn.subgroup import SubgroupDiscovery
@@ -407,8 +411,50 @@ def _silhouette_k(X: np.ndarray, seed: int) -> int:
     for k in (2, 3, 4):
         if len(X) < max(k * 2, 3):
             continue
-        score = silhouette(X, kmeans(X, k, seed=seed).labels, seed=seed)
+        score = loop_silhouette(X, kmeans(X, k, seed=seed).labels, seed=seed)
         if score > best_score:
             best_score = score
             best_k = k
     return best_k
+
+
+def loop_silhouette(X: np.ndarray, labels: np.ndarray, max_points: int = 512,
+                    seed: int = 0) -> float:
+    """Mean silhouette coefficient (subsampled beyond ``max_points``).
+
+    Returns 0.0 when there are fewer than 2 clusters or 3 points, where
+    the coefficient is undefined.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    unique = np.unique(labels)
+    if len(unique) < 2 or len(X) < 3:
+        return 0.0
+    if len(X) > max_points:
+        rng = np.random.default_rng(seed)
+        picks = rng.choice(len(X), size=max_points, replace=False)
+        X = X[picks]
+        labels = labels[picks]
+        unique = np.unique(labels)
+        if len(unique) < 2:
+            return 0.0
+    diffs = X[:, None, :] - X[None, :, :]
+    distances = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
+    scores = np.zeros(len(X))
+    for i in range(len(X)):
+        own = labels[i]
+        own_mask = labels == own
+        n_own = own_mask.sum()
+        if n_own <= 1:
+            scores[i] = 0.0
+            continue
+        a = distances[i][own_mask].sum() / (n_own - 1)
+        b = np.inf
+        for other in unique:
+            if other == own:
+                continue
+            other_mask = labels == other
+            b = min(b, distances[i][other_mask].mean())
+        denom = max(a, b)
+        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    return float(scores.mean())

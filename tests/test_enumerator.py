@@ -64,6 +64,39 @@ class TestCleaning:
         with pytest.raises(PipelineError):
             DatasetEnumerator(clean_strategy="magic")
 
+    @pytest.mark.parametrize("max_candidates", [0, -1])
+    def test_max_candidates_below_one_rejected(self, max_candidates):
+        # Zero or a negative slice bound would silently drop every
+        # candidate, and with them every predicate of every debug.
+        with pytest.raises(PipelineError, match="max_candidates"):
+            DatasetEnumerator(max_candidates=max_candidates)
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"influence_quantile": 1.5},
+            {"influence_quantile": -0.5},
+            {"influence_quantile": float("nan")},
+            {"fallback_quantiles": (2.0,)},
+            {"fallback_quantiles": (0.5, -0.1)},
+            {"min_keep_fraction": 2.0},
+            {"min_keep_fraction": -0.1},
+        ],
+        ids=lambda setting: "-".join(f"{k}={v}" for k, v in setting.items()),
+    )
+    def test_fractions_outside_the_unit_interval_rejected(self, setting):
+        (name,) = setting
+        with pytest.raises(PipelineError, match=name):
+            DatasetEnumerator(**setting)
+
+    def test_unit_interval_bounds_accepted(self):
+        DatasetEnumerator(
+            influence_quantile=1.0,
+            fallback_quantiles=(0.0, 1.0),
+            min_keep_fraction=0.0,
+            max_candidates=1,
+        )
+
 
 class TestCandidates:
     def test_with_dprime_produces_dprime_candidate(self, anomaly_setup):

@@ -4,7 +4,11 @@ The printed ``python -m repro intel|fec --script`` transcripts round
 scores to three or four digits, so they cannot catch a one-ulp change.
 This module replays both flows in process (scale 1, with and without
 merging) and compares one blake2b digest per ``debug`` against
-``tests/golden/scripted_flows.json``. A digest covers, in order:
+``tests/golden/scripted_flows.json``. A third flow, ``intel-clean``, is
+the intel script with D′ brushed at ``y> 60``: there the k-means
+cleaner finds clusters and drops examples, and merging accepts a
+merge, which the two scripted flows never do. A digest covers, in
+order:
 
 * every field of every ranked predicate: the predicate's exact clause
   bounds, then ``repr`` of score, ε before/after, accuracy, precision,
@@ -30,20 +34,30 @@ import numpy as np
 import pytest
 
 from repro.cli import BOOTSTRAP_QUERIES, SCRIPTS, DemoShell, load_dataset
-from repro.core import PipelineConfig
+from repro.core import PipelineConfig, enumerator
+from repro.core.enumerator import DatasetEnumerator
 from repro.db.predicate import NumericClause, Predicate
 from repro.frontend import DBWipesSession
-from repro.learn import SubgroupDiscovery
+from repro.learn import SubgroupDiscovery, choose_k, standardize
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "scripted_flows.json"
 
-FLOWS = [
-    (dataset, merge) for dataset in ("intel", "fec") for merge in (False, True)
-]
+#: Flow name -> (dataset, shell script).
+SCRIPTED = {
+    "intel": ("intel", SCRIPTS["intel"]),
+    "fec": ("fec", SCRIPTS["fec"]),
+    "intel-clean": (
+        "intel",
+        ["inputs y> 60" if line == "inputs y> 100" else line
+         for line in SCRIPTS["intel"]],
+    ),
+}
+
+FLOWS = [(flow, merge) for flow in SCRIPTED for merge in (False, True)]
 
 
-def _flow_id(dataset: str, merge: bool) -> str:
-    return f"{dataset}-{'merge' if merge else 'nomerge'}"
+def _flow_id(flow: str, merge: bool) -> str:
+    return f"{flow}-{'merge' if merge else 'nomerge'}"
 
 
 def _num(value) -> str:
@@ -104,27 +118,50 @@ def digest(lines: list[str]) -> str:
     return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
 
 
-def run_flow(dataset: str, merge: bool, monkeypatch) -> list[tuple]:
-    """``(report, cn2sd rules)`` for each debug of the scripted flow."""
+def run_flow(flow: str, merge: bool, monkeypatch) -> list[tuple]:
+    """``(report, cn2sd rules, cleanings)`` for each debug of the flow.
+
+    A cleaning is ``(k, |D′|, kept)``: the k the k-means cleaner's
+    silhouette contest picked, and the example counts ``clean_dprime``
+    was given and returned.
+    """
     fitted: list = []
+    ks: list = []
+    cleanings: list = []
     real_fit = SubgroupDiscovery.fit
+    real_mask = enumerator.dominant_cluster_mask
+    real_clean = DatasetEnumerator.clean_dprime
 
     def recording_fit(self, *args, **kwargs):
         rules = real_fit(self, *args, **kwargs)
         fitted.extend(rules)
         return rules
 
+    def recording_mask(X, seed=0):
+        Z = np.nan_to_num(standardize(X)[0], nan=0.0)
+        ks.append(choose_k(Z, seed=seed))
+        return real_mask(X, seed=seed)
+
+    def recording_clean(self, F, dprime, pre=None):
+        kept = real_clean(self, F, dprime, pre=pre)
+        cleanings.append((ks.pop() if ks else 1, len(dprime), len(kept)))
+        return kept
+
     monkeypatch.setattr(SubgroupDiscovery, "fit", recording_fit)
+    monkeypatch.setattr(enumerator, "dominant_cluster_mask", recording_mask)
+    monkeypatch.setattr(DatasetEnumerator, "clean_dprime", recording_clean)
+    dataset, script = SCRIPTED[flow]
     db = load_dataset(dataset)
     shell = DemoShell(db, out=io.StringIO())
     shell.session = DBWipesSession(db, PipelineConfig(merge_predicates=merge))
     shell.run_line(f"sql {BOOTSTRAP_QUERIES[dataset]}")
     answers = []
-    for line in SCRIPTS[dataset]:
+    for line in script:
         shell.run_line(line)
         if line == "debug":
-            answers.append((shell.session.report, list(fitted)))
+            answers.append((shell.session.report, list(fitted), list(cleanings)))
             fitted.clear()
+            cleanings.clear()
     return answers
 
 
@@ -134,18 +171,25 @@ def golden() -> dict:
 
 
 @pytest.mark.parametrize(
-    "dataset, merge", FLOWS, ids=[_flow_id(d, m) for d, m in FLOWS]
+    "flow, merge", FLOWS, ids=[_flow_id(f, m) for f, m in FLOWS]
 )
-def test_scripted_flow_matches_golden(dataset, merge, golden, monkeypatch):
-    answers = run_flow(dataset, merge, monkeypatch)
+def test_scripted_flow_matches_golden(flow, merge, golden, monkeypatch):
+    answers = run_flow(flow, merge, monkeypatch)
     # Every flow debugs, and every debug's digest covers CN2-SD rules.
-    assert answers and all(rules for __, rules in answers)
-    digests = [digest(answer_lines(report, rules)) for report, rules in answers]
-    assert digests == golden[_flow_id(dataset, merge)]
+    assert answers and all(rules for __, rules, __ in answers)
+    if flow == "intel-clean":
+        # The flow guards the cleaner: it clusters D' and drops examples;
+        # with merging on, the merger accepts a merge.
+        (report, __, [(k, n_dprime, n_kept)]), = answers
+        assert k >= 2 and n_kept < n_dprime
+        merged = [ranked for ranked in report if ranked.source.startswith("merge")]
+        assert bool(merged) == merge
+    digests = [digest(answer_lines(report, rules)) for report, rules, __ in answers]
+    assert digests == golden[_flow_id(flow, merge)]
 
 
 def test_one_ulp_nudge_to_a_score_changes_the_digest(golden, monkeypatch):
-    (report, rules), = run_flow("intel", False, monkeypatch)
+    (report, rules, __), = run_flow("intel", False, monkeypatch)
     assert digest(answer_lines(report, rules)) == golden["intel-nomerge"][0]
     first = report.predicates[0]
     nudged = dataclasses.replace(first, score=math.nextafter(first.score, math.inf))
@@ -156,11 +200,11 @@ def test_one_ulp_nudge_to_a_score_changes_the_digest(golden, monkeypatch):
 if __name__ == "__main__":
     patcher = pytest.MonkeyPatch()
     recorded = {
-        _flow_id(dataset, merge): [
+        _flow_id(flow, merge): [
             digest(answer_lines(report, rules))
-            for report, rules in run_flow(dataset, merge, patcher)
+            for report, rules, __ in run_flow(flow, merge, patcher)
         ]
-        for dataset, merge in FLOWS
+        for flow, merge in FLOWS
     }
     patcher.undo()
     GOLDEN_PATH.parent.mkdir(exist_ok=True)

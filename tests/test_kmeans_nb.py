@@ -56,6 +56,13 @@ class TestKMeans:
         with pytest.raises(LearnError):
             kmeans(np.zeros((5, 2)), 0)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        # With no Lloyd step there is no clustering: every label 0 and an
+        # infinite inertia came back instead.
+        with pytest.raises(LearnError, match="max_iter"):
+            kmeans(two_blobs(), 2, max_iter=max_iter)
+
     def test_deterministic_given_seed(self):
         X = two_blobs()
         r1 = kmeans(X, 2, seed=42)
@@ -80,6 +87,13 @@ class TestModelSelection:
     def test_silhouette_single_cluster_zero(self):
         X = two_blobs()
         assert silhouette(X, np.zeros(len(X), dtype=np.int64)) == 0.0
+
+    @pytest.mark.parametrize("n_labels", [79, 81])
+    def test_silhouette_label_count_must_match(self, n_labels):
+        X = two_blobs()
+        labels = np.arange(n_labels) % 2
+        with pytest.raises(LearnError, match="labels"):
+            silhouette(X, labels)
 
     def test_choose_k_two_blobs(self):
         assert choose_k(two_blobs(), seed=0) == 2

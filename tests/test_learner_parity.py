@@ -2,17 +2,20 @@
 
 ``tests/reference/learn.py`` keeps the Dataset Enumerator's learners in
 their one-call-per-candidate form: the scalar MDL recursion, the
-per-child CN2-SD beam and the refitting k-means cleaner. Every answer
-here must match them bit for bit: MDL cut points, CN2-SD rules with
-``repr(quality)`` and coverage, the cleaning mask, and whole
-enumeration stages and debugs.
+per-child CN2-SD beam, the per-point silhouette and the refitting
+k-means cleaner. Every answer here must match them bit for bit: MDL cut
+points, CN2-SD rules with ``repr(quality)`` and coverage, silhouettes
+by ``repr``, the cleaning mask, and whole enumeration stages and
+debugs.
 """
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference.learn import (
@@ -20,6 +23,7 @@ from reference.learn import (
     LoopSubgroupDiscovery,
     candidate_lines,
     loop_learners,
+    loop_silhouette,
     refitting_dominant_cluster_mask,
     rule_lines,
     scalar_mdl_entropy_edges,
@@ -31,8 +35,18 @@ from repro.core.preprocessor import Preprocessor
 from repro.data import IntelConfig, generate_intel
 from repro.db import Database, Table
 from repro.frontend import Brush, DBWipesSession
-from repro.learn import SubgroupDiscovery, discretize, dominant_cluster_mask
-from repro.learn import mdl_entropy_edges
+from repro.learn import (
+    SubgroupDiscovery,
+    choose_k,
+    discretize,
+    dominant_cluster_mask,
+    kmeans,
+    mdl_entropy_edges,
+    silhouette,
+)
+
+# ``repro.learn.kmeans`` the attribute is the function; this is the module.
+kmeans_module = importlib.import_module("repro.learn.kmeans")
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -219,18 +233,114 @@ class TestSubgroupParity:
 # ----------------------------------------------------------------------
 
 
+def _blobs(seed: int, n: int, n_blobs: int, dims: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(0, 10, (n_blobs, dims))
+    return centers[rng.integers(0, n_blobs, n)] + rng.normal(0, 1, (n, dims))
+
+
 class TestKMeansParity:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        SEEDS,
+        st.integers(min_value=2, max_value=1100),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=-3, max_value=3),
+        st.sampled_from([None, None, 0, 1]),
+        st.sampled_from(["random", "kmeans", "singleton"]),
+    )
+    @example(5, 1100, 8, 6, 3, None, "singleton")
+    @example(6, 513, 8, 3, -3, 1, "kmeans")
+    @example(7, 130, 2, 2, 0, 0, "random")
+    @example(8, 9, 1, 2, 0, None, "singleton")
+    def test_silhouette_matches_the_per_point_loop(
+        self, seed, n, dims, n_labels, log_scale, decimals, label_mode
+    ):
+        # n crosses numpy's pairwise-sum widths (8, 128) and the 512-point
+        # subsample; rounding makes ties and all-zero distances.
+        rng = np.random.default_rng(seed)
+        X = _blobs(seed, n, n_labels, dims) * 10.0**log_scale
+        if decimals is not None:
+            X = np.round(X, decimals)
+        if label_mode == "kmeans" and n >= n_labels:
+            labels = kmeans(X, n_labels, seed=seed % 7).labels
+        else:
+            labels = rng.integers(0, n_labels, n)
+        if label_mode == "singleton":
+            # A one-point cluster; beyond 512 points it is usually missing
+            # from the subsample.
+            labels[rng.integers(n)] = n_labels
+        got = silhouette(X, labels, seed=seed % 7)
+        want = loop_silhouette(X, labels, seed=seed % 7)
+        assert repr(got) == repr(want)
+
+    def test_label_missing_from_the_subsample(self):
+        n = 700
+        X = _blobs(3, n, 2, 4)
+        picks = np.random.default_rng(0).choice(n, size=512, replace=False)
+        unpicked = np.setdiff1d(np.arange(n), picks)
+        labels = np.zeros(n, dtype=np.int64)
+        labels[unpicked[:5]] = 1  # only outside the sample: one label left
+        assert silhouette(X, labels) == loop_silhouette(X, labels) == 0.0
+        labels[picks[:n // 3]] = 2  # two labels in the sample, three in X
+        got, want = silhouette(X, labels), loop_silhouette(X, labels)
+        assert repr(got) == repr(want) and got != 0.0
+
+    @pytest.mark.parametrize("n", [40, 600, 1100])
+    def test_contest_scores_every_k_on_one_distance_matrix(self, n, monkeypatch):
+        built, scores = [], []
+        real_distances = kmeans_module._distances
+        real_mean = kmeans_module._mean_silhouette
+
+        def distances(X):
+            built.append(len(X))
+            return real_distances(X)
+
+        def mean_silhouette(D, labels):
+            scores.append(real_mean(D, labels))
+            return scores[-1]
+
+        monkeypatch.setattr(kmeans_module, "_distances", distances)
+        monkeypatch.setattr(kmeans_module, "_mean_silhouette", mean_silhouette)
+        X = _blobs(n, n, 3, 5)
+        choose_k(X, seed=2)
+        assert built == [min(n, 512)]
+        want = [
+            loop_silhouette(X, kmeans(X, k, seed=2).labels, seed=2)
+            for k in (2, 3, 4)
+        ]
+        assert [repr(score) for score in scores] == [repr(w) for w in want]
+
+    def test_cluster_row_sums_are_numpy_1d_sums_at_every_width(self):
+        # The silhouette is exact only while a fast-axis row sum is the
+        # pairwise sum numpy gives a 1-D array; CI installs an unpinned
+        # numpy, so check every width the silhouette can meet.
+        rng = np.random.default_rng(0)
+        for width in range(1101):
+            G = rng.uniform(0, 10.0 ** rng.integers(-3, 4), (3, width))
+            for labels in (np.zeros(width, dtype=np.int64), np.arange(width) % 3):
+                clusters, sizes, sums = kmeans_module._cluster_row_sums(G, labels)
+                for c, cluster in enumerate(clusters):
+                    members = labels == cluster
+                    assert sizes[c] == members.sum()
+                    for i in range(len(G)):
+                        want = G[i][members].sum()
+                        assert repr(sums[i, c]) == repr(want), (
+                            f"numpy {np.__version__}: row sum of width "
+                            f"{members.sum()} is {sums[i, c]!r}, "
+                            f"1-D sum is {want!r}"
+                        )
+
     @settings(max_examples=40, deadline=None)
     @given(
         SEEDS,
-        st.integers(min_value=0, max_value=120),
+        st.integers(min_value=0, max_value=1100),
         st.integers(min_value=1, max_value=4),
-        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=8),
     )
     def test_cleaning_mask_matches_the_refit(self, seed, n, n_blobs, dims):
-        rng = np.random.default_rng(seed)
-        centers = rng.normal(0, 10, (n_blobs, dims))
-        X = centers[rng.integers(0, n_blobs, n)] + rng.normal(0, 1, (n, dims))
+        X = _blobs(seed, n, n_blobs, dims)
         got = dominant_cluster_mask(X, seed=seed % 7)
         want = refitting_dominant_cluster_mask(X, seed=seed % 7)
         np.testing.assert_array_equal(got, want)

@@ -13,6 +13,7 @@ from repro.data import (
     generate_synthetic,
 )
 from repro.db import Database
+from repro.errors import PipelineError
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +122,17 @@ class TestSyntheticEndToEnd:
         ):
             report = RankedProvenance(config).debug(result, S, TooHigh(55.0))
             assert report.epsilon >= 0
+
+    @pytest.mark.parametrize(
+        "setting",
+        [{"max_candidates": 0}, {"influence_quantile": 1.5}],
+        ids=["max_candidates", "influence_quantile"],
+    )
+    def test_invalid_enumerator_config_fails_at_construction(self, setting):
+        # The backend builds its Dataset Enumerator up front, so a bad
+        # config fails here rather than in the first debug.
+        with pytest.raises(PipelineError, match=next(iter(setting))):
+            RankedProvenance(PipelineConfig(**setting))
 
 
 class TestNegativeSpikeEndToEnd:
