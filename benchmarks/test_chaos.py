@@ -36,7 +36,7 @@ from repro.service import (
 )
 from repro.service import faults
 
-from bench_output import bench_path
+from bench_output import bench_path, environment
 
 N_CLIENTS = int(os.environ.get("REPRO_CHAOS_CLIENTS", "16"))
 MAX_CLIENT_THREADS = 32
@@ -219,6 +219,7 @@ class TestChaosKillWorker:
             "router_failovers": failovers,
             "sessions_recovered": recovered,
             "worker_restarts": [s["restarts"] for s in pool_stats],
+            "environment": environment(),
         }
         _merge_into_bench("kill_primary", record)
         print(

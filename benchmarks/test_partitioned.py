@@ -8,9 +8,9 @@ workers, so the worker tier preprocesses and ranks in true parallel
 processes; at the 50× scale the compute dominates the IPC and the
 multi-worker req/s should exceed the single-process baseline on a
 multi-core host (on one core the expectation degenerates to ~1.0, so
-the record carries ``cpu_count``). Per-worker preprocess-cache hit
-rates are recorded — cache affinity means each shard keeps its own hit
-rate high.
+the record carries its ``environment``, ``cpu_count`` included).
+Per-worker preprocess-cache hit rates are recorded — cache affinity
+means each shard keeps its own hit rate high.
 
 Results land in ``BENCH_partition.json`` under ``REPRO_BENCH_DIR`` (see
 ``bench_output.py``; a CI artifact), one section per scale.
@@ -35,7 +35,7 @@ from repro.service import (
     SessionManager,
 )
 
-from bench_output import bench_path
+from bench_output import bench_path, environment
 
 SCALES = tuple(
     int(scale)
@@ -212,7 +212,7 @@ class TestPartitionedServing:
             "n_workers": N_WORKERS,
             # Context for the speedup: N processes cannot beat one on a
             # single-core host — there the honest expectation is ~1.0.
-            "cpu_count": os.cpu_count(),
+            "environment": environment(),
             "rows_per_dataset": 54 * (BASE_MINUTES * scale) // 2,
             "single_process": single_record,
             "multi_worker": multi_record,

@@ -10,9 +10,9 @@ counts to ``BENCH_service.json`` under ``REPRO_BENCH_DIR`` (see
 
 A second benchmark sweeps a stepped load curve — one debug cycle per
 client at each step of ``REPRO_SERVICE_LOAD_STEPS`` concurrent clients
-(default ``8,64``; CI runs ``8,64,512``) — recording requests/sec at
-each step so a throughput regression at high fan-in shows up as a bent
-curve, not a single blended number.
+(default ``8,64``; CI runs ``8,64,512``) — recording requests/sec,
+cycle p50/p99 and shed requests at each step so a throughput regression
+at high fan-in shows up as a bent curve, not a single blended number.
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ import pytest
 
 from repro.frontend import Brush, DBWipesSession
 from repro.service import (
-    AsyncDBWipesServer,
     DBWipesServer,
     DatasetCatalog,
     ServiceClient,
     SessionManager,
 )
 
-from bench_output import bench_path
+from bench_output import bench_path, environment
 
 SCALE = int(os.environ.get("REPRO_BENCH_SCALE", "1"))
 N_CLIENTS = 8
@@ -131,6 +130,7 @@ class TestServiceThroughput:
             "debug_cycles_per_second": (N_CLIENTS * N_CYCLES) / elapsed,
             "preprocess_cache": cache_stats,
             "top_predicate": expected,
+            "environment": environment(),
         }
         _merge_into_bench("closed_loop", record)
         print(
@@ -140,68 +140,6 @@ class TestServiceThroughput:
             f"({cache_stats['hits']} hits / {cache_stats['misses']} misses) "
             f"-> {BENCH_PATH.name}"
         )
-
-
-class TestSteppedLoadCurve:
-    def test_stepped_load_curve(self, fec_workload):
-        db, __, __ = fec_workload
-        catalog = DatasetCatalog()
-        catalog.register("fec", db, bootstrap=_bootstrap())
-        manager = SessionManager(
-            catalog=catalog, max_sessions=max(LOAD_STEPS) + 8
-        )
-        curve = []
-        with DBWipesServer(manager, port=0) as server:
-            host, port = server.address
-
-            # Warm the shared preprocess cache once so every step
-            # measures steady-state serving, not the first preprocess.
-            with ServiceClient(host, port, session="warm", timeout=600) as c:
-                c.open("fec")
-                expected = run_cycle(c)
-
-            for step in LOAD_STEPS:
-                def one_client(index: int) -> str:
-                    with ServiceClient(
-                        host, port, session=f"load-{step}-{index}", timeout=600
-                    ) as client:
-                        client.open("fec")
-                        return run_cycle(client)
-
-                start = time.perf_counter()
-                with ThreadPoolExecutor(
-                    max_workers=min(step, MAX_CLIENT_THREADS)
-                ) as pool:
-                    answers = list(pool.map(one_client, range(step)))
-                elapsed = time.perf_counter() - start
-
-                assert answers == [expected] * step
-                n_requests = step * (1 + REQUESTS_PER_CYCLE)
-                curve.append(
-                    {
-                        "clients": step,
-                        "n_requests": n_requests,
-                        "elapsed_seconds": elapsed,
-                        "requests_per_second": n_requests / elapsed,
-                        "debug_cycles_per_second": step / elapsed,
-                    }
-                )
-
-        _merge_into_bench(
-            "load_curve",
-            {
-                "benchmark": "service_stepped_load",
-                "steps": list(LOAD_STEPS),
-                "max_client_threads": MAX_CLIENT_THREADS,
-                "preprocess_cache": manager.preprocess_cache.stats(),
-                "curve": curve,
-            },
-        )
-        summary = ", ".join(
-            f"{point['clients']}cl={point['requests_per_second']:.0f}req/s"
-            for point in curve
-        )
-        print(f"\nservice load curve: {summary} -> {BENCH_PATH.name}")
 
 
 #: Busy-aware retries per request on the admission-controlled gateway.
@@ -241,130 +179,105 @@ def _percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[index]
 
 
-class TestAsyncVsThreadedLoadCurve:
-    """The same stepped workload through both front ends.
+class TestSteppedLoadCurve:
+    """One FEC debug cycle per client at each step of ``LOAD_STEPS``.
 
-    At every step of ``LOAD_STEPS`` logical clients, each client runs
-    one FEC debug cycle through (a) the thread-per-connection server and
-    (b) the admission-controlled asyncio gateway. The gateway bounds
-    heavy-lane concurrency at ``max_inflight`` — on a GIL-bound workload
-    the queue beats the thread pile-up, which is the point of PR 8.
-    Every request must resolve (result, or ServerBusy retried to a
-    result): a hang fails the benchmark, at 512 clients included.
+    The gateway bounds heavy-lane concurrency at ``max_inflight``: on a
+    GIL-bound workload a queue beats a pile of threads. Every request
+    must resolve (a result, or ``ServerBusy`` retried to a result): a
+    hang fails the benchmark, at 512 clients included.
     """
 
-    #: Small in-flight bound: fastest under the GIL (see async_server).
+    #: Small in-flight bound: fastest under the GIL (see repro.service.server).
     MAX_INFLIGHT = 2
     #: Queue depth covering the client-side thread cap: requests wait
     #: rather than shed, so shed-rate stays a signal, not the norm.
     MAX_QUEUE = MAX_CLIENT_THREADS + 8
 
-    def _drive(self, label: str, server, shed_counter) -> tuple[str, list[dict]]:
-        host, port = server.address
-        with ServiceClient(host, port, session=f"warm-{label}", timeout=600) as c:
-            open_with_retry(c)
-            expected = run_cycle_with_retry(c)
-        curve = []
-        for step in LOAD_STEPS:
-            shed_before = shed_counter()
-
-            def one_client(index: int) -> tuple[str, float]:
-                t0 = time.perf_counter()
-                with ServiceClient(
-                    host, port, session=f"{label}-{step}-{index}", timeout=600
-                ) as client:
-                    open_with_retry(client)
-                    answer = run_cycle_with_retry(client)
-                return answer, time.perf_counter() - t0
-
-            start = time.perf_counter()
-            with ThreadPoolExecutor(
-                max_workers=min(step, MAX_CLIENT_THREADS)
-            ) as pool:
-                outcomes = list(pool.map(one_client, range(step)))
-            elapsed = time.perf_counter() - start
-
-            answers = [answer for answer, __ in outcomes]
-            assert answers == [expected] * step  # zero hangs, zero drift
-            latencies = sorted(seconds for __, seconds in outcomes)
-            n_requests = step * (1 + REQUESTS_PER_CYCLE)
-            curve.append(
-                {
-                    "clients": step,
-                    "n_requests": n_requests,
-                    "elapsed_seconds": elapsed,
-                    "requests_per_second": n_requests / elapsed,
-                    "debug_cycles_per_second": step / elapsed,
-                    "cycle_p50_seconds": _percentile(latencies, 0.50),
-                    "cycle_p99_seconds": _percentile(latencies, 0.99),
-                    "shed_requests": shed_counter() - shed_before,
-                    "shed_rate": (shed_counter() - shed_before)
-                    / float(n_requests),
-                }
-            )
-        return expected, curve
-
-    def test_async_vs_threaded_load_curve(self, fec_workload):
+    def test_stepped_load_curve(self, fec_workload):
         db, __, __ = fec_workload
-
-        def make_manager() -> SessionManager:
-            catalog = DatasetCatalog()
-            catalog.register("fec", db, bootstrap=_bootstrap())
-            return SessionManager(
-                catalog=catalog, max_sessions=max(LOAD_STEPS) + 8
-            )
-
-        with DBWipesServer(make_manager(), port=0) as threaded:
-            t_expected, threaded_curve = self._drive(
-                "thr", threaded, lambda: 0
-            )
-        with AsyncDBWipesServer(
-            make_manager(),
+        catalog = DatasetCatalog()
+        catalog.register("fec", db, bootstrap=_bootstrap())
+        manager = SessionManager(
+            catalog=catalog, max_sessions=max(LOAD_STEPS) + 8
+        )
+        curve = []
+        with DBWipesServer(
+            manager,
             port=0,
             max_inflight=self.MAX_INFLIGHT,
             max_queue=self.MAX_QUEUE,
-        ) as gateway:
-            a_expected, async_curve = self._drive(
-                "gw", gateway, lambda: gateway.gateway_stats()["shed"]
-            )
-            final_stats = gateway.gateway_stats()
-        assert a_expected == t_expected  # byte-identical ranked answer
+        ) as server:
+            host, port = server.address
+
+            # Warm the shared preprocess cache once so every step
+            # measures steady-state serving, not the first preprocess.
+            with ServiceClient(host, port, session="warm", timeout=600) as c:
+                open_with_retry(c)
+                expected = run_cycle_with_retry(c)
+
+            for step in LOAD_STEPS:
+                shed_before = server.gateway_stats()["shed"]
+
+                def one_client(index: int) -> tuple[str, float]:
+                    t0 = time.perf_counter()
+                    with ServiceClient(
+                        host, port, session=f"load-{step}-{index}", timeout=600
+                    ) as client:
+                        open_with_retry(client)
+                        answer = run_cycle_with_retry(client)
+                    return answer, time.perf_counter() - t0
+
+                start = time.perf_counter()
+                with ThreadPoolExecutor(
+                    max_workers=min(step, MAX_CLIENT_THREADS)
+                ) as pool:
+                    outcomes = list(pool.map(one_client, range(step)))
+                elapsed = time.perf_counter() - start
+
+                answers = [answer for answer, __ in outcomes]
+                assert answers == [expected] * step  # zero hangs, zero drift
+                latencies = sorted(seconds for __, seconds in outcomes)
+                n_requests = step * (1 + REQUESTS_PER_CYCLE)
+                shed = server.gateway_stats()["shed"] - shed_before
+                curve.append(
+                    {
+                        "clients": step,
+                        "n_requests": n_requests,
+                        "elapsed_seconds": elapsed,
+                        "requests_per_second": n_requests / elapsed,
+                        "debug_cycles_per_second": step / elapsed,
+                        "cycle_p50_seconds": _percentile(latencies, 0.50),
+                        "cycle_p99_seconds": _percentile(latencies, 0.99),
+                        "shed_requests": shed,
+                        "shed_rate": shed / float(n_requests),
+                    }
+                )
+            final_stats = server.gateway_stats()
         assert final_stats["inflight"] == 0 and final_stats["waiting"] == 0
 
-        speedups = {
-            str(t_point["clients"]): (
-                a_point["requests_per_second"] / t_point["requests_per_second"]
-            )
-            for t_point, a_point in zip(threaded_curve, async_curve)
-        }
-        record = {
-            "benchmark": "service_async_vs_threaded",
-            "steps": list(LOAD_STEPS),
-            "max_client_threads": MAX_CLIENT_THREADS,
-            "gateway": {
-                "max_inflight": self.MAX_INFLIGHT,
-                "max_queue": self.MAX_QUEUE,
-                "shed_total": final_stats["shed"],
+        _merge_into_bench(
+            "load_curve",
+            {
+                "benchmark": "service_stepped_load",
+                "steps": list(LOAD_STEPS),
+                "max_client_threads": MAX_CLIENT_THREADS,
+                "gateway": {
+                    "max_inflight": self.MAX_INFLIGHT,
+                    "max_queue": self.MAX_QUEUE,
+                    "shed_total": final_stats["shed"],
+                },
+                "preprocess_cache": manager.preprocess_cache.stats(),
+                "curve": curve,
+                "top_predicate": expected,
+                "environment": environment(),
             },
-            "threaded": threaded_curve,
-            "async": async_curve,
-            "async_speedup": speedups,
-            "top_predicate": t_expected,
-        }
-        _merge_into_bench("async_load_curve", record)
-        summary = ", ".join(
-            f"{clients}cl={speedup:.2f}x" for clients, speedup in speedups.items()
         )
-        print(f"\nasync vs threaded speedup: {summary} -> {BENCH_PATH.name}")
-
-        # The headline claim (async >= 2x threaded at 64 clients) is a
-        # measured acceptance number, not a per-machine invariant: only
-        # enforce it when the runner opts in (CI does; tier-1 at scale 1
-        # on arbitrary hardware must not flake on it).
-        if os.environ.get("REPRO_BENCH_ASSERT_ASYNC") == "1":
-            gated = [s for c, s in speedups.items() if int(c) >= 64]
-            assert gated, "no >=64-client step in REPRO_SERVICE_LOAD_STEPS"
-            assert max(gated) >= 2.0, f"async speedup below 2x: {speedups}"
+        summary = ", ".join(
+            f"{point['clients']}cl={point['requests_per_second']:.0f}req/s"
+            for point in curve
+        )
+        print(f"\nservice load curve: {summary} -> {BENCH_PATH.name}")
 
 
 def _bootstrap() -> str:

@@ -8,13 +8,12 @@ provided bootstrap queries. This CLI is that experience in a terminal:
   with its bootstrap query and start the interactive loop;
 * ``python -m repro fec --script`` — run the full §3.2 walkthrough
   non-interactively (useful for demos, docs, and tests);
-* ``python -m repro serve`` — boot the multi-session TCP service
-  (options: ``--host``, ``--port``, ``--max-sessions``, ``--ttl``,
-  ``--workers``, ``--data-dir`` for the durable storage tier,
-  ``--slow-threshold``; ``--async``
-  boots the admission-controlled asyncio gateway with
+* ``python -m repro serve`` — boot the multi-session TCP service, an
+  admission-controlled asyncio gateway (options: ``--host``,
+  ``--port``, ``--max-sessions``, ``--ttl``, ``--workers``,
+  ``--data-dir`` for the durable storage tier, ``--slow-threshold``,
   ``--max-inflight`` (a count, or ``auto`` to self-tune),
-  ``--max-queue``, ``--exec-threads``, ``--rate``, ``--burst``);
+  ``--max-queue``, ``--rate``, ``--burst``);
 * ``python -m repro store`` — manage the durable columnar tier:
   ``store import <dataset> --data-dir D [--chunk-rows N]`` persists a
   demo dataset as memory-mapped table directories; ``store inspect
@@ -472,7 +471,7 @@ def _flag_value(argv: list[str], name: str, default: str) -> str:
 _SERVE_VALUE_FLAGS = frozenset({
     "--host", "--port", "--max-sessions", "--ttl", "--workers",
     "--data-dir", "--slow-threshold", "--max-inflight", "--max-queue",
-    "--exec-threads", "--rate", "--burst",
+    "--rate", "--burst",
 })
 
 
@@ -503,19 +502,19 @@ def serve_main(argv: list[str]) -> int:
     ``debug()`` warm (exported via ``REPRO_DATA_DIR`` so workers
     inherit it).
 
-    ``--async`` boots the asyncio gateway instead of the threaded
-    server: same protocol, plus admission control (``--max-inflight`` /
-    ``--max-queue``, shedding excess load with ``ServerBusy`` +
-    ``retry_after``), per-connection token-bucket rate limiting
-    (``--rate`` / ``--burst`` heavy commands per second), a bounded
-    executor (``--exec-threads``), and streamed partial ``debug``
-    frames (``args: {"stream": true}``). An unknown argument, or a
-    value flag given last, is an error before anything boots.
+    The server is the asyncio gateway: admission control
+    (``--max-inflight`` / ``--max-queue``, shedding excess load with
+    ``ServerBusy`` + ``retry_after``), per-connection token-bucket rate
+    limiting (``--rate`` / ``--burst`` heavy commands per second), and
+    streamed partial ``debug`` frames (``args: {"stream": true}``).
+    ``--async`` is accepted and ignored, because scripts such as the
+    ``bench/`` launcher pass it. An unknown argument, or a value flag
+    given last, is an error before anything boots.
     """
     import os
 
     from .obs import set_slow_threshold
-    from .service import AsyncDBWipesServer, DBWipesServer, SessionManager
+    from .service import DBWipesServer, SessionManager
     from .service.cache import DATA_DIR_ENV
 
     try:
@@ -527,11 +526,9 @@ def serve_main(argv: list[str]) -> int:
         workers = int(_flag_value(argv, "--workers", "0"))
         data_dir = _flag_value(argv, "--data-dir", "")
         slow = _flag_value(argv, "--slow-threshold", "")
-        use_async = "--async" in argv
         inflight_raw = _flag_value(argv, "--max-inflight", "auto")
         max_inflight = None if inflight_raw == "auto" else int(inflight_raw)
         max_queue = int(_flag_value(argv, "--max-queue", "32"))
-        exec_threads = _flag_value(argv, "--exec-threads", "")
         rate = _flag_value(argv, "--rate", "")
         burst = _flag_value(argv, "--burst", "")
         if slow:
@@ -545,25 +542,20 @@ def serve_main(argv: list[str]) -> int:
             # durable root from the environment.
             os.environ[DATA_DIR_ENV] = data_dir
         ttl_seconds = float(ttl) if ttl else None
-        gateway_kwargs = dict(
+        common = dict(
+            host=host,
+            port=port,
             max_inflight=max_inflight,
             max_queue=max_queue,
-            exec_threads=int(exec_threads) if exec_threads else None,
             rate=float(rate) if rate else None,
             burst=float(burst) if burst else None,
         )
         if workers > 0:
-            common = dict(
-                host=host,
-                port=port,
+            server = DBWipesServer(
                 workers=workers,
                 max_sessions=max_sessions,
                 ttl_seconds=ttl_seconds,
-            )
-            server = (
-                AsyncDBWipesServer(**common, **gateway_kwargs)
-                if use_async
-                else DBWipesServer(**common)
+                **common,
             )
             datasets = "per-worker demo catalogs"
         else:
@@ -571,36 +563,24 @@ def serve_main(argv: list[str]) -> int:
                 max_sessions=max_sessions,
                 ttl_seconds=ttl_seconds,
             )
-            server = (
-                AsyncDBWipesServer(manager, host=host, port=port, **gateway_kwargs)
-                if use_async
-                else DBWipesServer(manager, host=host, port=port)
-            )
+            server = DBWipesServer(manager, **common)
             datasets = f"datasets: {', '.join(manager.catalog.names)}"
-        if use_async:
-            server.start()  # binds the port; the loop runs in a thread
+        server.start()  # binds the port; the loop runs in a thread
     except (ReproError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     bound_host, bound_port = server.address
     tier = f"{workers} workers" if workers > 0 else "in-process"
-    front = (
-        f"async gateway, max_inflight={inflight_raw}, max_queue={max_queue}"
-        if use_async
-        else "threaded"
-    )
     if data_dir:
         tier += f", data_dir={data_dir}"
     print(
         f"dbwipes service listening on {bound_host}:{bound_port} "
-        f"({front}, {tier}, {datasets})",
+        f"(async gateway, max_inflight={inflight_raw}, max_queue={max_queue}, "
+        f"{tier}, {datasets})",
         flush=True,
     )
     try:
-        if use_async:
-            server.join()
-        else:
-            server.serve_forever()
+        server.join()
     except KeyboardInterrupt:
         print("shutting down")
     finally:

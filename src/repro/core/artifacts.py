@@ -11,9 +11,9 @@ Identity, not location: the artifact key (:func:`artifact_key`) is a
 digest over the base table's *content digest* plus the query text, the
 selection S, the metric spec, and the debugged aggregate. Nothing in the
 key depends on process ids, object identity, or file paths, so any
-process serving the same logical data — the threaded server, the async
-gateway, each of ``--workers N`` forked workers — resolves the same
-request to the same artifact file.
+process serving the same logical data — the in-process server, each of
+``--workers N`` forked workers — resolves the same request to the same
+artifact file.
 
 Fork/concurrency safety (the PR's single-writer rule): writers stage
 into a per-pid hidden temp file in the artifact directory and publish

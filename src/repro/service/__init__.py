@@ -16,13 +16,12 @@ tier for the reproduction:
 * :mod:`~repro.service.router` — :class:`RoutingDispatcher` +
   :class:`HashRing`: the scatter-gather front end that routes sessions
   to workers by consistent hash of the dataset id;
-* :mod:`~repro.service.server` — :class:`DBWipesServer`, a
-  dependency-free threaded TCP server over either dispatcher;
-* :mod:`~repro.service.async_server` — :class:`AsyncDBWipesServer`, the
-  event-loop gateway: same protocol and dispatchers, plus admission
-  control (bounded in-flight + queue, ``ServerBusy`` shedding with
-  ``retry_after``), per-connection token-bucket rate limiting, and
-  streamed partial ``debug`` frames;
+* :mod:`~repro.service.server` — :class:`DBWipesServer`, the
+  dependency-free asyncio gateway over either dispatcher: one event
+  loop, commands on a bounded executor, admission control (bounded
+  in-flight + queue, ``ServerBusy`` shedding with ``retry_after``) with
+  a cheap lane outside it, per-connection token-bucket rate limiting,
+  and streamed partial ``debug`` frames;
 * :mod:`~repro.service.client` — :class:`ServiceClient`, the blocking
   client used by tests, benchmarks, and ``python -m repro connect``;
 * :mod:`~repro.service.journal` — :class:`JournalStore`: per-session
@@ -46,7 +45,6 @@ registry, and the ``metrics``/``trace`` wire commands scatter-gather
 the per-process registries and span buffers into one cluster view.
 """
 
-from .async_server import AsyncDBWipesServer, TokenBucket
 from .cache import DatasetCatalog, PreprocessCache
 from .client import ServiceClient
 from .faults import FaultPlan
@@ -54,12 +52,11 @@ from .handlers import LocalDispatcher
 from .journal import JOURNALED_COMMANDS, JournalStore
 from .protocol import PROTOCOL_VERSION
 from .router import CircuitBreaker, HashRing, RoutingDispatcher
-from .server import DBWipesServer
+from .server import DBWipesServer, TokenBucket
 from .sessions import ManagedSession, SessionManager
 from .workers import WorkerHandle, WorkerPool
 
 __all__ = [
-    "AsyncDBWipesServer",
     "CircuitBreaker",
     "DBWipesServer",
     "TokenBucket",

@@ -360,9 +360,8 @@ class ServiceClient:
 
         Yields ``{"partial": True, "seq": n, "result": {...}}`` frames as
         merge rounds survive server-side, then ``{"partial": False,
-        "result": <full report payload>}``. Works on the async gateway
-        and the threaded server alike, single-process or routed —
-        workers forward partial frames back over their pipe. A
+        "result": <full report payload>}``. Works single-process or
+        routed — workers forward partial frames back over their pipe. A
         mid-stream failover replays the stream from a replica, so
         partial frames are at-least-once; the final frame is exact.
         """

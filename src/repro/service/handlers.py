@@ -10,6 +10,7 @@ reported as ``InternalError`` without killing the connection.
 
 from __future__ import annotations
 
+import asyncio
 import time
 from typing import Any, Callable
 
@@ -28,30 +29,35 @@ from .sessions import SessionManager
 DEFAULT_MAX_ROWS = 200
 DEFAULT_MAX_POINTS = 2000
 
-#: Commands cheap enough for the async gateway to answer directly on the
-#: event loop: read-only manager/registry lookups that never run the
-#: pipeline, touch a dataset, or block on a session lock. Everything
-#: else is "heavy" and goes through admission control + the executor.
+#: Commands the gateway runs outside admission control, on executor
+#: threads reserved for them: read-only manager/registry lookups that
+#: never run the pipeline, touch a dataset, or block on a session lock.
+#: Everything else is "heavy" and passes the admission gate first.
 CHEAP_COMMANDS = frozenset(
     {"ping", "stats", "sessions", "metrics", "trace", "storage", "drain"}
 )
 # ``drain`` rides the cheap lane deliberately: it is the operator's
 # overload-recovery lever, so it must not be shed by the very admission
-# control it exists to relieve. The routing dispatcher runs its waiting
-# in a thread, never on the event loop.
+# control it exists to relieve.
 
 
-class LocalDispatcher:
+class Dispatcher:
+    """A front end's command path: subclasses define the blocking
+    ``handle(message, emit_partial=None) -> envelope``; the server
+    awaits it through :meth:`handle_async`."""
+
+    async def handle_async(self, message: dict, emit_partial=None) -> dict:
+        """:meth:`handle` on a thread of the running loop's executor."""
+        return await asyncio.to_thread(self.handle, message, emit_partial)
+
+
+class LocalDispatcher(Dispatcher):
     """The single-process front end: every command runs in this process.
 
     Shares the ``handle(message) -> envelope`` shape with
     :class:`~repro.service.router.RoutingDispatcher`, so the TCP server
     is indifferent to whether a worker pool sits behind it.
     """
-
-    #: Streamed partial ``debug`` frames work here (the pipeline runs in
-    #: this process, so ``emit_partial`` can observe merge rounds live).
-    supports_streaming = True
 
     def __init__(self, manager: SessionManager):
         self.manager = manager
@@ -81,9 +87,9 @@ def dispatch(
 
     ``emit_partial(seq, payload)``, when given and the request is a
     ``debug`` with ``args: {"stream": true}``, receives partial ranked
-    payloads as the pipeline produces them — the transport (async
-    gateway) turns each into a ``partial`` wire frame ahead of this
-    function's returned terminating envelope.
+    payloads as the pipeline produces them — the server turns each into
+    a ``partial`` wire frame ahead of this function's returned
+    terminating envelope.
     """
     request_id = message.get("id") if isinstance(message, dict) else None
     raw_cmd = message.get("cmd") if isinstance(message, dict) else None

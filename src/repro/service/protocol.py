@@ -45,8 +45,8 @@ pool, rebalancing placements by replay. On the single-process tier
 ``recover`` works the same (journals permitting) while ``drain``/
 ``resize`` return a structured ``ServiceError``.
 
-The async gateway (:mod:`repro.service.async_server`) adds two more
-wire forms. A request shed by admission control or per-client rate
+The server's gateway (:mod:`repro.service.server`) adds two more wire
+forms. A request shed by admission control or per-client rate
 limiting gets a ``ServerBusy`` error envelope whose error object
 carries ``retry_after`` (seconds the client should back off before
 retrying)::
@@ -68,10 +68,9 @@ Partial frames are marked ``"partial": true`` and carry no ``ok`` key;
 the exchange always ends with one ordinary final envelope that is
 byte-identical to the non-streamed response. Both additions are why
 ``PROTOCOL_VERSION`` is 2. Partial frames also cross the worker pipe
-on the routed tier (the threaded server and the gateway both forward
-them), with one caveat: a mid-stream failover replays the stream from
-the replica, so partial frames are at-least-once — the final envelope
-is exact either way.
+on the routed tier, with one caveat: a mid-stream failover replays the
+stream from the replica, so partial frames are at-least-once — the
+final envelope is exact either way.
 
 Telemetry rides the same framing. Every response envelope is stamped
 with a top-level ``"trace"`` string — the request's trace id — and a
@@ -106,7 +105,7 @@ from ..frontend.selection import Brush
 
 #: Bumped on wire-incompatible changes; served by ``ping``.
 #: 2 = ``ServerBusy``/``retry_after`` envelopes and streamed partial
-#: ``debug`` frames (the async gateway).
+#: ``debug`` frames (the gateway).
 PROTOCOL_VERSION = 2
 
 #: Upper bound on one wire line in either direction; longer lines are a

@@ -40,15 +40,13 @@ dropping them.
 
 from __future__ import annotations
 
-import asyncio
 import bisect
 import hashlib
 import os
 import random
 import threading
 import time
-from contextlib import contextmanager
-from typing import Callable, Hashable, Iterator, Sequence
+from typing import Callable, Hashable, Sequence
 
 from ..errors import ReproError, ServiceError
 from ..obs import logs as obs_logs
@@ -57,7 +55,7 @@ from ..obs import trace as obs_trace
 from ..obs.flags import enabled as obs_enabled
 from . import faults, protocol
 from .cache import DATA_DIR_ENV
-from .handlers import SLOW_LOG_LIMIT, _SERVER_HANDLERS, _SESSION_HANDLERS
+from .handlers import SLOW_LOG_LIMIT, Dispatcher, _SERVER_HANDLERS, _SESSION_HANDLERS
 from .journal import JournalStore
 from .workers import WorkerPool
 
@@ -185,21 +183,17 @@ class CircuitBreaker:
                 self._opened_at = self._clock()
 
 
-class RoutingDispatcher:
+class RoutingDispatcher(Dispatcher):
     """Scatter-gather front end over a :class:`WorkerPool`.
 
-    Exposes both a blocking :meth:`handle` (threaded server) and an
-    awaitable :meth:`handle_async` (asyncio gateway). The two share all
-    validation, placement bookkeeping, and merge logic — only the
-    transport differs: blocking pipe waits versus coroutine-parking
-    :meth:`WorkerPool.call_async`, with broadcasts fanned out
-    concurrently via ``asyncio.gather`` on the async path.
+    One blocking path carries every command: :meth:`handle` →
+    :meth:`_dispatch` → :meth:`_forward` (or :meth:`_broadcast`, which
+    forwards to each worker in turn) → :meth:`WorkerPool.call`. The
+    server awaits it through the inherited ``handle_async``, on an
+    executor thread, so pipe waits, failover backoff and drain waits
+    never block the event loop. Workers forward partial debug frames
+    back over the pipe, so routed ``debug`` streams end to end.
     """
-
-    #: Workers forward partial debug frames back over the pipe (the
-    #: reader thread invokes ``on_partial`` per frame), so routed
-    #: ``debug`` streams end to end.
-    supports_streaming = True
 
     def __init__(
         self,
@@ -328,49 +322,15 @@ class RoutingDispatcher:
         except ReproError as error:
             kind = getattr(error, "kind", None) or type(error).__name__
             return protocol.error_response(request_id, kind, str(error))
-        with self._request_scope(cmd, session, message) as holder:
-            holder["envelope"] = self._dispatch(
-                request_id, cmd, session, args, message, emit_partial
-            )
-        return holder["envelope"]
-
-    async def handle_async(self, message: dict, emit_partial=None) -> dict:
-        """:meth:`handle`, awaitable: pipe waits park coroutines.
-
-        Identical envelopes, spans, and metrics — only the transport
-        changes, so one stuck worker stalls its caller's coroutine and
-        nothing else on the event loop.
-        """
-        request_id = message.get("id")
-        try:
-            cmd, session, args = protocol.validate_request(message)
-        except ReproError as error:
-            kind = getattr(error, "kind", None) or type(error).__name__
-            return protocol.error_response(request_id, kind, str(error))
-        with self._request_scope(cmd, session, message) as holder:
-            holder["envelope"] = await self._dispatch_async(
-                request_id, cmd, session, args, message, emit_partial
-            )
-        return holder["envelope"]
-
-    @contextmanager
-    def _request_scope(
-        self, cmd: str, session: str | None, message: dict
-    ) -> Iterator[dict]:
-        """The per-request span + metrics + slow-log + trace stamping.
-
-        Yields a one-slot holder dict; the caller stores the envelope
-        under ``"envelope"`` before the context exits.
-        """
-        holder: dict = {"envelope": None}
         trace_id, parent_id = obs_trace.from_wire(message)
         start = time.perf_counter()
         with obs_trace.span(
             f"server.{cmd}", trace_id=trace_id, parent_id=parent_id
         ) as span:
-            yield holder
-            envelope = holder["envelope"]
-            if envelope is not None and not envelope.get("ok"):
+            envelope = self._dispatch(
+                request_id, cmd, session, args, message, emit_partial
+            )
+            if not envelope.get("ok"):
                 error = envelope.get("error")
                 if isinstance(error, dict):
                     span.set(error=error.get("kind"))
@@ -390,8 +350,9 @@ class RoutingDispatcher:
                 help="Request wall seconds, by command and process role.",
             ).observe(seconds)
             obs_logs.maybe_log_slow(cmd, seconds, role="server", session=session)
-        if stamped_trace is not None and holder["envelope"] is not None:
-            holder["envelope"]["trace"] = stamped_trace
+        if stamped_trace is not None:
+            envelope["trace"] = stamped_trace
+        return envelope
 
     def _dispatch(
         self,
@@ -449,55 +410,6 @@ class RoutingDispatcher:
             )
         return self._unknown_command(request_id, cmd)
 
-    async def _dispatch_async(
-        self,
-        request_id,
-        cmd: str,
-        session: str | None,
-        args: dict,
-        message: dict,
-        emit_partial=None,
-    ) -> dict:
-        if cmd == "ping":
-            return self._pong(request_id)
-        if cmd == "stats":
-            return self._merge_stats(
-                request_id, await self._broadcast_async("stats", message)
-            )
-        if cmd == "sessions":
-            return self._merge_sessions(
-                request_id, await self._broadcast_async("sessions", message)
-            )
-        if cmd == "metrics":
-            return self._merge_metrics(
-                request_id, await self._broadcast_async("metrics", message)
-            )
-        if cmd == "storage":
-            return self._merge_storage(
-                request_id, await self._broadcast_async("storage", message)
-            )
-        if cmd == "trace":
-            resolved = self._trace_resolve(request_id, message, args)
-            if isinstance(resolved, dict):
-                return resolved
-            trace_id, spans, dropped, explicit = resolved
-            return self._merge_trace(
-                request_id,
-                trace_id,
-                spans,
-                dropped,
-                await self._broadcast_async("trace", explicit),
-            )
-        # open / session commands / recover / drain / resize share the
-        # synchronous failover machinery (bounded retries, backoff
-        # sleeps, drain waits) — run it on a worker thread so retries
-        # never stall the event loop. Concurrency is already bounded
-        # upstream by the gateway's admission gate, and the gateway's
-        # emit callbacks marshal onto the loop thread-safely.
-        return await asyncio.to_thread(
-            self._dispatch, request_id, cmd, session, args, message, emit_partial
-        )
-
     def _pong(self, request_id) -> dict:
         return protocol.ok_response(
             request_id,
@@ -541,24 +453,6 @@ class RoutingDispatcher:
         return [
             self._forward(index, cmd, message) for index in range(len(self.pool))
         ]
-
-    async def _forward_async(self, worker: int, cmd: str, message: dict) -> dict:
-        """:meth:`_forward` without blocking the event loop."""
-        with obs_trace.span(f"router.{cmd}", worker=worker) as span:
-            context = obs_trace.wire_context(span)
-            forwarded = {**message, "trace": context} if context else message
-            return await self.pool.call_async(worker, forwarded)
-
-    async def _broadcast_async(self, cmd: str, message: dict) -> list[dict]:
-        """All workers concurrently; envelopes still in worker order."""
-        return list(
-            await asyncio.gather(
-                *(
-                    self._forward_async(index, cmd, message)
-                    for index in range(len(self.pool))
-                )
-            )
-        )
 
     # -- server-scoped fan-out -----------------------------------------
 

@@ -1,32 +1,62 @@
-"""The concurrent DBWipes server: JSON lines over TCP.
+"""The DBWipes server: JSON lines over TCP through one asyncio gateway.
 
-A thread-per-connection :class:`socketserver.ThreadingTCPServer` whose
-handler reads newline-delimited JSON requests and hands each to a
-*dispatcher* (see :mod:`repro.service.protocol` for the wire format).
-Two dispatchers exist:
+One event loop accepts connections and parses frames, so thousands of
+idle or slow clients cost file descriptors, not threads. Every command
+then runs through the dispatcher's ``handle_async`` — ``handle`` on a
+thread of one bounded executor. Two dispatchers exist:
 
-* :class:`~repro.service.handlers.LocalDispatcher` (``workers=0``) —
-  the original single-process mode: one
-  :class:`~repro.service.sessions.SessionManager` in this process.
-* :class:`~repro.service.router.RoutingDispatcher` (``workers=N``) —
-  the multi-worker serving tier: the front end routes session commands
-  to N worker processes by consistent hash of the dataset id, so each
-  worker's caches stay hot for its shard of the catalog.
+* :class:`~repro.service.handlers.LocalDispatcher` (``workers=0``): one
+  :class:`~repro.service.sessions.SessionManager` in this process;
+* :class:`~repro.service.router.RoutingDispatcher` (``workers=N``): the
+  router sends session commands to N worker processes by consistent
+  hash of the dataset id, so each worker's caches stay hot for its
+  shard of the catalog.
 
-Dependency-free by design: the standard library's ``socketserver`` and
-``multiprocessing`` plus the repo's own session/pipeline code — nothing
-to install, so the demo serves from any laptop.
+On top of either, the gateway keeps an explicit capacity model:
+
+* **cheap commands** (:data:`~repro.service.handlers.CHEAP_COMMANDS`:
+  ``ping``/``stats``/``sessions``/``metrics``/``trace``/...) skip
+  admission and run on executor threads reserved for them
+  (:data:`CHEAP_LANE_THREADS`), so they stay fast no matter how
+  saturated the heavy lane is;
+* **heavy commands** (anything that runs the pipeline, touches a dataset
+  or takes a session lock) pass *admission control*: at most
+  ``max_inflight`` execute at once and at most ``max_queue`` wait for a
+  slot;
+* **everything beyond that is shed**, immediately, with a structured
+  ``ServerBusy`` envelope carrying ``retry_after`` — an EWMA over the
+  per-stage timing counters of recently served requests (see
+  ``protocol.busy_response``) — instead of silent unbounded queue growth;
+* **per-client token buckets** (``rate``/``burst``) bound any single
+  connection's heavy-command rate before it reaches the shared queue;
+* **streamed partial results**: a ``debug`` with ``args: {"stream":
+  true}`` emits ``partial`` frames with the ranked rules as merge rounds
+  survive, then the byte-identical final envelope. Routed workers relay
+  the frames over their pipes, so both dispatchers stream.
+
+Dependency-free by design: ``asyncio``, ``concurrent.futures`` and
+``multiprocessing`` from the standard library plus the repo's own
+session/pipeline code — nothing to install, so the demo serves from any
+laptop.
 """
 
 from __future__ import annotations
 
-import socket
-import socketserver
+import asyncio
+import os
 import threading
+import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
-from .handlers import LocalDispatcher
+from ..errors import ServiceError
+from ..obs import trace as obs_trace
+from ..obs.flags import enabled as obs_enabled
+from ..obs.metrics import registry as obs_registry
+from .handlers import CHEAP_COMMANDS, LocalDispatcher
 from .protocol import (
     MAX_LINE_BYTES,
+    busy_response,
     decode_line,
     encode,
     error_response,
@@ -34,40 +64,399 @@ from .protocol import (
 )
 from .sessions import SessionManager
 
+#: Fallback heavy-request service time (seconds) before the EWMA has a
+#: sample — only used for the very first shed's ``retry_after``.
+DEFAULT_SERVICE_SECONDS = 0.05
 
-class _RequestHandler(socketserver.StreamRequestHandler):
-    """One client connection: a loop of (read line, dispatch, write line)."""
+#: ``retry_after`` is clamped into this range: long enough to matter,
+#: short enough that a well-behaved client retries within the demo.
+MIN_RETRY_AFTER = 0.01
+MAX_RETRY_AFTER = 5.0
 
-    server: "_TCPServer"
+#: Auto-tuned admission: bound the convoy delay a newly admitted heavy
+#: request sits behind (``inflight × EWMA service time``) to roughly this
+#: many seconds. Fast workloads widen the gate; slow ones narrow it.
+AUTO_TARGET_DELAY_SECONDS = 2.0
 
-    def handle(self) -> None:  # pragma: no cover - exercised via sockets
-        while True:
-            try:
-                line = self.rfile.readline(MAX_LINE_BYTES + 1)
-            except (ConnectionError, OSError):
-                return
-            if not line:
-                return  # client closed the connection
-            if not line.endswith(b"\n"):
-                # Oversized (truncated by the readline limit) or a partial
-                # final line: the stream cannot be resynchronized to the
-                # next request boundary, so report and close — never parse
-                # the remainder as if it were a fresh request.
-                self._write(
-                    error_response(
-                        None,
-                        "ProtocolError",
-                        f"request line exceeds {MAX_LINE_BYTES} bytes "
-                        "or is truncated; closing connection",
-                    )
-                )
-                return
-            if line.strip() == b"":
+#: Auto-tuned ``max_inflight`` stays inside these bounds (the upper one
+#: additionally capped by CPU count — see ``_auto_cap``).
+AUTO_MIN_INFLIGHT = 1
+AUTO_MAX_INFLIGHT = 16
+
+#: Where an auto-tuned gateway starts before the first EWMA sample.
+AUTO_START_INFLIGHT = 4
+
+#: Executor threads beyond the gate's widest setting, left free for the
+#: cheap lane while every heavy slot is busy.
+CHEAP_LANE_THREADS = 4
+
+
+def _auto_cap() -> int:
+    """Ceiling for the auto-tuned gate: 2× cores, in [4, AUTO_MAX]."""
+    cores = os.cpu_count() or 1
+    return max(4, min(AUTO_MAX_INFLIGHT, 2 * cores))
+
+
+class _AdmissionGate:
+    """A counting gate whose limit can change while coroutines wait.
+
+    ``asyncio.Semaphore`` bakes its count in at construction; auto-tuning
+    needs to widen or narrow admission *while requests are queued*, so
+    this keeps an explicit waiter deque and an adjustable ``limit``.
+    Everything runs on the event loop — no locks. Narrowing never
+    revokes in-flight work; the excess drains as requests finish.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = max(1, int(limit))
+        self.inflight = 0
+        self._waiters: deque[asyncio.Future] = deque()
+
+    async def acquire(self) -> None:
+        if self.inflight < self.limit:
+            self.inflight += 1
+            return
+        future = asyncio.get_running_loop().create_future()
+        self._waiters.append(future)
+        try:
+            await future
+        except asyncio.CancelledError:
+            if future.done() and not future.cancelled():
+                # Granted and cancelled in the same tick: return the slot.
+                self.release()
+            raise
+
+    def release(self) -> None:
+        self.inflight -= 1
+        self._wake()
+
+    def set_limit(self, limit: int) -> None:
+        self.limit = max(1, int(limit))
+        self._wake()
+
+    def _wake(self) -> None:
+        while self._waiters and self.inflight < self.limit:
+            future = self._waiters.popleft()
+            if future.done():
                 continue
-            if not self._write(self._respond_to(line)):
-                return
+            self.inflight += 1
+            future.set_result(None)
 
-    def _write(self, response: dict) -> bool:
+
+class TokenBucket:
+    """A classic token bucket: ``rate`` tokens/second, ``burst`` capacity.
+
+    Heavy commands cost one token each; cheap commands are free. Runs
+    entirely on the event loop, so no locking is needed.
+    """
+
+    def __init__(self, rate: float, burst: float, clock=time.monotonic):
+        if rate <= 0:
+            raise ServiceError("rate must be positive")
+        if burst < 1:
+            raise ServiceError("burst must be >= 1")
+        self.rate = float(rate)
+        self.capacity = float(burst)
+        self.tokens = float(burst)
+        self._clock = clock
+        self._last = clock()
+
+    def _refill(self) -> None:
+        now = self._clock()
+        self.tokens = min(self.capacity, self.tokens + (now - self._last) * self.rate)
+        self._last = now
+
+    def try_take(self, n: float = 1.0) -> bool:
+        """Spend ``n`` tokens if available; never blocks."""
+        self._refill()
+        if self.tokens >= n:
+            self.tokens -= n
+            return True
+        return False
+
+    def seconds_until(self, n: float = 1.0) -> float:
+        """How long until ``n`` tokens will have accumulated."""
+        self._refill()
+        deficit = n - self.tokens
+        return max(0.0, deficit / self.rate)
+
+
+class DBWipesServer:
+    """The serving tier: many sessions, one port — one process or many.
+
+    >>> server = DBWipesServer(port=0)      # 0 = pick a free port
+    >>> host, port = server.start()         # the loop runs in a thread
+    >>> ...                                 # clients connect
+    >>> server.stop()
+
+    ``workers=N`` (N >= 1) swaps the in-process
+    :class:`~repro.service.sessions.SessionManager` for a
+    :class:`~repro.service.workers.WorkerPool` behind a
+    :class:`~repro.service.router.RoutingDispatcher`. In that mode
+    ``manager`` is ``None``; ``catalog_factory``, ``config``,
+    ``max_sessions`` and ``ttl_seconds`` configure every worker's own
+    manager instead. The gateway knobs:
+
+    ``max_inflight``
+        Heavy commands executing at once. The GIL makes a *small* bound
+        fastest. ``None`` (the default) auto-tunes: the gate is resized
+        after each heavy completion so that ``inflight × EWMA service
+        time`` stays near :data:`AUTO_TARGET_DELAY_SECONDS`, clamped to
+        ``[AUTO_MIN_INFLIGHT, 2 × cores ≤ AUTO_MAX_INFLIGHT]``. Passing
+        an integer pins the gate (the ``--max-inflight`` override).
+    ``max_queue``
+        Heavy commands allowed to wait for a slot; one more is shed.
+    ``rate`` / ``burst``
+        Per-connection token bucket on heavy commands; ``rate=None``
+        disables rate limiting.
+    """
+
+    def __init__(
+        self,
+        manager: SessionManager | None = None,
+        host: str = "127.0.0.1",
+        port: int = 8642,
+        workers: int = 0,
+        catalog_factory=None,
+        config=None,
+        max_sessions: int = 64,
+        ttl_seconds: float | None = None,
+        max_inflight: int | None = None,
+        max_queue: int = 32,
+        rate: float | None = None,
+        burst: float | None = None,
+    ):
+        if max_inflight is not None and max_inflight < 1:
+            raise ServiceError("max_inflight must be >= 1 (or None to auto-tune)")
+        if max_queue < 0:
+            raise ServiceError("max_queue must be >= 0")
+        self.host = host
+        self.port = port
+        #: Whether the gate resizes itself from the service-time EWMA.
+        self.auto_inflight = max_inflight is None
+        #: The widest the gate can get: the executor holds this many
+        #: heavy threads plus :data:`CHEAP_LANE_THREADS`.
+        self._inflight_cap = (
+            _auto_cap() if self.auto_inflight else int(max_inflight)
+        )
+        self.max_inflight = (
+            min(AUTO_START_INFLIGHT, self._inflight_cap)
+            if self.auto_inflight
+            else self._inflight_cap
+        )
+        self.max_queue = int(max_queue)
+        self.rate = rate
+        self.burst = float(burst) if burst is not None else (rate or 0) * 2 or 1.0
+        if workers and int(workers) > 0:
+            from .router import RoutingDispatcher
+            from .workers import WorkerPool
+
+            self.manager = None
+            self.dispatcher = RoutingDispatcher(
+                WorkerPool(
+                    int(workers),
+                    catalog_factory=catalog_factory,
+                    config=config,
+                    max_sessions=max_sessions,
+                    ttl_seconds=ttl_seconds,
+                )
+            )
+        else:
+            self.manager = manager if manager is not None else SessionManager()
+            self.dispatcher = LocalDispatcher(self.manager)
+
+        # Admission state — touched only from the event loop.
+        self._inflight = 0
+        self._waiting = 0
+        self._ewma_heavy_seconds: float | None = None
+        self._shed_count = 0
+
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._gate: _AdmissionGate | None = None
+        self._stop_event: asyncio.Event | None = None
+        self._thread: threading.Thread | None = None
+        self._started = threading.Event()
+        self._startup_error: BaseException | None = None
+        self._bound: tuple[str, int] | None = None
+
+        reg = obs_registry()
+        self._g_inflight = reg.gauge(
+            "dbwipes_gateway_inflight",
+            help="Heavy commands currently executing in the async gateway.",
+        )
+        self._g_queue = reg.gauge(
+            "dbwipes_gateway_queue_depth",
+            help="Heavy commands waiting for an admission slot.",
+        )
+        self._m_shed_queue = reg.counter(
+            "dbwipes_shed_total",
+            labels={"reason": "queue_full"},
+            help="Requests shed by the async gateway, by reason.",
+        )
+        self._m_shed_rate = reg.counter(
+            "dbwipes_shed_total",
+            labels={"reason": "rate_limited"},
+            help="Requests shed by the async gateway, by reason.",
+        )
+        self._m_partials = reg.counter(
+            "dbwipes_partial_frames_total",
+            help="Streamed partial debug frames emitted.",
+        )
+
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+
+    @property
+    def address(self) -> tuple[str, int]:
+        """The bound (host, port) — resolved even when created with port 0."""
+        if self._bound is None:
+            raise ServiceError("server is not started")
+        return self._bound
+
+    def start(self) -> tuple[str, int]:
+        """Run the event loop in a daemon thread; returns the address."""
+        if self._thread is None:
+            self._started.clear()
+            self._startup_error = None
+            self._thread = threading.Thread(
+                target=self._run_loop,
+                name="dbwipes-server",
+                daemon=True,
+            )
+            self._thread.start()
+            self._started.wait(timeout=30)
+            if self._startup_error is not None:
+                error = self._startup_error
+                self._thread.join(timeout=5)
+                self._thread = None
+                raise ServiceError(f"server failed to start: {error}")
+        assert self._bound is not None
+        return self._bound
+
+    def join(self) -> None:
+        """Block until the serving thread exits (pair with :meth:`start`)."""
+        if self._thread is not None:
+            self._thread.join()
+
+    def stop(self) -> None:
+        """Stop accepting, drain the loop, stop workers."""
+        loop = self._loop
+        if loop is not None and self._stop_event is not None:
+            try:
+                loop.call_soon_threadsafe(self._stop_event.set)
+            except RuntimeError:
+                pass  # loop already closed
+        if self._thread is not None:
+            self._thread.join(timeout=10)
+            self._thread = None
+        self.dispatcher.close()
+
+    def __enter__(self) -> "DBWipesServer":
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+    def _run_loop(self) -> None:
+        try:
+            asyncio.run(self._main())
+        except BaseException as error:  # noqa: BLE001 — surfaced via start()
+            if not self._started.is_set():
+                self._startup_error = error
+                self._started.set()
+            else:
+                raise
+
+    async def _main(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._gate = _AdmissionGate(self.max_inflight)
+        self._stop_event = asyncio.Event()
+        # ``asyncio.to_thread`` (each dispatcher's ``handle_async``) runs
+        # on the loop's default executor: the widest gate plus the cheap
+        # lane, so an auto-tuned gate never outruns its threads.
+        executor = ThreadPoolExecutor(
+            max_workers=self._inflight_cap + CHEAP_LANE_THREADS,
+            thread_name_prefix="dbwipes-exec",
+        )
+        self._loop.set_default_executor(executor)
+        server = await asyncio.start_server(
+            self._serve_connection,
+            self.host,
+            self.port,
+            # One full protocol line must fit the stream buffer; the +2
+            # leaves readline room to distinguish "too long" from "fits".
+            limit=MAX_LINE_BYTES + 2,
+            # Hundreds of simultaneous connects must queue, not get
+            # kernel RSTs.
+            backlog=512,
+        )
+        sockname = server.sockets[0].getsockname()
+        self._bound = (str(sockname[0]), int(sockname[1]))
+        self._started.set()
+        try:
+            async with server:
+                await self._stop_event.wait()
+        finally:
+            executor.shutdown(wait=False, cancel_futures=True)
+
+    # ------------------------------------------------------------------
+    # per-connection protocol loop
+    # ------------------------------------------------------------------
+
+    async def _serve_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        bucket = (
+            TokenBucket(self.rate, self.burst) if self.rate is not None else None
+        )
+        try:
+            while True:
+                try:
+                    line = await reader.readline()
+                except (asyncio.LimitOverrunError, ValueError):
+                    # readline wraps a line-too-long overrun in ValueError.
+                    await self._write(
+                        writer,
+                        error_response(
+                            None,
+                            "ProtocolError",
+                            f"request line exceeds {MAX_LINE_BYTES} bytes "
+                            "or is truncated; closing connection",
+                        ),
+                    )
+                    return
+                except (ConnectionError, OSError):
+                    return
+                if not line:
+                    return  # client closed the connection
+                if not line.endswith(b"\n"):
+                    # EOF mid-line: nothing more will resynchronize it.
+                    return
+                if len(line) > MAX_LINE_BYTES:
+                    await self._write(
+                        writer,
+                        error_response(
+                            None,
+                            "ProtocolError",
+                            f"request line exceeds {MAX_LINE_BYTES} bytes "
+                            "or is truncated; closing connection",
+                        ),
+                    )
+                    return
+                if line.strip() == b"":
+                    continue
+                envelope = await self._respond_to(line, writer, bucket)
+                if not await self._write(writer, envelope):
+                    return
+        finally:
+            try:
+                writer.close()
+            except (ConnectionError, OSError):
+                pass
+
+    async def _write(self, writer: asyncio.StreamWriter, response: dict) -> bool:
         data = encode(response)
         if len(data) > MAX_LINE_BYTES:
             # Never emit a line the client cannot frame; tell it to
@@ -81,149 +470,225 @@ class _RequestHandler(socketserver.StreamRequestHandler):
                 )
             )
         try:
-            self.wfile.write(data)
-            self.wfile.flush()
+            writer.write(data)
+            await writer.drain()
         except (ConnectionError, OSError):
             return False
         return True
 
-    def _respond_to(self, line: bytes) -> dict:
+    async def _respond_to(
+        self,
+        line: bytes,
+        writer: asyncio.StreamWriter,
+        bucket: TokenBucket | None,
+    ) -> dict:
         try:
             message = decode_line(line)
         except Exception as error:
             return error_response(None, type(error).__name__, str(error))
-        dispatcher = self.server.dispatcher
-        emit = None
-        if getattr(dispatcher, "supports_streaming", False):
-            args = message.get("args") if isinstance(message, dict) else None
-            if isinstance(args, dict) and args.get("stream"):
-                emit = self._make_emit(message.get("id"))
-        return dispatcher.handle(message, emit)
+        request_id = message.get("id") if isinstance(message, dict) else None
+        cmd = message.get("cmd") if isinstance(message, dict) else None
 
-    def _make_emit(self, request_id):
-        """A partial-frame writer for one streamed request.
+        if isinstance(cmd, str) and cmd in CHEAP_COMMANDS:
+            # Cheap lane: skips admission, so liveness and telemetry stay
+            # observable under overload, which is exactly when they matter.
+            return await self._handle_cheap(message, request_id, cmd)
+        return await self._handle_heavy(message, request_id, cmd, writer, bucket)
 
-        Partials are written as they arrive (possibly from a worker
-        handle's reader thread) strictly before the dispatcher returns
-        the terminating envelope, so frame order on the wire matches
-        emit order. A client that went away mid-stream is tolerated —
-        the final write in :meth:`_write` reports the broken pipe.
+    # ------------------------------------------------------------------
+    # the two lanes
+    # ------------------------------------------------------------------
+
+    async def _run(self, message: dict, request_id, emit=None) -> dict:
+        """One request through the dispatcher on an executor thread."""
+        try:
+            return await self.dispatcher.handle_async(message, emit)
+        except RuntimeError:
+            # The executor shut down under the request (server stopping).
+            return error_response(
+                request_id, "ServiceError", "server is shutting down"
+            )
+
+    async def _handle_cheap(self, message: dict, request_id, cmd) -> dict:
+        envelope = await self._run(message, request_id)
+        if (
+            cmd == "stats"
+            and envelope.get("ok")
+            and isinstance(envelope.get("result"), dict)
+        ):
+            # The gateway's admission state lives on this loop, not in
+            # any session manager — graft it into the stats snapshot so
+            # clients can see the (possibly auto-tuned) gate width.
+            envelope["result"]["gateway"] = self.gateway_stats()
+        return envelope
+
+    async def _handle_heavy(
+        self,
+        message: dict,
+        request_id,
+        cmd,
+        writer: asyncio.StreamWriter,
+        bucket: TokenBucket | None,
+    ) -> dict:
+        if bucket is not None and not bucket.try_take(1.0):
+            self._shed_count += 1
+            if obs_enabled():
+                self._m_shed_rate.inc()
+            return busy_response(
+                request_id,
+                "rate limit exceeded for this connection; slow down",
+                max(MIN_RETRY_AFTER, min(MAX_RETRY_AFTER, bucket.seconds_until(1.0))),
+            )
+        if self._inflight >= self.max_inflight and self._waiting >= self.max_queue:
+            self._shed_count += 1
+            if obs_enabled():
+                self._m_shed_queue.inc()
+            return busy_response(
+                request_id,
+                f"server at capacity ({self._inflight} in flight, "
+                f"{self._waiting} queued); retry shortly",
+                self._retry_after(),
+            )
+        assert self._gate is not None
+        self._waiting += 1
+        if obs_enabled():
+            self._g_queue.set(float(self._waiting))
+        trace_id, parent_id = obs_trace.from_wire(message)
+        with obs_trace.span(
+            "gateway.admit", trace_id=trace_id, parent_id=parent_id
+        ) as span:
+            span.set(queued=self._waiting, inflight=self._inflight)
+            await self._gate.acquire()
+        self._waiting -= 1
+        self._inflight += 1
+        if obs_enabled():
+            self._g_queue.set(float(self._waiting))
+            self._g_inflight.set(float(self._inflight))
+        wants_stream = (
+            cmd == "debug"
+            and isinstance(message.get("args"), dict)
+            and bool(message["args"].get("stream"))
+        )
+        emit = self._make_emit(writer, request_id) if wants_stream else None
+        start = time.perf_counter()
+        try:
+            envelope = await self._run(message, request_id, emit)
+        finally:
+            self._inflight -= 1
+            self._gate.release()
+            if obs_enabled():
+                self._g_inflight.set(float(self._inflight))
+        self._observe_heavy(cmd, envelope, time.perf_counter() - start)
+        return envelope
+
+    def _make_emit(self, writer: asyncio.StreamWriter, request_id):
+        """A thread-safe partial-frame sender for one streamed request.
+
+        Called mid-pipeline from the executor thread (in-process) or from
+        a worker handle's reader thread (routed); each frame write is
+        marshalled onto the loop with ``call_soon_threadsafe``, which
+        FIFO-orders every partial ahead of the executor future's own
+        completion callback — so the client always sees partials strictly
+        before the terminating envelope.
         """
+        assert self._loop is not None
+        loop = self._loop
 
         def emit(seq: int, payload: dict) -> None:
+            data = encode(partial_response(request_id, seq, payload))
+            if len(data) > MAX_LINE_BYTES:
+                return  # partials are best-effort; never break the framing
+
+            def _send() -> None:
+                if not writer.is_closing():
+                    try:
+                        writer.write(data)
+                    except (ConnectionError, OSError):
+                        pass
+
             try:
-                data = encode(partial_response(request_id, seq, payload))
-                if len(data) > MAX_LINE_BYTES:
-                    return  # skip the frame; the final envelope decides
-                self.wfile.write(data)
-                self.wfile.flush()
-            except (ConnectionError, OSError):
-                pass
+                loop.call_soon_threadsafe(_send)
+            except RuntimeError:
+                return  # loop closed under the request
+            if obs_enabled():
+                self._m_partials.inc()
 
         return emit
 
+    # ------------------------------------------------------------------
+    # the shedding signal
+    # ------------------------------------------------------------------
 
-class _TCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    # socketserver's default listen backlog is 5: a hundred clients
-    # connecting at once get kernel RSTs before accept() ever runs.
-    request_queue_size = 512
+    def _observe_heavy(self, cmd, envelope: dict, wall_seconds: float) -> None:
+        """Feed the retry_after EWMA from the request just served.
 
-    def __init__(self, address: tuple[str, int], dispatcher):
-        super().__init__(address, _RequestHandler)
-        self.dispatcher = dispatcher
+        Uses the per-stage timing counters when the response carries
+        them (``debug`` reports their sum — the dominant cost under
+        load) and the gateway-observed wall time otherwise.
+        """
+        seconds = wall_seconds
+        if cmd == "debug" and envelope.get("ok"):
+            result = envelope.get("result")
+            timings = result.get("timings") if isinstance(result, dict) else None
+            if isinstance(timings, dict):
+                stage_sum = sum(
+                    float(v)
+                    for v in timings.values()
+                    if isinstance(v, (int, float))
+                )
+                if stage_sum > 0:
+                    seconds = stage_sum
+        previous = self._ewma_heavy_seconds
+        self._ewma_heavy_seconds = (
+            seconds if previous is None else 0.2 * seconds + 0.8 * previous
+        )
+        if self.auto_inflight:
+            self._retune_gate()
 
+    def _retune_gate(self) -> None:
+        """Resize admission so backlog drain time tracks the target.
 
-class DBWipesServer:
-    """The serving tier: many sessions, one port — one process or many.
+        With an EWMA service time of *s* seconds, admitting *n* at once
+        means a newly admitted request waits roughly ``n × s`` behind the
+        GIL / worker pool. Solve for the *n* that keeps that near
+        :data:`AUTO_TARGET_DELAY_SECONDS`: fast requests widen the gate
+        (more concurrency costs little), slow ones narrow it toward
+        serial execution (where each finishes soonest). Clamped to
+        ``[AUTO_MIN_INFLIGHT, cap]``; the executor was sized to the cap
+        up front, so widening never outruns the thread pool.
+        """
+        ewma = self._ewma_heavy_seconds
+        if ewma is None or self._gate is None:
+            return
+        target = int(AUTO_TARGET_DELAY_SECONDS / max(ewma, 1e-4))
+        target = max(AUTO_MIN_INFLIGHT, min(self._inflight_cap, target))
+        if target != self.max_inflight:
+            self.max_inflight = target
+            self._gate.set_limit(target)
 
-    >>> server = DBWipesServer(port=0)      # 0 = pick a free port
-    >>> host, port = server.start()         # background thread
-    >>> ...                                 # clients connect
-    >>> server.stop()
+    def _retry_after(self) -> float:
+        """Suggested backoff: expected backlog drain time, clamped."""
+        base = (
+            self._ewma_heavy_seconds
+            if self._ewma_heavy_seconds is not None
+            else DEFAULT_SERVICE_SECONDS
+        )
+        backlog = self._waiting + self._inflight + 1
+        estimate = base * backlog / max(1, self.max_inflight)
+        return max(MIN_RETRY_AFTER, min(MAX_RETRY_AFTER, estimate))
 
-    ``workers=N`` (N >= 1) swaps the in-process
-    :class:`~repro.service.sessions.SessionManager` for a
-    :class:`~repro.service.workers.WorkerPool` behind a
-    :class:`~repro.service.router.RoutingDispatcher` — each worker owns
-    a catalog shard by consistent hash of the dataset id. In that mode
-    ``manager`` is ignored (``None``); ``catalog_factory``, ``config``,
-    ``max_sessions``, and ``ttl_seconds`` configure every worker's own
-    manager instead. ``serve_forever()`` is the blocking entry used by
-    ``python -m repro serve``.
-    """
+    # ------------------------------------------------------------------
+    # introspection
+    # ------------------------------------------------------------------
 
-    def __init__(
-        self,
-        manager: SessionManager | None = None,
-        host: str = "127.0.0.1",
-        port: int = 8642,
-        workers: int = 0,
-        catalog_factory=None,
-        config=None,
-        max_sessions: int = 64,
-        ttl_seconds: float | None = None,
-    ):
-        self.pool = None
-        if workers and int(workers) > 0:
-            from .router import RoutingDispatcher
-            from .workers import WorkerPool
-
-            self.manager = None
-            self.pool = WorkerPool(
-                int(workers),
-                catalog_factory=catalog_factory,
-                config=config,
-                max_sessions=max_sessions,
-                ttl_seconds=ttl_seconds,
-            )
-            self.dispatcher = RoutingDispatcher(self.pool)
-        else:
-            self.manager = manager if manager is not None else SessionManager()
-            self.dispatcher = LocalDispatcher(self.manager)
-        self._server = _TCPServer((host, port), self.dispatcher)
-        self._thread: threading.Thread | None = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound (host, port) — resolved even when created with port 0."""
-        host, port = self._server.server_address[:2]
-        return str(host), int(port)
-
-    def start(self) -> tuple[str, int]:
-        """Serve from a daemon thread; returns the bound address."""
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._server.serve_forever,
-                name="dbwipes-server",
-                daemon=True,
-            )
-            self._thread.start()
-        return self.address
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`stop` or interrupt."""
-        self._server.serve_forever()
-
-    def stop(self) -> None:
-        """Stop accepting connections, release the socket, stop workers."""
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-        if self.pool is not None:
-            self.pool.close()
-
-    def __enter__(self) -> "DBWipesServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
-def connect_socket(host: str, port: int, timeout: float | None) -> socket.socket:
-    """A connected TCP socket (shared by the client and health checks)."""
-    return socket.create_connection((host, port), timeout=timeout)
+    def gateway_stats(self) -> dict:
+        """Loop-side admission counters (racy reads, fine for tests)."""
+        return {
+            "max_inflight": self.max_inflight,
+            "auto_inflight": self.auto_inflight,
+            "max_queue": self.max_queue,
+            "inflight": self._inflight,
+            "waiting": self._waiting,
+            "shed": self._shed_count,
+            "ewma_heavy_seconds": self._ewma_heavy_seconds,
+        }

@@ -153,6 +153,13 @@ class SessionManager:
             "dbwipes_sessions_recovered_total",
             help="Sessions rebuilt by replaying their journal.",
         )
+        # Slow requests are counted per command when the first one is
+        # logged; this unlabeled series exposes the family at zero before
+        # that, as CORE_METRICS requires.
+        reg.counter(
+            "dbwipes_slow_requests_total",
+            help="Requests slower than the slow-request threshold.",
+        )
 
     # ------------------------------------------------------------------
     # lifecycle

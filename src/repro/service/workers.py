@@ -12,7 +12,7 @@ Transport is one duplex :func:`multiprocessing.Pipe` per worker carrying
 ``(request_token, message)`` tuples down and ``(request_token,
 envelope)`` tuples back. The parent side multiplexes: sends happen under
 a lock, a daemon reader thread completes pending calls as responses
-arrive, and many front-end connection threads can have calls in flight
+arrive, and many front-end executor threads can have calls in flight
 on one worker at once.
 
 A worker that dies — killed, OOMed, crashed — must never strand a
@@ -148,32 +148,26 @@ def _worker_main(
 class _Pending:
     """One in-flight call: the caller's event and the response slot.
 
-    A blocking caller waits on ``event``; an asyncio caller additionally
-    passes a ``callback`` invoked (from the reader thread) on completion
-    so the envelope can be marshalled onto the event loop. Streamed
-    calls pass ``on_partial``, invoked (also from the reader thread) for
-    each partial frame *without* completing the call.
+    The caller waits on ``event``. Streamed calls pass ``on_partial``,
+    invoked from the reader thread for each partial frame *without*
+    completing the call.
     """
 
-    __slots__ = ("request_id", "event", "envelope", "callback", "on_partial")
+    __slots__ = ("request_id", "event", "envelope", "on_partial")
 
     def __init__(
         self,
         request_id: Any,
-        callback: Callable[[dict], None] | None = None,
         on_partial: Callable[[dict], None] | None = None,
     ):
         self.request_id = request_id
         self.event = threading.Event()
         self.envelope: dict | None = None
-        self.callback = callback
         self.on_partial = on_partial
 
     def complete(self, envelope: dict) -> None:
         self.envelope = envelope
         self.event.set()
-        if self.callback is not None:
-            self.callback(envelope)
 
 
 class WorkerHandle:
@@ -454,45 +448,6 @@ class WorkerHandle:
             return pending.envelope
         return self._timed_out(outcome, request_id, timeout)
 
-    async def call_async(
-        self,
-        message: dict,
-        timeout: float | None = None,
-        on_partial: Callable[[dict], None] | None = None,
-    ) -> dict:
-        """Awaitable twin of :meth:`call` for the asyncio gateway.
-
-        The reader thread still does the waiting; completion is
-        marshalled onto the running loop via ``call_soon_threadsafe``,
-        so a stuck worker parks one coroutine instead of one OS thread —
-        and can never stall the event loop itself. Failure semantics are
-        identical to :meth:`call` (envelopes, never exceptions).
-        """
-        if timeout is None:
-            timeout = self.call_timeout
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-
-        def deliver(envelope: dict) -> None:
-            def _resolve() -> None:
-                if not future.done():
-                    future.set_result(envelope)
-
-            try:
-                loop.call_soon_threadsafe(_resolve)
-            except RuntimeError:
-                pass  # the loop shut down before the worker answered
-
-        request_id = message.get("id") if isinstance(message, dict) else None
-        pending = _Pending(request_id, callback=deliver, on_partial=on_partial)
-        outcome = self._begin_call(message, pending)
-        if isinstance(outcome, dict):
-            return outcome
-        try:
-            return await asyncio.wait_for(future, timeout)
-        except asyncio.TimeoutError:
-            return self._timed_out(outcome, request_id, timeout)
-
     def _read_loop(self, conn, generation: int) -> None:
         while True:
             try:
@@ -650,29 +605,14 @@ class WorkerPool:
             message, timeout=timeout, on_partial=on_partial
         )
 
-    def broadcast(self, message: dict) -> list[dict]:
-        """The same request to every worker; envelopes in worker order."""
-        return [worker.call(message) for worker in self.workers]
+    async def call_async(self, index: int, message: dict, **kwargs) -> dict:
+        """:meth:`call` on a thread of the running loop's executor.
 
-    async def call_async(
-        self,
-        index: int,
-        message: dict,
-        timeout: float | None = None,
-        on_partial: Callable[[dict], None] | None = None,
-    ) -> dict:
-        """Awaitable :meth:`call` — parks a coroutine, not a thread."""
-        return await self.workers[index].call_async(
-            message, timeout=timeout, on_partial=on_partial
-        )
-
-    async def broadcast_async(self, message: dict) -> list[dict]:
-        """Concurrent :meth:`broadcast`; envelopes still in worker order."""
-        return list(
-            await asyncio.gather(
-                *(worker.call_async(message) for worker in self.workers)
-            )
-        )
+        The server reaches workers through the router's blocking path;
+        this awaitable name stays for the bench's layer tracer
+        (``bench/tracing.py``), which wraps it.
+        """
+        return await asyncio.to_thread(self.call, index, message, **kwargs)
 
     def stats(self) -> list[dict]:
         """Per-worker process counters, in worker order."""

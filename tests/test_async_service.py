@@ -1,9 +1,9 @@
 """The asyncio gateway: cheap/heavy lanes, admission control, per-client
-rate limiting, streamed partial ``debug`` frames, and routed async mode.
+rate limiting, streamed partial ``debug`` frames, and routed mode.
 
 Reuses the deterministic "toy" dataset from ``test_service`` so every
-socket round-trip stays fast; the saturation/throughput comparison at
-scale lives in ``benchmarks/test_service_throughput.py``.
+socket round-trip stays fast; the stepped load curve at scale lives in
+``benchmarks/test_service_throughput.py``.
 """
 
 from __future__ import annotations
@@ -18,13 +18,15 @@ from repro.core import PipelineConfig
 from repro.db import Database
 from repro.errors import ServiceError
 from repro.service import (
-    AsyncDBWipesServer,
     DBWipesServer,
+    LocalDispatcher,
     ServiceClient,
     SessionManager,
     TokenBucket,
 )
-from repro.service.protocol import PROTOCOL_VERSION
+from repro.service.handlers import CHEAP_COMMANDS
+from repro.service.protocol import PROTOCOL_VERSION, decode_line, encode
+from repro.service.server import _auto_cap
 
 from test_service import TOY_SQL, run_debug_cycle, toy_catalog, toy_table
 
@@ -33,8 +35,8 @@ def strip_timings(payload: dict) -> dict:
     """Report payloads minus the wall-clock ``timings`` block.
 
     Timings differ between any two runs; everything else must be
-    byte-identical across servers and across streamed/non-streamed
-    paths."""
+    byte-identical between the server and the in-process dispatcher and
+    across streamed/non-streamed paths."""
     out = dict(payload)
     out.pop("timings", None)
     return out
@@ -47,6 +49,64 @@ def canonical(payload: dict) -> str:
 def routed_toy_catalog():
     """Module-level so worker processes can reconstruct it."""
     return toy_catalog(toy_table())
+
+
+def slow_manager(table, release: threading.Event) -> SessionManager:
+    """A manager whose ``slow`` dataset builds only once ``release`` is
+    set: each ``open("slow")`` holds one heavy slot until then."""
+    catalog = toy_catalog(table)
+
+    def build_slow() -> Database:
+        assert release.wait(20.0)
+        db = Database()
+        db.create_table(
+            "s",
+            {"g": [0, 1], "v": [1.0, 2.0]},
+            types={"g": "int", "v": "float"},
+        )
+        return db
+
+    catalog.register(
+        "slow", build_slow, bootstrap="SELECT g, avg(v) AS a FROM s GROUP BY g"
+    )
+    return SessionManager(catalog=catalog)
+
+
+def hold_slot(host: str, port: int, name: str) -> threading.Thread:
+    """Open the slow dataset from a background client."""
+
+    def occupy():
+        with ServiceClient(host, port, session=name) as c:
+            c.call_with_retry("open", dataset="slow", name=name, retries=100)
+
+    holder = threading.Thread(target=occupy)
+    holder.start()
+    return holder
+
+
+def wait_for_inflight(server: DBWipesServer, n: int) -> None:
+    deadline = time.monotonic() + 10.0
+    while (
+        server.gateway_stats()["inflight"] < n and time.monotonic() < deadline
+    ):
+        time.sleep(0.005)
+    assert server.gateway_stats()["inflight"] == n
+
+
+class InProcessClient(ServiceClient):
+    """A :class:`ServiceClient` whose wire is ``dispatcher.handle``: the
+    same requests through the same codec, with no socket or server."""
+
+    def __init__(self, dispatcher, session: str):
+        super().__init__(session=session)
+        self.dispatcher = dispatcher
+
+    def call(self, cmd: str, session: str | None = None, **args):
+        request = {"id": 1, "cmd": cmd, "session": session or self.session}
+        if args:
+            request["args"] = args
+        envelope = self.dispatcher.handle(decode_line(encode(request)))
+        return self._unwrap(decode_line(encode(envelope)))
 
 
 # ----------------------------------------------------------------------
@@ -106,7 +166,7 @@ def async_server(shared_table):
         catalog=toy_catalog(shared_table),
         config=PipelineConfig(merge_predicates=True),
     )
-    with AsyncDBWipesServer(manager, port=0, max_inflight=2, max_queue=16) as srv:
+    with DBWipesServer(manager, port=0, max_inflight=2, max_queue=16) as srv:
         yield srv
 
 
@@ -132,9 +192,10 @@ class TestCheapLane:
 
 
 class TestFullSurfaceParity:
-    def test_async_debug_cycle_matches_threaded_server(self, shared_table):
+    def test_debug_cycle_matches_in_process_dispatch(self, shared_table):
         """The same scripted cycle must produce the same payload (minus
-        wall-clock timings) through either front end."""
+        wall-clock timings) through the server as through
+        ``LocalDispatcher.handle`` in this process."""
         config = PipelineConfig(merge_predicates=True)
 
         def fresh_manager():
@@ -142,14 +203,13 @@ class TestFullSurfaceParity:
                 catalog=toy_catalog(shared_table), config=config
             )
 
-        with DBWipesServer(fresh_manager(), port=0) as threaded:
-            with ServiceClient(*threaded.address, session="t") as c:
-                threaded_report = run_debug_cycle(c)
-        with AsyncDBWipesServer(fresh_manager(), port=0) as gateway:
+        local = InProcessClient(LocalDispatcher(fresh_manager()), "a")
+        local_report = run_debug_cycle(local)
+        with DBWipesServer(fresh_manager(), port=0) as gateway:
             with ServiceClient(*gateway.address, session="a") as c:
-                async_report = run_debug_cycle(c)
-        assert canonical(async_report) == canonical(threaded_report)
-        assert async_report["n_predicates"] >= 1
+                served_report = run_debug_cycle(c)
+        assert canonical(served_report) == canonical(local_report)
+        assert served_report["n_predicates"] >= 1
 
 
 class TestStreamingDebug:
@@ -188,45 +248,15 @@ class TestStreamingDebug:
 class TestAdmissionControl:
     def test_saturated_gateway_sheds_and_recovers(self, shared_table):
         release = threading.Event()
-        catalog = toy_catalog(shared_table)
-
-        def build_slow() -> Database:
-            assert release.wait(20.0)
-            db = Database()
-            db.create_table(
-                "s",
-                {"g": [0, 1], "v": [1.0, 2.0]},
-                types={"g": "int", "v": "float"},
-            )
-            return db
-
-        catalog.register(
-            "slow", build_slow, bootstrap="SELECT g, avg(v) AS a FROM s GROUP BY g"
-        )
-        manager = SessionManager(catalog=catalog)
-        with AsyncDBWipesServer(
+        manager = slow_manager(shared_table, release)
+        with DBWipesServer(
             manager, port=0, max_inflight=1, max_queue=0
         ) as srv:
             host, port = srv.address
-
-            def occupy():
-                with ServiceClient(host, port, session="slowpoke") as c:
-                    # Retry in case a probe request holds the slot first.
-                    c.call_with_retry(
-                        "open", dataset="slow", name="slowpoke", retries=100
-                    )
-
-            holder = threading.Thread(target=occupy)
-            holder.start()
+            holder = hold_slot(host, port, "slowpoke")
             try:
                 # Wait until the slow open actually holds the only slot.
-                deadline = time.monotonic() + 10.0
-                while (
-                    srv.gateway_stats()["inflight"] < 1
-                    and time.monotonic() < deadline
-                ):
-                    time.sleep(0.005)
-                assert srv.gateway_stats()["inflight"] == 1
+                wait_for_inflight(srv, 1)
                 with ServiceClient(host, port, session="shed-me") as c:
                     with pytest.raises(ServiceError) as excinfo:
                         c.open("toy")  # heavy: saturated + zero queue
@@ -252,12 +282,42 @@ class TestAdmissionControl:
             assert srv.gateway_stats()["inflight"] == 0
             assert srv.gateway_stats()["waiting"] == 0
 
+    @pytest.mark.parametrize("width", [1, _auto_cap()])
+    def test_cheap_lane_answers_with_every_heavy_slot_held(
+        self, shared_table, width
+    ):
+        """The executor keeps threads beyond the gate's widest setting,
+        so cheap commands answer while all ``width`` heavy slots block."""
+        release = threading.Event()
+        manager = slow_manager(shared_table, release)
+        with DBWipesServer(
+            manager, port=0, max_inflight=width, max_queue=0
+        ) as srv:
+            host, port = srv.address
+            holders = [
+                hold_slot(host, port, f"slow-{i}") for i in range(width)
+            ]
+            try:
+                wait_for_inflight(srv, width)
+                with ServiceClient(host, port, timeout=5.0) as c:
+                    for cmd in ("ping", "stats", "sessions", "metrics"):
+                        assert cmd in CHEAP_COMMANDS
+                        start = time.monotonic()
+                        c.call(cmd)
+                        assert time.monotonic() - start < 5.0, cmd
+                assert srv.gateway_stats()["inflight"] == width
+            finally:
+                release.set()
+                for holder in holders:
+                    holder.join(10.0)
+            assert not any(holder.is_alive() for holder in holders)
+
     def test_idle_gateway_with_zero_queue_admits_requests(self, shared_table):
         """max_queue=0 means "never wait", not "never work": a free slot
         must still admit (regression — the shed gate used to fire on
         queue depth alone)."""
         manager = SessionManager(catalog=toy_catalog(shared_table))
-        with AsyncDBWipesServer(
+        with DBWipesServer(
             manager, port=0, max_inflight=1, max_queue=0
         ) as srv:
             with ServiceClient(*srv.address, session="solo") as c:
@@ -269,7 +329,7 @@ class TestAdmissionControl:
 class TestRateLimiting:
     def test_per_connection_bucket_sheds_second_heavy_call(self, shared_table):
         manager = SessionManager(catalog=toy_catalog(shared_table))
-        with AsyncDBWipesServer(
+        with DBWipesServer(
             manager, port=0, rate=0.001, burst=1.0
         ) as srv:
             host, port = srv.address
@@ -289,7 +349,7 @@ class TestRateLimiting:
 class TestRoutedAsyncGateway:
     def test_routed_cycle_matches_and_streams(self):
         pytest.importorskip("multiprocessing")
-        with AsyncDBWipesServer(
+        with DBWipesServer(
             port=0, workers=2, catalog_factory=routed_toy_catalog
         ) as srv:
             host, port = srv.address

@@ -146,8 +146,18 @@ class TestDatasetsAndMain:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--backend", "partitioned"], ["--partitions", "4"], ["--port"]],
-        ids=["unknown-backend", "unknown-partitions", "port-without-value"],
+        [
+            ["--backend", "partitioned"],
+            ["--partitions", "4"],
+            ["--exec-threads", "4"],
+            ["--port"],
+        ],
+        ids=[
+            "unknown-backend",
+            "unknown-partitions",
+            "unknown-exec-threads",
+            "port-without-value",
+        ],
     )
     def test_serve_rejects_bad_flags_before_booting(
         self, argv, capsys, monkeypatch

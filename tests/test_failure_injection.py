@@ -182,7 +182,7 @@ class TestWorkerFailure:
             client = ServiceClient(host, port)
             info = client.open("intel", session="victim")
             worker = info["worker"]
-            handle = server.pool.workers[worker]
+            handle = server.dispatcher.pool.workers[worker]
             old_pid = handle.process.pid
 
             # The crash/respawn counters live in the front-end process
@@ -342,9 +342,9 @@ class TestGatewayFloodNeverHangs:
         return SessionManager(catalog=toy_catalog(toy_table()))
 
     def test_local_flood_past_max_inflight_resolves_everything(self):
-        from repro.service import AsyncDBWipesServer, ServiceClient
+        from repro.service import DBWipesServer, ServiceClient
 
-        with AsyncDBWipesServer(
+        with DBWipesServer(
             self._toy_manager(), port=0, max_inflight=1, max_queue=2
         ) as srv:
             host, port = srv.address
@@ -366,10 +366,10 @@ class TestGatewayFloodNeverHangs:
 
     def test_routed_flood_through_worker_router_resolves_everything(self):
         pytest.importorskip("multiprocessing")
-        from repro.service import AsyncDBWipesServer, ServiceClient
+        from repro.service import DBWipesServer, ServiceClient
         from test_async_service import routed_toy_catalog
 
-        with AsyncDBWipesServer(
+        with DBWipesServer(
             port=0,
             workers=2,
             catalog_factory=routed_toy_catalog,

@@ -11,6 +11,9 @@ every documented metric name.
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import BOOTSTRAP_QUERIES
@@ -249,6 +252,24 @@ class TestSlowRequestLog:
         assert records[0]["cmd"] == "debug"
         assert records[0]["session"] == "alice"
         assert records[0]["threshold"] == 0.5
+
+    def test_counter_exposed_before_any_slow_request(self):
+        """A fresh process exposes the slow-request counter once a
+        session manager exists, before any request was slow."""
+        code = (
+            "from repro.obs import registry\n"
+            "from repro.service import SessionManager\n"
+            "SessionManager()\n"
+            "print('dbwipes_slow_requests_total' in registry().names())\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert result.stdout.strip() == "True"
 
     def test_slow_request_counts_in_registry(self):
         counter = registry().counter(

@@ -20,7 +20,6 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.service import (
-    AsyncDBWipesServer,
     CircuitBreaker,
     DBWipesServer,
     FaultPlan,
@@ -561,7 +560,7 @@ class TestChaosAcceptance:
         must end the exchange with a structured WorkerCrashed envelope —
         never a hang or a truncated line."""
         monkeypatch.delenv("REPRO_DATA_DIR", raising=False)
-        with AsyncDBWipesServer(
+        with DBWipesServer(
             port=0, workers=2, catalog_factory=routed_toy_catalog
         ) as srv:
             host, port = srv.address
@@ -585,6 +584,21 @@ class TestChaosAcceptance:
                 c.open("toy")
                 _drive_to_metric(c)
                 assert _report(c)["n_predicates"] >= 1
+
+
+class TestScriptedDelays:
+    def test_routed_broadcast_honours_delay(self):
+        """A scripted delay on a broadcast command (``stats`` fans out to
+        every worker) holds the request as it does a session command."""
+        with DBWipesServer(
+            port=0, workers=2, catalog_factory=routed_toy_catalog
+        ) as srv:
+            with ServiceClient(*srv.address, timeout=60) as c:
+                c.stats()
+                faults.install(FaultPlan(delay_cmd="stats", delay_seconds=0.5))
+                start = time.perf_counter()
+                assert c.stats()["workers"] == 2
+                assert time.perf_counter() - start >= 0.5
 
 
 class TestSingleProcessLifecycleCommands:

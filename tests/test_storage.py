@@ -503,7 +503,7 @@ def _service_debug(client: ServiceClient, session: str) -> dict:
     return report
 
 
-class TestWarmRestartThreaded:
+class TestWarmRestartInProcess:
     def test_first_debug_after_restart_is_warm_and_identical(self, tmp_path):
         manager = SessionManager(catalog=_toy_catalog(tmp_path))
         with DBWipesServer(manager, port=0) as server:

@@ -72,7 +72,9 @@ class TestWorkerPool:
             assert len(pool) == 2
             envelope = pool.call(0, {"id": 1, "cmd": "ping"})
             assert envelope["ok"] and envelope["result"]["pong"]
-            envelopes = pool.broadcast({"id": 2, "cmd": "stats"})
+            envelopes = [
+                pool.call(i, {"id": 2, "cmd": "stats"}) for i in range(2)
+            ]
             assert len(envelopes) == 2
             assert all(e["ok"] for e in envelopes)
 
