@@ -13,6 +13,8 @@ client at each step of ``REPRO_SERVICE_LOAD_STEPS`` concurrent clients
 (default ``8,64``; CI runs ``8,64,512``) — recording requests/sec,
 cycle p50/p99 and shed requests at each step so a throughput regression
 at high fan-in shows up as a bent curve, not a single blended number.
+A third sweeps the same steps with the gate opened to one thread per
+concurrent request and records the gated curve's speedup over it.
 """
 
 from __future__ import annotations
@@ -179,83 +181,99 @@ def _percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[index]
 
 
+#: The gate of the stepped curve: a small in-flight bound is fastest
+#: under the GIL (see repro.service.server).
+GATED_INFLIGHT = 2
+#: Queue depth covering the client-side thread cap: requests wait rather
+#: than shed, so shed-rate stays a signal, not the norm.
+MAX_QUEUE = MAX_CLIENT_THREADS + 8
+
+
+def _sweep(db, max_inflight: int, label: str) -> dict:
+    """One FEC debug cycle per client at each step of ``LOAD_STEPS``.
+
+    Boots one gateway with the gate pinned at ``max_inflight``, warms
+    the shared preprocess cache with one cycle (so every step measures
+    steady-state serving, not the first preprocess), then drives each
+    step. Every request must resolve (a result, or ``ServerBusy``
+    retried to a result) to the warm cycle's answer: a hang or a
+    drifted answer fails the benchmark, at 512 clients included.
+    """
+    catalog = DatasetCatalog()
+    catalog.register("fec", db, bootstrap=_bootstrap())
+    manager = SessionManager(catalog=catalog, max_sessions=max(LOAD_STEPS) + 8)
+    curve = []
+    with DBWipesServer(
+        manager, port=0, max_inflight=max_inflight, max_queue=MAX_QUEUE
+    ) as server:
+        host, port = server.address
+        with ServiceClient(host, port, session=f"warm-{label}", timeout=600) as c:
+            open_with_retry(c)
+            expected = run_cycle_with_retry(c)
+
+        for step in LOAD_STEPS:
+            shed_before = server.gateway_stats()["shed"]
+
+            def one_client(index: int) -> tuple[str, float]:
+                t0 = time.perf_counter()
+                with ServiceClient(
+                    host, port, session=f"{label}-{step}-{index}", timeout=600
+                ) as client:
+                    open_with_retry(client)
+                    answer = run_cycle_with_retry(client)
+                return answer, time.perf_counter() - t0
+
+            start = time.perf_counter()
+            with ThreadPoolExecutor(
+                max_workers=min(step, MAX_CLIENT_THREADS)
+            ) as pool:
+                outcomes = list(pool.map(one_client, range(step)))
+            elapsed = time.perf_counter() - start
+
+            answers = [answer for answer, __ in outcomes]
+            assert answers == [expected] * step  # zero hangs, zero drift
+            latencies = sorted(seconds for __, seconds in outcomes)
+            n_requests = step * (1 + REQUESTS_PER_CYCLE)
+            shed = server.gateway_stats()["shed"] - shed_before
+            curve.append(
+                {
+                    "clients": step,
+                    "n_requests": n_requests,
+                    "elapsed_seconds": elapsed,
+                    "requests_per_second": n_requests / elapsed,
+                    "debug_cycles_per_second": step / elapsed,
+                    "cycle_p50_seconds": _percentile(latencies, 0.50),
+                    "cycle_p99_seconds": _percentile(latencies, 0.99),
+                    "shed_requests": shed,
+                    "shed_rate": shed / float(n_requests),
+                }
+            )
+        final_stats = server.gateway_stats()
+    assert final_stats["inflight"] == 0 and final_stats["waiting"] == 0
+    return {
+        "top_predicate": expected,
+        "curve": curve,
+        "gateway": final_stats,
+        "preprocess_cache": manager.preprocess_cache.stats(),
+    }
+
+
+@pytest.fixture(scope="module")
+def gated_sweep(fec_workload):
+    """The stepped curve through the ``GATED_INFLIGHT`` gate, run once."""
+    db, __, __ = fec_workload
+    return _sweep(db, GATED_INFLIGHT, "gw")
+
+
 class TestSteppedLoadCurve:
     """One FEC debug cycle per client at each step of ``LOAD_STEPS``.
 
     The gateway bounds heavy-lane concurrency at ``max_inflight``: on a
-    GIL-bound workload a queue beats a pile of threads. Every request
-    must resolve (a result, or ``ServerBusy`` retried to a result): a
-    hang fails the benchmark, at 512 clients included.
+    GIL-bound workload a queue beats a pile of threads.
     """
 
-    #: Small in-flight bound: fastest under the GIL (see repro.service.server).
-    MAX_INFLIGHT = 2
-    #: Queue depth covering the client-side thread cap: requests wait
-    #: rather than shed, so shed-rate stays a signal, not the norm.
-    MAX_QUEUE = MAX_CLIENT_THREADS + 8
-
-    def test_stepped_load_curve(self, fec_workload):
-        db, __, __ = fec_workload
-        catalog = DatasetCatalog()
-        catalog.register("fec", db, bootstrap=_bootstrap())
-        manager = SessionManager(
-            catalog=catalog, max_sessions=max(LOAD_STEPS) + 8
-        )
-        curve = []
-        with DBWipesServer(
-            manager,
-            port=0,
-            max_inflight=self.MAX_INFLIGHT,
-            max_queue=self.MAX_QUEUE,
-        ) as server:
-            host, port = server.address
-
-            # Warm the shared preprocess cache once so every step
-            # measures steady-state serving, not the first preprocess.
-            with ServiceClient(host, port, session="warm", timeout=600) as c:
-                open_with_retry(c)
-                expected = run_cycle_with_retry(c)
-
-            for step in LOAD_STEPS:
-                shed_before = server.gateway_stats()["shed"]
-
-                def one_client(index: int) -> tuple[str, float]:
-                    t0 = time.perf_counter()
-                    with ServiceClient(
-                        host, port, session=f"load-{step}-{index}", timeout=600
-                    ) as client:
-                        open_with_retry(client)
-                        answer = run_cycle_with_retry(client)
-                    return answer, time.perf_counter() - t0
-
-                start = time.perf_counter()
-                with ThreadPoolExecutor(
-                    max_workers=min(step, MAX_CLIENT_THREADS)
-                ) as pool:
-                    outcomes = list(pool.map(one_client, range(step)))
-                elapsed = time.perf_counter() - start
-
-                answers = [answer for answer, __ in outcomes]
-                assert answers == [expected] * step  # zero hangs, zero drift
-                latencies = sorted(seconds for __, seconds in outcomes)
-                n_requests = step * (1 + REQUESTS_PER_CYCLE)
-                shed = server.gateway_stats()["shed"] - shed_before
-                curve.append(
-                    {
-                        "clients": step,
-                        "n_requests": n_requests,
-                        "elapsed_seconds": elapsed,
-                        "requests_per_second": n_requests / elapsed,
-                        "debug_cycles_per_second": step / elapsed,
-                        "cycle_p50_seconds": _percentile(latencies, 0.50),
-                        "cycle_p99_seconds": _percentile(latencies, 0.99),
-                        "shed_requests": shed,
-                        "shed_rate": shed / float(n_requests),
-                    }
-                )
-            final_stats = server.gateway_stats()
-        assert final_stats["inflight"] == 0 and final_stats["waiting"] == 0
-
+    def test_stepped_load_curve(self, gated_sweep):
+        curve = gated_sweep["curve"]
         _merge_into_bench(
             "load_curve",
             {
@@ -263,13 +281,13 @@ class TestSteppedLoadCurve:
                 "steps": list(LOAD_STEPS),
                 "max_client_threads": MAX_CLIENT_THREADS,
                 "gateway": {
-                    "max_inflight": self.MAX_INFLIGHT,
-                    "max_queue": self.MAX_QUEUE,
-                    "shed_total": final_stats["shed"],
+                    "max_inflight": GATED_INFLIGHT,
+                    "max_queue": MAX_QUEUE,
+                    "shed_total": gated_sweep["gateway"]["shed"],
                 },
-                "preprocess_cache": manager.preprocess_cache.stats(),
+                "preprocess_cache": gated_sweep["preprocess_cache"],
                 "curve": curve,
-                "top_predicate": expected,
+                "top_predicate": gated_sweep["top_predicate"],
                 "environment": environment(),
             },
         )
@@ -278,6 +296,51 @@ class TestSteppedLoadCurve:
             for point in curve
         )
         print(f"\nservice load curve: {summary} -> {BENCH_PATH.name}")
+
+
+class TestAsyncVsThreadedLoadCurve:
+    """The gate's queue against one thread per concurrent request.
+
+    The stepped workload again, through the same server with its gate
+    opened to ``MAX_CLIENT_THREADS``: every client's request is admitted
+    at once and runs on its own executor thread, as under a
+    thread-per-connection server. Both arms must give the same ranked
+    answer. The record keeps the threaded curve and the gated arm's
+    requests/sec over it at each step, the measurement behind a small
+    ``max_inflight``; the ratio is per-machine, so it is not asserted.
+    """
+
+    def test_async_vs_threaded_load_curve(self, fec_workload, gated_sweep):
+        db, __, __ = fec_workload
+        threaded = _sweep(db, MAX_CLIENT_THREADS, "thr")
+        assert threaded["top_predicate"] == gated_sweep["top_predicate"]
+        # No step has more concurrent requests than the gate admits.
+        assert threaded["gateway"]["shed"] == 0
+
+        speedups = {
+            str(t_point["clients"]): (
+                a_point["requests_per_second"] / t_point["requests_per_second"]
+            )
+            for t_point, a_point in zip(threaded["curve"], gated_sweep["curve"])
+        }
+        _merge_into_bench(
+            "async_load_curve",
+            {
+                "benchmark": "service_async_vs_threaded",
+                "steps": list(LOAD_STEPS),
+                "max_client_threads": MAX_CLIENT_THREADS,
+                "gated_max_inflight": GATED_INFLIGHT,
+                "threaded_max_inflight": MAX_CLIENT_THREADS,
+                "threaded": threaded["curve"],
+                "async_speedup": speedups,
+                "top_predicate": threaded["top_predicate"],
+                "environment": environment(),
+            },
+        )
+        summary = ", ".join(
+            f"{clients}cl={speedup:.2f}x" for clients, speedup in speedups.items()
+        )
+        print(f"\nasync vs threaded speedup: {summary} -> {BENCH_PATH.name}")
 
 
 def _bootstrap() -> str:
