@@ -4,10 +4,16 @@ The observability contract is *always-on-cheap*: spans, stage
 histograms, and request counters stay enabled in production, so their
 cost must be provably small. At each workload scale of
 ``REPRO_OBS_BENCH_SCALES`` (default ``1`` — the tier-1 smoke; CI runs
-``1,10``) this benchmark times ``debug()`` calls with the
-kill switch on and off, **interleaved** A/B so clock drift and
-cache-warming cancel, and asserts the median enabled run is within 5%
-of the median disabled run. Each sample debugs on a fresh
+``1,10``) this benchmark times ``debug()`` calls with the kill switch
+on and off, **interleaved** A/B (each round builds both sessions, then
+times the two debugs back to back, in a seeded random order) so clock
+drift and cache-warming cancel, and asserts the overhead is within 5%.
+Each sample is the CPU time (``time.process_time()``) of one
+``debug()``, so time the machine spends on other processes does not
+count. The overhead is the median over rounds of the round's enabled
+÷ disabled ratio: each ratio compares two debugs that ran back to
+back, so a slow stretch of the machine moves both sides of one ratio
+rather than one arm's median. Each sample debugs on a fresh
 :class:`DBWipesSession` over one shared :class:`Database`: a session
 memoizes its last answer, so re-debugging one session would time a
 memo hit instead of the five pipeline stages the spans instrument.
@@ -32,16 +38,22 @@ from repro.db import Database
 from repro.frontend import Brush, DBWipesSession
 from repro.obs import set_enabled, tracer
 
-from bench_output import bench_path
+from bench_output import bench_path, environment
 
 SCALES = tuple(
     int(scale)
     for scale in os.environ.get("REPRO_OBS_BENCH_SCALES", "1").split(",")
     if scale.strip()
 )
-#: A/B rounds per scale; medians over this many samples per arm.
-N_ROUNDS = 9
-#: The acceptance bound: enabled vs disabled warm-debug medians.
+#: A/B rounds per scale; the overhead is the median of this many ratios.
+#: On a shared 2-vCPU VM, calm seconds give ratios of 0.99–1.01 and
+#: noisy ones 0.7–1.4 (5th–95th percentile over 240 rounds at 1x:
+#: 0.92–1.21). Slow spells of several seconds can favour one arm for
+#: many rounds in a row: whole runs read above 1.05 in 2 of 40 runs
+#: at 21 rounds and 3 of 56 at 41. 61 rounds (about 20 s at 1x)
+#: outlast such a spell: 44 of 44 runs passed, at −2.8% to +3.6%.
+N_ROUNDS = 61
+#: The acceptance bound on the median enabled ÷ disabled CPU ratio.
 MAX_OVERHEAD_PCT = 5.0
 BASE_MINUTES = 240
 
@@ -98,24 +110,31 @@ class TestObsOverhead:
     def test_warm_debug_overhead_within_bound(self, scale):
         db = _intel_db(scale)
         samples: dict[bool, list[float]] = {True: [], False: []}
+        rng = np.random.default_rng(0)
         try:
             # Warm both arms once (imports, allocator, flag-flip
             # effects). Neither is timed.
             for enabled in (True, False):
                 set_enabled(enabled)
                 _brushed_session(db).debug()
-            for round_index in range(N_ROUNDS):
-                # Interleaved A/B, alternating which arm goes first.
-                order = (False, True) if round_index % 2 == 0 else (True, False)
+            for _ in range(N_ROUNDS):
+                # Interleaved A/B in a seeded random order, so slowdowns
+                # that recur every few debugs cannot line up with one arm.
+                order = (False, True) if rng.random() < 0.5 else (True, False)
+                # Build both sessions first: the two timed debugs then
+                # run back to back, at the same machine speed.
+                sessions = {}
                 for enabled in order:
                     set_enabled(enabled)
-                    session = _brushed_session(db)
-                    # Collect the previous sample's garbage outside the
-                    # timed window, so neither arm pays for the other.
+                    sessions[enabled] = _brushed_session(db)
+                for enabled in order:
+                    set_enabled(enabled)
+                    # Collect garbage outside the timed window, so
+                    # neither arm pays for the other.
                     gc.collect()
-                    start = time.perf_counter()
-                    session.debug()
-                    samples[enabled].append(time.perf_counter() - start)
+                    start = time.process_time()
+                    sessions[enabled].debug()
+                    samples[enabled].append(time.process_time() - start)
         finally:
             set_enabled(True)
 
@@ -127,7 +146,8 @@ class TestObsOverhead:
 
         enabled_median = float(np.median(samples[True]))
         disabled_median = float(np.median(samples[False]))
-        overhead_pct = 100.0 * (enabled_median / disabled_median - 1.0)
+        ratios = [on / off for on, off in zip(samples[True], samples[False])]
+        overhead_pct = 100.0 * (float(np.median(ratios)) - 1.0)
 
         section = {
             "benchmark": "obs_overhead",
@@ -135,17 +155,21 @@ class TestObsOverhead:
             "rows": 54 * (BASE_MINUTES * scale) // 2,
             "n_rounds": N_ROUNDS,
             "spans_per_debug": spans_per_debug,
+            "clock": "time.process_time",
+            "estimator": "median of per-round enabled / disabled ratios",
             "enabled_seconds_median": enabled_median,
             "disabled_seconds_median": disabled_median,
             "enabled_seconds": samples[True],
             "disabled_seconds": samples[False],
+            "ratios": ratios,
             "overhead_pct": overhead_pct,
             "max_overhead_pct": MAX_OVERHEAD_PCT,
+            "environment": environment(),
         }
         _merge_into_bench(f"overhead_scale_{scale}x", section)
         print(
-            f"\nobs overhead {scale}x: enabled={enabled_median:.4f}s, "
-            f"disabled={disabled_median:.4f}s, overhead={overhead_pct:+.2f}% "
+            f"\nobs overhead {scale}x: enabled={enabled_median:.4f}s CPU, "
+            f"disabled={disabled_median:.4f}s CPU, overhead={overhead_pct:+.2f}% "
             f"({spans_per_debug} spans/debug) -> {BENCH_PATH.name}"
         )
         assert overhead_pct <= MAX_OVERHEAD_PCT, (

@@ -33,7 +33,7 @@ from repro.db import Database, Table
 from repro.frontend import Brush, DBWipesSession
 from repro.service.cache import DatasetCatalog
 
-from bench_output import bench_path
+from bench_output import bench_path, environment
 
 SCALES = tuple(
     int(s)
@@ -51,7 +51,8 @@ INTEL_SQL = (
 
 
 def _merge_into_bench(section: str, payload) -> None:
-    """Update one section of ``BENCH_store.json``, keeping the others."""
+    """Update one section of ``BENCH_store.json``, keeping the others;
+    each section records where it was measured."""
     data = {}
     if BENCH_PATH.exists():
         try:
@@ -60,7 +61,7 @@ def _merge_into_bench(section: str, payload) -> None:
             data = {}
     if not isinstance(data, dict):
         data = {}
-    data[section] = payload
+    data[section] = {**payload, "environment": environment()}
     BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
 
 
@@ -124,7 +125,7 @@ class TestOpenLatency:
         # largest scale the reopen must beat regeneration outright.
         largest = rows[-1]
         assert largest["open_seconds"] < largest["generate_seconds"]
-        _merge_into_bench("open_latency", {"scales": rows})
+        _merge_into_bench("open_latency", {"scales": rows, "repeats": 1})
 
 
 class TestWarmRestart:
@@ -181,7 +182,7 @@ class TestWarmRestart:
         assert rows[-1]["warm_first_debug_seconds"] < rows[-1][
             "cold_first_debug_seconds"
         ]
-        _merge_into_bench("warm_restart", {"scales": rows})
+        _merge_into_bench("warm_restart", {"scales": rows, "repeats": 1})
 
 
 class TestMmapOverhead:
@@ -222,5 +223,6 @@ class TestMmapOverhead:
                 "mmap_seconds": round(mmap_seconds, 6),
                 "ratio": round(ratio, 3),
                 "bound": self.BOUND,
+                "repeats": self.REPEATS,
             },
         )

@@ -322,7 +322,7 @@ class Comparison(Expr):
         if left.dtype == object:
             return self._compare_objects(left, right)
         with np.errstate(invalid="ignore"):
-            result = _NUMERIC_COMPARE[self.op](left, right)
+            result = _COMPARE[self.op](left, right)
         # NaN on either side -> False (even for !=, to keep filters conservative).
         nan_mask = np.zeros(len(result), dtype=bool)
         if left.dtype.kind == "f":
@@ -334,26 +334,12 @@ class Comparison(Expr):
         return result
 
     def _compare_objects(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        # None on either side -> False, as NaN is for numbers. ``where=``
+        # runs the operator's ufunc on the non-NULL rows only: ``<`` would
+        # raise on a None, and ``!=`` would call it unequal to any string.
+        valid = ~(np.equal(left, None) | np.equal(right, None))
         out = np.zeros(len(left), dtype=bool)
-        op = self.op
-        for i in range(len(left)):
-            lv = left[i]
-            rv = right[i]
-            if lv is None or rv is None:
-                continue
-            if op == "=":
-                out[i] = lv == rv
-            elif op == "!=":
-                out[i] = lv != rv
-            elif op == "<":
-                out[i] = lv < rv
-            elif op == "<=":
-                out[i] = lv <= rv
-            elif op == ">":
-                out[i] = lv > rv
-            else:
-                out[i] = lv >= rv
-        return out
+        return _COMPARE[self.op](left, right, out=out, where=valid)
 
     def to_sql(self) -> str:
         return f"({self.left.to_sql()} {self.op} {self.right.to_sql()})"
@@ -383,13 +369,13 @@ class Comparison(Expr):
         return hash(("cmp", self.op, self.left, self.right))
 
 
-_NUMERIC_COMPARE = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+_COMPARE = {
+    "=": np.equal,
+    "!=": np.not_equal,
+    "<": np.less,
+    "<=": np.less_equal,
+    ">": np.greater,
+    ">=": np.greater_equal,
 }
 
 

@@ -350,8 +350,10 @@ class Table:
         return Table(schema, columns, tids=self._tids, name=self.name)
 
     def rename(self, name: str) -> "Table":
-        """The same table under a different name."""
-        return Table(self._schema, self._store, tids=self._tids, name=name)
+        """The same table under a different name (the digest excludes it)."""
+        table = Table(self._schema, self._store, tids=self._tids, name=name)
+        table._digest = self._digest
+        return table
 
     def concat(self, other: "Table") -> "Table":
         """Rows of ``self`` followed by rows of ``other`` (schemas must match).

@@ -10,14 +10,18 @@ answers warm off the disk artifact tier; every later replayed
 memo on the cached ``PreprocessResult``, so it skips both enumeration
 stages (see :mod:`repro.core.backend`).
 
-The on-disk contract matches :mod:`repro.core.artifacts`:
+The on-disk contract:
 
-- **Atomic-rename publication.** Every append rewrites the whole
-  journal to ``.{stem}.tmp-{pid}`` and ``os.replace``\\ s it over the
-  target — readers never observe a half-written file, and the
-  per-pid staging name keeps forked workers from clobbering each
-  other's temp files. Journals are interactive-session sized (tens of
-  records), so the O(n) rewrite is noise next to the command itself.
+- **One line per command.** An append writes one checksummed line
+  through ``os.open(path, O_WRONLY | O_APPEND)``, so a command's cost
+  does not grow with the session (fec-served sessions reach about a
+  thousand records in 24 s). A crash mid-write leaves at most a torn
+  last line, which replay drops. The whole file is written to
+  ``.{stem}.tmp-{pid}`` and ``os.replace``\\ d over the target only on
+  ``create``, on ``publish`` (drain's repair), when the file is
+  missing (the open has no ``O_CREAT``, so a deleted journal is never
+  regrown as a headless fragment), and on the append after a failed or
+  short write, which marks the journal dirty.
 - **Corruption degrades, never errors.** Each record carries a
   blake2b checksum over its canonical JSON; replay stops at the first
   bad line and recovers the longest valid prefix. A corrupt journal
@@ -97,7 +101,7 @@ class LoadedJournal:
 class SessionJournal:
     """One live session's record list plus its on-disk mirror."""
 
-    __slots__ = ("store", "name", "dataset", "records")
+    __slots__ = ("store", "name", "dataset", "records", "dirty")
 
     def __init__(self, store: "JournalStore", name: str, dataset: str):
         self.store = store
@@ -111,18 +115,23 @@ class SessionJournal:
             }
         ]
         self.records[0]["crc"] = _crc(0, "open", self.records[0]["args"])
+        #: The file may not mirror ``records``: the last write failed.
+        self.dirty = False
         self.publish()
 
     def append(self, cmd: str, args: dict) -> None:
         args = jsonify(args if isinstance(args, dict) else {})
         seq = len(self.records)
-        self.records.append(
-            {"seq": seq, "cmd": cmd, "args": args, "crc": _crc(seq, cmd, args)}
-        )
-        self.publish()
+        record = {"seq": seq, "cmd": cmd, "args": args, "crc": _crc(seq, cmd, args)}
+        self.records.append(record)
+        if self.dirty or not self.store.exists(self.name):
+            self.publish()
+        else:
+            self.dirty = not self.store._append(self.name, record)
 
     def publish(self) -> None:
-        self.store._publish(self.name, self.records)
+        """Rewrite the whole file from ``records`` (atomic rename)."""
+        self.dirty = not self.store._publish(self.name, self.records)
 
 
 class JournalStore:
@@ -144,35 +153,51 @@ class JournalStore:
         prior file: an explicit ``open`` starts a new history."""
         return SessionJournal(self, name, dataset)
 
-    def _publish(self, name: str, records: list[dict]) -> None:
+    @staticmethod
+    def _line(name: str, record: dict, plan) -> str:
+        if plan is not None and plan.corrupts_record(name, record["seq"]):
+            # Scripted corruption: keep the line parseable but fail its
+            # checksum, exercising the replay guard.
+            record = {**record, "crc": "0" * 16}
+        return json.dumps(record, sort_keys=True) + "\n"
+
+    def _count(self, ok: bool) -> bool:
+        with self._lock:
+            if ok:
+                self._appends += 1
+            else:
+                self._publish_failures += 1
+        return ok
+
+    def _append(self, name: str, record: dict) -> bool:
+        """Append one record's line; False after a failed or short write."""
+        data = self._line(name, record, faults.active_plan()).encode("utf-8")
+        try:
+            fd = os.open(self.path_for(name), os.O_WRONLY | os.O_APPEND)
+            try:
+                ok = os.write(fd, data) == len(data)
+            finally:
+                os.close(fd)
+        except OSError:
+            ok = False
+        return self._count(ok)
+
+    def _publish(self, name: str, records: list[dict]) -> bool:
+        """Write every record to a staging file and rename it over the
+        journal; False when that failed."""
         target = self.path_for(name)
         staging = target.parent / f".{target.stem}.tmp-{os.getpid()}"
         plan = faults.active_plan()
         try:
-            lines = []
-            for record in records:
-                line = json.dumps(record, sort_keys=True)
-                if plan is not None and plan.corrupts_record(
-                    name, record["seq"]
-                ):
-                    # Scripted corruption: keep the line parseable but
-                    # fail its checksum, exercising the replay guard.
-                    line = json.dumps(
-                        {**record, "crc": "0" * 16}, sort_keys=True
-                    )
-                lines.append(line)
-            staging.write_text("\n".join(lines) + "\n")
+            staging.write_text("".join(self._line(name, r, plan) for r in records))
             os.replace(staging, target)
         except OSError:
-            with self._lock:
-                self._publish_failures += 1
             try:
                 staging.unlink(missing_ok=True)
             except OSError:
                 pass
-            return
-        with self._lock:
-            self._appends += 1
+            return self._count(False)
+        return self._count(True)
 
     def peek(self, name: str) -> str | None:
         """The dataset a journaled session belongs to, or ``None``."""

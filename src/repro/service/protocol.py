@@ -246,13 +246,18 @@ def result_payload(result: ResultSet, max_rows: int | None = None) -> dict:
     """A query result as columns + row lists (optionally truncated)."""
     num_rows = result.num_rows
     shown = num_rows if max_rows is None else min(num_rows, int(max_rows))
-    rows = [list(result.row(i)) for i in range(shown)]
+    # ``tolist`` gives the Python scalars ``python_value`` would, a
+    # column at a time (a negative ``max_rows`` shows no rows).
+    columns = [
+        result.column(name)[: max(shown, 0)].tolist()
+        for name in result.column_names
+    ]
     return {
         "columns": list(result.column_names),
         "group_keys": list(result.group_key_names),
         "aggregates": list(result.aggregate_names),
         "num_rows": num_rows,
-        "rows": rows,
+        "rows": [list(row) for row in zip(*columns)],
         "truncated": shown < num_rows,
     }
 

@@ -8,7 +8,9 @@ Each module here keeps the straightforward shape of a kernel that
 * ``tree`` — per-threshold split finding (:class:`ExactDecisionTree`);
 * ``scoring`` — the one-rule-at-a-time Ranker and Merger;
 * ``learn`` — scalar MDL, the per-child CN2-SD beam, the per-point
-  silhouette and the refitting k-means cleaner.
+  silhouette and the refitting k-means cleaner;
+* ``expr`` — the per-row string comparison loop;
+* ``protocol`` — the row-at-a-time result payload builder.
 
 The tests and the ablation benchmarks compare the production path
 against these, and plug them in from the test side only (subclasses

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db import ColumnType, Schema, Table
 from repro.db.expr import (
@@ -22,6 +24,8 @@ from repro.db.expr import (
     sql_literal,
 )
 from repro.errors import ExecutionError, TypeMismatchError
+
+from reference.expr import compare_objects_loop
 
 
 @pytest.fixture
@@ -142,6 +146,35 @@ class TestComparison:
     def test_diamond_alias(self):
         comparison = Comparison("<>", ColumnRef("i"), Literal(1))
         assert comparison.op == "!="
+
+
+#: Short strings over a tiny alphabet, so equal pairs are common, and
+#: NULLs among them.
+_STRINGS = st.text(alphabet="ab", max_size=2)
+_CELLS = st.one_of(st.none(), _STRINGS)
+
+
+class TestStringComparisonParity:
+    """The masked-ufunc string comparison against the per-row loop."""
+
+    @pytest.mark.parametrize("op", Comparison.OPS)
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(st.tuples(_CELLS, _CELLS), max_size=30), literal=_STRINGS)
+    def test_every_operand_shape(self, op, rows, literal):
+        table = Table.from_columns(
+            {"a": [a for a, _ in rows], "b": [b for _, b in rows]},
+            types={"a": "str", "b": "str"},
+        )
+        shapes = (
+            (ColumnRef("a"), Literal(literal)),
+            (Literal(literal), ColumnRef("a")),
+            (ColumnRef("a"), ColumnRef("b")),
+        )
+        for left, right in shapes:
+            mask = Comparison(op, left, right).eval(table)
+            expected = compare_objects_loop(op, left.eval(table), right.eval(table))
+            assert mask.dtype == np.bool_
+            assert np.array_equal(mask, expected), (op, left, right, rows)
 
 
 class TestBooleanOps:

@@ -123,16 +123,130 @@ class TestJournalStore:
     def test_fault_plan_corrupts_one_record_then_repairs(self, tmp_path):
         store = JournalStore(tmp_path)
         journal = store.create("alice", "toy")
-        journal.append("execute", {"sql": TOY_SQL})
+        # An append writes only its own line, so the plan must be in
+        # place when record 1 itself is written.
         faults.install(FaultPlan(corrupt_session="alice", corrupt_seq=1))
+        journal.append("execute", {"sql": TOY_SQL})
         journal.append("set_metric", {"form": "too_high"})
-        # Record 1's line was published with a bad checksum: replay
+        # Record 1's line was written with a bad checksum: replay
         # keeps only the (empty) prefix before it.
         assert store.load("alice").records == []
         # The corruption trigger is one-shot and the in-memory records
         # are authoritative — the next publish repairs the file (this
         # is drain_prepare's repair path in miniature).
         journal.publish()
+        assert [cmd for cmd, _ in store.load("alice").records] == [
+            "execute",
+            "set_metric",
+        ]
+
+    def test_the_500th_append_adds_exactly_one_line(
+        self, tmp_path, monkeypatch
+    ):
+        store = JournalStore(tmp_path)
+        journal = store.create("alice", "toy")
+        path = store.path_for("alice")
+        rewrites = []
+        real_replace = os.replace
+        monkeypatch.setattr(
+            os, "replace", lambda *a: rewrites.append(a) or real_replace(*a)
+        )
+        growth = []
+        for _ in range(500):
+            before = path.read_bytes()
+            journal.append("select_results", {"brush": {"below": 0.0}})
+            after = path.read_bytes()
+            assert after.startswith(before)
+            growth.append(len(after) - len(before))
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 501
+        assert growth[-1] == len(lines[-1])
+        # Only the seq number's digits differ between the records.
+        assert max(growth) - min(growth) == 2
+        assert rewrites == []
+        assert store.stats()["appends"] == 501  # create's write + 500
+
+    def test_replay_after_500_appends_equals_memory(self, tmp_path):
+        store = JournalStore(tmp_path)
+        journal = store.create("alice", "toy")
+        for i in range(500):
+            journal.append("select_results", {"brush": {"below": float(i)}})
+        loaded = store.load("alice")
+        assert loaded.corrupt_records == 0
+        assert loaded.records == [
+            (record["cmd"], record["args"]) for record in journal.records[1:]
+        ]
+
+    def test_torn_last_line_is_dropped(self, tmp_path):
+        store = JournalStore(tmp_path)
+        journal = store.create("alice", "toy")
+        journal.append("execute", {"sql": TOY_SQL})
+        journal.append("set_metric", {"form": "too_high"})
+        path = store.path_for("alice")
+        # A crash mid-write leaves part of the last line, no newline.
+        path.write_bytes(path.read_bytes()[:-20])
+        loaded = store.load("alice")
+        assert loaded.records == [("execute", {"sql": TOY_SQL})]
+        assert loaded.corrupt_records == 1
+
+    @pytest.mark.parametrize("failure", ["short", "failed"])
+    def test_failed_write_is_healed_by_the_next_append(
+        self, tmp_path, monkeypatch, failure
+    ):
+        store = JournalStore(tmp_path)
+        journal = store.create("alice", "toy")
+        journal.append("execute", {"sql": TOY_SQL})
+        real_write = os.write
+
+        def broken_write(fd, data):
+            if failure == "short":
+                return real_write(fd, data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "write", broken_write)
+            journal.append("set_metric", {"form": "too_high"})
+        assert journal.dirty
+        assert store.stats()["publish_failures"] == 1
+        # The file lacks the record (or holds half of it): replay stops.
+        assert store.load("alice").records == [("execute", {"sql": TOY_SQL})]
+        journal.append("debug", {})
+        assert not journal.dirty
+        loaded = store.load("alice")
+        assert loaded.corrupt_records == 0
+        assert [cmd for cmd, _ in loaded.records] == [
+            "execute",
+            "set_metric",
+            "debug",
+        ]
+
+    def test_deleted_journal_is_recreated_whole_by_the_next_append(
+        self, tmp_path
+    ):
+        store = JournalStore(tmp_path)
+        journal = store.create("alice", "toy")
+        journal.append("execute", {"sql": TOY_SQL})
+        store.path_for("alice").unlink()
+        journal.append("set_metric", {"form": "too_high"})
+        loaded = store.load("alice")
+        assert loaded.dataset == "toy"
+        assert [cmd for cmd, _ in loaded.records] == ["execute", "set_metric"]
+
+    def test_append_never_creates_a_headless_file(
+        self, tmp_path, monkeypatch
+    ):
+        """A file deleted between the existence check and the open is not
+        regrown as a lone line: the open has no ``O_CREAT``, the append
+        marks the journal dirty, and the next one rewrites it whole."""
+        store = JournalStore(tmp_path)
+        journal = store.create("alice", "toy")
+        store.path_for("alice").unlink()
+        with monkeypatch.context() as patch:
+            patch.setattr(store, "exists", lambda name: True)
+            journal.append("execute", {"sql": TOY_SQL})
+        assert not store.path_for("alice").exists()
+        assert journal.dirty
+        journal.append("set_metric", {"form": "too_high"})
         assert [cmd for cmd, _ in store.load("alice").records] == [
             "execute",
             "set_metric",

@@ -30,7 +30,10 @@ from repro.service.protocol import (
     decode_line,
     encode,
     jsonify,
+    result_payload,
 )
+
+from reference.protocol import rowwise_result_payload
 
 TOY_SQL = "SELECT g, avg(v) AS avg_v FROM toy GROUP BY g ORDER BY g"
 
@@ -146,6 +149,60 @@ class TestProtocolHelpers:
             brush_from_json({"weird": 1})
         with pytest.raises(ProtocolError):
             brush_from_json({"x0": "a"})
+
+
+def _typed(value):
+    """A cell as (type, value), with NaN made comparable."""
+    if isinstance(value, float) and value != value:
+        return (float, "nan")
+    return (type(value), value)
+
+
+class TestResultPayloadParity:
+    """The columnar payload against the row-wise builder it replaced."""
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        db = Database()
+        db.create_table(
+            "t",
+            {
+                "i": [3, 1, 2, 5, 4],
+                "f": [1.5, None, -2.0, float("nan"), 0.25],
+                "b": [True, False, True, False, True],
+                "s": ["x", None, "y", "x", None],
+            },
+            types={"i": "int", "f": "float", "b": "bool", "s": "str"},
+        )
+        return db
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT i, f, b, s FROM t",
+            "SELECT s, count(*) AS n, avg(f) AS a FROM t GROUP BY s ORDER BY s",
+            "SELECT i, f, b, s FROM t WHERE i > 100",
+        ],
+        ids=["rows", "grouped", "empty"],
+    )
+    @pytest.mark.parametrize("max_rows", [None, 0, 2, 100, -1])
+    def test_values_and_types_match(self, db, sql, max_rows):
+        result = db.sql(sql)
+        payload = result_payload(result, max_rows)
+        expected = rowwise_result_payload(result, max_rows)
+        assert {k: v for k, v in payload.items() if k != "rows"} == {
+            k: v for k, v in expected.items() if k != "rows"
+        }
+        assert [[_typed(v) for v in row] for row in payload["rows"]] == [
+            [_typed(v) for v in row] for row in expected["rows"]
+        ]
+
+    def test_covers_every_cell_type(self, db):
+        rows = result_payload(db.sql("SELECT i, f, b, s FROM t"))["rows"]
+        assert {type(v) for row in rows for v in row} == {
+            int, float, bool, str, type(None)
+        }
+        assert any(v != v for row in rows for v in row)  # a NaN
 
 
 class TestProtocolRoundTrip:

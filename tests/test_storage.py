@@ -227,6 +227,21 @@ class TestDigest:
             == table.content_digest()
         )
 
+    def test_database_open_reads_the_digest_from_the_manifest(self, tmp_path):
+        """``Database.open`` registers each table through ``rename``,
+        which must keep the manifest digest: with every chunk file
+        overwritten, the digest still comes from the manifest, not
+        from hashing the columns again."""
+        toy_table().save(tmp_path / "toy")
+        manifest = json.loads((tmp_path / "toy" / MANIFEST_NAME).read_text())
+        db = Database.open(tmp_path)
+        for chunk in (tmp_path / "toy").glob("*.c*.npy"):
+            np.save(chunk, np.zeros_like(np.load(chunk)))
+        table = db.table("toy")
+        assert table.content_digest() == manifest["digest"]
+        rehashed = table_digest(table.schema, table.column, table.tids)
+        assert rehashed != manifest["digest"]  # the chunks did change
+
 
 class TestLazyStores:
     def test_take_defers_gather(self, tmp_path):
