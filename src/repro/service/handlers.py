@@ -77,13 +77,9 @@ def dispatch(
 ) -> dict:
     """Handle one decoded request message; always returns an envelope.
 
-    Instrumented entry point shared by the single-process server
-    (``role="server"``) and every worker process (``role="worker"``):
-    each request runs under a ``<role>.<cmd>`` span (continuing the
-    trace carried in the message's ``trace`` field, or minting one at a
-    root), bumps the per-command request counter/latency histogram, may
-    land in the slow-request log, and has its trace id stamped on the
-    response envelope so clients can fetch the span tree afterwards.
+    The entry point of the single-process server (``role="server"``) and
+    of every worker process (``role="worker"``), instrumented by
+    :func:`instrumented`.
 
     ``emit_partial(seq, payload)``, when given and the request is a
     ``debug`` with ``args: {"stream": true}``, receives partial ranked
@@ -92,6 +88,24 @@ def dispatch(
     terminating envelope.
     """
     request_id = message.get("id") if isinstance(message, dict) else None
+    return instrumented(
+        role,
+        message,
+        lambda: _dispatch_inner(manager, message, request_id, emit_partial),
+    )
+
+
+def instrumented(role: str, message: dict, run: Callable[[], dict]) -> dict:
+    """``run()``'s envelope, with one request's instrumentation around it.
+
+    Shared by :func:`dispatch` and the routing front end
+    (:meth:`~repro.service.router.RoutingDispatcher.handle`): the request
+    runs under a ``<role>.<cmd>`` span (continuing the trace carried in
+    the message's ``trace`` field, or minting one at a root), bumps the
+    per-command request counter/latency histogram, may land in the
+    slow-request log, and has its trace id stamped on the response
+    envelope so clients can fetch the span tree afterwards.
+    """
     raw_cmd = message.get("cmd") if isinstance(message, dict) else None
     cmd_label = raw_cmd if isinstance(raw_cmd, str) and raw_cmd else "invalid"
     trace_id, parent_id = obs_trace.from_wire(message)
@@ -99,7 +113,7 @@ def dispatch(
     with obs_trace.span(
         f"{role}.{cmd_label}", trace_id=trace_id, parent_id=parent_id
     ) as span:
-        envelope = _dispatch_inner(manager, message, request_id, emit_partial)
+        envelope = run()
         if not envelope.get("ok"):
             span.set(error=envelope["error"]["kind"])
         stamped_trace = span.trace_id

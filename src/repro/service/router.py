@@ -19,23 +19,24 @@ session-scoped command follows that assignment. Unknown sessions are
 rejected at the front without a worker round-trip, mirroring the
 ``UnknownSession`` error the in-process manager raises.
 
-**Self-healing** (PR 10): each dataset now has a deterministic replica
-*set* (:meth:`HashRing.nodes_for`), not a single owner. A session
-command that comes back ``WorkerCrashed``/``WorkerTimeout`` fails over
-along that set with jittered, bounded backoff: the router first sends
-``recover`` to the candidate — the worker replays the session's
-journal (:mod:`repro.service.journal`) off the shared data dir — then
-re-forwards the original request and moves the placement. Per-worker
+**Self-healing**: each dataset has a deterministic replica *set*
+(:meth:`HashRing.nodes_for`), not a single owner. Every session command
+takes one walk, ``[placed, replicas…, placed]``. A command that comes
+back ``WorkerCrashed``/``WorkerTimeout`` moves on along the walk with
+jittered, bounded backoff, and each later candidate is first sent
+``recover``: the worker replays the session's journal
+(:mod:`repro.service.journal`) off the data dir it shares with the
+other workers. The worker's answer decides. A replayed journal moves
+the placement there and the command is re-sent; ``NoJournal`` ends the
+walk, so without a data dir a crash is reported, not healed. Per-worker
 circuit breakers trip after consecutive failures and half-open on a
-timer, steering both failover and new-session placement away from a
-flapping worker. Without a data dir there is no journal to replay, so
-the pre-PR-10 semantics hold: crashes drop placements and clients
-reopen. ``drain`` stops admitting sessions to one worker, waits out
-its in-flight requests (deadline-bounded), flushes its journals, hands
-its placements to replicas, and optionally restarts the process —
-the rolling-restart verb. ``resize`` grows or shrinks the pool and
-rebalances placements by the same replay mechanism instead of
-dropping them.
+timer, steering both the walk and new-session placement away from a
+flapping worker. ``drain`` stops admitting sessions to one worker,
+waits out its in-flight requests (deadline-bounded), flushes its
+journals, hands its placements to other workers by the same replay,
+and optionally restarts the process — the rolling-restart verb.
+``resize`` grows or shrinks the pool and rebalances placements by that
+hand-off too, instead of dropping them.
 """
 
 from __future__ import annotations
@@ -55,13 +56,28 @@ from ..obs import trace as obs_trace
 from ..obs.flags import enabled as obs_enabled
 from . import faults, protocol
 from .cache import DATA_DIR_ENV
-from .handlers import SLOW_LOG_LIMIT, Dispatcher, _SERVER_HANDLERS, _SESSION_HANDLERS
+from .handlers import (
+    SLOW_LOG_LIMIT,
+    Dispatcher,
+    _SERVER_HANDLERS,
+    _SESSION_HANDLERS,
+    instrumented,
+)
 from .journal import JournalStore
 from .workers import WorkerPool
 
 #: Error kinds that trigger failover to a replica (crash-class only:
 #: logical errors like UnknownSession get in-place recovery instead).
 FAILOVER_KINDS = frozenset({"WorkerCrashed", "WorkerTimeout"})
+
+#: Replica-set width: each dataset has this many candidate workers
+#: (all of them in a smaller pool).
+N_REPLICAS = 2
+
+#: Failover backoff before walk attempt ``k``: ``BACKOFF_BASE × 2^(k-1)``
+#: seconds, capped at ``BACKOFF_MAX`` and jittered into [0.5×, 1.5×).
+BACKOFF_BASE = 0.05
+BACKOFF_MAX = 1.0
 
 
 class HashRing:
@@ -193,51 +209,31 @@ class RoutingDispatcher(Dispatcher):
     executor thread, so pipe waits, failover backoff and drain waits
     never block the event loop. Workers forward partial debug frames
     back over the pipe, so routed ``debug`` streams end to end.
+    ``clock`` (breakers, drain wait) and ``sleep`` (backoff, drain wait)
+    are seams for tests.
     """
 
     def __init__(
         self,
         pool: WorkerPool,
-        replicas: int = 64,
-        n_replicas: int = 2,
-        breaker_threshold: int = 3,
-        breaker_reset_seconds: float = 5.0,
-        max_failover_attempts: int | None = None,
-        backoff_base: float = 0.05,
-        backoff_max: float = 1.0,
-        data_dir: str | os.PathLike | None = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
-        rng: random.Random | None = None,
     ):
         self.pool = pool
-        self._ring_points = replicas
-        self.ring = HashRing(list(range(len(pool))), replicas=replicas)
-        #: Replica-set width: each dataset has this many candidate
-        #: workers (clamped to the pool size).
-        self.n_replicas = max(1, min(int(n_replicas), len(pool)))
-        self._max_failover_attempts = max_failover_attempts
-        self._backoff_base = backoff_base
-        self._backoff_max = backoff_max
-        self._breaker_threshold = breaker_threshold
-        self._breaker_reset_seconds = breaker_reset_seconds
+        self.ring = HashRing(list(range(len(pool))))
         self._clock = clock
         self._sleep = sleep
-        self._rng = rng if rng is not None else random.Random()
         self._lock = threading.Lock()
         #: session name -> (worker index, dataset name)
         self._placements: dict[str, tuple[int, str]] = {}
         self._routed = 0
-        #: The router's own view of the shared journal directory: used
-        #: to *peek* (does a journal exist, which dataset) so unplaced
-        #: sessions can be re-admitted after a front-end restart. The
-        #: actual replay happens worker-side via the ``recover`` command.
-        if data_dir is None:
-            data_dir = os.environ.get(DATA_DIR_ENV) or None
+        #: The front end's view of the journal directory (from
+        #: ``REPRO_DATA_DIR``): it only adopts unplaced sessions after a
+        #: front-end restart and forgets closed ones. Whether a session
+        #: can move is decided by the workers' ``recover`` answers.
+        data_dir = os.environ.get(DATA_DIR_ENV)
         self.journals = (
-            JournalStore(os.path.join(os.fspath(data_dir), "journal"))
-            if data_dir is not None
-            else None
+            JournalStore(os.path.join(data_dir, "journal")) if data_dir else None
         )
         # Register the fault-tolerance metrics at construction so they
         # appear in cluster expositions at zero even before the first
@@ -258,11 +254,7 @@ class RoutingDispatcher(Dispatcher):
         if index in self._breakers:
             return
         reg = obs_metrics.registry()
-        self._breakers[index] = CircuitBreaker(
-            threshold=self._breaker_threshold,
-            reset_seconds=self._breaker_reset_seconds,
-            clock=self._clock,
-        )
+        self._breakers[index] = CircuitBreaker(clock=self._clock)
         self._m_failovers[index] = reg.counter(
             "dbwipes_failovers_total",
             labels={"worker": str(index)},
@@ -276,27 +268,42 @@ class RoutingDispatcher(Dispatcher):
         gauge.set(0)
         self._m_breaker[index] = gauge
 
-    def _breaker_success(self, worker: int) -> None:
+    def _allow(self, worker: int) -> bool:
+        """May a request go to ``worker`` now? May take its breaker's
+        half-open probe, so the caller must :meth:`_settle` the attempt."""
         breaker = self._breakers.get(worker)
         if breaker is None:
-            return
-        breaker.record_success()
-        self._m_breaker[worker].set(breaker.state_value)
-
-    def _breaker_failure(self, worker: int) -> None:
-        breaker = self._breakers.get(worker)
-        if breaker is None:
-            return
-        breaker.record_failure()
-        self._m_breaker[worker].set(breaker.state_value)
-
-    def _breaker_allows(self, worker: int) -> bool:
-        breaker = self._breakers.get(worker)
-        if breaker is None:
-            return True
+            return False
         allowed = breaker.allow()
         self._m_breaker[worker].set(breaker.state_value)
         return allowed
+
+    def _settle(self, worker: int, healthy: bool) -> None:
+        """Record an attempt's outcome on ``worker``'s breaker. A worker
+        that answered at all (``NoJournal`` included) is healthy."""
+        breaker = self._breakers.get(worker)
+        if breaker is None:
+            return
+        if healthy:
+            breaker.record_success()
+        else:
+            breaker.record_failure()
+        self._m_breaker[worker].set(breaker.state_value)
+
+    def _admissible(self, worker: int, probe: bool = False) -> bool:
+        """The one rule for where a session may go: new-session
+        placement, a drain's hand-off and each move of the walk.
+
+        ``worker`` must be in the pool, not draining, and not refused by
+        its breaker: not open, or with ``probe``, admitted by
+        :meth:`_allow` (which may take the half-open probe).
+        """
+        if worker >= len(self.pool) or self.pool.workers[worker].draining:
+            return False
+        if probe:
+            return self._allow(worker)
+        breaker = self._breakers.get(worker)
+        return breaker is not None and breaker.state != "open"
 
     # -- dispatch entry ------------------------------------------------
 
@@ -304,11 +311,13 @@ class RoutingDispatcher(Dispatcher):
         """Route one decoded request; always returns an envelope.
 
         The front end is the server accept path of the cluster: the root
-        ``server.<cmd>`` span is minted here (or grafted onto a trace
-        context the client sent), every worker forward rides a child
-        ``router.<cmd>`` span whose context crosses the pipe in the
-        message's ``trace`` field, and the response envelope is stamped
-        with the trace id so clients can recover the full span tree.
+        ``server.<cmd>`` span is minted here by
+        :func:`~repro.service.handlers.instrumented` (or grafted onto a
+        trace context the client sent), every worker forward rides a
+        child ``router.<cmd>`` span whose context crosses the pipe in
+        the message's ``trace`` field, and the response envelope is
+        stamped with the trace id so clients can recover the full span
+        tree.
 
         ``emit_partial(seq, payload)`` — when provided and the request
         asks for a stream — receives each partial frame a worker sends
@@ -316,53 +325,17 @@ class RoutingDispatcher(Dispatcher):
         A mid-stream failover replays the stream from the replica, so
         partial frames are at-least-once; the final envelope is exact.
         """
+        return instrumented(
+            "server", message, lambda: self._dispatch(message, emit_partial)
+        )
+
+    def _dispatch(self, message: dict, emit_partial=None) -> dict:
         request_id = message.get("id")
         try:
             cmd, session, args = protocol.validate_request(message)
         except ReproError as error:
             kind = getattr(error, "kind", None) or type(error).__name__
             return protocol.error_response(request_id, kind, str(error))
-        trace_id, parent_id = obs_trace.from_wire(message)
-        start = time.perf_counter()
-        with obs_trace.span(
-            f"server.{cmd}", trace_id=trace_id, parent_id=parent_id
-        ) as span:
-            envelope = self._dispatch(
-                request_id, cmd, session, args, message, emit_partial
-            )
-            if not envelope.get("ok"):
-                error = envelope.get("error")
-                if isinstance(error, dict):
-                    span.set(error=error.get("kind"))
-            stamped_trace = span.trace_id
-        seconds = time.perf_counter() - start
-        if obs_enabled():
-            labels = {"cmd": cmd, "role": "server"}
-            reg = obs_metrics.registry()
-            reg.counter(
-                "dbwipes_requests_total",
-                labels=labels,
-                help="Requests dispatched, by command and process role.",
-            ).inc()
-            reg.histogram(
-                "dbwipes_request_seconds",
-                labels=labels,
-                help="Request wall seconds, by command and process role.",
-            ).observe(seconds)
-            obs_logs.maybe_log_slow(cmd, seconds, role="server", session=session)
-        if stamped_trace is not None:
-            envelope["trace"] = stamped_trace
-        return envelope
-
-    def _dispatch(
-        self,
-        request_id,
-        cmd: str,
-        session: str | None,
-        args: dict,
-        message: dict,
-        emit_partial=None,
-    ) -> dict:
         if cmd == "ping":
             return self._pong(request_id)
         if cmd == "stats":
@@ -392,12 +365,7 @@ class RoutingDispatcher(Dispatcher):
                 self._broadcast("trace", explicit),
             )
         if cmd == "open":
-            checked = self._open_check(request_id, args)
-            if isinstance(checked, dict):
-                return checked
-            name, dataset, worker = checked
-            envelope = self._forward(worker, "open", message)
-            return self._open_finish(envelope, worker, name, dataset)
+            return self._open(request_id, args, message)
         if cmd == "recover":
             return self._recover_command(request_id, session, args)
         if cmd == "drain":
@@ -666,11 +634,9 @@ class RoutingDispatcher(Dispatcher):
 
     # -- session routing -----------------------------------------------
 
-    def _open_check(self, request_id, args: dict) -> dict | tuple[str, str, int]:
-        """Validate an ``open`` and pick its worker by dataset hash.
-
-        Returns an error envelope, or ``(name, dataset, worker)``.
-        """
+    def _open(self, request_id, args: dict, message: dict) -> dict:
+        """Validate an ``open``, send it to the dataset's
+        :meth:`_placement_target`, and record the placement it produced."""
         name = args.get("name")
         dataset = args.get("dataset")
         if not isinstance(name, str) or not name:
@@ -696,45 +662,32 @@ class RoutingDispatcher(Dispatcher):
                 f"session {name!r} is open on dataset {placement[1]!r}; "
                 f"close it before reopening on {dataset!r}",
             )
-        return name, dataset, self._placement_target(dataset)
-
-    def _placement_target(self, dataset: str) -> int:
-        """The first admissible worker in the dataset's replica set.
-
-        The ring primary wins unless it is draining or its breaker is
-        open, in which case placement slides to the next replica —
-        new sessions steer around a flapping or departing worker. Falls
-        back to the primary when every candidate is inadmissible.
-        """
-        candidates = [
-            int(node) for node in self.ring.nodes_for(dataset, self.n_replicas)
-        ]
-        for worker in candidates:
-            if worker >= len(self.pool):
-                continue
-            if self.pool.workers[worker].draining:
-                continue
-            breaker = self._breakers.get(worker)
-            if breaker is not None and breaker.state == "open":
-                continue
-            return worker
-        return candidates[0]
-
-    def _open_finish(
-        self, envelope: dict, worker: int, name: str, dataset: str
-    ) -> dict:
-        """Record (or roll back) the placement an ``open`` produced."""
+        worker = self._placement_target(dataset)
+        envelope = self._forward(worker, "open", message)
         if envelope.get("ok"):
             with self._lock:
                 self._placements[name] = (worker, dataset)
                 self._routed += 1
             protocol.annotate_worker(envelope, worker)
-        elif self._crashed(envelope) and self.journals is None:
-            # No journals → sessions die with their process; drop their
-            # placements so clients get a fast UnknownSession. With a
-            # journal tier the placements stay and heal lazily by replay.
-            self._drop_worker_placements(worker)
         return envelope
+
+    def _replica_set(self, dataset: str) -> list[int]:
+        """The dataset's candidate workers, ring primary first."""
+        return [int(node) for node in self.ring.nodes_for(dataset, N_REPLICAS)]
+
+    def _placement_target(self, dataset: str) -> int:
+        """Where a session of ``dataset`` should live: the first
+        :meth:`_admissible` worker of its replica set, then of the rest
+        of the pool, so new sessions and hand-offs steer around a
+        flapping or departing worker. Falls back to the ring primary
+        when no worker is admissible (hand-offs check the answer).
+        """
+        replicas = self._replica_set(dataset)
+        rest = [index for index in range(len(self.pool)) if index not in replicas]
+        return next(
+            (worker for worker in replicas + rest if self._admissible(worker)),
+            replicas[0],
+        )
 
     def _route_session(
         self,
@@ -745,14 +698,11 @@ class RoutingDispatcher(Dispatcher):
         message: dict,
         emit_partial=None,
     ) -> dict:
-        """Route one session-scoped command, healing as needed.
+        """Route one session-scoped command along :meth:`_walk`.
 
-        Without a journal tier this is the pre-PR-10 path: resolve the
-        placement, forward once, and let crashes drop placements. With
-        journals it becomes the self-healing path: unplaced-but-journaled
-        sessions are adopted, worker-side ``UnknownSession`` (a respawned
-        or evicted worker) triggers in-place replay, and crash-class
-        errors fail over along the dataset's replica set.
+        A session with neither placement nor journal is refused here. A
+        ``close`` that the worker accepted, or answered
+        ``UnknownSession``, forgets the placement and the journal.
         """
         if not session:
             return protocol.error_response(
@@ -760,10 +710,7 @@ class RoutingDispatcher(Dispatcher):
                 "ProtocolError",
                 f"command {cmd!r} needs a 'session' field",
             )
-        with self._lock:
-            placement = self._placements.get(session)
-        if placement is None:
-            placement = self._adopt(session)
+        placement = self._placement(session)
         if placement is None:
             return protocol.error_response(
                 request_id,
@@ -777,24 +724,36 @@ class RoutingDispatcher(Dispatcher):
             def on_partial(envelope, _emit=emit_partial):
                 _emit(envelope.get("seq", 0), envelope.get("result"))
 
-        if self.journals is None:
-            envelope = self._forward(worker, cmd, message, on_partial=on_partial)
-            return self._route_finish(envelope, cmd, session, worker)
-        return self._route_with_failover(
+        envelope = self._walk(
             request_id, cmd, session, dataset, worker, message, on_partial
         )
+        closed = cmd == "close" and (
+            envelope.get("ok") or self._error_kind(envelope) == "UnknownSession"
+        )
+        with self._lock:
+            self._routed += 1
+            if closed:
+                self._placements.pop(session, None)
+        if closed and self.journals is not None:
+            self.journals.discard(session)
+        return envelope
 
-    def _adopt(self, session: str) -> tuple[int, str] | None:
-        """Re-admit a journaled session that has no placement.
+    def _placement(self, session: str) -> tuple[int, str] | None:
+        """The session's (worker, dataset), adopting a journaled session
+        that has none.
 
-        This is how sessions survive a front-end restart: the placement
-        map is in-memory, but the journal names the dataset, so the
-        session is re-placed on the dataset's current primary and the
+        Adoption is how sessions survive a front-end restart: the
+        placement map is in-memory, but the journal names the dataset,
+        so the session is re-placed by :meth:`_placement_target` and the
         first forwarded command heals it by replay (the worker answers
         ``UnknownSession``, the router recovers in place and re-sends).
+        Only a front end that sees the journal directory
+        (``REPRO_DATA_DIR``) can adopt.
         """
-        if self.journals is None or not self.journals.exists(session):
-            return None
+        with self._lock:
+            placement = self._placements.get(session)
+        if placement is not None or self.journals is None:
+            return placement
         dataset = self.journals.peek(session)
         if dataset is None:
             return None
@@ -806,168 +765,113 @@ class RoutingDispatcher(Dispatcher):
                 self._placements[session] = current
         return current
 
-    def _route_with_failover(
+    def _walk(
         self,
         request_id,
         cmd: str,
         session: str,
         dataset: str,
-        worker: int,
+        placed: int,
         message: dict,
         on_partial=None,
     ) -> dict:
-        """Forward with replay-based healing and replica failover.
+        """Forward one session command, healing its session on failure.
 
-        The candidate list is ``[primary, replicas…, primary]`` — the
-        final entry retries the primary once more because a crashed
-        worker has been respawned by the time the replicas were tried.
-        Attempt 0 is a plain forward; every later attempt backs off
-        (jittered, honouring ``retry_after``) and replays the session's
-        journal on the candidate before re-sending the command.
+        The walk is ``[placed, replicas…, placed]``; the final entry
+        retries the placed worker, respawned by then if it crashed.
+        Attempt 0 forwards to the placed worker (which keeps its
+        sessions while it drains). Each later attempt moves the session
+        to an :meth:`_admissible` worker after a jittered backoff, by
+        :meth:`_hand_off`: a replayed journal moves it and the command
+        is re-sent; ``NoJournal`` ends the walk, so a crash without
+        journals is reported, not healed. When every breaker refused,
+        the last move is forced. Each attempt settles its breaker.
         """
-        candidates = [worker]
-        for node in self.ring.nodes_for(dataset, self.n_replicas):
-            node = int(node)
-            if node != worker and node < len(self.pool):
-                candidates.append(node)
-        candidates.append(worker)
-        if self._max_failover_attempts is not None:
-            candidates = candidates[: max(1, int(self._max_failover_attempts))]
-        last_envelope: dict | None = None
-        attempted = False
-        for attempt, target in enumerate(candidates):
+        replicas = [
+            worker for worker in self._replica_set(dataset) if worker != placed
+        ]
+        walk = [placed, *replicas, placed]
+        last: dict | None = None
+        admitted = False
+        for attempt, target in enumerate(walk):
             if attempt:
-                if not self._breaker_allows(target):
-                    continue
-                self._failover_backoff(attempt, last_envelope)
-                recovered = self._recover_on(target, session)
-                if recovered is None:
-                    break  # no journal: replay impossible, stop here
-                if not recovered:
-                    self._breaker_failure(target)
-                    continue
-            elif not self._breaker_allows(target):
-                # Primary's breaker is open: skip straight to replicas.
-                last_envelope = protocol.error_response(
-                    request_id,
-                    "WorkerCrashed",
-                    f"worker {target} circuit breaker is open",
-                )
+                forced = attempt == len(walk) - 1 and not admitted
+                allowed = self._admissible(target, probe=True) or forced
+            else:
+                allowed = self._allow(target)
+            if not allowed:
                 continue
-            attempted = True
-            envelope = self._forward(target, cmd, message, on_partial=on_partial)
-            last_envelope = envelope
-            kind = self._error_kind(envelope)
-            if kind == "UnknownSession" and cmd != "close":
-                # Healthy worker, lost session (respawn/eviction/adopted
-                # placement): replay in place once and re-send.
-                if self._recover_on(target, session) is True:
-                    envelope = self._forward(
-                        target, cmd, message, on_partial=on_partial
-                    )
-                    last_envelope = envelope
-                    kind = self._error_kind(envelope)
-            if kind in FAILOVER_KINDS:
-                self._breaker_failure(target)
-                if obs_enabled() and target in self._m_failovers:
-                    self._m_failovers[target].inc()
-                continue
-            self._breaker_success(target)
-            return self._failover_finish(
-                envelope, cmd, session, dataset, worker, target
+            admitted = True
+            if attempt:
+                self._backoff(attempt, last)
+                kind = self._hand_off(session, dataset, target)
+                if kind is not None:
+                    self._settle(target, kind not in FAILOVER_KINDS)
+                    if kind == "NoJournal":
+                        break
+                    continue
+            last = self._forward(target, cmd, message, on_partial=on_partial)
+            if (
+                cmd != "close"
+                and self._error_kind(last) == "UnknownSession"
+                and self._hand_off(session, dataset, target) is None
+            ):
+                # A respawn, an eviction or an adopted placement lost the
+                # session on a healthy worker: replayed in place, re-send.
+                last = self._forward(target, cmd, message, on_partial=on_partial)
+            healthy = self._error_kind(last) not in FAILOVER_KINDS
+            self._settle(target, healthy)
+            if healthy:
+                return last
+            if obs_enabled():
+                self._m_failovers[target].inc()
+        if last is None:
+            # The placed worker's breaker refused it and no move landed.
+            last = protocol.error_response(
+                request_id,
+                "WorkerCrashed",
+                f"worker {placed} circuit breaker is open",
             )
-        if not attempted:
-            # Every candidate was inadmissible (breakers open): force one
-            # real attempt at the primary rather than failing on a guess.
-            envelope = self._forward(worker, cmd, message, on_partial=on_partial)
-            return self._failover_finish(
-                envelope, cmd, session, dataset, worker, worker
-            )
-        # Exhausted (or journal-less): restore the legacy contract.
-        if last_envelope is not None and self._crashed(last_envelope):
-            self._drop_worker_placements(worker)
-        with self._lock:
-            self._routed += 1
-        return last_envelope
+        return last
 
-    def _failover_finish(
-        self,
-        envelope: dict,
-        cmd: str,
-        session: str,
-        dataset: str,
-        worker: int,
-        target: int,
-    ) -> dict:
-        """Bookkeeping after a settled (non-crash) session command."""
-        with self._lock:
-            self._routed += 1
-            if envelope.get("ok") and target != worker:
-                self._placements[session] = (target, dataset)
-        if cmd == "close" and (
-            envelope.get("ok") or self._error_kind(envelope) == "UnknownSession"
-        ):
-            with self._lock:
-                self._placements.pop(session, None)
-            if self.journals is not None:
-                self.journals.discard(session)
-        return envelope
+    def _hand_off(self, session: str, dataset: str, target: int) -> str | None:
+        """Replay ``session`` on ``target`` and move its placement there.
 
-    def _recover_on(self, target: int, session: str) -> bool | None:
-        """Ask ``target`` to replay ``session``'s journal.
-
-        Returns ``True`` when the session is live on the target (replayed
-        or already open there), ``False`` when the recover attempt itself
-        failed (crash/timeout on the target — try elsewhere), and
-        ``None`` when there is no journal (recovery impossible anywhere).
+        The target's ``recover`` answer decides: ``None`` once the
+        session is live and placed there, else the answer's error kind
+        (``NoJournal``: nothing to replay anywhere; a crash-class kind:
+        the target itself failed).
         """
-        message = {
-            "id": f"recover::{session}",
-            "cmd": "recover",
-            "args": {"session": session},
-        }
-        envelope = self._forward(target, "recover", message)
-        if envelope.get("ok"):
-            return True
-        if self._error_kind(envelope) == "NoJournal":
-            return None
-        return False
+        envelope = self._forward(
+            target,
+            "recover",
+            {
+                "id": f"recover::{session}",
+                "cmd": "recover",
+                "args": {"session": session},
+            },
+        )
+        if not envelope.get("ok"):
+            return envelope["error"]["kind"]
+        with self._lock:
+            self._placements[session] = (target, dataset)
+        return None
 
-    def _failover_backoff(self, attempt: int, last_envelope: dict | None) -> None:
-        """Jittered exponential delay before failover attempt ``attempt``.
+    def _backoff(self, attempt: int, last: dict | None) -> None:
+        """Jittered exponential delay before walk attempt ``attempt``.
 
         Honours the ``retry_after`` hint of the previous error envelope
         when it asks for a longer wait than the schedule would.
         """
-        delay = min(self._backoff_max, self._backoff_base * (2 ** (attempt - 1)))
-        delay *= 0.5 + self._rng.random()  # jitter in [0.5x, 1.5x)
-        error = (last_envelope or {}).get("error")
+        delay = min(BACKOFF_MAX, BACKOFF_BASE * (2 ** (attempt - 1)))
+        delay *= 0.5 + random.random()  # jitter in [0.5x, 1.5x)
+        error = (last or {}).get("error")
         if isinstance(error, dict) and error.get("retry_after") is not None:
             try:
                 delay = max(delay, float(error["retry_after"]))
             except (TypeError, ValueError):
                 pass
-        if delay > 0:
-            self._sleep(delay)
-
-    def _route_finish(
-        self, envelope: dict, cmd: str, session: str | None, worker: int
-    ) -> dict:
-        """Placement bookkeeping after a routed session command
-        (journal-less mode — crashes lose sessions)."""
-        with self._lock:
-            self._routed += 1
-        if cmd == "close" and (
-            envelope.get("ok") or self._error_kind(envelope) == "UnknownSession"
-        ):
-            with self._lock:
-                self._placements.pop(session, None)
-        if self._crashed(envelope):
-            # The dead process took its sessions with it; drop their
-            # placements so clients get a fast UnknownSession and reopen
-            # onto the respawned worker.
-            self._drop_worker_placements(worker)
-        return envelope
+        self._sleep(delay)
 
     # -- recover / drain / resize --------------------------------------
 
@@ -982,10 +886,7 @@ class RoutingDispatcher(Dispatcher):
                 "ProtocolError",
                 "'recover' needs a non-empty 'session' (args or field)",
             )
-        with self._lock:
-            placement = self._placements.get(name)
-        if placement is None:
-            placement = self._adopt(name)
+        placement = self._placement(name)
         if placement is None:
             return protocol.error_response(
                 request_id,
@@ -1000,7 +901,7 @@ class RoutingDispatcher(Dispatcher):
         )
         if envelope.get("ok"):
             protocol.annotate_worker(envelope, worker)
-            self._breaker_success(worker)
+            self._settle(worker, True)
         with self._lock:
             self._routed += 1
         return envelope
@@ -1047,14 +948,16 @@ class RoutingDispatcher(Dispatcher):
     ) -> dict:
         """Gracefully take one worker out of rotation.
 
-        Stops new-session admission (the draining flag steers
-        :meth:`_placement_target` away), waits for the worker's in-flight
-        requests bounded by ``deadline`` seconds, asks it to flush every
-        live session's journal (``drain_prepare`` — which also repairs
-        journals corrupted on disk, the in-memory records being
-        authoritative), then hands its placements to replicas by replay.
-        With ``restart=True`` the worker process is finally replaced and
-        re-admitted — the rolling-restart primitive.
+        Stops new-session admission (the draining flag makes the worker
+        inadmissible), waits for its in-flight requests bounded by
+        ``deadline`` seconds, asks it to flush every live session's
+        journal (``drain_prepare`` — which also repairs journals
+        corrupted on disk, the in-memory records being authoritative),
+        then hands each of its sessions to its :meth:`_placement_target`
+        by replay: moved when the target replays its journal, kept when
+        there is no journal or no admissible target, failed when the
+        target errs. With ``restart=True`` the worker process is finally
+        replaced and re-admitted — the rolling-restart primitive.
         """
         worker = int(worker)
         if not 0 <= worker < len(self.pool):
@@ -1085,21 +988,22 @@ class RoutingDispatcher(Dispatcher):
                 if placement[0] == worker
             ]
         for name, dataset in owned:
-            target = self._handoff_target(worker, dataset)
-            if target is None or self.journals is None:
+            target = self._placement_target(dataset)
+            if not self._admissible(target):
                 kept += 1
                 continue
-            if self._recover_on(target, name) is True:
-                with self._lock:
-                    self._placements[name] = (target, dataset)
+            kind = self._hand_off(name, dataset, target)
+            if kind is None:
                 moved += 1
+            elif kind == "NoJournal":
+                kept += 1
             else:
                 failed += 1
         restarted = False
         if restart:
             restarted = handle.restart()
             handle.draining = False
-            self._breaker_success(worker)
+            self._settle(worker, True)
         if obs_enabled():
             self._m_drains.inc()
         return {
@@ -1114,35 +1018,15 @@ class RoutingDispatcher(Dispatcher):
             "draining": handle.draining,
         }
 
-    def _handoff_target(self, worker: int, dataset: str) -> int | None:
-        """Where a draining worker's session should land: the first
-        admissible replica, else any healthy worker, else nowhere."""
-        candidates = [
-            int(node) for node in self.ring.nodes_for(dataset, self.n_replicas)
-        ]
-        candidates += [
-            index for index in range(len(self.pool)) if index not in candidates
-        ]
-        for index in candidates:
-            if index == worker or index >= len(self.pool):
-                continue
-            if self.pool.workers[index].draining:
-                continue
-            breaker = self._breakers.get(index)
-            if breaker is not None and breaker.state == "open":
-                continue
-            return index
-        return None
-
     def resize(self, n_workers: int) -> dict:
         """Grow or shrink the worker tier, rebalancing placements.
 
-        Shrinking flushes the doomed workers' journals, replays each of
-        their sessions onto the new ring's owner, and only then closes
-        the processes — journaled sessions move instead of dying.
-        Sessions without a journal tier are dropped with a count.
-        Growing spawns workers and rebuilds the ring; existing placements
-        stay put (consistent hashing moves only new opens).
+        Shrinking installs the new ring and drains every doomed worker
+        (:meth:`drain`), so their journaled sessions move to the
+        survivors by replay; only then are the processes closed. A
+        session that could not move is dropped with a count. Growing
+        spawns workers and rebuilds the ring; existing placements stay
+        put (consistent hashing moves only new opens).
         """
         n_workers = int(n_workers)
         if n_workers < 1:
@@ -1150,48 +1034,28 @@ class RoutingDispatcher(Dispatcher):
         old = len(self.pool)
         moved = dropped = 0
         if n_workers < old:
-            new_ring = HashRing(
-                list(range(n_workers)), replicas=self._ring_points
-            )
             for index in range(n_workers, old):
+                # All doomed workers stop admitting before any drains, so
+                # no hand-off lands on a worker about to close.
                 self.pool.workers[index].draining = True
-                self._forward(
-                    index,
-                    "drain_prepare",
-                    {
-                        "id": f"resize::{index}",
-                        "cmd": "drain_prepare",
-                        "args": {},
-                    },
-                )
+            self.ring = HashRing(list(range(n_workers)))
+            for index in range(n_workers, old):
+                moved += self.drain(index)["sessions_moved"]
             with self._lock:
                 doomed = [
-                    (name, placement)
+                    name
                     for name, placement in self._placements.items()
                     if placement[0] >= n_workers
                 ]
-            for name, (_index, dataset) in doomed:
-                target = int(new_ring.node_for(dataset))
-                if (
-                    self.journals is not None
-                    and self._recover_on(target, name) is True
-                ):
-                    with self._lock:
-                        self._placements[name] = (target, dataset)
-                    moved += 1
-                else:
-                    with self._lock:
-                        self._placements.pop(name, None)
-                    dropped += 1
+                for name in doomed:
+                    del self._placements[name]
+            dropped = len(doomed)
             self.pool.resize(n_workers)
-            self.ring = new_ring
             for index in range(n_workers, old):
                 self._breakers.pop(index, None)
         else:
             self.pool.resize(n_workers)
-            self.ring = HashRing(
-                list(range(n_workers)), replicas=self._ring_points
-            )
+            self.ring = HashRing(list(range(n_workers)))
             for index in range(old, n_workers):
                 self._track_worker(index)
         with self._lock:
@@ -1209,18 +1073,6 @@ class RoutingDispatcher(Dispatcher):
     def _error_kind(envelope: dict) -> str | None:
         error = envelope.get("error")
         return error.get("kind") if isinstance(error, dict) else None
-
-    @classmethod
-    def _crashed(cls, envelope: dict) -> bool:
-        return cls._error_kind(envelope) == "WorkerCrashed"
-
-    def _drop_worker_placements(self, worker: int) -> None:
-        with self._lock:
-            self._placements = {
-                name: placement
-                for name, placement in self._placements.items()
-                if placement[0] != worker
-            }
 
     def placement_of(self, session: str) -> tuple[int, str] | None:
         """The (worker, dataset) assignment of a session, if any."""

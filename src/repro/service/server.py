@@ -90,6 +90,10 @@ AUTO_START_INFLIGHT = 4
 #: cheap lane while every heavy slot is busy.
 CHEAP_LANE_THREADS = 4
 
+#: How long ``stop`` lets a connection's handler finish its in-flight
+#: request before the loop exits (under ``stop``'s 10 s thread join).
+STOP_GRACE_SECONDS = 5.0
+
 
 def _auto_cap() -> int:
     """Ceiling for the auto-tuned gate: 2× cores, in [4, AUTO_MAX]."""
@@ -278,6 +282,9 @@ class DBWipesServer:
         self._started = threading.Event()
         self._startup_error: BaseException | None = None
         self._bound: tuple[str, int] | None = None
+        #: Open connections: handler task -> writer (touched only from
+        #: the event loop).
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
         reg = obs_registry()
         self._g_inflight = reg.gauge(
@@ -398,6 +405,19 @@ class DBWipesServer:
         try:
             async with server:
                 await self._stop_event.wait()
+                # End every connection's handler before the loop exits:
+                # asyncio.run would cancel it, and on Python 3.11 the
+                # stream's done-callback (``task.exception()``) logs a
+                # traceback for a cancelled handler. A closed writer makes
+                # an idle handler's readline see EOF; a busy one finishes
+                # its request first, for at most STOP_GRACE_SECONDS.
+                server.close()
+                for writer in self._connections.values():
+                    writer.close()
+                if self._connections:
+                    await asyncio.wait(
+                        list(self._connections), timeout=STOP_GRACE_SECONDS
+                    )
         finally:
             executor.shutdown(wait=False, cancel_futures=True)
 
@@ -411,6 +431,8 @@ class DBWipesServer:
         bucket = (
             TokenBucket(self.rate, self.burst) if self.rate is not None else None
         )
+        handler = asyncio.current_task()
+        self._connections[handler] = writer
         try:
             while True:
                 try:
@@ -451,6 +473,7 @@ class DBWipesServer:
                 if not await self._write(writer, envelope):
                     return
         finally:
+            del self._connections[handler]
             try:
                 writer.close()
             except (ConnectionError, OSError):

@@ -391,6 +391,11 @@ class WorkerHandle:
             self.requests += 1
             if obs_enabled():
                 self._m_requests.inc()
+            if kill_now and self.process is not None:
+                # The scripted kill -9, before the send: once ``kill``
+                # returns the worker runs no more code, so the request
+                # fails however fast the worker would have answered it.
+                self.process.kill()
             try:
                 self._conn.send((token, message))
             except (BrokenPipeError, OSError):
@@ -404,11 +409,6 @@ class WorkerHandle:
                     "WorkerCrashed",
                     f"worker {self.index} is down; it is being restarted",
                 )
-            process = self.process
-        if kill_now and process is not None:
-            # After the send, so the worker dies with the request in its
-            # pipe or mid-dispatch — the scripted version of kill -9.
-            process.kill()
         return token
 
     def _timed_out(self, token: int, request_id, timeout) -> dict:

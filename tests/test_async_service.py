@@ -9,6 +9,7 @@ socket round-trip stays fast; the stepped load curve at scale lives in
 from __future__ import annotations
 
 import json
+import logging
 import threading
 import time
 
@@ -373,3 +374,26 @@ class TestRoutedAsyncGateway:
                 stats = c.stats()
                 assert stats["workers"] == 2
                 assert "merged" in c.metrics()
+
+
+class TestShutdown:
+    def test_stop_with_a_client_connected_logs_no_error(self, caplog):
+        """Stopping the gateway while a client is still connected ends
+        that connection's handler quietly. asyncio logs no error: on
+        Python 3.11 a handler left to be cancelled at loop exit made the
+        stream's done-callback log a ``CancelledError`` traceback."""
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        srv = DBWipesServer(port=0)
+        host, port = srv.start()
+        client = ServiceClient(host, port, timeout=30)
+        try:
+            assert client.ping()["pong"] is True
+            srv.stop()
+        finally:
+            client.close()
+        errors = [
+            record
+            for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.ERROR
+        ]
+        assert errors == []

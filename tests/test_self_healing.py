@@ -12,6 +12,7 @@ structured terminal error.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -19,8 +20,10 @@ import time
 import pytest
 
 from repro.errors import ServiceError
+from repro.db import Database
 from repro.service import (
     CircuitBreaker,
+    DatasetCatalog,
     DBWipesServer,
     FaultPlan,
     HashRing,
@@ -32,7 +35,7 @@ from repro.service import faults
 from repro.service.workers import WorkerHandle
 
 from test_async_service import routed_toy_catalog
-from test_service import TOY_SQL
+from test_service import TOY_SQL, toy_table
 
 
 @pytest.fixture(autouse=True)
@@ -59,6 +62,21 @@ def _report(client: ServiceClient) -> dict:
 
 def canonical(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True)
+
+
+def toy_catalog_in(data_dir: str) -> DatasetCatalog:
+    """The toy catalog over an explicit data dir: its workers journal
+    every session even when ``REPRO_DATA_DIR`` is unset."""
+    catalog = DatasetCatalog(data_dir=data_dir)
+    table = toy_table()
+
+    def build() -> Database:
+        db = Database()
+        db.register(table)
+        return db
+
+    catalog.register("toy", build, bootstrap=TOY_SQL)
+    return catalog
 
 
 # ----------------------------------------------------------------------
@@ -666,6 +684,63 @@ class TestChaosAcceptance:
                 c.select_inputs(brush={"above": 50.0})
                 c.set_metric("too_high", threshold=2.0)
                 assert _report(c)["n_predicates"] >= 1
+
+    def test_crash_heals_when_only_the_workers_see_the_data_dir(
+        self, tmp_path, monkeypatch
+    ):
+        """The workers' catalog names the data dir and the front end's
+        environment does not: the workers journal every session, so a
+        killed primary still heals byte-identically — the replica's
+        ``recover`` decides, not the router's view of the data dir."""
+        monkeypatch.delenv("REPRO_DATA_DIR", raising=False)
+        with DBWipesServer(
+            port=0,
+            workers=2,
+            catalog_factory=functools.partial(toy_catalog_in, str(tmp_path)),
+        ) as srv:
+            host, port = srv.address
+            assert srv.dispatcher.journals is None
+            primary = int(srv.dispatcher.ring.node_for("toy"))
+            with ServiceClient(host, port, session="ref", timeout=120) as c:
+                c.open("toy")
+                _drive_to_metric(c)
+                reference = _report(c)
+            with ServiceClient(host, port, session="victim", timeout=120) as c:
+                c.open("toy")
+                _drive_to_metric(c)
+                assert JournalStore(tmp_path / "journal").exists("victim")
+                faults.install(
+                    FaultPlan(kill_worker=primary, kill_on_request=1)
+                )
+                healed = _report(c)
+            assert canonical(healed) == canonical(reference)
+            assert srv.dispatcher.placement_of("victim")[0] != primary
+
+    def test_drain_moves_sessions_when_only_the_workers_see_the_data_dir(
+        self, tmp_path, monkeypatch
+    ):
+        """Same set-up: a drain with restart hands the journaled session
+        to the replica instead of keeping it on the replaced process."""
+        monkeypatch.delenv("REPRO_DATA_DIR", raising=False)
+        with DBWipesServer(
+            port=0,
+            workers=2,
+            catalog_factory=functools.partial(toy_catalog_in, str(tmp_path)),
+        ) as srv:
+            host, port = srv.address
+            assert srv.dispatcher.journals is None
+            primary = int(srv.dispatcher.ring.node_for("toy"))
+            with ServiceClient(host, port, session="a", timeout=120) as c:
+                c.open("toy")
+                _drive_to_metric(c)
+                reference = _report(c)
+                summary = c.drain(primary, deadline=5.0, restart=True)
+                assert summary["sessions_moved"] == 1
+                assert summary["sessions_kept"] == 0
+                assert summary["sessions_failed"] == 0
+                assert summary["restarted"] is True
+                assert canonical(_report(c)) == canonical(reference)
+            assert srv.dispatcher.placement_of("a")[0] != primary
 
     def test_crash_mid_stream_yields_structured_terminal_error(
         self, monkeypatch
