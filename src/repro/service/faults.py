@@ -7,8 +7,10 @@ is consumed at well-defined points:
 
 - :class:`~repro.service.workers.WorkerHandle` asks the plan on every
   forwarded request whether to SIGKILL the worker (after the request
-  is on the pipe, so the worker dies mid-processing) or to discard the
-  eventual reply (the caller then observes a ``WorkerTimeout``).
+  is on the pipe, so the worker dies mid-processing; a reply that beats
+  the kill is ignored, so the caller always observes ``WorkerCrashed``)
+  or to discard the eventual reply (the caller then observes a
+  ``WorkerTimeout``).
 - :class:`~repro.service.router.RoutingDispatcher` asks for a delay
   before forwarding a matching command.
 - :class:`~repro.service.journal.JournalStore` asks whether to write a

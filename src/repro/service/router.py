@@ -28,7 +28,8 @@ jittered, bounded backoff, and each later candidate is first sent
 (:mod:`repro.service.journal`) off the data dir it shares with the
 other workers. The worker's answer decides. A replayed journal moves
 the placement there and the command is re-sent; ``NoJournal`` ends the
-walk, so without a data dir a crash is reported, not healed. Per-worker
+walk, so without a data dir a crash is reported, not healed, and the
+dead session's placement is forgotten. Per-worker
 circuit breakers trip after consecutive failures and half-open on a
 timer, steering both the walk and new-session placement away from a
 flapping worker. ``drain`` stops admitting sessions to one worker,
@@ -49,7 +50,7 @@ import threading
 import time
 from typing import Callable, Hashable, Sequence
 
-from ..errors import ReproError, ServiceError
+from ..errors import ProtocolError, ReproError, ServiceError
 from ..obs import logs as obs_logs
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
@@ -78,6 +79,10 @@ N_REPLICAS = 2
 #: seconds, capped at ``BACKOFF_MAX`` and jittered into [0.5×, 1.5×).
 BACKOFF_BASE = 0.05
 BACKOFF_MAX = 1.0
+
+#: Seconds a drain (or a shrinking resize, over all its doomed workers)
+#: waits for in-flight requests when the caller names no deadline.
+DRAIN_DEADLINE = 5.0
 
 
 class HashRing:
@@ -330,53 +335,57 @@ class RoutingDispatcher(Dispatcher):
         )
 
     def _dispatch(self, message: dict, emit_partial=None) -> dict:
+        """Answer or route one request. A request the router rejects
+        raises a :class:`ReproError`, answered here as an error envelope
+        of its ``kind`` (or class name)."""
         request_id = message.get("id")
         try:
             cmd, session, args = protocol.validate_request(message)
+            if cmd == "ping":
+                return self._pong(request_id)
+            if cmd == "stats":
+                return self._merge_stats(request_id, self._broadcast("stats", message))
+            if cmd == "sessions":
+                return self._merge_sessions(
+                    request_id, self._broadcast("sessions", message)
+                )
+            if cmd == "metrics":
+                return self._merge_metrics(
+                    request_id, self._broadcast("metrics", message)
+                )
+            if cmd == "storage":
+                return self._merge_storage(
+                    request_id, self._broadcast("storage", message)
+                )
+            if cmd == "trace":
+                resolved = self._trace_resolve(request_id, message, args)
+                if isinstance(resolved, dict):
+                    return resolved
+                trace_id, spans, dropped, explicit = resolved
+                return self._merge_trace(
+                    request_id,
+                    trace_id,
+                    spans,
+                    dropped,
+                    self._broadcast("trace", explicit),
+                )
+            if cmd == "open":
+                return self._open(args, message)
+            if cmd == "recover":
+                return self._recover_command(request_id, session, args)
+            if cmd == "drain":
+                return self._drain_command(request_id, args)
+            if cmd == "resize":
+                return self._resize_command(request_id, args)
+            if cmd in _SESSION_HANDLERS:
+                return self._route_session(
+                    request_id, cmd, session, args, message, emit_partial
+                )
+            known = sorted(set(_SERVER_HANDLERS) | set(_SESSION_HANDLERS))
+            raise ProtocolError(f"unknown command {cmd!r} (known: {known})")
         except ReproError as error:
             kind = getattr(error, "kind", None) or type(error).__name__
             return protocol.error_response(request_id, kind, str(error))
-        if cmd == "ping":
-            return self._pong(request_id)
-        if cmd == "stats":
-            return self._merge_stats(request_id, self._broadcast("stats", message))
-        if cmd == "sessions":
-            return self._merge_sessions(
-                request_id, self._broadcast("sessions", message)
-            )
-        if cmd == "metrics":
-            return self._merge_metrics(
-                request_id, self._broadcast("metrics", message)
-            )
-        if cmd == "storage":
-            return self._merge_storage(
-                request_id, self._broadcast("storage", message)
-            )
-        if cmd == "trace":
-            resolved = self._trace_resolve(request_id, message, args)
-            if isinstance(resolved, dict):
-                return resolved
-            trace_id, spans, dropped, explicit = resolved
-            return self._merge_trace(
-                request_id,
-                trace_id,
-                spans,
-                dropped,
-                self._broadcast("trace", explicit),
-            )
-        if cmd == "open":
-            return self._open(request_id, args, message)
-        if cmd == "recover":
-            return self._recover_command(request_id, session, args)
-        if cmd == "drain":
-            return self._drain_command(request_id, args)
-        if cmd == "resize":
-            return self._resize_command(request_id, args)
-        if cmd in _SESSION_HANDLERS:
-            return self._route_session(
-                request_id, cmd, session, args, message, emit_partial
-            )
-        return self._unknown_command(request_id, cmd)
 
     def _pong(self, request_id) -> dict:
         return protocol.ok_response(
@@ -386,13 +395,6 @@ class RoutingDispatcher(Dispatcher):
                 "version": protocol.PROTOCOL_VERSION,
                 "workers": len(self.pool),
             },
-        )
-
-    @staticmethod
-    def _unknown_command(request_id, cmd: str) -> dict:
-        known = sorted(set(_SERVER_HANDLERS) | set(_SESSION_HANDLERS))
-        return protocol.error_response(
-            request_id, "ProtocolError", f"unknown command {cmd!r} (known: {known})"
         )
 
     # -- traced worker forwards ----------------------------------------
@@ -634,33 +636,23 @@ class RoutingDispatcher(Dispatcher):
 
     # -- session routing -----------------------------------------------
 
-    def _open(self, request_id, args: dict, message: dict) -> dict:
+    def _open(self, args: dict, message: dict) -> dict:
         """Validate an ``open``, send it to the dataset's
         :meth:`_placement_target`, and record the placement it produced."""
         name = args.get("name")
         dataset = args.get("dataset")
         if not isinstance(name, str) or not name:
-            return protocol.error_response(
-                request_id,
-                "ProtocolError",
-                "'open' needs a non-empty 'name' string in args",
-            )
+            raise ProtocolError("'open' needs a non-empty 'name' string in args")
         if not isinstance(dataset, str) or not dataset:
-            return protocol.error_response(
-                request_id,
-                "ProtocolError",
-                "'open' needs a non-empty 'dataset' string in args",
-            )
+            raise ProtocolError("'open' needs a non-empty 'dataset' string in args")
         with self._lock:
             placement = self._placements.get(name)
         if placement is not None and placement[1] != dataset:
             # Mirror the manager's reopen-on-another-dataset error at the
             # front: the old placement's worker owns the live session.
-            return protocol.error_response(
-                request_id,
-                "ServiceError",
+            raise ServiceError(
                 f"session {name!r} is open on dataset {placement[1]!r}; "
-                f"close it before reopening on {dataset!r}",
+                f"close it before reopening on {dataset!r}"
             )
         worker = self._placement_target(dataset)
         envelope = self._forward(worker, "open", message)
@@ -705,17 +697,11 @@ class RoutingDispatcher(Dispatcher):
         ``UnknownSession``, forgets the placement and the journal.
         """
         if not session:
-            return protocol.error_response(
-                request_id,
-                "ProtocolError",
-                f"command {cmd!r} needs a 'session' field",
-            )
+            raise ProtocolError(f"command {cmd!r} needs a 'session' field")
         placement = self._placement(session)
         if placement is None:
-            return protocol.error_response(
-                request_id,
-                "UnknownSession",
-                f"unknown session {session!r}; open it first",
+            raise ServiceError(
+                f"unknown session {session!r}; open it first", kind="UnknownSession"
             )
         worker, dataset = placement
         on_partial = None
@@ -784,14 +770,16 @@ class RoutingDispatcher(Dispatcher):
         to an :meth:`_admissible` worker after a jittered backoff, by
         :meth:`_hand_off`: a replayed journal moves it and the command
         is re-sent; ``NoJournal`` ends the walk, so a crash without
-        journals is reported, not healed. When every breaker refused,
-        the last move is forced. Each attempt settles its breaker.
+        journals is reported, not healed, and the dead session's
+        placement is forgotten. When every breaker refused, the last
+        move is forced. Each attempt settles its breaker.
         """
         replicas = [
             worker for worker in self._replica_set(dataset) if worker != placed
         ]
         walk = [placed, *replicas, placed]
         last: dict | None = None
+        sent_to = placed
         admitted = False
         for attempt, target in enumerate(walk):
             if attempt:
@@ -807,18 +795,26 @@ class RoutingDispatcher(Dispatcher):
                 kind = self._hand_off(session, dataset, target)
                 if kind is not None:
                     self._settle(target, kind not in FAILOVER_KINDS)
-                    if kind == "NoJournal":
-                        break
-                    continue
+                    if kind != "NoJournal":
+                        continue
+                    if last is not None and self._error_kind(last) == "WorkerCrashed":
+                        # The session died with that process, and no
+                        # journal can bring it back anywhere.
+                        self._forget(session, sent_to)
+                    break
+            sent_to = target
             last = self._forward(target, cmd, message, on_partial=on_partial)
-            if (
-                cmd != "close"
-                and self._error_kind(last) == "UnknownSession"
-                and self._hand_off(session, dataset, target) is None
-            ):
+            if cmd != "close" and self._error_kind(last) == "UnknownSession":
                 # A respawn, an eviction or an adopted placement lost the
-                # session on a healthy worker: replayed in place, re-send.
-                last = self._forward(target, cmd, message, on_partial=on_partial)
+                # session on a healthy worker: replay it in place and
+                # re-send, or forget it when there is no journal.
+                kind = self._hand_off(session, dataset, target)
+                if kind is None:
+                    last = self._forward(
+                        target, cmd, message, on_partial=on_partial
+                    )
+                elif kind == "NoJournal":
+                    self._forget(session, target)
             healthy = self._error_kind(last) not in FAILOVER_KINDS
             self._settle(target, healthy)
             if healthy:
@@ -857,6 +853,14 @@ class RoutingDispatcher(Dispatcher):
             self._placements[session] = (target, dataset)
         return None
 
+    def _forget(self, session: str, worker: int) -> None:
+        """Drop ``session``'s placement if it is still on ``worker``,
+        which no longer holds it and has no journal to replay it."""
+        with self._lock:
+            placement = self._placements.get(session)
+            if placement is not None and placement[0] == worker:
+                del self._placements[session]
+
     def _backoff(self, attempt: int, last: dict | None) -> None:
         """Jittered exponential delay before walk attempt ``attempt``.
 
@@ -881,17 +885,14 @@ class RoutingDispatcher(Dispatcher):
         """Wire-level ``recover``: replay one session where it belongs."""
         name = args.get("session") or session
         if not isinstance(name, str) or not name:
-            return protocol.error_response(
-                request_id,
-                "ProtocolError",
-                "'recover' needs a non-empty 'session' (args or field)",
+            raise ProtocolError(
+                "'recover' needs a non-empty 'session' (args or field)"
             )
         placement = self._placement(name)
         if placement is None:
-            return protocol.error_response(
-                request_id,
-                "NoJournal",
+            raise ServiceError(
                 f"session {name!r} has no placement and no journal to replay",
+                kind="NoJournal",
             )
         worker, _dataset = placement
         envelope = self._forward(
@@ -909,42 +910,23 @@ class RoutingDispatcher(Dispatcher):
     def _drain_command(self, request_id, args: dict) -> dict:
         worker = args.get("worker")
         if isinstance(worker, bool) or not isinstance(worker, int):
-            return protocol.error_response(
-                request_id,
-                "ProtocolError",
-                "'drain' needs an integer 'worker' in args",
-            )
+            raise ProtocolError("'drain' needs an integer 'worker' in args")
         try:
-            deadline = float(args.get("deadline", 5.0))
+            deadline = float(args.get("deadline", DRAIN_DEADLINE))
         except (TypeError, ValueError):
-            return protocol.error_response(
-                request_id, "ProtocolError", "'deadline' must be a number"
-            )
+            raise ProtocolError("'deadline' must be a number") from None
         restart = bool(args.get("restart", False))
-        try:
-            summary = self.drain(worker, deadline=deadline, restart=restart)
-        except ReproError as error:
-            kind = getattr(error, "kind", None) or type(error).__name__
-            return protocol.error_response(request_id, kind, str(error))
+        summary = self.drain(worker, deadline=deadline, restart=restart)
         return protocol.ok_response(request_id, summary)
 
     def _resize_command(self, request_id, args: dict) -> dict:
         workers = args.get("workers")
         if isinstance(workers, bool) or not isinstance(workers, int):
-            return protocol.error_response(
-                request_id,
-                "ProtocolError",
-                "'resize' needs an integer 'workers' in args",
-            )
-        try:
-            summary = self.resize(workers)
-        except ReproError as error:
-            kind = getattr(error, "kind", None) or type(error).__name__
-            return protocol.error_response(request_id, kind, str(error))
-        return protocol.ok_response(request_id, summary)
+            raise ProtocolError("'resize' needs an integer 'workers' in args")
+        return protocol.ok_response(request_id, self.resize(workers))
 
     def drain(
-        self, worker: int, deadline: float = 5.0, restart: bool = False
+        self, worker: int, deadline: float = DRAIN_DEADLINE, restart: bool = False
     ) -> dict:
         """Gracefully take one worker out of rotation.
 
@@ -1022,11 +1004,15 @@ class RoutingDispatcher(Dispatcher):
         """Grow or shrink the worker tier, rebalancing placements.
 
         Shrinking installs the new ring and drains every doomed worker
-        (:meth:`drain`), so their journaled sessions move to the
-        survivors by replay; only then are the processes closed. A
-        session that could not move is dropped with a count. Growing
-        spawns workers and rebuilds the ring; existing placements stay
-        put (consistent hashing moves only new opens).
+        (:meth:`drain`, all within one :data:`DRAIN_DEADLINE` for their
+        in-flight requests), so their journaled sessions move to the
+        survivors by replay; only then are the processes closed. A drain
+        hands off only to an admissible worker, so when no survivor is
+        admissible (every breaker open, say) the new ring's primary
+        still gets one replay of each session. A session that could not
+        move is dropped with a count. Growing spawns workers and
+        rebuilds the ring; existing placements stay put (consistent
+        hashing moves only new opens).
         """
         n_workers = int(n_workers)
         if n_workers < 1:
@@ -1039,17 +1025,29 @@ class RoutingDispatcher(Dispatcher):
                 # no hand-off lands on a worker about to close.
                 self.pool.workers[index].draining = True
             self.ring = HashRing(list(range(n_workers)))
+            deadline_at = self._clock() + DRAIN_DEADLINE
             for index in range(n_workers, old):
-                moved += self.drain(index)["sessions_moved"]
+                remaining = max(0.0, deadline_at - self._clock())
+                moved += self.drain(index, deadline=remaining)["sessions_moved"]
             with self._lock:
                 doomed = [
-                    name
+                    (name, *placement)
                     for name, placement in self._placements.items()
                     if placement[0] >= n_workers
                 ]
-                for name in doomed:
-                    del self._placements[name]
-            dropped = len(doomed)
+            for name, worker, dataset in doomed:
+                # Drain offered the session to an admissible target if
+                # there was one; if not, the new ring's primary still gets
+                # one replay before the session is dropped.
+                target = self._placement_target(dataset)
+                if (
+                    not self._admissible(target)
+                    and self._hand_off(name, dataset, target) is None
+                ):
+                    moved += 1
+                    continue
+                self._forget(name, worker)
+                dropped += 1
             self.pool.resize(n_workers)
             for index in range(n_workers, old):
                 self._breakers.pop(index, None)

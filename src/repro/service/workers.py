@@ -224,9 +224,12 @@ class WorkerHandle:
         #: counter (sends are serialized; only the reader thread recvs).
         self._lock = threading.Lock()
         self._pending: dict[int, _Pending] = {}
-        #: Tokens whose replies a fault plan ordered discarded; the
-        #: reader drops them so the caller observes a WorkerTimeout.
-        self._drop_tokens: set[int] = set()
+        #: Calls a fault plan scripted. The reader discards a ``"drop"``
+        #: call's reply, so the caller observes a WorkerTimeout; it
+        #: ignores a ``"kill"`` call's reply (the worker was killed after
+        #: the send), so the EOF fails it as ``WorkerCrashed`` even when
+        #: the worker answered first.
+        self._faulted: dict[int, str] = {}
         self._next_token = 0
         self._generation = 0
         self._closed = False
@@ -323,7 +326,7 @@ class WorkerHandle:
             old_conn, old_process = self._conn, self.process
             stranded = list(self._pending.values())
             self._pending.clear()
-            self._drop_tokens.clear()
+            self._faulted.clear()
             try:
                 old_conn.send(None)
             except (BrokenPipeError, OSError):
@@ -386,35 +389,35 @@ class WorkerHandle:
             token = self._next_token
             self._next_token += 1
             self._pending[token] = pending
-            if drop_reply:
-                self._drop_tokens.add(token)
+            if kill_now or drop_reply:
+                self._faulted[token] = "kill" if kill_now else "drop"
             self.requests += 1
             if obs_enabled():
                 self._m_requests.inc()
-            if kill_now and self.process is not None:
-                # The scripted kill -9, before the send: once ``kill``
-                # returns the worker runs no more code, so the request
-                # fails however fast the worker would have answered it.
-                self.process.kill()
             try:
                 self._conn.send((token, message))
             except (BrokenPipeError, OSError):
                 # The reader thread handles the respawn on EOF; this
                 # call just reports the crash.
                 self._pending.pop(token, None)
-                self._drop_tokens.discard(token)
+                self._faulted.pop(token, None)
                 self._m_crashed.inc()
                 return error_response(
                     pending.request_id,
                     "WorkerCrashed",
                     f"worker {self.index} is down; it is being restarted",
                 )
+            process = self.process
+        if kill_now and process is not None:
+            # After the send, so the worker dies with the request in its
+            # pipe or mid-dispatch — the scripted version of kill -9.
+            process.kill()
         return token
 
     def _timed_out(self, token: int, request_id, timeout) -> dict:
         with self._lock:
             self._pending.pop(token, None)
-            self._drop_tokens.discard(token)
+            self._faulted.pop(token, None)
         self._m_timeouts.inc()
         return error_response(
             request_id,
@@ -461,17 +464,22 @@ class WorkerHandle:
                 # completing it (the terminating envelope still comes).
                 with self._lock:
                     pending = self._pending.get(token)
-                    dropped = token in self._drop_tokens
+                    dropped = self._faulted.get(token) == "drop"
                 if pending is not None and not dropped:
                     hook = pending.on_partial
                     if hook is not None:
                         hook(envelope)
                 continue
             with self._lock:
-                if token in self._drop_tokens:
+                fault = self._faulted.get(token)
+                if fault == "drop":
                     # Fault plan: discard the reply; the caller times out.
-                    self._drop_tokens.discard(token)
+                    del self._faulted[token]
                     self._pending.pop(token, None)
+                    continue
+                if fault == "kill":
+                    # Fault plan: a reply that beat the kill is ignored;
+                    # the call stays pending until the EOF strands it.
                     continue
                 pending = self._pending.pop(token, None)
             if pending is not None:
@@ -483,7 +491,7 @@ class WorkerHandle:
                 return
             stranded = list(self._pending.values())
             self._pending.clear()
-            self._drop_tokens.clear()
+            self._faulted.clear()
             self.restarts += 1
             self._spawn_locked()
         self._m_respawns.inc()

@@ -188,7 +188,8 @@ class TestWalk:
 
     def test_crash_without_a_journal_is_reported(self):
         """Without journals a crash stays ``WorkerCrashed``: the replica's
-        ``NoJournal`` answer to one ``recover`` probe ends the walk."""
+        ``NoJournal`` answer to one ``recover`` probe ends the walk, and
+        the dead session's placement is forgotten."""
         router, pool, _ = make_router(journaled=False)
         primary, replica = replica_set(router)
         open_session(router)
@@ -196,15 +197,38 @@ class TestWalk:
         pool.faults[(primary, "execute")] = ["WorkerCrashed"]
         assert kind(request(router, "execute", sql="SELECT 1")) == "WorkerCrashed"
         assert pool.calls == [(primary, "execute"), (replica, "recover")]
-        # The respawned worker no longer has the session ...
+        assert router.placement_of("s") is None
+        # The next command is refused at the front ...
         pool.calls.clear()
         assert kind(request(router, "sql")) == "UnknownSession"
-        assert pool.calls == [(primary, "sql"), (primary, "recover")]
-        # ... and a reopen lands on it, live.
-        pool.calls.clear()
+        assert pool.calls == []
+        # ... and a reopen lands on the respawned worker, live.
         assert open_session(router) == primary
         assert request(router, "sql")["ok"]
         assert pool.calls == [(primary, "open"), (primary, "sql")]
+
+    def test_crash_without_a_journal_frees_the_name_for_another_dataset(self):
+        router, pool, _ = make_router(journaled=False)
+        primary, _ = replica_set(router)
+        open_session(router, "s", "toy")
+        pool.faults[(primary, "sql")] = ["WorkerCrashed"]
+        assert kind(request(router, "sql")) == "WorkerCrashed"
+        worker = open_session(router, "s", "other")
+        assert router.placement_of("s") == (worker, "other")
+        assert request(router, "sql")["ok"]
+        assert router.handle({"id": 2, "cmd": "stats"})["result"]["placements"] == 1
+
+    def test_timeout_without_a_journal_keeps_the_placement(self):
+        """A timed-out worker may still hold the session, so ``NoJournal``
+        after a ``WorkerTimeout`` forgets nothing."""
+        router, pool, _ = make_router(journaled=False)
+        primary, replica = replica_set(router)
+        open_session(router)
+        pool.calls.clear()
+        pool.faults[(primary, "sql")] = ["WorkerTimeout"]
+        assert kind(request(router, "sql")) == "WorkerTimeout"
+        assert pool.calls == [(primary, "sql"), (replica, "recover")]
+        assert router.placement_of("s") == (primary, "toy")
 
     def test_unknown_session_is_healed_in_place(self):
         router, pool, _ = make_router()
@@ -219,6 +243,18 @@ class TestWalk:
             (primary, "sql"),
         ]
         assert router.placement_of("s") == (primary, "toy")
+
+    def test_unknown_session_without_a_journal_is_forgotten(self):
+        router, pool, _ = make_router(journaled=False)
+        primary, _ = replica_set(router)
+        open_session(router, "s", "toy")
+        pool.live[primary].clear()  # a respawned process
+        pool.calls.clear()
+        assert kind(request(router, "sql")) == "UnknownSession"
+        assert pool.calls == [(primary, "sql"), (primary, "recover")]
+        assert router.placement_of("s") is None
+        worker = open_session(router, "s", "other")
+        assert router.placement_of("s") == (worker, "other")
 
     def test_close_is_never_replayed(self):
         router, pool, _ = make_router()
@@ -354,3 +390,39 @@ class TestDrainAndResize:
         assert summary["workers"] == 2 and summary["placements"] == 1
         assert router.placement_of("journaled") == (target, dataset)
         assert router.placement_of("bare") is None
+
+    def test_shrink_with_every_survivor_refused_still_replays(self):
+        """With every survivor's breaker open the drain hands nothing
+        off, so the new ring's primary gets one ``recover`` before the
+        session would be dropped."""
+        router, pool, fake_time = make_router(n=3)
+        dataset = next(
+            f"ds{i}" for i in range(1000) if int(router.ring.node_for(f"ds{i}")) == 2
+        )
+        open_session(router, "journaled", dataset)
+        open_session(router, "bare", dataset)
+        pool.journals.discard("bare")
+        open_breaker(router, 0)
+        open_breaker(router, 1)
+        pool.calls.clear()
+        summary = router.resize(2)
+        target = int(HashRing(range(2)).node_for(dataset))
+        assert pool.calls == [
+            (2, "drain_prepare"),
+            (target, "recover"),
+            (target, "recover"),
+        ]
+        assert (summary["sessions_moved"], summary["sessions_dropped"]) == (1, 1)
+        assert router.placement_of("journaled") == (target, dataset)
+        assert router.placement_of("bare") is None
+        assert fake_time.sleeps == []
+
+    def test_shrink_waits_once_for_every_doomed_worker(self):
+        """The doomed workers share one drain deadline, so a shrink waits
+        at most that long in all, not that long per worker."""
+        router, pool, fake_time = make_router(n=4)
+        for index in (1, 2, 3):
+            pool.workers[index].in_flight = 1  # never finishes
+        summary = router.resize(1)
+        assert summary["workers"] == 1
+        assert 5.0 <= fake_time.now < 5.1

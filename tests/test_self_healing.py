@@ -319,6 +319,29 @@ class TestFaultPlan:
         faults.clear()
         assert faults.active_plan().kill_worker == 3
 
+    def test_kill_fails_a_request_the_worker_answered_first(self):
+        """The scripted kill lands after the send, so the worker may be
+        mid-dispatch or even done; a reply that beats the kill is
+        ignored and the call still fails as ``WorkerCrashed``. Here the
+        kill is held back until the worker has surely answered."""
+        with WorkerPool(1) as pool:
+            handle = pool.workers[0]
+            assert handle.call({"id": 0, "cmd": "ping"})["ok"]
+            process = handle.process
+            real_kill = process.kill
+
+            def late_kill():
+                time.sleep(0.5)
+                real_kill()
+
+            process.kill = late_kill
+            faults.install(FaultPlan(kill_worker=0, kill_on_request=1))
+            envelope = handle.call({"id": 1, "cmd": "ping"})
+            assert envelope["error"]["kind"] == "WorkerCrashed"
+            process.join(timeout=5)
+            assert not process.is_alive() and handle.restarts == 1
+            assert handle.call({"id": 2, "cmd": "ping"})["ok"]
+
 
 # ----------------------------------------------------------------------
 # replica sets + breakers
