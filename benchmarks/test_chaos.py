@@ -35,6 +35,7 @@ from repro.service import (
     ServiceClient,
 )
 from repro.service import faults
+from repro.service.router import replica_set
 
 from bench_output import bench_path, environment
 
@@ -130,7 +131,7 @@ class TestChaosKillWorker:
             port=0, workers=2, catalog_factory=chaos_catalog
         ) as srv:
             host, port = srv.address
-            primary = int(srv.dispatcher.ring.node_for("toy"))
+            primary = replica_set("toy", len(srv.dispatcher.pool))[0]
 
             # The no-fault reference answer, and a staged probe session
             # whose first post-kill debug times the recovery path.

@@ -3,9 +3,9 @@
 At each workload scale of ``REPRO_PARTITION_BENCH_SCALES`` (default
 ``1`` — the tier-1 smoke; CI runs ``1,10,50``), the same multi-dataset
 debug workload runs through a single-process server and through an
-N-worker server with consistent-hash routing. Datasets shard across
-workers, so the worker tier preprocesses and ranks in true parallel
-processes; at the 50× scale the compute dominates the IPC and the
+N-worker server that routes by a hash of the dataset id. Datasets shard
+across workers, so the worker tier preprocesses and ranks in true
+parallel processes; at the 50× scale the compute dominates the IPC and the
 multi-worker req/s should exceed the single-process baseline on a
 multi-core host (on one core the expectation degenerates to ~1.0, so
 the record carries its ``environment``, ``cpu_count`` included).
@@ -30,10 +30,10 @@ from repro.db import Database
 from repro.service import (
     DatasetCatalog,
     DBWipesServer,
-    HashRing,
     ServiceClient,
     SessionManager,
 )
+from repro.service.router import replica_set
 
 from bench_output import bench_path, environment
 
@@ -61,18 +61,17 @@ BENCH_PATH = bench_path("BENCH_partition.json")
 def _sharded_dataset_names() -> list[str]:
     """N dataset names that the router provably spreads 1:1 over workers.
 
-    The ring is deterministic, so probing candidate names here picks the
-    same shards the server will: every worker gets exactly one dataset
-    and the benchmark measures true N-way parallelism, not the luck of
-    the hash draw.
+    The placement is deterministic, so probing candidate names here
+    picks the same shards the server will: every worker gets exactly one
+    dataset and the benchmark measures true N-way parallelism, not the
+    luck of the hash draw.
     """
-    ring = HashRing(range(N_WORKERS))
     names: list[str] = []
     owners: set[int] = set()
     candidate = 0
     while len(names) < N_DATASETS:
         name = f"intel-{candidate}"
-        owner = int(ring.node_for(name))
+        owner = replica_set(name, N_WORKERS)[0]
         if owner not in owners:
             owners.add(owner)
             names.append(name)

@@ -467,22 +467,30 @@ def _flag_value(argv: list[str], name: str, default: str) -> str:
     return value
 
 
-#: The ``serve`` flags that take a value; ``--async`` is its one switch.
-_SERVE_VALUE_FLAGS = frozenset({
-    "--host", "--port", "--max-sessions", "--ttl", "--workers",
-    "--data-dir", "--slow-threshold", "--max-inflight", "--max-queue",
-    "--rate", "--burst",
-})
+#: Each verb's flags that take a value, and its switches (``serve``
+#: accepts and ignores ``--async``); any other argument is an error.
+_VERB_FLAGS = {
+    "serve": ({
+        "--host", "--port", "--max-sessions", "--ttl", "--workers",
+        "--data-dir", "--slow-threshold", "--max-inflight", "--max-queue",
+        "--rate", "--burst",
+    }, {"--async"}),
+    "store": ({"--data-dir", "--chunk-rows"}, set()),
+    "connect": ({"--host", "--port", "--session", "--dataset"}, {"--script"}),
+    "metrics": ({"--host", "--port"}, {"--json"}),
+    "drain": ({"--host", "--port", "--worker", "--deadline"}, {"--restart"}),
+}
 
 
-def _check_serve_flags(argv: list[str]) -> None:
-    """Reject an unknown ``serve`` argument or a value flag with no value."""
+def _check_flags(verb: str, argv: list[str]) -> None:
+    """Reject an unknown ``verb`` argument or a value flag with no value."""
+    values, switches = _VERB_FLAGS[verb]
     i = 0
     while i < len(argv):
-        if argv[i] == "--async":
+        if argv[i] in switches:
             i += 1
-        elif argv[i] not in _SERVE_VALUE_FLAGS:
-            raise ValueError(f"unknown serve argument {argv[i]!r}")
+        elif argv[i] not in values:
+            raise ValueError(f"unknown {verb} argument {argv[i]!r}")
         elif i + 1 == len(argv):
             raise ValueError(f"{argv[i]} needs a value")
         else:
@@ -493,7 +501,7 @@ def serve_main(argv: list[str]) -> int:
     """``python -m repro serve`` — boot the multi-session service.
 
     ``--workers N`` (N >= 1) serves from N worker processes behind the
-    consistent-hash router instead of one in-process session manager.
+    dataset-hash router instead of one in-process session manager.
     ``--slow-threshold S`` marks requests slower than S seconds in the
     slow-request log (exported via the env so workers inherit it).
     ``--data-dir D`` makes the catalog durable: datasets persist as
@@ -518,7 +526,7 @@ def serve_main(argv: list[str]) -> int:
     from .service.cache import DATA_DIR_ENV
 
     try:
-        _check_serve_flags(argv)
+        _check_flags("serve", argv)
         host = _flag_value(argv, "--host", "127.0.0.1")
         port = int(_flag_value(argv, "--port", "8642"))
         max_sessions = int(_flag_value(argv, "--max-sessions", "64"))
@@ -610,13 +618,15 @@ def store_main(argv: list[str]) -> int:
     action = argv[0]
     data_dir = _flag_value(argv, "--data-dir", "") or None
     try:
+        if action == "import" and (len(argv) < 2 or argv[1].startswith("--")):
+            raise ReproError(
+                "usage: store import <dataset> [--data-dir D]"
+                " [--chunk-rows N]"
+            )
+        # The action and an import's dataset are positional.
+        _check_flags("store", argv[2 if action == "import" else 1 :])
         catalog = DatasetCatalog.with_demo_datasets(data_dir=data_dir)
         if action == "import":
-            if len(argv) < 2 or argv[1].startswith("--"):
-                raise ReproError(
-                    "usage: store import <dataset> [--data-dir D]"
-                    " [--chunk-rows N]"
-                )
             chunk = _flag_value(argv, "--chunk-rows", "")
             db, created = catalog.import_dataset(
                 argv[1], chunk_rows=int(chunk) if chunk else None
@@ -642,11 +652,24 @@ def store_main(argv: list[str]) -> int:
     return 0
 
 
-def connect_main(argv: list[str]) -> int:
-    """``python -m repro connect`` — the demo shell over a live socket."""
+def _reach(host: str, port: int, session: str | None = None):
+    """A client whose server answered ``ping``; None, reason printed, if not."""
     from .service import ServiceClient
 
+    client = ServiceClient(host, port, session=session)
     try:
+        client.ping()
+    except ReproError as error:
+        client.close()
+        print(f"error: cannot reach {host}:{port}: {error}", file=sys.stderr)
+        return None
+    return client
+
+
+def connect_main(argv: list[str]) -> int:
+    """``python -m repro connect`` — the demo shell over a live socket."""
+    try:
+        _check_flags("connect", argv)
         host = _flag_value(argv, "--host", "127.0.0.1")
         port = int(_flag_value(argv, "--port", "8642"))
         session = _flag_value(argv, "--session", "demo")
@@ -655,11 +678,8 @@ def connect_main(argv: list[str]) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     scripted = "--script" in argv
-    client = ServiceClient(host, port, session=session)
-    try:
-        client.ping()
-    except ReproError as error:
-        print(f"error: cannot reach {host}:{port}: {error}", file=sys.stderr)
+    client = _reach(host, port, session)
+    if client is None:
         return 2
     try:
         opened = client.open(dataset)
@@ -695,17 +715,18 @@ def metrics_main(argv: list[str]) -> int:
     import json
 
     from .obs import render_prometheus
-    from .service import ServiceClient
 
     try:
+        _check_flags("metrics", argv)
         host = _flag_value(argv, "--host", "127.0.0.1")
         port = int(_flag_value(argv, "--port", "8642"))
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    client = ServiceClient(host, port)
+    client = _reach(host, port)
+    if client is None:
+        return 2
     try:
-        client.ping()
         result = client.metrics()
     except ReproError as error:
         print(f"error: cannot scrape {host}:{port}: {error}", file=sys.stderr)
@@ -739,9 +760,8 @@ def drain_main(argv: list[str]) -> int:
     """
     import json
 
-    from .service import ServiceClient
-
     try:
+        _check_flags("drain", argv)
         host = _flag_value(argv, "--host", "127.0.0.1")
         port = int(_flag_value(argv, "--port", "8642"))
         worker = int(_flag_value(argv, "--worker", "0"))
@@ -750,7 +770,9 @@ def drain_main(argv: list[str]) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     restart = "--restart" in argv
-    client = ServiceClient(host, port)
+    client = _reach(host, port)
+    if client is None:
+        return 2
     try:
         summary = client.drain(worker, deadline=deadline, restart=restart)
     except ReproError as error:

@@ -26,7 +26,7 @@ CI relies on that to catch metric-name collisions at review time.
 
 Derived ratios (cache hit rates, averages) are **never** stored as
 metrics: exposition recomputes them from the summed counters, because
-averaging per-worker rates is wrong whenever consistent hashing skews
+averaging per-worker rates is wrong whenever dataset hashing skews
 load across shards.
 """
 

@@ -14,8 +14,8 @@ tier for the reproduction:
 * :mod:`~repro.service.workers` — :class:`WorkerPool`: N worker
   processes, each owning a catalog shard and its caches;
 * :mod:`~repro.service.router` — :class:`RoutingDispatcher` +
-  :class:`HashRing`: the scatter-gather front end that routes sessions
-  to workers by consistent hash of the dataset id;
+  :func:`~repro.service.router.replica_set`: the scatter-gather front
+  end that routes sessions to workers by a hash of the dataset id;
 * :mod:`~repro.service.server` — :class:`DBWipesServer`, the
   dependency-free asyncio gateway over either dispatcher: one event
   loop, commands on a bounded executor, admission control (bounded
@@ -35,9 +35,9 @@ tier for the reproduction:
 
 The routed tier self-heals: sessions journal every mutating command,
 the router fails crashed requests over along each dataset's replica
-set (per-worker circuit breakers, jittered bounded backoff), ``drain``
-rolls a worker out gracefully, and ``resize`` rebalances placements by
-replay instead of dropping them.
+set (per-worker circuit breakers, jittered bounded backoff), and
+``drain`` rolls a worker out gracefully. The worker count is fixed for
+the life of a server; ``recover`` heals sessions across a restart.
 
 Every tier reports into :mod:`repro.obs`: requests are traced across
 the router/worker hop, per-stage latencies land in the shared metrics
@@ -51,7 +51,7 @@ from .faults import FaultPlan
 from .handlers import LocalDispatcher
 from .journal import JOURNALED_COMMANDS, JournalStore
 from .protocol import PROTOCOL_VERSION
-from .router import CircuitBreaker, HashRing, RoutingDispatcher
+from .router import CircuitBreaker, RoutingDispatcher
 from .server import DBWipesServer, TokenBucket
 from .sessions import ManagedSession, SessionManager
 from .workers import WorkerHandle, WorkerPool
@@ -62,7 +62,6 @@ __all__ = [
     "TokenBucket",
     "DatasetCatalog",
     "FaultPlan",
-    "HashRing",
     "JOURNALED_COMMANDS",
     "JournalStore",
     "LocalDispatcher",

@@ -67,11 +67,19 @@ class ServiceClient:
     def connect(self) -> "ServiceClient":
         """Open the TCP connection (idempotent)."""
         if self._sock is None:
-            self._sock = socket.create_connection(
-                (self.host, self.port), timeout=self.timeout
-            )
+            try:
+                self._sock = socket.create_connection(
+                    (self.host, self.port), timeout=self.timeout
+                )
+            except OSError as error:
+                raise self._failed(error)
             self._rfile = self._sock.makefile("rb")
         return self
+
+    def _failed(self, error: OSError) -> ServiceError:
+        """Close the connection; the error to raise for ``error``."""
+        self.close()
+        return ServiceError(f"connection to {self.host}:{self.port} failed: {error}")
 
     def close(self) -> None:
         """Close the connection (the server keeps the session alive)."""
@@ -198,8 +206,7 @@ class ServiceClient:
         try:
             self._sock.sendall(payload)
         except OSError as error:
-            self.close()
-            raise ServiceError(f"connection to {self.host}:{self.port} failed: {error}")
+            raise self._failed(error)
         return request_id
 
     def _read_frame(self, request_id: int) -> dict:
@@ -207,8 +214,7 @@ class ServiceClient:
         try:
             line = self._rfile.readline(MAX_LINE_BYTES + 1)
         except OSError as error:
-            self.close()
-            raise ServiceError(f"connection to {self.host}:{self.port} failed: {error}")
+            raise self._failed(error)
         if not line:
             self.close()
             raise ServiceError("server closed the connection")
@@ -283,10 +289,6 @@ class ServiceClient:
         return self.call(
             "drain", worker=worker, deadline=deadline, restart=restart
         )
-
-    def resize(self, workers: int) -> dict:
-        """Grow or shrink the worker tier, rebalancing placements."""
-        return self.call("resize", workers=workers)
 
     def open(self, dataset: str, session: str | None = None) -> dict:
         """Open (or rejoin) this client's session on a dataset."""

@@ -107,7 +107,10 @@ def instrumented(role: str, message: dict, run: Callable[[], dict]) -> dict:
     envelope so clients can fetch the span tree afterwards.
     """
     raw_cmd = message.get("cmd") if isinstance(message, dict) else None
-    cmd_label = raw_cmd if isinstance(raw_cmd, str) and raw_cmd else "invalid"
+    # A ``cmd`` outside :data:`COMMANDS` is labelled ``invalid``, so a
+    # client cannot add a registry series (or a span name) per made-up name.
+    known = isinstance(raw_cmd, str) and raw_cmd in COMMANDS
+    cmd_label = raw_cmd if known else "invalid"
     trace_id, parent_id = obs_trace.from_wire(message)
     start = time.perf_counter()
     with obs_trace.span(
@@ -176,7 +179,7 @@ def _dispatch_inner(
                     # replay history never contains a failed mutation.
                     manager.record(session_name, cmd, args)
         else:
-            known = sorted(set(_SERVER_HANDLERS) | set(_SESSION_HANDLERS))
+            known = sorted(COMMANDS)
             raise ProtocolError(f"unknown command {cmd!r} (known: {known})")
     except ReproError as error:
         kind = getattr(error, "kind", None) or type(error).__name__
@@ -364,13 +367,6 @@ def _drain(manager: SessionManager, args: dict) -> dict:
     )
 
 
-def _resize(manager: SessionManager, args: dict) -> dict:
-    raise ServiceError(
-        "'resize' needs the multi-worker tier; start the server with "
-        "--workers N"
-    )
-
-
 _SERVER_HANDLERS: dict[str, Callable[[SessionManager, dict], Any]] = {
     "ping": _ping,
     "stats": _stats,
@@ -382,7 +378,6 @@ _SERVER_HANDLERS: dict[str, Callable[[SessionManager, dict], Any]] = {
     "recover": _recover,
     "drain_prepare": _drain_prepare,
     "drain": _drain,
-    "resize": _resize,
 }
 
 
@@ -538,3 +533,6 @@ _SESSION_HANDLERS: dict[str, Callable[[DBWipesSession, dict], Any]] = {
     "snapshot": _snapshot,
     "close": lambda session, args: {},  # handled in dispatch (needs the manager)
 }
+
+#: Every command name a dispatcher answers.
+COMMANDS = frozenset(_SERVER_HANDLERS) | frozenset(_SESSION_HANDLERS)

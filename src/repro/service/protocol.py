@@ -34,16 +34,15 @@ these kinds surface only after failover is exhausted. ``NoJournal``
 marks the one unrecoverable case — a session with neither live state
 nor a journal to replay.
 
-Three lifecycle commands ride the same framing on the routed tier:
+Two lifecycle commands ride the same framing on the routed tier:
 ``recover`` (``args: {"session": ...}`` or the ``session`` field)
 replays one session's journal where it belongs; ``drain``
 (``args: {"worker": N, "deadline": S, "restart": bool}``) takes a
 worker out of rotation gracefully — waits out in-flight work, flushes
 journals, hands placements to replicas, optionally restarts the
-process; ``resize`` (``args: {"workers": N}``) grows or shrinks the
-pool, rebalancing placements by replay. On the single-process tier
-``recover`` works the same (journals permitting) while ``drain``/
-``resize`` return a structured ``ServiceError``.
+process. On the single-process tier ``recover`` works the same
+(journals permitting) while ``drain`` returns a structured
+``ServiceError``. The worker count is fixed for the life of a server.
 
 The server's gateway (:mod:`repro.service.server`) adds two more wire
 forms. A request shed by admission control or per-client rate
@@ -66,8 +65,8 @@ round::
 
 Partial frames are marked ``"partial": true`` and carry no ``ok`` key;
 the exchange always ends with one ordinary final envelope that is
-byte-identical to the non-streamed response. Both additions are why
-``PROTOCOL_VERSION`` is 2. Partial frames also cross the worker pipe
+byte-identical to the non-streamed response. Both additions made
+``PROTOCOL_VERSION`` 2. Partial frames also cross the worker pipe
 on the routed tier, with one caveat: a mid-stream failover replays the
 stream from the replica, so partial frames are at-least-once — the
 final envelope is exact either way.
@@ -105,8 +104,8 @@ from ..frontend.selection import Brush
 
 #: Bumped on wire-incompatible changes; served by ``ping``.
 #: 2 = ``ServerBusy``/``retry_after`` envelopes and streamed partial
-#: ``debug`` frames (the gateway).
-PROTOCOL_VERSION = 2
+#: ``debug`` frames (the gateway). 3 = ``resize`` left the protocol.
+PROTOCOL_VERSION = 3
 
 #: Upper bound on one wire line in either direction; longer lines are a
 #: protocol error (keeps a misbehaving peer from ballooning memory, and
@@ -229,7 +228,7 @@ def annotate_worker(envelope: dict, worker: int) -> dict:
     """Tag a success envelope's object result with the answering worker.
 
     The routing front end stamps ``open`` responses this way so clients
-    can observe the consistent-hash placement without a ``stats`` call.
+    can observe the dataset-hash placement without a ``stats`` call.
     """
     result = envelope.get("result")
     if envelope.get("ok") and isinstance(result, dict):

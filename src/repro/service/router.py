@@ -1,15 +1,18 @@
 """Cache-affine routing: which worker serves which session.
 
-The routing rule is **consistent hashing on the dataset id**: every
-session opened on dataset ``d`` lands on ``ring.node_for(d)``, so one
-worker owns all sessions of a dataset — and with them every shared
+The routing rule is **a fixed hash of the dataset id**: every session
+opened on dataset ``d`` lands on ``replica_set(d, n_workers)[0]``, so
+one worker owns all sessions of a dataset — and with them every shared
 artifact those sessions hit (the dataset build itself, the
 ``PreprocessCache`` entry for a debugged selection, its ``SplitIndex``
 and clause-mask memos). That affinity is the serving story: the
 preprocess-cache hit rate measured on the single-process tier (~0.96)
 carries over to N processes because a dataset's requests never spray
-across shards. Consistent hashing (not ``hash(d) % N``) keeps most
-assignments stable when the worker count changes between deployments.
+across shards. The worker count is fixed for the life of a server, so
+nothing needs assignments that stay stable when it changes: every
+per-worker cache lives in memory, and every durable file sits in the
+data dir all workers share. To change the count, restart the server;
+``recover`` heals the sessions.
 
 The :class:`RoutingDispatcher` is the front end's brain: server-scoped
 commands are answered or fanned out here (``ping`` locally, ``stats`` /
@@ -20,7 +23,7 @@ rejected at the front without a worker round-trip, mirroring the
 ``UnknownSession`` error the in-process manager raises.
 
 **Self-healing**: each dataset has a deterministic replica *set*
-(:meth:`HashRing.nodes_for`), not a single owner. Every session command
+(:func:`replica_set`), not a single owner. Every session command
 takes one walk, ``[placed, replicas…, placed]``. A command that comes
 back ``WorkerCrashed``/``WorkerTimeout`` moves on along the walk with
 jittered, bounded backoff, and each later candidate is first sent
@@ -36,19 +39,16 @@ flapping worker. ``drain`` stops admitting sessions to one worker,
 waits out its in-flight requests (deadline-bounded), flushes its
 journals, hands its placements to other workers by the same replay,
 and optionally restarts the process — the rolling-restart verb.
-``resize`` grows or shrinks the pool and rebalances placements by that
-hand-off too, instead of dropping them.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import os
 import random
 import threading
 import time
-from typing import Callable, Hashable, Sequence
+from typing import Callable
 
 from ..errors import ProtocolError, ReproError, ServiceError
 from ..obs import logs as obs_logs
@@ -58,9 +58,9 @@ from ..obs.flags import enabled as obs_enabled
 from . import faults, protocol
 from .cache import DATA_DIR_ENV
 from .handlers import (
+    COMMANDS,
     SLOW_LOG_LIMIT,
     Dispatcher,
-    _SERVER_HANDLERS,
     _SESSION_HANDLERS,
     instrumented,
 )
@@ -80,63 +80,22 @@ N_REPLICAS = 2
 BACKOFF_BASE = 0.05
 BACKOFF_MAX = 1.0
 
-#: Seconds a drain (or a shrinking resize, over all its doomed workers)
-#: waits for in-flight requests when the caller names no deadline.
+#: Seconds a drain waits for in-flight requests when the caller names
+#: no deadline.
 DRAIN_DEADLINE = 5.0
 
 
-class HashRing:
-    """Consistent hashing over a fixed node set with virtual replicas.
+def replica_set(dataset: str, n_workers: int) -> list[int]:
+    """The workers that may hold ``dataset``'s sessions, primary first.
 
-    Hashes are ``blake2b`` (stable across processes and runs — never the
-    builtin ``hash()``, which is salted per interpreter). Each node gets
-    ``replicas`` points on the ring; a key belongs to the first node
-    point at or clockwise of its own hash.
+    The primary is the dataset's ``blake2b`` hash mod ``n_workers``
+    (stable across processes and runs — never the builtin ``hash()``,
+    which is salted per interpreter); the replicas are the next indexes,
+    up to :data:`N_REPLICAS` workers (all of them in a smaller pool).
     """
-
-    def __init__(self, nodes: Sequence[Hashable], replicas: int = 64):
-        if not nodes:
-            raise ValueError("HashRing needs at least one node")
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        points = sorted(
-            (self._hash(f"{node}#{replica}"), node)
-            for node in nodes
-            for replica in range(replicas)
-        )
-        self._hashes = [point[0] for point in points]
-        self._nodes = [point[1] for point in points]
-
-    @staticmethod
-    def _hash(text: str) -> int:
-        digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "big")
-
-    def node_for(self, key: str) -> Hashable:
-        """The node owning ``key`` — deterministic across processes."""
-        position = bisect.bisect_right(self._hashes, self._hash(str(key)))
-        return self._nodes[position % len(self._nodes)]
-
-    def nodes_for(self, key: str, n: int) -> list[Hashable]:
-        """The first ``n`` distinct nodes clockwise of ``key``'s hash.
-
-        ``nodes_for(key, n)[0] == node_for(key)`` always, and the list
-        for ``n`` is a prefix of the list for ``n + 1`` — so the replica
-        set is as stable under ring changes as the primary assignment
-        itself. With fewer than ``n`` distinct nodes the full node set
-        is returned.
-        """
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        start = bisect.bisect_right(self._hashes, self._hash(str(key)))
-        nodes: list[Hashable] = []
-        for offset in range(len(self._nodes)):
-            node = self._nodes[(start + offset) % len(self._nodes)]
-            if node not in nodes:
-                nodes.append(node)
-                if len(nodes) == n:
-                    break
-        return nodes
+    digest = hashlib.blake2b(dataset.encode("utf-8"), digest_size=8).digest()
+    primary = int.from_bytes(digest, "big") % n_workers
+    return [(primary + k) % n_workers for k in range(min(N_REPLICAS, n_workers))]
 
 
 class CircuitBreaker:
@@ -225,7 +184,6 @@ class RoutingDispatcher(Dispatcher):
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.pool = pool
-        self.ring = HashRing(list(range(len(pool))))
         self._clock = clock
         self._sleep = sleep
         self._lock = threading.Lock()
@@ -248,37 +206,31 @@ class RoutingDispatcher(Dispatcher):
             "dbwipes_drains_total",
             help="Drain operations completed on the worker tier.",
         )
-        self._breakers: dict[int, CircuitBreaker] = {}
-        self._m_failovers: dict[int, obs_metrics.Counter] = {}
-        self._m_breaker: dict[int, obs_metrics.Gauge] = {}
-        for index in range(len(pool)):
-            self._track_worker(index)
-
-    def _track_worker(self, index: int) -> None:
-        """Breaker + metrics for one worker index (idempotent)."""
-        if index in self._breakers:
-            return
-        reg = obs_metrics.registry()
-        self._breakers[index] = CircuitBreaker(clock=self._clock)
-        self._m_failovers[index] = reg.counter(
-            "dbwipes_failovers_total",
-            labels={"worker": str(index)},
-            help="Failed-over requests, by the worker that failed.",
-        )
-        gauge = reg.gauge(
-            "dbwipes_breaker_state",
-            labels={"worker": str(index)},
-            help="Circuit breaker state (0 closed, 1 half-open, 2 open).",
-        )
-        gauge.set(0)
-        self._m_breaker[index] = gauge
+        workers = range(len(pool))
+        self._breakers = [CircuitBreaker(clock=clock) for _ in workers]
+        self._m_failovers = [
+            reg.counter(
+                "dbwipes_failovers_total",
+                labels={"worker": str(index)},
+                help="Failed-over requests, by the worker that failed.",
+            )
+            for index in workers
+        ]
+        self._m_breaker = [
+            reg.gauge(
+                "dbwipes_breaker_state",
+                labels={"worker": str(index)},
+                help="Circuit breaker state (0 closed, 1 half-open, 2 open).",
+            )
+            for index in workers
+        ]
+        for gauge in self._m_breaker:
+            gauge.set(0)
 
     def _allow(self, worker: int) -> bool:
         """May a request go to ``worker`` now? May take its breaker's
         half-open probe, so the caller must :meth:`_settle` the attempt."""
-        breaker = self._breakers.get(worker)
-        if breaker is None:
-            return False
+        breaker = self._breakers[worker]
         allowed = breaker.allow()
         self._m_breaker[worker].set(breaker.state_value)
         return allowed
@@ -286,9 +238,7 @@ class RoutingDispatcher(Dispatcher):
     def _settle(self, worker: int, healthy: bool) -> None:
         """Record an attempt's outcome on ``worker``'s breaker. A worker
         that answered at all (``NoJournal`` included) is healthy."""
-        breaker = self._breakers.get(worker)
-        if breaker is None:
-            return
+        breaker = self._breakers[worker]
         if healthy:
             breaker.record_success()
         else:
@@ -299,16 +249,15 @@ class RoutingDispatcher(Dispatcher):
         """The one rule for where a session may go: new-session
         placement, a drain's hand-off and each move of the walk.
 
-        ``worker`` must be in the pool, not draining, and not refused by
-        its breaker: not open, or with ``probe``, admitted by
-        :meth:`_allow` (which may take the half-open probe).
+        ``worker`` must not be draining, and not refused by its breaker:
+        not open, or with ``probe``, admitted by :meth:`_allow` (which
+        may take the half-open probe).
         """
-        if worker >= len(self.pool) or self.pool.workers[worker].draining:
+        if self.pool.workers[worker].draining:
             return False
         if probe:
             return self._allow(worker)
-        breaker = self._breakers.get(worker)
-        return breaker is not None and breaker.state != "open"
+        return self._breakers[worker].state != "open"
 
     # -- dispatch entry ------------------------------------------------
 
@@ -375,13 +324,11 @@ class RoutingDispatcher(Dispatcher):
                 return self._recover_command(request_id, session, args)
             if cmd == "drain":
                 return self._drain_command(request_id, args)
-            if cmd == "resize":
-                return self._resize_command(request_id, args)
             if cmd in _SESSION_HANDLERS:
                 return self._route_session(
                     request_id, cmd, session, args, message, emit_partial
                 )
-            known = sorted(set(_SERVER_HANDLERS) | set(_SESSION_HANDLERS))
+            known = sorted(COMMANDS)
             raise ProtocolError(f"unknown command {cmd!r} (known: {known})")
         except ReproError as error:
             kind = getattr(error, "kind", None) or type(error).__name__
@@ -431,7 +378,7 @@ class RoutingDispatcher(Dispatcher):
 
         Every per-worker counter is *summed* and the cache hit rate is
         recomputed from the summed lookups — never averaged across
-        workers, because consistent hashing skews load per shard (a
+        workers, because dataset hashing skews load per shard (a
         99%-hit worker serving 10× the traffic of a 50%-hit worker must
         dominate the cluster rate).
         """
@@ -663,18 +610,14 @@ class RoutingDispatcher(Dispatcher):
             protocol.annotate_worker(envelope, worker)
         return envelope
 
-    def _replica_set(self, dataset: str) -> list[int]:
-        """The dataset's candidate workers, ring primary first."""
-        return [int(node) for node in self.ring.nodes_for(dataset, N_REPLICAS)]
-
     def _placement_target(self, dataset: str) -> int:
         """Where a session of ``dataset`` should live: the first
         :meth:`_admissible` worker of its replica set, then of the rest
         of the pool, so new sessions and hand-offs steer around a
-        flapping or departing worker. Falls back to the ring primary
-        when no worker is admissible (hand-offs check the answer).
+        flapping or departing worker. Falls back to the primary when no
+        worker is admissible (hand-offs check the answer).
         """
-        replicas = self._replica_set(dataset)
+        replicas = replica_set(dataset, len(self.pool))
         rest = [index for index in range(len(self.pool)) if index not in replicas]
         return next(
             (worker for worker in replicas + rest if self._admissible(worker)),
@@ -774,9 +717,8 @@ class RoutingDispatcher(Dispatcher):
         placement is forgotten. When every breaker refused, the last
         move is forced. Each attempt settles its breaker.
         """
-        replicas = [
-            worker for worker in self._replica_set(dataset) if worker != placed
-        ]
+        candidates = replica_set(dataset, len(self.pool))
+        replicas = [worker for worker in candidates if worker != placed]
         walk = [placed, *replicas, placed]
         last: dict | None = None
         sent_to = placed
@@ -877,7 +819,7 @@ class RoutingDispatcher(Dispatcher):
                 pass
         self._sleep(delay)
 
-    # -- recover / drain / resize --------------------------------------
+    # -- recover / drain -----------------------------------------------
 
     def _recover_command(
         self, request_id, session: str | None, args: dict
@@ -918,12 +860,6 @@ class RoutingDispatcher(Dispatcher):
         restart = bool(args.get("restart", False))
         summary = self.drain(worker, deadline=deadline, restart=restart)
         return protocol.ok_response(request_id, summary)
-
-    def _resize_command(self, request_id, args: dict) -> dict:
-        workers = args.get("workers")
-        if isinstance(workers, bool) or not isinstance(workers, int):
-            raise ProtocolError("'resize' needs an integer 'workers' in args")
-        return protocol.ok_response(request_id, self.resize(workers))
 
     def drain(
         self, worker: int, deadline: float = DRAIN_DEADLINE, restart: bool = False
@@ -998,71 +934,6 @@ class RoutingDispatcher(Dispatcher):
             "sessions_kept": kept,
             "restarted": restarted,
             "draining": handle.draining,
-        }
-
-    def resize(self, n_workers: int) -> dict:
-        """Grow or shrink the worker tier, rebalancing placements.
-
-        Shrinking installs the new ring and drains every doomed worker
-        (:meth:`drain`, all within one :data:`DRAIN_DEADLINE` for their
-        in-flight requests), so their journaled sessions move to the
-        survivors by replay; only then are the processes closed. A drain
-        hands off only to an admissible worker, so when no survivor is
-        admissible (every breaker open, say) the new ring's primary
-        still gets one replay of each session. A session that could not
-        move is dropped with a count. Growing spawns workers and
-        rebuilds the ring; existing placements stay put (consistent
-        hashing moves only new opens).
-        """
-        n_workers = int(n_workers)
-        if n_workers < 1:
-            raise ServiceError("resize needs at least one worker")
-        old = len(self.pool)
-        moved = dropped = 0
-        if n_workers < old:
-            for index in range(n_workers, old):
-                # All doomed workers stop admitting before any drains, so
-                # no hand-off lands on a worker about to close.
-                self.pool.workers[index].draining = True
-            self.ring = HashRing(list(range(n_workers)))
-            deadline_at = self._clock() + DRAIN_DEADLINE
-            for index in range(n_workers, old):
-                remaining = max(0.0, deadline_at - self._clock())
-                moved += self.drain(index, deadline=remaining)["sessions_moved"]
-            with self._lock:
-                doomed = [
-                    (name, *placement)
-                    for name, placement in self._placements.items()
-                    if placement[0] >= n_workers
-                ]
-            for name, worker, dataset in doomed:
-                # Drain offered the session to an admissible target if
-                # there was one; if not, the new ring's primary still gets
-                # one replay before the session is dropped.
-                target = self._placement_target(dataset)
-                if (
-                    not self._admissible(target)
-                    and self._hand_off(name, dataset, target) is None
-                ):
-                    moved += 1
-                    continue
-                self._forget(name, worker)
-                dropped += 1
-            self.pool.resize(n_workers)
-            for index in range(n_workers, old):
-                self._breakers.pop(index, None)
-        else:
-            self.pool.resize(n_workers)
-            self.ring = HashRing(list(range(n_workers)))
-            for index in range(old, n_workers):
-                self._track_worker(index)
-        with self._lock:
-            placements = len(self._placements)
-        return {
-            "workers": len(self.pool),
-            "sessions_moved": moved,
-            "sessions_dropped": dropped,
-            "placements": placements,
         }
 
     # -- helpers -------------------------------------------------------

@@ -536,70 +536,31 @@ class WorkerPool:
         config=None,
         max_sessions: int = 64,
         ttl_seconds: float | None = None,
-        start_method: str | None = None,
         call_timeout: float | None = DEFAULT_CALL_TIMEOUT,
     ):
         if n_workers < 1:
             raise ServiceError("n_workers must be >= 1")
-        if start_method is None:
-            start_method = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
-        ctx = multiprocessing.get_context(start_method)
-        self.start_method = start_method
-        self._ctx = ctx
-        self._catalog_factory = catalog_factory
-        self._config = config
-        self._max_sessions = max_sessions
-        self._ttl_seconds = ttl_seconds
-        self._call_timeout = call_timeout
-        self._closed = False
-        self.workers = [
-            self._make_worker(index) for index in range(n_workers)
-        ]
-
-    def _make_worker(self, index: int) -> WorkerHandle:
-        return WorkerHandle(
-            index,
-            self._ctx,
-            catalog_factory=self._catalog_factory,
-            config=self._config,
-            max_sessions=self._max_sessions,
-            ttl_seconds=self._ttl_seconds,
-            call_timeout=self._call_timeout,
+        self.start_method = (
+            "fork"
+            if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn"
         )
+        ctx = multiprocessing.get_context(self.start_method)
+        self.workers = [
+            WorkerHandle(
+                index,
+                ctx,
+                catalog_factory=catalog_factory,
+                config=config,
+                max_sessions=max_sessions,
+                ttl_seconds=ttl_seconds,
+                call_timeout=call_timeout,
+            )
+            for index in range(n_workers)
+        ]
 
     def __len__(self) -> int:
         return len(self.workers)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def resize(self, n_workers: int) -> None:
-        """Grow or shrink the pool to ``n_workers`` handles.
-
-        Growing spawns fresh workers at the next indexes; shrinking
-        closes the highest-indexed handles (worker identity is its list
-        position, so removal only ever happens at the tail). The router
-        drains and rebalances placements around this — the pool itself
-        just changes the process count.
-        """
-        if n_workers < 1:
-            raise ServiceError("n_workers must be >= 1")
-        if self._closed:
-            raise ServiceError("worker pool is closed")
-        while len(self.workers) < n_workers:
-            self.workers.append(self._make_worker(len(self.workers)))
-        if len(self.workers) > n_workers:
-            removed = self.workers[n_workers:]
-            del self.workers[n_workers:]
-            for worker in removed:
-                worker.request_close()
-            for worker in removed:
-                worker.reap()
 
     def call(
         self,
@@ -634,7 +595,6 @@ class WorkerPool:
         reaped finds its own respawn guard already up, so pool close can
         never leak a freshly respawned orphan process.
         """
-        self._closed = True
         for worker in self.workers:
             worker.request_close()
         for worker in self.workers:

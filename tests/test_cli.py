@@ -168,3 +168,48 @@ class TestDatasetsAndMain:
         monkeypatch.setattr(socket.socket, "bind", no_bind)
         assert main(["serve", *argv]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def closed_port() -> int:
+    """A local port nothing listens on."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+class TestRemoteVerbs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["connect", "--sesion", "a"],
+            ["metrics", "--jsn"],
+            ["drain", "--wroker", "1"],
+        ],
+        ids=["connect", "metrics", "drain"],
+    )
+    def test_unknown_flag_is_refused_before_connecting(
+        self, argv, capsys, monkeypatch
+    ):
+        def no_connect(address, *args, **kwargs):
+            raise AssertionError(f"{argv[0]} connected to {address}")
+
+        monkeypatch.setattr(socket, "create_connection", no_connect)
+        assert main([*argv, "--port", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown {argv[0]} argument {argv[1]!r}")
+
+    def test_store_unknown_flag_is_refused(self, capsys, tmp_path):
+        argv = ["store", "inspect", "--data-dir", str(tmp_path), "--bogus"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown store argument '--bogus'")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("verb", ["connect", "metrics", "drain"])
+    def test_unreachable_server_is_an_error_line(self, verb, capsys):
+        port = closed_port()
+        assert main([verb, "--port", str(port)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot reach 127.0.0.1:{port}: ")
+        assert "Traceback" not in err
+

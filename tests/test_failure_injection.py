@@ -174,7 +174,7 @@ class TestWorkerFailure:
         from repro.cli import BOOTSTRAP_QUERIES
         from repro.errors import ServiceError
         from repro.obs import registry
-        from repro.service import DBWipesServer, ServiceClient
+        from repro.service import DBWipesServer, FaultPlan, ServiceClient, faults
 
         server = DBWipesServer(port=0, workers=2)
         host, port = server.start()
@@ -198,13 +198,18 @@ class TestWorkerFailure:
             crashed_before = m_crashed.value
 
             client.execute(BOOTSTRAP_QUERIES["intel"])
-            handle.process.kill()
 
-            # The next routed request must come back as a structured
-            # WorkerCrashed error — not a timeout, not a dead socket.
-            with pytest.raises(ServiceError) as excinfo:
-                client.call("sql", session="victim")
-            assert excinfo.value.kind in ("WorkerCrashed", "UnknownSession")
+            # The worker is killed right after the next routed request is
+            # sent, and the reply is ignored if it beats the kill, so the
+            # request must come back as a structured WorkerCrashed error —
+            # not a timeout, not a dead socket.
+            faults.install(FaultPlan(kill_worker=worker, kill_on_request=1))
+            try:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.call("sql", session="victim")
+            finally:
+                faults.clear()
+            assert excinfo.value.kind == "WorkerCrashed"
 
             # The handle respawns a fresh process and counts the restart.
             deadline = time.monotonic() + 10
@@ -222,7 +227,7 @@ class TestWorkerFailure:
                 client.call("sql", session="victim")
             assert excinfo.value.kind == "UnknownSession"
 
-            # Reopening routes back to the same shard (consistent hash)
+            # Reopening routes back to the same shard (the dataset hash)
             # and the fresh process serves it end to end.
             info2 = client.open("intel", session="victim")
             assert info2["worker"] == worker

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.service import HashRing, RoutingDispatcher, protocol
+import repro.service.router as routing
+from repro.obs import registry
+from repro.service import RoutingDispatcher, protocol
 
 
 class FakeHandle:
@@ -91,13 +93,6 @@ class FakePool:
     def stats(self) -> list[dict]:
         return [{"worker": h.index, "requests": 0} for h in self.workers]
 
-    def resize(self, n: int) -> None:
-        while len(self.workers) < n:
-            self.workers.append(FakeHandle(len(self.workers)))
-            self.live.append(set())
-        del self.workers[n:]
-        del self.live[n:]
-
     def close(self) -> None:
         pass
 
@@ -144,7 +139,7 @@ def open_session(router, name: str = "s", dataset: str = "toy") -> int:
 
 
 def replica_set(router, dataset: str = "toy") -> tuple[int, int]:
-    primary, replica = (int(w) for w in router.ring.nodes_for(dataset, 2))
+    primary, replica = routing.replica_set(dataset, len(router.pool))
     return primary, replica
 
 
@@ -370,59 +365,25 @@ class TestDrainAndResize:
         assert summary["sessions_moved"] == summary["sessions_failed"] == 0
         assert summary["draining"] is True
 
-    def test_shrink_counts_moved_and_dropped(self):
-        router, pool, _ = make_router(n=3)
-        dataset = next(
-            f"ds{i}" for i in range(1000) if int(router.ring.node_for(f"ds{i}")) == 2
-        )
-        open_session(router, "journaled", dataset)
-        open_session(router, "bare", dataset)
-        pool.journals.discard("bare")
-        pool.calls.clear()
-        summary = router.resize(2)
-        target = int(HashRing(range(2)).node_for(dataset))
-        assert pool.calls == [
-            (2, "drain_prepare"),
-            (target, "recover"),
-            (target, "recover"),
-        ]
-        assert (summary["sessions_moved"], summary["sessions_dropped"]) == (1, 1)
-        assert summary["workers"] == 2 and summary["placements"] == 1
-        assert router.placement_of("journaled") == (target, dataset)
-        assert router.placement_of("bare") is None
 
-    def test_shrink_with_every_survivor_refused_still_replays(self):
-        """With every survivor's breaker open the drain hands nothing
-        off, so the new ring's primary gets one ``recover`` before the
-        session would be dropped."""
-        router, pool, fake_time = make_router(n=3)
-        dataset = next(
-            f"ds{i}" for i in range(1000) if int(router.ring.node_for(f"ds{i}")) == 2
+class TestRequestLabels:
+    def test_unknown_commands_share_one_label(self):
+        """Made-up command names all count under ``cmd="invalid"``, so
+        they add no registry series of their own; ``resize`` is one."""
+        router, pool, _ = make_router()
+        names = [f"bogus-{i}" for i in range(50)] + ["resize"]
+        invalid = registry().counter(
+            "dbwipes_requests_total", labels={"cmd": "invalid", "role": "server"}
         )
-        open_session(router, "journaled", dataset)
-        open_session(router, "bare", dataset)
-        pool.journals.discard("bare")
-        open_breaker(router, 0)
-        open_breaker(router, 1)
-        pool.calls.clear()
-        summary = router.resize(2)
-        target = int(HashRing(range(2)).node_for(dataset))
-        assert pool.calls == [
-            (2, "drain_prepare"),
-            (target, "recover"),
-            (target, "recover"),
-        ]
-        assert (summary["sessions_moved"], summary["sessions_dropped"]) == (1, 1)
-        assert router.placement_of("journaled") == (target, dataset)
-        assert router.placement_of("bare") is None
-        assert fake_time.sleeps == []
-
-    def test_shrink_waits_once_for_every_doomed_worker(self):
-        """The doomed workers share one drain deadline, so a shrink waits
-        at most that long in all, not that long per worker."""
-        router, pool, fake_time = make_router(n=4)
-        for index in (1, 2, 3):
-            pool.workers[index].in_flight = 1  # never finishes
-        summary = router.resize(1)
-        assert summary["workers"] == 1
-        assert 5.0 <= fake_time.now < 5.1
+        before = invalid.value
+        for name in names:
+            envelope = router.handle({"id": 1, "cmd": name, "args": {"workers": 1}})
+            assert kind(envelope) == "ProtocolError"
+            assert f"unknown command {name!r}" in envelope["error"]["message"]
+        assert pool.calls == []
+        assert invalid.value == before + len(names)
+        labelled = {
+            dict(series["labels"]).get("cmd")
+            for series in registry().snapshot()["metrics"]
+        }
+        assert labelled.isdisjoint(names)

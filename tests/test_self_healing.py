@@ -15,6 +15,9 @@ from __future__ import annotations
 import functools
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -26,12 +29,13 @@ from repro.service import (
     DatasetCatalog,
     DBWipesServer,
     FaultPlan,
-    HashRing,
     JournalStore,
     ServiceClient,
     WorkerPool,
 )
+import repro.service.router as routing
 from repro.service import faults
+from repro.service.router import replica_set
 from repro.service.workers import WorkerHandle
 
 from test_async_service import routed_toy_catalog
@@ -349,22 +353,41 @@ class TestFaultPlan:
 
 
 class TestReplicaSets:
-    def test_nodes_for_prefix_and_determinism(self):
-        first = HashRing(range(5))
-        second = HashRing(range(5))
-        for i in range(50):
-            key = f"dataset-{i}"
-            replicas = first.nodes_for(key, 3)
-            assert replicas == second.nodes_for(key, 3)
-            assert len(set(replicas)) == 3
-            assert replicas[0] == first.node_for(key)
-            assert first.nodes_for(key, 2) == replicas[:2]
+    def test_deterministic_across_processes(self):
+        """Another interpreter, with another ``hash()`` salt, places every
+        dataset alike; on 2 workers ``fec`` and ``intel`` keep primary 0."""
+        keys = [f"dataset-{i}" for i in range(100)]
+        expected = [replica_set(key, n) for key in keys for n in (1, 2, 3, 5)]
+        src = str(pathlib.Path(routing.__file__).parents[2])
+        script = (
+            "from repro.service.router import replica_set\n"
+            f"print([replica_set(k, n) for k in {keys!r} for n in (1, 2, 3, 5)])"
+        )
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "4242"}
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        ).stdout
+        assert json.loads(out) == expected
+        assert replica_set("fec", 2)[0] == replica_set("intel", 2)[0] == 0
 
-    def test_nodes_for_exhausts_small_rings(self):
-        ring = HashRing(range(2))
-        assert sorted(ring.nodes_for("k", 10)) == [0, 1]
-        with pytest.raises(ValueError):
-            ring.nodes_for("k", 0)
+    def test_distinct_workers_primary_first(self):
+        for n in range(2, 7):
+            for i in range(50):
+                replicas = replica_set(f"dataset-{i}", n)
+                assert len(set(replicas)) == len(replicas) == routing.N_REPLICAS
+                primary = replicas[0]
+                assert replicas == [(primary + k) % n for k in range(len(replicas))]
+
+    def test_primaries_cover_every_worker(self):
+        for n in range(1, 7):
+            primaries = {replica_set(f"dataset-{i}", n)[0] for i in range(200)}
+            assert primaries == set(range(n))
+
+    def test_whole_pool_when_smaller_than_n_replicas(self, monkeypatch):
+        monkeypatch.setattr(routing, "N_REPLICAS", 5)
+        for n in range(1, 6):
+            assert sorted(replica_set("k", n)) == list(range(n))
 
 
 class TestCircuitBreaker:
@@ -527,7 +550,7 @@ class TestChaosAcceptance:
         ) as srv:
             host, port = srv.address
             assert srv.dispatcher.journals is not None
-            primary = int(srv.dispatcher.ring.node_for("toy"))
+            primary = replica_set("toy", len(srv.dispatcher.pool))[0]
             with ServiceClient(host, port, session="ref", timeout=120) as c:
                 c.open("toy")
                 _drive_to_metric(c)
@@ -612,7 +635,7 @@ class TestChaosAcceptance:
             port=0, workers=2, catalog_factory=routed_toy_catalog
         ) as srv:
             host, port = srv.address
-            primary = int(srv.dispatcher.ring.node_for("toy"))
+            primary = replica_set("toy", len(srv.dispatcher.pool))[0]
             with ServiceClient(host, port, session="a", timeout=120) as ca:
                 ca.open("toy")
                 _drive_to_metric(ca)
@@ -635,37 +658,6 @@ class TestChaosAcceptance:
                     for name in ("a", "b"):
                         worker, _ = srv.dispatcher.placement_of(name)
                         assert worker != primary
-
-    def test_resize_rebalances_instead_of_dropping(
-        self, tmp_path, monkeypatch
-    ):
-        """Shrinking the pool replays doomed workers' sessions onto the
-        survivors; growing keeps placements put."""
-        monkeypatch.setenv("REPRO_DATA_DIR", str(tmp_path))
-        with DBWipesServer(
-            port=0, workers=2, catalog_factory=routed_toy_catalog
-        ) as srv:
-            host, port = srv.address
-            primary = int(srv.dispatcher.ring.node_for("toy"))
-            with ServiceClient(host, port, session="mover", timeout=120) as c:
-                c.open("toy")
-                _drive_to_metric(c)
-                reference = _report(c)
-                grown = c.resize(3)
-                assert grown["workers"] == 3
-                assert grown["sessions_dropped"] == 0
-                # Park the session on the highest surviving index, then
-                # shrink past it: the placement must move by replay.
-                c.drain(primary, deadline=2.0, restart=True)
-                worker, _ = srv.dispatcher.placement_of("mover")
-                assert worker != primary
-                shrunk = c.resize(1)
-                assert shrunk["workers"] == 1
-                if worker >= 1:
-                    assert shrunk["sessions_moved"] >= 1
-                assert srv.dispatcher.placement_of("mover")[0] == 0
-                assert canonical(_report(c)) == canonical(reference)
-            assert len(srv.dispatcher.pool) == 1
 
     def test_corrupt_journal_recovers_longest_prefix(
         self, tmp_path, monkeypatch
@@ -723,7 +715,7 @@ class TestChaosAcceptance:
         ) as srv:
             host, port = srv.address
             assert srv.dispatcher.journals is None
-            primary = int(srv.dispatcher.ring.node_for("toy"))
+            primary = replica_set("toy", len(srv.dispatcher.pool))[0]
             with ServiceClient(host, port, session="ref", timeout=120) as c:
                 c.open("toy")
                 _drive_to_metric(c)
@@ -752,7 +744,7 @@ class TestChaosAcceptance:
         ) as srv:
             host, port = srv.address
             assert srv.dispatcher.journals is None
-            primary = int(srv.dispatcher.ring.node_for("toy"))
+            primary = replica_set("toy", len(srv.dispatcher.pool))[0]
             with ServiceClient(host, port, session="a", timeout=120) as c:
                 c.open("toy")
                 _drive_to_metric(c)
@@ -777,7 +769,7 @@ class TestChaosAcceptance:
         ) as srv:
             host, port = srv.address
             assert srv.dispatcher.journals is None
-            primary = int(srv.dispatcher.ring.node_for("toy"))
+            primary = replica_set("toy", len(srv.dispatcher.pool))[0]
             with ServiceClient(
                 host, port, session="streamer", timeout=120
             ) as c:
@@ -815,12 +807,19 @@ class TestScriptedDelays:
 
 class TestSingleProcessLifecycleCommands:
     def test_drain_and_resize_need_workers(self):
-        with DBWipesServer(port=0) as srv:
-            with ServiceClient(*srv.address, session="solo") as c:
-                for cmd, args in (
-                    ("drain", {"worker": 0}),
-                    ("resize", {"workers": 2}),
-                ):
+        """``drain`` needs the multi-worker tier. The worker count is fixed
+        for the life of a server, so both tiers answer ``resize`` as an
+        unknown command."""
+        with DBWipesServer(port=0) as single, DBWipesServer(
+            port=0, workers=1, catalog_factory=routed_toy_catalog
+        ) as routed:
+            with ServiceClient(*single.address, session="solo") as c:
+                with pytest.raises(ServiceError) as excinfo:
+                    c.call("drain", worker=0)
+                assert "multi-worker" in str(excinfo.value)
+            for srv in (single, routed):
+                with ServiceClient(*srv.address) as c:
                     with pytest.raises(ServiceError) as excinfo:
-                        c.call(cmd, **args)
-                    assert "multi-worker" in str(excinfo.value)
+                        c.call("resize", workers=2)
+                    assert excinfo.value.kind == "ProtocolError"
+                    assert "unknown command 'resize'" in str(excinfo.value)

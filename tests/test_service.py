@@ -452,6 +452,36 @@ class TestMalformedRequests:
         assert excinfo.value.kind == "ProtocolError"
         assert "unknown command" in str(excinfo.value)
 
+    def test_unknown_commands_share_one_metric_label(self, shared_table):
+        """Made-up command names all count under ``cmd="invalid"``, so
+        they add no registry series of their own."""
+        from repro.obs import registry
+        from repro.service.handlers import dispatch
+
+        manager = SessionManager(catalog=toy_catalog(shared_table))
+        names = [f"bogus-{i}" for i in range(50)]
+        invalid = registry().counter(
+            "dbwipes_requests_total", labels={"cmd": "invalid", "role": "server"}
+        )
+        before = invalid.value
+        for name in names:
+            envelope = dispatch(manager, {"id": 1, "cmd": name})
+            assert envelope["error"]["kind"] == "ProtocolError"
+        assert invalid.value == before + len(names)
+        labelled = {
+            dict(series["labels"]).get("cmd")
+            for series in registry().snapshot()["metrics"]
+        }
+        assert labelled.isdisjoint(names)
+
+    def test_client_reports_a_refused_connection(self):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]  # closed once the block exits
+        client = ServiceClient("127.0.0.1", port, timeout=5)
+        with pytest.raises(ServiceError, match=f"127.0.0.1:{port} failed"):
+            client.ping()
+
     def test_session_command_without_session(self, server):
         host, port = server.address
         with ServiceClient(host, port, session=None, timeout=30) as c:

@@ -1,13 +1,14 @@
-"""The multi-process serving tier: pool, ring, and router behavior.
+"""The multi-process serving tier: pool and router behavior.
 
-Covers the three layers of the worker tier:
+Covers the two layers of the worker tier:
 :class:`~repro.service.workers.WorkerPool` (process lifecycle and
-envelope transport), :class:`~repro.service.router.HashRing`
-(deterministic, stable dataset→worker assignment), and
+envelope transport) and
 :class:`~repro.service.router.RoutingDispatcher` (placement bookkeeping
 and scatter-gather fan-out) — plus end-to-end parity: the same debug
 cycle through a multi-worker server returns byte-identical payloads to
-the single-process server.
+the single-process server. The dataset→worker assignment,
+:func:`~repro.service.router.replica_set`, is covered in
+``test_self_healing.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from repro.cli import BOOTSTRAP_QUERIES
 from repro.errors import ServiceError
 from repro.service import (
     DBWipesServer,
-    HashRing,
     RoutingDispatcher,
     ServiceClient,
     WorkerPool,
@@ -33,37 +33,6 @@ def _debug_payload(client: ServiceClient, session: str) -> dict:
     report = client.debug(max_rows=None)
     report["timings"] = None  # wall-clock differs run to run, by design
     return report
-
-
-class TestHashRing:
-    def test_deterministic_across_instances(self):
-        first = HashRing(range(4))
-        second = HashRing(range(4))
-        keys = [f"dataset-{i}" for i in range(100)]
-        assert [first.node_for(k) for k in keys] == [
-            second.node_for(k) for k in keys
-        ]
-
-    def test_spreads_keys(self):
-        ring = HashRing(range(4))
-        owners = {ring.node_for(f"dataset-{i}") for i in range(200)}
-        assert owners == {0, 1, 2, 3}
-
-    def test_mostly_stable_when_a_node_joins(self):
-        keys = [f"dataset-{i}" for i in range(400)]
-        small = HashRing(range(4))
-        grown = HashRing(range(5))
-        moved = sum(
-            1 for k in keys if small.node_for(k) != grown.node_for(k)
-        )
-        # Consistent hashing moves ~1/5 of the keys; mod-N would move ~4/5.
-        assert moved < len(keys) // 2
-
-    def test_rejects_empty_and_bad_replicas(self):
-        with pytest.raises(ValueError):
-            HashRing([])
-        with pytest.raises(ValueError):
-            HashRing([0], replicas=0)
 
 
 class TestWorkerPool:
@@ -178,6 +147,7 @@ class TestRoutingDispatcher:
         assert envelope["ok"]
         stats = envelope["result"]
         assert stats["workers"] == 3
+        assert stats["start_method"] in ("fork", "spawn")
         assert stats["sessions"] == 1
         assert stats["placements"] == 1
         assert len(stats["per_worker"]) == 3
