@@ -8,7 +8,7 @@ thread of one bounded executor. Two dispatchers exist:
 * :class:`~repro.service.handlers.LocalDispatcher` (``workers=0``): one
   :class:`~repro.service.sessions.SessionManager` in this process;
 * :class:`~repro.service.router.RoutingDispatcher` (``workers=N``): the
-  router sends session commands to N worker processes by consistent
+  router sends session commands to N worker processes by a fixed
   hash of the dataset id, so each worker's caches stay hot for its
   shard of the catalog.
 
