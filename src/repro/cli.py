@@ -15,9 +15,10 @@ provided bootstrap queries. This CLI is that experience in a terminal:
   ``--max-inflight`` (a count, or ``auto`` to self-tune),
   ``--max-queue``, ``--rate``, ``--burst``);
 * ``python -m repro store`` — manage the durable columnar tier:
-  ``store import <dataset> --data-dir D [--chunk-rows N]`` persists a
-  demo dataset as memory-mapped table directories; ``store inspect
-  --data-dir D`` prints the layout from the manifests alone;
+  ``store import <dataset> --data-dir D`` persists a demo dataset as
+  table directories of one memory-mapped ``.npy`` file per column;
+  ``store inspect --data-dir D`` prints the layout from the manifests
+  alone;
 * ``python -m repro connect`` — the same interactive loop, but against
   a running server (``--host``, ``--port``, ``--session``,
   ``--dataset``, ``--script``);
@@ -475,7 +476,7 @@ _VERB_FLAGS = {
         "--data-dir", "--slow-threshold", "--max-inflight", "--max-queue",
         "--rate", "--burst",
     }, {"--async"}),
-    "store": ({"--data-dir", "--chunk-rows"}, set()),
+    "store": ({"--data-dir"}, set()),
     "connect": ({"--host", "--port", "--session", "--dataset"}, {"--script"}),
     "metrics": ({"--host", "--port"}, {"--json"}),
     "drain": ({"--host", "--port", "--worker", "--deadline"}, {"--restart"}),
@@ -599,9 +600,9 @@ def serve_main(argv: list[str]) -> int:
 def store_main(argv: list[str]) -> int:
     """``python -m repro store`` — manage the durable columnar tier.
 
-    * ``store import <dataset> [--data-dir D] [--chunk-rows N]`` —
-      build a demo dataset and persist it as memory-mapped table
-      directories (idempotent: an existing persisted copy is kept);
+    * ``store import <dataset> [--data-dir D]`` — build a demo dataset
+      and persist it as table directories, one memory-mapped ``.npy``
+      file per column (idempotent: an existing persisted copy is kept);
     * ``store inspect [--data-dir D]`` — print the durable layout as
       JSON, reading only the manifests (no table data is touched).
 
@@ -619,18 +620,12 @@ def store_main(argv: list[str]) -> int:
     data_dir = _flag_value(argv, "--data-dir", "") or None
     try:
         if action == "import" and (len(argv) < 2 or argv[1].startswith("--")):
-            raise ReproError(
-                "usage: store import <dataset> [--data-dir D]"
-                " [--chunk-rows N]"
-            )
+            raise ReproError("usage: store import <dataset> [--data-dir D]")
         # The action and an import's dataset are positional.
         _check_flags("store", argv[2 if action == "import" else 1 :])
         catalog = DatasetCatalog.with_demo_datasets(data_dir=data_dir)
         if action == "import":
-            chunk = _flag_value(argv, "--chunk-rows", "")
-            db, created = catalog.import_dataset(
-                argv[1], chunk_rows=int(chunk) if chunk else None
-            )
+            db, created = catalog.import_dataset(argv[1])
             verb = "imported" if created else "already persisted"
             tables = ", ".join(
                 f"{t}({db.table(t).num_rows} rows)" for t in db.table_names

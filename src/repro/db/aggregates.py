@@ -122,7 +122,7 @@ class Aggregate:
 
         ``remove_mask`` is flat over ``pairs`` (aligned with
         ``pairs.values``). Overrides reuse segment-only statistics
-        precomputed once on the *parent* ``SegmentedValues`` (gathered
+        computed once on the *parent* ``SegmentedValues`` (gathered
         through ``pairs.flat``), so the per-pair work is only the
         mask-dependent folds; every override is bit-identical to
         :meth:`compute_without_grouped` over the same segment because

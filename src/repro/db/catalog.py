@@ -82,26 +82,19 @@ class Database:
 
     # -- durable storage ---------------------------------------------------
 
-    def save(
-        self,
-        directory: str | Path,
-        chunk_rows: int | None = None,
-        overwrite: bool = False,
-    ) -> "Database":
+    def save(self, directory: str | Path) -> "Database":
         """Persist every table as a columnar subdirectory of ``directory``.
 
-        Returns a new database whose tables read from the just-written
-        memory-mapped files, so a caller that keeps serving after a save
-        serves the durable copy.
+        Refuses a table subdirectory that already exists. Returns a new
+        database whose tables read from the just-written memory-mapped
+        files, so a caller that keeps serving after a save serves the
+        durable copy.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         out = Database()
         for name, table in sorted(self._tables.items()):
-            saved = table.save(
-                directory / name, chunk_rows=chunk_rows, overwrite=overwrite
-            )
-            out.register(saved, name)
+            out.register(table.save(directory / name), name)
         return out
 
     @classmethod

@@ -32,11 +32,11 @@ positions.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..errors import AggregateError, StorageError
+from ..errors import AggregateError
 
 
 class SegmentedValues:
@@ -166,22 +166,6 @@ class SegmentedValues:
             f"SegmentedValues({len(self.values)} values, "
             f"{self.n_segments} segments)"
         )
-
-
-def blocked_ranges(n_rows: int, block_rows: int) -> Iterator[tuple[int, int]]:
-    """Yield ``(lo, hi)`` row bounds that tile ``n_rows`` in fixed blocks.
-
-    It is the chunk layout of :class:`~repro.db.store.MmapColumnStore`
-    on both the write and the read path — kept tiny and shared so the
-    two can never disagree.
-    """
-    if block_rows < 1:
-        raise StorageError("block_rows must be >= 1")
-    if n_rows == 0:
-        yield (0, 0)
-        return
-    for lo in range(0, n_rows, block_rows):
-        yield (lo, min(lo + block_rows, n_rows))
 
 
 # ----------------------------------------------------------------------
@@ -351,8 +335,8 @@ class SegmentPairs:
     original segment. Because every grouped kernel is a per-segment-local
     left fold, re-running it over a wholesale-copied segment is
     bit-identical to running it in place — the property that lets the
-    pair kernels in :mod:`repro.db.aggregates` reuse precomputed
-    segment statistics without changing a single bit of output.
+    pair kernels in :mod:`repro.db.aggregates` reuse segment statistics
+    computed once without changing a single bit of output.
     """
 
     __slots__ = ("seg", "flat", "offsets", "group_idx", "values", "_valid")

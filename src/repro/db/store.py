@@ -1,4 +1,4 @@
-"""Pluggable column storage: in-memory arrays or memory-mapped chunks.
+"""Pluggable column storage: in-memory arrays or one mapped file per column.
 
 A :class:`~repro.db.table.Table` is a schema plus tids plus *somewhere
 the column arrays live*. This module is that somewhere, split behind a
@@ -8,20 +8,21 @@ knows (or cares) which physical representation backs a table:
 * :class:`InMemoryStore` — the original representation: one numpy array
   per column, fully resident. Still the reference implementation and
   the default for every constructed table.
-* :class:`MmapColumnStore` — a durable on-disk layout: each column is a
-  sequence of ``.npy`` chunk files opened with ``mmap_mode="r"`` plus a
-  JSON manifest recording schema, chunk layout, and a content digest.
-  Opening a table reads only the manifest; column bytes fault in on
-  first touch (and only for the columns a query actually references),
-  so datasets much larger than RAM open in milliseconds and a restarted
-  server starts from warm page cache instead of regenerating data.
+* :class:`MmapColumnStore` — a durable on-disk layout: each column is
+  one ``.npy`` file opened with ``mmap_mode="r"``, behind a JSON
+  manifest recording the schema, each column's file and a content
+  digest. Opening a table reads only the manifest; a column's file is
+  mapped on its first read (and only for the columns a query actually
+  references), so a restarted server starts from warm page cache
+  instead of regenerating data.
 * :class:`GatherStore` — the lazy derived view used by
-  ``Table.take``/``filter``: a filter of a 10M-row mmap table gathers a
+  ``Table.take``/``filter``: a filter of a mapped table gathers a
   column only when that column is first read.
 
 String columns cannot be memory-mapped as numpy object arrays, so they
 are **dictionary-encoded** on write: an ``int64`` code per row (−1 for
-NULL) plus a JSON value list in first-occurrence order. The encoding is
+NULL) in the column's ``.npy`` file, plus a ``.values.json`` sidecar
+listing the values in first-occurrence order. The encoding is
 deterministic, which makes the content digest of a table identical
 whether computed from the in-memory original or the reopened mmap copy
 — that digest keys the persisted preprocess artifacts, so cache entries
@@ -43,13 +44,12 @@ import json
 import os
 import shutil
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from ..errors import SchemaError, StorageError
+from ..errors import SchemaError, StorageError, TypeMismatchError
 from .schema import Column, Schema
-from .segments import blocked_ranges
 from .types import ColumnType, dict_decode, dict_encode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -60,16 +60,12 @@ __all__ = [
     "GatherStore",
     "InMemoryStore",
     "MmapColumnStore",
-    "blocked_ranges",
     "store_for_columns",
     "table_digest",
 ]
 
 #: Manifest format tag; bump on any incompatible layout change.
-STORE_FORMAT = "dbwipes-columnar/1"
-
-#: Default rows per column chunk (~8 MB of float64 per chunk).
-DEFAULT_CHUNK_ROWS = 1_048_576
+STORE_FORMAT = "dbwipes-columnar/2"
 
 MANIFEST_NAME = "manifest.json"
 
@@ -79,9 +75,8 @@ class ColumnStore:
 
     The interface is deliberately small — the :class:`Table` layer
     provides all row/tid semantics; a store only answers *give me the
-    array for this column* (``column``), *give me rows [lo, hi) of it*
-    (``row_block``, which a chunked store can serve without assembling
-    the whole column), and *how many rows* (``num_rows``).
+    array for this column* (``column``) and *how many rows*
+    (``num_rows``).
     """
 
     #: Number of rows every column of this store holds.
@@ -89,10 +84,6 @@ class ColumnStore:
 
     def column(self, name: str) -> np.ndarray:
         """The full array for ``name`` (may materialize lazily)."""
-        raise NotImplementedError
-
-    def row_block(self, name: str, lo: int, hi: int) -> np.ndarray:
-        """Rows ``[lo, hi)`` of a column, reading as little as possible."""
         raise NotImplementedError
 
     def has_column(self, name: str) -> bool:
@@ -109,9 +100,6 @@ class InMemoryStore(ColumnStore):
 
     def column(self, name: str) -> np.ndarray:
         return self._columns[name]
-
-    def row_block(self, name: str, lo: int, hi: int) -> np.ndarray:
-        return self._columns[name][lo:hi]
 
     def has_column(self, name: str) -> bool:
         return name in self._columns
@@ -144,34 +132,34 @@ class GatherStore(ColumnStore):
             self._cache[name] = array
         return array
 
-    def row_block(self, name: str, lo: int, hi: int) -> np.ndarray:
-        return self.column(name)[lo:hi]
-
     def has_column(self, name: str) -> bool:
         return self._base.has_column(name)
 
 
 class MmapColumnStore(ColumnStore):
-    """Chunked per-column ``.npy`` files behind a JSON manifest.
+    """One ``.npy`` file per column behind a JSON manifest.
 
     Open with :meth:`open` (reads only the manifest), write with
-    :meth:`write` (stages then atomically renames). Numeric and boolean
-    columns are served as ``numpy.memmap`` views — a single-chunk column
-    is exactly one zero-copy mmap; multi-chunk columns concatenate
-    lazily on first full-column access and the result is cached, while
-    :meth:`row_block` touches only the chunks overlapping ``[lo, hi)``.
-    String columns materialize from their dictionary encoding on first
-    access (codes stay mmapped until then).
+    :meth:`write` (stages then atomically renames). A numeric or boolean
+    column is its file's zero-copy ``mmap``; a string column decodes its
+    mapped codes with its ``.values.json`` sidecar on first access. A
+    file that is missing, corrupt, or not ``num_rows`` values of the
+    column's type raises :class:`StorageError` naming it.
     """
 
     def __init__(self, directory: str | Path, manifest: dict):
         self.directory = Path(directory)
         self.manifest = manifest
         self.num_rows = int(manifest["n_rows"])
-        self.chunk_rows = int(manifest["chunk_rows"])
         self._specs = {spec["name"]: spec for spec in manifest["columns"]}
+        #: The persisted schema, reconstructed from the manifest.
+        self.schema = Schema(
+            [
+                Column(spec["name"], ColumnType(spec["type"]))
+                for spec in manifest["columns"]
+            ]
+        )
         self._cache: dict[str, np.ndarray] = {}
-        self._chunk_cache: dict[tuple[str, int], np.ndarray] = {}
         self._tids: np.ndarray | None = None
 
     # -- opening -------------------------------------------------------
@@ -188,24 +176,19 @@ class MmapColumnStore(ColumnStore):
             raise StorageError(
                 f"{directory} is not a table directory (no {MANIFEST_NAME})"
             ) from None
-        except (OSError, json.JSONDecodeError) as error:
+        except (OSError, ValueError) as error:
             raise StorageError(f"cannot read {manifest_path}: {error}") from None
-        if manifest.get("format") != STORE_FORMAT:
+        found = manifest.get("format") if isinstance(manifest, dict) else None
+        if found != STORE_FORMAT:
             raise StorageError(
-                f"{manifest_path} has format {manifest.get('format')!r}, "
-                f"expected {STORE_FORMAT!r}"
+                f"{manifest_path} has format {found!r}, expected {STORE_FORMAT!r}"
             )
-        return cls(directory, manifest)
-
-    @property
-    def schema(self) -> Schema:
-        """The persisted schema, reconstructed from the manifest."""
-        return Schema(
-            [
-                Column(spec["name"], ColumnType(spec["type"]))
-                for spec in self.manifest["columns"]
-            ]
-        )
+        try:
+            return cls(directory, manifest)
+        except (KeyError, TypeError, ValueError) as error:
+            raise StorageError(
+                f"{manifest_path} is malformed: {type(error).__name__}: {error}"
+            ) from None
 
     @property
     def name(self) -> str:
@@ -220,9 +203,7 @@ class MmapColumnStore(ColumnStore):
     def tids(self) -> np.ndarray:
         """The persisted tid array (mmapped; loaded once per store)."""
         if self._tids is None:
-            self._tids = np.load(
-                self.directory / self.manifest["tids"], mmap_mode="r"
-            )
+            self._tids = self._load(self.manifest["tids"], np.dtype(np.int64))
         return self._tids
 
     # -- reading -------------------------------------------------------
@@ -230,150 +211,114 @@ class MmapColumnStore(ColumnStore):
     def has_column(self, name: str) -> bool:
         return name in self._specs
 
-    def _load_chunk(self, name: str, index: int) -> np.ndarray:
-        key = (name, index)
-        chunk = self._chunk_cache.get(key)
-        if chunk is None:
-            spec = self._specs[name]
-            chunk = np.load(self.directory / spec["chunks"][index], mmap_mode="r")
-            self._chunk_cache[key] = chunk
-        return chunk
-
-    def _values(self, spec: dict) -> list:
-        values = spec.get("_values")
-        if values is None:
-            with (self.directory / spec["values"]).open() as handle:
-                values = json.load(handle)
-            spec["_values"] = values
-        return values
-
     def column(self, name: str) -> np.ndarray:
         array = self._cache.get(name)
-        if array is not None:
-            return array
-        spec = self._specs[name]
-        n_chunks = len(spec["chunks"])
-        if spec["type"] == ColumnType.STR.value:
-            codes = self._codes(name, 0, self.num_rows)
-            array = dict_decode(codes, self._values(spec))
-        elif n_chunks == 1:
-            array = self._load_chunk(name, 0)
-        else:
-            array = np.concatenate(
-                [self._load_chunk(name, i) for i in range(n_chunks)]
-            )
-        self._cache[name] = array
+        if array is None:
+            spec = self._specs[name]
+            ctype = ColumnType(spec["type"])
+            if ctype is ColumnType.STR:
+                array = self._decode(spec)
+            else:
+                array = self._load(spec["file"], ctype.numpy_dtype)
+            self._cache[name] = array
         return array
 
-    def _codes(self, name: str, lo: int, hi: int) -> np.ndarray:
-        """Raw dictionary codes for rows [lo, hi) of a STR column."""
-        return self._numeric_block(name, lo, hi)
+    def _load(self, file_name: str, dtype: np.dtype) -> np.ndarray:
+        """Map one ``.npy`` file holding ``num_rows`` values of ``dtype``."""
+        path = self.directory / file_name
+        try:
+            array = np.load(path, mmap_mode="r")
+        except (OSError, ValueError) as error:
+            raise StorageError(f"cannot read {path}: {error}") from None
+        if array.dtype != dtype or array.shape != (self.num_rows,):
+            raise StorageError(
+                f"{path} holds {array.dtype} of shape {array.shape}, "
+                f"expected {dtype} of shape ({self.num_rows},)"
+            )
+        return array
 
-    def _numeric_block(self, name: str, lo: int, hi: int) -> np.ndarray:
-        first = lo // self.chunk_rows
-        last = max(first, (hi - 1) // self.chunk_rows) if hi > lo else first
-        parts = []
-        for index in range(first, last + 1):
-            chunk = self._load_chunk(name, index)
-            base = index * self.chunk_rows
-            parts.append(chunk[max(0, lo - base) : max(0, hi - base)])
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts)
-
-    def row_block(self, name: str, lo: int, hi: int) -> np.ndarray:
-        cached = self._cache.get(name)
-        if cached is not None:
-            return cached[lo:hi]
-        spec = self._specs[name]
-        if spec["type"] == ColumnType.STR.value:
-            return dict_decode(self._codes(name, lo, hi), self._values(spec))
-        return self._numeric_block(name, lo, hi)
+    def _decode(self, spec: dict) -> np.ndarray:
+        """A STR column from its mapped codes and its values sidecar."""
+        codes = self._load(spec["file"], np.dtype(np.int64))
+        path = self.directory / spec["values"]
+        try:
+            with path.open() as handle:
+                values = json.load(handle)
+        except (OSError, ValueError) as error:
+            raise StorageError(f"cannot read {path}: {error}") from None
+        if not isinstance(values, list):
+            raise StorageError(f"{path} holds no list of values")
+        if len(codes) and (codes.min() < -1 or codes.max() >= len(values)):
+            raise StorageError(
+                f"{self.directory / spec['file']} holds codes outside "
+                f"the {len(values)} values of {path}"
+            )
+        return dict_decode(codes, values)
 
     # -- writing -------------------------------------------------------
 
     @classmethod
-    def write(
-        cls,
-        table: "Table",
-        directory: str | Path,
-        chunk_rows: int = DEFAULT_CHUNK_ROWS,
-        overwrite: bool = False,
-    ) -> "MmapColumnStore":
+    def write(cls, table: "Table", directory: str | Path) -> "MmapColumnStore":
         """Persist ``table`` into ``directory`` and return the new store.
 
-        Stages every file in a ``<directory>.tmp-<pid>`` sibling and
-        publishes with one atomic rename, so a crash mid-write leaves at
-        worst a stale staging directory — never a readable-but-partial
-        table. When two processes race to persist the same table, the
-        first rename wins and the loser adopts the winner's copy (the
-        content digest guarantees they are identical).
+        Refuses a ``directory`` that already exists. Stages every file in
+        a ``<directory>.tmp-<pid>`` sibling and publishes with one atomic
+        rename, so a crash mid-write leaves at worst a stale staging
+        directory — never a readable-but-partial table. When two
+        processes race to persist the same table, the first rename wins
+        and the loser adopts the winner's copy (the content digest
+        guarantees they are identical).
         """
         directory = Path(directory)
         if directory.exists():
-            if not overwrite:
-                raise StorageError(
-                    f"{directory} already exists; pass overwrite=True to replace"
-                )
-            shutil.rmtree(directory)
+            raise StorageError(f"{directory} already exists")
         staging = directory.parent / f"{directory.name}.tmp-{os.getpid()}"
         if staging.exists():
             shutil.rmtree(staging)
         staging.mkdir(parents=True)
         try:
-            manifest = cls._write_files(table, staging, chunk_rows)
-            directory.parent.mkdir(parents=True, exist_ok=True)
+            cls._write_files(table, staging)
             try:
                 os.rename(staging, directory)
             except OSError:
-                if (directory / MANIFEST_NAME).exists():
-                    # Lost a persist race: another process published a
-                    # byte-identical copy first. Adopt it.
-                    shutil.rmtree(staging, ignore_errors=True)
-                else:
+                # Lost a persist race: another process published a
+                # byte-identical copy first. Adopt it.
+                if not (directory / MANIFEST_NAME).exists():
                     raise
         finally:
             shutil.rmtree(staging, ignore_errors=True)
         return cls.open(directory)
 
     @staticmethod
-    def _write_files(table: "Table", directory: Path, chunk_rows: int) -> dict:
-        if chunk_rows < 1:
-            raise StorageError("chunk_rows must be >= 1")
-        schema = table.schema
-        n_rows = len(table)
+    def _write_files(table: "Table", directory: Path) -> None:
+        """Column ``i`` goes to ``c<i>.npy`` (and ``c<i>.values.json``), so
+        no column name can collide with ``tids.npy`` or the manifest."""
         column_specs = []
-        for column in schema:
+        for index, column in enumerate(table.schema):
             array = table.column(column.name)
-            spec: dict = {"name": column.name, "type": column.ctype.value}
+            spec = {
+                "name": column.name,
+                "type": column.ctype.value,
+                "file": f"c{index}.npy",
+            }
             if column.ctype is ColumnType.STR:
-                codes, values = dict_encode(array)
-                values_file = f"{column.name}.values.json"
-                with (directory / values_file).open("w") as handle:
+                array, values = dict_encode(array)
+                spec["values"] = f"c{index}.values.json"
+                with (directory / spec["values"]).open("w") as handle:
                     json.dump(values, handle)
-                spec["values"] = values_file
-                array = codes
-            chunks = []
-            for i, (lo, hi) in enumerate(blocked_ranges(n_rows, chunk_rows)):
-                chunk_file = f"{column.name}.c{i:05d}.npy"
-                np.save(directory / chunk_file, np.ascontiguousarray(array[lo:hi]))
-                chunks.append(chunk_file)
-            spec["chunks"] = chunks
+            np.save(directory / spec["file"], np.ascontiguousarray(array))
             column_specs.append(spec)
         np.save(directory / "tids.npy", np.ascontiguousarray(table.tids))
         manifest = {
             "format": STORE_FORMAT,
             "name": table.name,
-            "n_rows": n_rows,
-            "chunk_rows": int(chunk_rows),
+            "n_rows": len(table),
             "digest": table.content_digest(),
             "tids": "tids.npy",
             "columns": column_specs,
         }
-        manifest_path = directory / MANIFEST_NAME
-        with manifest_path.open("w") as handle:
+        with (directory / MANIFEST_NAME).open("w") as handle:
             json.dump(manifest, handle, indent=1, sort_keys=True)
-        return manifest
 
     def describe(self) -> dict:
         """A JSON-safe summary for the inspect CLI / ``storage`` command."""
@@ -385,22 +330,15 @@ class MmapColumnStore(ColumnStore):
             "name": self.name,
             "rows": self.num_rows,
             "columns": [
-                {
-                    "name": spec["name"],
-                    "type": spec["type"],
-                    "chunks": len(spec["chunks"]),
-                }
+                {"name": spec["name"], "type": spec["type"], "file": spec["file"]}
                 for spec in self.manifest["columns"]
             ],
-            "chunk_rows": self.chunk_rows,
             "digest": self.digest,
             "bytes": total_bytes,
         }
 
 
-def table_digest(
-    schema: Schema, columns, tids: np.ndarray, precomputed: str | None = None
-) -> str:
+def table_digest(schema: Schema, columns, tids: np.ndarray) -> str:
     """Content digest of a table's logical values (blake2b-128 hex).
 
     Canonical over the *logical* content, not the physical layout:
@@ -410,8 +348,6 @@ def table_digest(
     which is what lets preprocess artifacts persisted before a restart
     be found after it (the artifact key starts with this digest).
     """
-    if precomputed is not None:
-        return precomputed
     h = hashlib.blake2b(digest_size=16)
     for column in schema:
         h.update(column.name.encode())
@@ -428,17 +364,13 @@ def table_digest(
 
 
 def store_for_columns(
-    schema: Schema, columns: Mapping[str, np.ndarray], validate: bool = True
+    schema: Schema, columns: Mapping[str, np.ndarray]
 ) -> tuple[InMemoryStore, int]:
     """Validate a ``{name: array}`` mapping and wrap it as a store.
 
-    The dtype/length checks previously inlined in ``Table.__init__``;
-    they apply only to caller-supplied mappings — store-backed
-    construction trusts the manifest (validating would defeat lazy
-    opening by materializing every column).
+    Every schema column must be present, hold its type's numpy dtype,
+    and be as long as the others.
     """
-    from ..errors import TypeMismatchError
-
     out: dict[str, np.ndarray] = {}
     length: int | None = None
     for column in schema:
@@ -447,22 +379,19 @@ def store_for_columns(
         except KeyError:
             raise SchemaError(f"missing data for column {column.name!r}") from None
         array = np.asarray(array)
-        if validate:
-            expected = column.ctype.numpy_dtype
-            if array.dtype != expected:
-                raise TypeMismatchError(
-                    f"column {column.name!r} has dtype {array.dtype}, "
-                    f"expected {expected}"
-                )
-            if length is None:
-                length = len(array)
-            elif len(array) != length:
-                raise SchemaError(
-                    f"column {column.name!r} has {len(array)} rows, "
-                    f"expected {length}"
-                )
-        elif length is None:
+        expected = column.ctype.numpy_dtype
+        if array.dtype != expected:
+            raise TypeMismatchError(
+                f"column {column.name!r} has dtype {array.dtype}, "
+                f"expected {expected}"
+            )
+        if length is None:
             length = len(array)
+        elif len(array) != length:
+            raise SchemaError(
+                f"column {column.name!r} has {len(array)} rows, "
+                f"expected {length}"
+            )
         out[column.name] = array
     if length is None:
         length = 0

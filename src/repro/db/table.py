@@ -138,32 +138,22 @@ class Table:
         Column bytes stay on disk behind ``mmap`` until first touched, so
         opening is O(manifest) regardless of table size.
         """
-        store = MmapColumnStore.open(directory)
-        table = cls(store.schema, store, tids=store.tids(), name=store.name)
-        table._digest = store.digest
-        return table
+        return cls._from_store(MmapColumnStore.open(directory))
 
-    def save(
-        self,
-        directory: str | Path,
-        chunk_rows: int | None = None,
-        overwrite: bool = False,
-    ) -> "Table":
-        """Persist this table as a chunked columnar directory.
+    def save(self, directory: str | Path) -> "Table":
+        """Persist this table as a columnar directory: one ``.npy`` file
+        per column behind a JSON manifest (see :mod:`repro.db.store`).
 
-        Returns a new mmap-backed :class:`Table` reading from the just-
-        written files — callers that keep serving after a save naturally
-        serve the durable copy.
+        Refuses a ``directory`` that already exists. Returns a new
+        mmap-backed :class:`Table` reading from the just-written files —
+        callers that keep serving after a save naturally serve the
+        durable copy.
         """
-        from .store import DEFAULT_CHUNK_ROWS
+        return Table._from_store(MmapColumnStore.write(self, directory))
 
-        store = MmapColumnStore.write(
-            self,
-            directory,
-            chunk_rows=chunk_rows or DEFAULT_CHUNK_ROWS,
-            overwrite=overwrite,
-        )
-        table = Table(store.schema, store, tids=store.tids(), name=store.name)
+    @classmethod
+    def _from_store(cls, store: MmapColumnStore) -> "Table":
+        table = cls(store.schema, store, tids=store.tids(), name=store.name)
         table._digest = store.digest
         return table
 
@@ -227,13 +217,9 @@ class Table:
         return self.column(name)
 
     def row(self, index: int) -> tuple[Any, ...]:
-        """Row ``index`` as a tuple of Python values.
-
-        Reads one row block per column, so a single row of a huge mmap
-        table never materializes whole columns.
-        """
+        """Row ``index`` as a tuple of Python values."""
         return tuple(
-            python_value(self._store.row_block(name, index, index + 1)[0])
+            python_value(self._store.column(name)[index])
             for name in self._schema.names
         )
 

@@ -34,6 +34,9 @@ class FormOption:
 
     def build(self, **overrides) -> ErrorMetric:
         """Instantiate the metric, with ``overrides`` taking precedence."""
+        unknown = sorted(set(overrides) - set(self.params) - {"combine"})
+        if unknown:
+            raise SessionError(f"error form {self.form_id!r} takes no {unknown}")
         arguments = dict(self.defaults)
         arguments.update(overrides)
         missing = [name for name in self.params if name not in arguments]

@@ -221,7 +221,7 @@ class SubgroupDiscovery:
     ) -> list[Rule]:
         """Discover up to ``n_rules`` subgroups of the positive class.
 
-        ``shared_edges`` optionally supplies precomputed equal-frequency
+        ``shared_edges`` optionally supplies ready-made equal-frequency
         cut points per numeric column (e.g. from a
         :class:`~repro.core.preprocessor.PreprocessResult` shared across
         enumerator strategies); they replace the class-agnostic
@@ -282,10 +282,10 @@ class SubgroupDiscovery:
             ctype = table.schema.type_of(name)
             values = table.column(name)
             if ctype.is_numeric:
-                precomputed = (
+                fallback = (
                     shared_edges.get(name) if shared_edges is not None else None
                 )
-                edges = self._numeric_edges(values, labels, precomputed)
+                edges = self._numeric_edges(values, labels, fallback)
                 # NumericClause.mask's comparisons, one column at a time.
                 cuts = np.asarray(edges, dtype=np.float64)[:, None]
                 with np.errstate(invalid="ignore"):
@@ -336,14 +336,14 @@ class SubgroupDiscovery:
         self,
         values: np.ndarray,
         labels: np.ndarray,
-        precomputed: Sequence[float] | None = None,
+        fallback: Sequence[float] | None = None,
     ) -> list[float]:
         values = np.asarray(values, dtype=np.float64)
         edges = mdl_entropy_edges(values, labels)
         if edges:
             return edges
-        if precomputed is not None:
-            return list(precomputed)
+        if fallback is not None:
+            return list(fallback)
         return equal_frequency_edges(values, self.numeric_bins)
 
     def _beam_search(

@@ -219,7 +219,7 @@ class DecisionTree:
         """Fit the tree on ``table`` with boolean ``labels``.
 
         ``features`` defaults to every column; ``sample_weight`` defaults
-        to uniform. ``split_index`` supplies precomputed candidate
+        to uniform. ``split_index`` supplies ready-made candidate
         thresholds and bin codes (row-aligned with ``table``); when
         omitted, one is built from ``table`` — passing a shared index is
         what lets K candidate × S strategy fits skip re-deriving it.

@@ -125,19 +125,24 @@ class DatasetCatalog:
             )
 
     def _open_from_disk(self, name: str) -> Database | None:
-        """Open the persisted copy of a dataset, or ``None`` if absent."""
+        """Open the persisted copy of a dataset, or ``None`` if absent.
+
+        A directory that is there but does not open (another layout
+        version, a corrupt manifest) is a :class:`StorageError` naming
+        it and the cause: a rebuilt copy could not be published over it.
+        """
         ds_dir = self._dataset_dir(name)
         if ds_dir is None or not ds_dir.is_dir():
             return None
         try:
             return Database.open(ds_dir)
-        except StorageError:
-            # Half-removed or foreign directory: fall back to building.
-            return None
+        except StorageError as error:
+            raise StorageError(
+                f"cannot open persisted dataset {name!r} at {ds_dir} "
+                f"(remove it to rebuild): {error}"
+            ) from None
 
-    def _persist(
-        self, name: str, db: Database, chunk_rows: int | None = None
-    ) -> Database:
+    def _persist(self, name: str, db: Database) -> Database:
         """Persist a freshly built dataset; returns the mmap-backed copy.
 
         Stages the whole dataset (tables + ``dataset.json``) in a
@@ -153,7 +158,7 @@ class DatasetCatalog:
         if staging.exists():
             shutil.rmtree(staging)
         try:
-            db.save(staging, chunk_rows=chunk_rows)
+            db.save(staging)
             meta = {
                 "dataset": name,
                 "bootstrap": self._bootstraps.get(name),
@@ -229,15 +234,12 @@ class DatasetCatalog:
                 self._built[name] = db
             return db
 
-    def import_dataset(
-        self, name: str, chunk_rows: int | None = None
-    ) -> tuple[Database, bool]:
+    def import_dataset(self, name: str) -> tuple[Database, bool]:
         """Persist ``name`` to the data dir now (``store import``).
 
         Returns ``(database, created)`` — ``created`` is False when a
         persisted copy already existed, in which case it is adopted
-        as-is (matching the first-writer-wins build semantics) and
-        ``chunk_rows`` has no effect.
+        as-is (matching the first-writer-wins build semantics).
         """
         if self._data_dir is None:
             raise StorageError(
@@ -258,7 +260,7 @@ class DatasetCatalog:
                 f"unknown dataset {name!r} (available: {known})",
                 kind="UnknownDataset",
             )
-        db = self._persist(name, builder(), chunk_rows=chunk_rows)
+        db = self._persist(name, builder())
         with self._lock:
             self._built[name] = db
         return db, True
@@ -299,8 +301,8 @@ class DatasetCatalog:
                     if child.is_dir() and (child / MANIFEST_NAME).exists():
                         try:
                             tables.append(MmapColumnStore.open(child).describe())
-                        except StorageError:
-                            continue
+                        except StorageError as error:
+                            tables.append({"name": child.name, "error": str(error)})
                 entry["tables"] = tables
             datasets.append(entry)
         return {

@@ -390,17 +390,20 @@ def _execute(session: DBWipesSession, args: dict) -> dict:
     sql = args.get("sql")
     if not isinstance(sql, str) or not sql.strip():
         raise ProtocolError("'execute' needs a non-empty 'sql' string in args")
-    result = session.execute(sql)
-    return protocol.result_payload(result, _max_rows(args))
+    max_rows = _limit(args, "max_rows", DEFAULT_MAX_ROWS)
+    return protocol.result_payload(session.execute(sql), max_rows)
 
 
 def _result(session: DBWipesSession, args: dict) -> dict:
-    return protocol.result_payload(session.result, _max_rows(args))
+    max_rows = _limit(args, "max_rows", DEFAULT_MAX_ROWS)
+    return protocol.result_payload(session.result, max_rows)
 
 
 def _render(session: DBWipesSession, args: dict) -> dict:
-    width = int(args.get("width", 72))
-    height = int(args.get("height", 14))
+    width = _integer("width", args.get("width", 72))
+    height = _integer("height", args.get("height", 14))
+    if width < 1 or height < 1:
+        raise ProtocolError("'width' and 'height' must be positive")
     y = args.get("y")
     return {"text": session.render(y=y, width=width, height=height)}
 
@@ -414,11 +417,9 @@ def _select_results(session: DBWipesSession, args: dict) -> dict:
 
 
 def _zoom(session: DBWipesSession, args: dict) -> dict:
+    max_points = _limit(args, "max_points", DEFAULT_MAX_POINTS)
     scatter = session.zoom(x=args.get("x"), y=args.get("y"))
-    max_points = args.get("max_points", DEFAULT_MAX_POINTS)
-    return protocol.scatter_payload(
-        scatter, None if max_points is None else int(max_points)
-    )
+    return protocol.scatter_payload(scatter, max_points)
 
 
 def _select_inputs(session: DBWipesSession, args: dict) -> dict:
@@ -441,13 +442,14 @@ def _set_metric(session: DBWipesSession, args: dict) -> dict:
         params = {}
     if not isinstance(params, dict):
         raise ProtocolError("'params' must be a JSON object when present")
+    params = {name: _metric_param(name, value) for name, value in params.items()}
     metric = session.set_metric(form, agg_name=args.get("agg"), **params)
     return {"metric": metric.describe()}
 
 
 def _debug(session: DBWipesSession, args: dict) -> dict:
-    report = session.debug(args.get("agg"))
-    return protocol.report_payload(report, args.get("max_rows"))
+    max_rows = _limit(args, "max_rows", None)
+    return protocol.report_payload(session.debug(args.get("agg")), max_rows)
 
 
 def _debug_streaming(
@@ -462,7 +464,7 @@ def _debug_streaming(
     of the ``on_partial`` hooks underneath.
     """
     seq = 0
-    max_rows = args.get("max_rows")
+    max_rows = _limit(args, "max_rows", None)
 
     def on_partial(stage: str, ranked: list) -> None:
         nonlocal seq
@@ -477,29 +479,32 @@ def _apply(session: DBWipesSession, args: dict) -> dict:
     index = args.get("index")
     if not isinstance(index, int) or isinstance(index, bool):
         raise ProtocolError("'apply' needs an integer 'index' (0-based rank) in args")
+    max_rows = _limit(args, "max_rows", DEFAULT_MAX_ROWS)
     result = session.apply_predicate(index)
     applied = session.applied_predicates[-1]
     return {
         "applied": applied.describe(),
         "applied_sql": applied.to_sql(),
         "sql": session.current_sql(),
-        "result": protocol.result_payload(result, _max_rows(args)),
+        "result": protocol.result_payload(result, max_rows),
     }
 
 
 def _undo(session: DBWipesSession, args: dict) -> dict:
+    max_rows = _limit(args, "max_rows", DEFAULT_MAX_ROWS)
     result = session.undo_cleaning()
     return {
         "sql": session.current_sql(),
-        "result": protocol.result_payload(result, _max_rows(args)),
+        "result": protocol.result_payload(result, max_rows),
     }
 
 
 def _redo(session: DBWipesSession, args: dict) -> dict:
+    max_rows = _limit(args, "max_rows", DEFAULT_MAX_ROWS)
     result = session.redo_cleaning()
     return {
         "sql": session.current_sql(),
-        "result": protocol.result_payload(result, _max_rows(args)),
+        "result": protocol.result_payload(result, max_rows),
     }
 
 
@@ -511,9 +516,37 @@ def _snapshot(session: DBWipesSession, args: dict) -> dict:
     return session.snapshot()
 
 
-def _max_rows(args: dict) -> int | None:
-    max_rows = args.get("max_rows", DEFAULT_MAX_ROWS)
-    return None if max_rows is None else int(max_rows)
+# Display arguments are parsed before a handler runs its session
+# command: a bad value then changes nothing, and ``dispatch`` journals
+# only the commands that succeed, so the journal matches the session.
+
+
+def _integer(name: str, value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ProtocolError(f"{name!r} must be an integer, not {value!r}") from None
+
+
+def _limit(args: dict, name: str, default: int | None) -> int | None:
+    """``max_rows`` / ``max_points``: an integer, or null for no limit."""
+    value = args.get(name, default)
+    return None if value is None else _integer(name, value)
+
+
+def _metric_param(name, value):
+    """One ``set_metric`` parameter: ``threshold`` and ``expected`` take
+    a number; the metric itself checks ``combine``."""
+    if name == "combine":
+        return value
+    if name not in ("threshold", "expected"):
+        raise ProtocolError(
+            f"unknown metric parameter {name!r} (known: threshold, expected, combine)"
+        )
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ProtocolError(f"{name!r} must be a number, not {value!r}") from None
 
 
 _SESSION_HANDLERS: dict[str, Callable[[DBWipesSession, dict], Any]] = {

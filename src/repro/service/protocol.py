@@ -244,7 +244,7 @@ def annotate_worker(envelope: dict, worker: int) -> dict:
 def result_payload(result: ResultSet, max_rows: int | None = None) -> dict:
     """A query result as columns + row lists (optionally truncated)."""
     num_rows = result.num_rows
-    shown = num_rows if max_rows is None else min(num_rows, int(max_rows))
+    shown = num_rows if max_rows is None else min(num_rows, max_rows)
     # ``tolist`` gives the Python scalars ``python_value`` would, a
     # column at a time (a negative ``max_rows`` shows no rows).
     columns = [
@@ -264,7 +264,7 @@ def result_payload(result: ResultSet, max_rows: int | None = None) -> dict:
 def scatter_payload(scatter: ScatterData, max_points: int | None = None) -> dict:
     """A scatterplot as parallel coordinate/key lists."""
     n = len(scatter)
-    shown = n if max_points is None else min(n, int(max_points))
+    shown = n if max_points is None else min(n, max_points)
     return {
         "kind": scatter.kind,
         "x_label": scatter.x_label,
@@ -298,7 +298,7 @@ def ranked_payload(ranked: RankedPredicate) -> dict:
 
 def report_payload(report: DebugReport, max_rows: int | None = None) -> dict:
     """A debug report: ranked predicates plus request-level stats."""
-    shown = len(report) if max_rows is None else min(len(report), int(max_rows))
+    shown = len(report) if max_rows is None else min(len(report), max_rows)
     return {
         "predicates": [ranked_payload(report[i]) for i in range(shown)],
         "n_predicates": len(report),
@@ -326,7 +326,7 @@ def partial_report_payload(
     ordered = sorted(
         ranked, key=lambda r: (-r.score, r.complexity, r.predicate.describe())
     )
-    shown = len(ordered) if max_rows is None else min(len(ordered), int(max_rows))
+    shown = len(ordered) if max_rows is None else min(len(ordered), max_rows)
     return {
         "stage": stage,
         "predicates": [ranked_payload(r) for r in ordered[:shown]],

@@ -359,11 +359,6 @@ class WorkerHandle:
         return self.process is not None and self.process.is_alive()
 
     @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed
-
-    @property
     def in_flight(self) -> int:
         """Calls sent and not yet answered (the drain path polls this)."""
         with self._lock:

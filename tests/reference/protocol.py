@@ -2,8 +2,9 @@
 
 The production builder turns each shown column into Python values with
 one ``tolist``; this is the builder it replaced, one ``result.row(i)``
-(one ``row_block`` read per cell) at a time. ``tests/test_service.py``
-checks the two agree value for value and type for type.
+(one ``store.column(name)[i]`` read per cell) at a time.
+``tests/test_service.py`` checks the two agree value for value and type
+for type.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Tests for the conference-demo CLI shell."""
 
 import io
+import json
 import socket
 
 import numpy as np
@@ -204,6 +205,21 @@ class TestRemoteVerbs:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: unknown store argument '--bogus'")
         assert captured.out == ""
+
+    def test_store_import_then_inspect(self, capsys, tmp_path):
+        data_dir = ["--data-dir", str(tmp_path)]
+        assert main(["store", "import", "fec", *data_dir]) == 0
+        assert capsys.readouterr().out.startswith("imported 'fec' under ")
+        assert main(["store", "inspect", *data_dir]) == 0
+        info = json.loads(capsys.readouterr().out)
+        (fec,) = [entry for entry in info["datasets"] if entry["name"] == "fec"]
+        (table,) = fec["tables"]
+        assert set(table) == {"name", "rows", "columns", "digest", "bytes"}
+        assert all(set(c) == {"name", "type", "file"} for c in table["columns"])
+        assert main(["store", "import", "fec", *data_dir]) == 0
+        assert capsys.readouterr().out.startswith("already persisted 'fec' under ")
+        assert main(["store", "import", "fec", "--chunk-rows", "5", *data_dir]) == 2
+        assert "unknown store argument '--chunk-rows'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("verb", ["connect", "metrics", "drain"])
     def test_unreachable_server_is_an_error_line(self, verb, capsys):

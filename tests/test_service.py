@@ -544,6 +544,73 @@ class TestMalformedRequests:
             assert c.ping()["pong"] is True
 
 
+class TestDisplayArguments:
+    """A bad display argument is a ``ProtocolError`` raised before the
+    command runs: the session stays as it was, so the journal, which
+    records only commands that succeed, still matches it."""
+
+    @pytest.fixture()
+    def call(self, shared_table):
+        from repro.service.handlers import dispatch
+
+        manager = SessionManager(catalog=toy_catalog(shared_table))
+
+        def call(cmd: str, **args):
+            return dispatch(
+                manager, {"id": 1, "cmd": cmd, "session": "s", "args": args}
+            )
+
+        for cmd, args in [
+            ("open", {"name": "s", "dataset": "toy"}),
+            ("execute", {"sql": TOY_SQL}),
+            ("select_results", {"brush": {"above": 5.0}}),
+            ("zoom", {}),
+            ("select_inputs", {"brush": {"above": 50.0}}),
+            ("set_metric", {"form": "too_high", "params": {"threshold": 2.0}}),
+            ("debug", {}),
+        ]:
+            assert call(cmd, **args)["ok"], cmd
+        return call
+
+    def test_rejected_execute_and_apply_leave_the_session_alone(self, call):
+        before = (call("sql")["result"], call("snapshot")["result"])
+        other = "SELECT g, sum(v) AS s FROM toy GROUP BY g ORDER BY g"
+        for cmd, args in [
+            ("execute", {"sql": other, "max_rows": "x"}),
+            ("apply", {"index": 0, "max_rows": "x"}),
+        ]:
+            envelope = call(cmd, **args)
+            assert envelope["error"]["kind"] == "ProtocolError", cmd
+            assert "max_rows" in envelope["error"]["message"]
+            assert (call("sql")["result"], call("snapshot")["result"]) == before
+
+    @pytest.mark.parametrize(
+        "cmd, args",
+        [
+            ("result", {"max_rows": [5]}),
+            ("zoom", {"max_points": "all"}),
+            ("debug", {"max_rows": "x"}),
+            ("undo", {"max_rows": {}}),
+            ("render", {"width": "wide"}),
+            ("render", {"height": None}),
+            ("render", {"width": 0}),
+            ("set_metric", {"form": "too_high", "params": {"threshold": "hi"}}),
+            ("set_metric", {"form": "too_high", "params": {"bogus": 1}}),
+            ("set_metric", {"form": "too_high", "params": {"threshold": 10**400}}),
+        ],
+    )
+    def test_bad_values_are_protocol_errors(self, call, cmd, args):
+        before = call("snapshot")["result"]
+        envelope = call(cmd, **args)
+        assert envelope["error"]["kind"] == "ProtocolError"
+        assert call("snapshot")["result"] == before
+
+    def test_a_parameter_the_form_does_not_take_is_a_session_error(self, call):
+        envelope = call("set_metric", form="too_high", params={"expected": 1.0})
+        assert envelope["error"]["kind"] == "SessionError"
+        assert "expected" in envelope["error"]["message"]
+
+
 class TestSharedPreprocessCacheRegression:
     def test_two_sessions_same_dataset_one_cache_entry(self, shared_table,
                                                        reference_report):

@@ -3,9 +3,10 @@
 Four layers under test, bottom up:
 
 * :mod:`repro.db.store` — the :class:`ColumnStore` implementations:
-  round-tripping every column type through the chunked ``.npy`` +
-  manifest layout, lazy gathers/slices, content digests, and the
-  atomic first-writer-wins publication protocol;
+  round-tripping every column type through the one-``.npy``-per-column
+  + manifest layout, lazy gathers/slices, content digests, corrupt
+  files reported by name, and the atomic first-writer-wins publication
+  protocol;
 * :mod:`repro.core.artifacts` — persisted
   :class:`~repro.core.preprocessor.PreprocessResult` bundles and the
   disk-backed second level of :class:`PreprocessCache`;
@@ -24,6 +25,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import re
 from contextlib import nullcontext
 
 import numpy as np
@@ -36,13 +38,13 @@ from repro.core.pipeline import PipelineConfig
 from repro.core.preprocessor import PreprocessCache
 from repro.data import intel_at_scale
 from repro.db import Database, MmapColumnStore, Table
-from repro.db.segments import blocked_ranges
 from repro.db.store import MANIFEST_NAME, table_digest
 from repro.db.types import dict_decode, dict_encode
 from repro.errors import StorageError
 from repro.frontend import Brush, DBWipesSession
 from repro.service import DBWipesServer, ServiceClient, SessionManager
 from repro.service.cache import DatasetCatalog
+from repro.service.handlers import dispatch
 
 TOY_SQL = "SELECT g, avg(v) AS avg_v FROM toy GROUP BY g ORDER BY g"
 
@@ -101,20 +103,6 @@ def debug_lines(db: Database, config: PipelineConfig | None = None) -> list[str]
 # ----------------------------------------------------------------------
 
 
-class TestBlockedRanges:
-    def test_tiles_exactly(self):
-        assert list(blocked_ranges(10, 4)) == [(0, 4), (4, 8), (8, 10)]
-        assert list(blocked_ranges(8, 4)) == [(0, 4), (4, 8)]
-        assert list(blocked_ranges(3, 100)) == [(0, 3)]
-
-    def test_zero_rows_is_one_empty_block(self):
-        assert list(blocked_ranges(0, 4)) == [(0, 0)]
-
-    def test_rejects_bad_block_size(self):
-        with pytest.raises(StorageError):
-            list(blocked_ranges(5, 0))
-
-
 class TestDictEncoding:
     def test_round_trip_with_nulls(self):
         values = np.array(["b", None, "a", "b", None, "c"], dtype=object)
@@ -135,7 +123,7 @@ class TestMmapRoundTrip:
     @pytest.fixture()
     def saved(self, tmp_path):
         table = toy_table()
-        reopened = table.save(tmp_path / "toy", chunk_rows=32)
+        reopened = table.save(tmp_path / "toy")
         return table, reopened, tmp_path / "toy"
 
     def test_every_column_round_trips(self, saved):
@@ -151,35 +139,47 @@ class TestMmapRoundTrip:
             else:
                 np.testing.assert_array_equal(a, b)
 
-    def test_chunked_layout_on_disk(self, saved):
+    def test_one_file_per_column_on_disk(self, saved):
         _, _, directory = saved
-        with (directory / MANIFEST_NAME).open() as handle:
-            manifest = json.load(handle)
-        # 180 rows at 32 rows/chunk = 6 chunks per numeric column.
-        numeric = {c["name"]: c for c in manifest["columns"]}
-        assert len(numeric["v"]["chunks"]) == 6
-        files = {p.name for p in directory.iterdir()}
-        assert MANIFEST_NAME in files and "tids.npy" in files
-        assert all(name in files for name in numeric["v"]["chunks"])
+        manifest = json.loads((directory / MANIFEST_NAME).read_text())
+        assert manifest["format"] == "dbwipes-columnar/2"
+        assert [(c["name"], c["file"]) for c in manifest["columns"]] == [
+            ("g", "c0.npy"), ("v", "c1.npy"), ("w", "c2.npy"), ("tag", "c3.npy")
+        ]
+        assert {p.name for p in directory.iterdir()} == {
+            MANIFEST_NAME, "tids.npy", "c0.npy", "c1.npy", "c2.npy", "c3.npy",
+            "c3.values.json",
+        }
+        # A STR column's file holds its dictionary codes.
+        codes, _ = dict_encode(toy_table().column("tag"))
+        np.testing.assert_array_equal(np.load(directory / "c3.npy"), codes)
 
-    def test_row_blocks_cross_chunk_boundaries(self, saved):
+    def test_rows_match_the_in_memory_table(self, saved):
         table, reopened, _ = saved
-        for lo, hi in [(0, 5), (30, 34), (31, 97), (0, 180), (179, 180)]:
-            for column in ("g", "v", "tag"):
-                expected = table.column(column)[lo:hi]
-                got = reopened.store.row_block(column, lo, hi)
-                if expected.dtype == object:
-                    assert list(got) == list(expected)
-                else:
-                    np.testing.assert_array_equal(got, expected)
+        assert [repr(row) for row in reopened.iter_rows()] == [
+            repr(row) for row in table.iter_rows()
+        ]
+
+    def test_column_named_tids_round_trips(self, tmp_path):
+        table = Table.from_columns(
+            {"tids": [7, 8, 9], "name": ["a", None, "c"]}, name="t"
+        ).take(np.array([2, 0]))
+        reopened = table.save(tmp_path / "t")
+        assert list(reopened.tids) == [2, 0]
+        assert list(reopened.column("tids")) == [9, 7]
+        assert list(reopened.column("name")) == ["c", "a"]
+        rehashed = table_digest(reopened.schema, reopened.column, reopened.tids)
+        assert rehashed == table.content_digest()
 
     def test_open_is_lazy_and_digest_needs_no_data(self, saved, tmp_path):
         _, _, directory = saved
         store = MmapColumnStore.open(directory)
         # The digest comes straight from the manifest: corrupting every
         # data file must not matter until a column is actually read.
-        for chunk in directory.glob("*.c*.npy"):
-            chunk.write_bytes(b"corrupt")
+        column_files = list(directory.glob("c*.npy"))
+        assert len(column_files) == 4
+        for path in column_files:
+            path.write_bytes(b"corrupt")
         assert store.digest == toy_table().content_digest()
 
     def test_columns_are_read_only(self, saved):
@@ -196,13 +196,115 @@ class TestMmapRoundTrip:
 
     def test_refuses_clobber_without_overwrite(self, saved):
         table, _, directory = saved
-        with pytest.raises(StorageError):
+        with pytest.raises(StorageError, match="already exists"):
             table.save(directory)
-        table.save(directory, overwrite=True)  # explicit is allowed
 
     def test_open_missing_directory_raises(self, tmp_path):
         with pytest.raises(StorageError):
             Table.open(tmp_path / "nowhere")
+
+
+def _edit_manifest(table_dir, edit) -> None:
+    """Rewrite a persisted table's manifest through ``edit(manifest)``."""
+    path = table_dir / MANIFEST_NAME
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+
+def _wire(data_dir):
+    """``call(cmd, **args)`` through ``dispatch`` on a fresh toy catalog."""
+    manager = SessionManager(catalog=_toy_catalog(data_dir))
+
+    def call(cmd: str, **args) -> dict:
+        return dispatch(manager, {"id": 1, "cmd": cmd, "session": "s", "args": args})
+
+    return call
+
+
+class TestUnreadableStorage:
+    """A persisted table that cannot be read answers ``StorageError``
+    naming the directory or file, never numpy's or json's own error."""
+
+    def test_older_layout_names_its_directory(self, tmp_path):
+        directory = tmp_path / "toy"
+        toy_table().save(directory)
+        # The chunked layout's tag, which every older data dir carries.
+        _edit_manifest(directory, lambda m: m.update(format="dbwipes-columnar/1"))
+        with pytest.raises(StorageError, match=re.escape(str(directory))):
+            Table.open(directory)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda manifest: manifest.pop("n_rows"),
+            lambda manifest: manifest["columns"][0].update(type="blob"),
+        ],
+        ids=["no-row-count", "unknown-type"],
+    )
+    def test_malformed_manifest_is_named(self, tmp_path, edit):
+        directory = tmp_path / "toy"
+        toy_table().save(directory)
+        _edit_manifest(directory, edit)
+        with pytest.raises(StorageError, match="manifest.json is malformed"):
+            Table.open(directory)
+
+    @pytest.mark.parametrize(
+        "tag", ["dbwipes-columnar/1", "dbwipes-columnar/0"], ids=["older", "foreign"]
+    )
+    def test_unopenable_dataset_is_reported_not_rebuilt(self, tmp_path, tag):
+        _toy_catalog(tmp_path).get("toy")
+        dataset_dir = tmp_path / "tables" / "toy"
+        _edit_manifest(dataset_dir / "toy", lambda m: m.update(format=tag))
+        envelope = _wire(tmp_path)("open", name="s", dataset="toy")
+        assert envelope["error"]["kind"] == "StorageError"
+        message = envelope["error"]["message"]
+        assert str(dataset_dir) in message and tag in message
+        with pytest.raises(StorageError, match=re.escape(str(dataset_dir))):
+            _toy_catalog(tmp_path).import_dataset("toy")
+        # Nothing was published over the directory, and ``storage``
+        # reports the table it cannot open.
+        manifest = json.loads((dataset_dir / "toy" / MANIFEST_NAME).read_text())
+        assert manifest["format"] == tag
+        (entry,) = DatasetCatalog(data_dir=tmp_path).storage_info()["datasets"]
+        assert entry["tables"][0]["name"] == "toy"
+        assert tag in entry["tables"][0]["error"]
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda path: path.write_bytes(b"corrupt"),
+            lambda path: path.write_bytes(path.read_bytes()[:-8]),
+            lambda path: np.save(path, np.zeros(3)),
+            lambda path: np.save(path, np.zeros(180, dtype=np.int32)),
+        ],
+        ids=["garbage", "truncated", "short", "wrong-dtype"],
+    )
+    def test_corrupt_column_file_is_named(self, tmp_path, corrupt):
+        _toy_catalog(tmp_path).get("toy")
+        path = tmp_path / "tables" / "toy" / "toy" / "c1.npy"  # column v
+        corrupt(path)
+        call = _wire(tmp_path)
+        assert call("open", name="s", dataset="toy")["ok"]
+        envelope = call("execute", sql=TOY_SQL)
+        assert envelope["error"]["kind"] == "StorageError"
+        assert str(path) in envelope["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "content", ["{", '{"ok": 0}', "[]"], ids=["truncated", "object", "empty"]
+    )
+    def test_corrupt_values_sidecar_is_named(self, tmp_path, content):
+        _toy_catalog(tmp_path).get("toy")
+        path = tmp_path / "tables" / "toy" / "toy" / "c3.values.json"  # tag
+        path.write_text(content)
+        call = _wire(tmp_path)
+        assert call("open", name="s", dataset="toy")["ok"]
+        envelope = call(
+            "execute", sql="SELECT tag, avg(v) AS avg_v FROM toy GROUP BY tag"
+        )
+        assert envelope["error"]["kind"] == "StorageError"
+        assert str(path) in envelope["error"]["message"]
 
 
 class TestDigest:
@@ -229,23 +331,25 @@ class TestDigest:
 
     def test_database_open_reads_the_digest_from_the_manifest(self, tmp_path):
         """``Database.open`` registers each table through ``rename``,
-        which must keep the manifest digest: with every chunk file
+        which must keep the manifest digest: with every column file
         overwritten, the digest still comes from the manifest, not
         from hashing the columns again."""
         toy_table().save(tmp_path / "toy")
         manifest = json.loads((tmp_path / "toy" / MANIFEST_NAME).read_text())
         db = Database.open(tmp_path)
-        for chunk in (tmp_path / "toy").glob("*.c*.npy"):
-            np.save(chunk, np.zeros_like(np.load(chunk)))
+        column_files = list((tmp_path / "toy").glob("c*.npy"))
+        assert len(column_files) == 4
+        for path in column_files:
+            np.save(path, np.zeros_like(np.load(path)))
         table = db.table("toy")
         assert table.content_digest() == manifest["digest"]
         rehashed = table_digest(table.schema, table.column, table.tids)
-        assert rehashed != manifest["digest"]  # the chunks did change
+        assert rehashed != manifest["digest"]  # the column files did change
 
 
 class TestLazyStores:
     def test_take_defers_gather(self, tmp_path):
-        table = toy_table().save(tmp_path / "toy", chunk_rows=50)
+        table = toy_table().save(tmp_path / "toy")
         picked = table.take(np.array([3, 170, 44, 3]))
         np.testing.assert_array_equal(
             picked.column("v"),
@@ -291,9 +395,7 @@ class TestAtomicPublication:
         store = MmapColumnStore.write(table, directory)
         assert state["raced"]
         assert store.digest == table.content_digest()
-        np.testing.assert_array_equal(
-            store.row_block("v", 0, 180), table.column("v")
-        )
+        np.testing.assert_array_equal(store.column("v"), table.column("v"))
         assert not list(tmp_path.glob("*.tmp-*"))  # no staging debris
 
 
@@ -433,7 +535,7 @@ class TestDurableCatalog:
 
     def test_import_dataset_idempotent(self, tmp_path):
         catalog = _toy_catalog(tmp_path)
-        _, created = catalog.import_dataset("toy", chunk_rows=64)
+        _, created = catalog.import_dataset("toy")
         assert created
         again = _toy_catalog(tmp_path)
         _, created = again.import_dataset("toy")
@@ -469,6 +571,9 @@ class TestDurableCatalog:
         (entry,) = info["datasets"]
         assert entry["name"] == "toy" and entry["persisted"]
         assert entry["tables"][0]["rows"] == 180
+        assert [c["file"] for c in entry["tables"][0]["columns"]] == [
+            "c0.npy", "c1.npy", "c2.npy", "c3.npy"
+        ]
 
 
 # ----------------------------------------------------------------------
