@@ -52,7 +52,7 @@ from repro.core.merger import PredicateMerger
 from repro.data import IntelConfig, generate_intel
 from repro.db import Database
 
-from bench_output import bench_path
+from bench_output import bench_path, environment
 from reference.scoring import PerRuleMerger, PerRuleRanker
 
 BENCH_PATH = bench_path("BENCH_rank.json")
@@ -165,6 +165,7 @@ class TestRankBatchAblation:
     def test_batched_rank_and_merge_vs_per_rule_reference(self):
         payload: dict = {
             "workload": "intel",
+            "environment": environment(),
             "cycles": CYCLES,
             "min_speedup": MIN_SPEEDUP,
             "gate_scale": 10,
@@ -189,6 +190,7 @@ class TestRankBatchAblation:
             cold_speedup = cold_ref / cold_batch
             total_speedup = total_ref / total_batch
             payload["scales"][str(scale)] = {
+                "repeats": repeats,
                 "f_size": len(pre.F),
                 "n_rules": len(rules),
                 "n_ranked": len(lines_batch),

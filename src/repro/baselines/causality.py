@@ -13,7 +13,9 @@ for each tuple t in group g, remove tuples from g most-influential
 first; the responsibility of t is ``1 / k`` where k is the size of the
 smallest influence-greedy prefix *containing t* that drives the group's
 error contribution to zero (∞ prefix → responsibility 0... encoded as
-``1/(1+n)``).
+``1/(1+n)``). Each prefix's group value comes from the Ranker's masked
+kernel, ``Aggregate.compute_without_grouped``, over the group as one
+segment with the prefix as one remove-mask row.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.preprocessor import PreprocessResult
+from ..db.segments import SegmentedValues
 from .fine_grained import TupleExplanation
 
 
@@ -55,13 +58,14 @@ def _group_responsibility(
     order = np.argsort(-influence, kind="stable")
     # Find the smallest greedy prefix that fixes this group.
     fix_size = None
-    remove_mask = np.zeros(n, dtype=bool)
+    group = SegmentedValues(values, np.array([0, n]))
+    remove_mask = np.zeros((1, n), dtype=bool)
     for k, position in enumerate(order, start=1):
         if influence[position] <= 0:
             break
-        remove_mask[position] = True
-        new_value = pre.aggregate.compute_without(values, remove_mask)
-        phi = pre.metric.per_value_error(np.array([new_value]))[0]
+        remove_mask[0, position] = True
+        new_value = pre.aggregate.compute_without_grouped(group, remove_mask)[0]
+        phi = pre.metric.per_value_error(new_value)[0]
         if phi <= tolerance:
             fix_size = k
             break

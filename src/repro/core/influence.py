@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from ..db.aggregates import Aggregate
-from ..db.segments import SegmentedValues, SegmentPairs, as_segments
+from ..db.segments import SegmentedValues, as_segments
 from ..errors import PipelineError
 
 
@@ -173,32 +173,30 @@ def subset_epsilon_grouped_batch(
     remove_masks: np.ndarray,
     aggregate: Aggregate,
     metric,
-    max_elements: int = BATCH_MAX_ELEMENTS,
 ) -> np.ndarray:
     """ε(S) after removing each of R remove-masks, in one grouped pass.
 
     ``remove_masks`` is an ``(R, len(seg))`` boolean matrix — one
     candidate predicate's flat remove-mask per row. The whole batch is
-    scored with a single grouped
-    :meth:`~repro.db.aggregates.Aggregate.compute_without_grouped_batch`
-    pass per row-chunk instead of R separate grouped passes; row ``r``
-    of the result is bit-identical to
-    ``metric(aggregate.compute_without_grouped(seg, remove_masks[r]))``,
-    which keeps the batched Ranker byte-identical to scoring one rule at
-    a time. Rows are chunked by ``max_elements`` so the 2-D kernel
-    temporaries stay bounded; the chunking cannot perturb values because
-    each chunk is an independent set of mask rows.
+    scored with one
+    :meth:`~repro.db.aggregates.Aggregate.compute_without_grouped` pass
+    per row-chunk instead of R separate grouped passes; row ``r`` of the
+    result is bit-identical to scoring ``remove_masks[r : r + 1]``
+    alone, which keeps the batched Ranker byte-identical to scoring one
+    rule at a time. Rows are chunked by :data:`BATCH_MAX_ELEMENTS` so
+    the 2-D kernel temporaries stay bounded; the chunking cannot perturb
+    values because each chunk is an independent set of mask rows.
     """
     remove_masks = np.asarray(remove_masks, dtype=bool)
     if remove_masks.ndim != 2 or remove_masks.shape[1] != len(seg.values):
         raise PipelineError("remove mask matrix shape does not match segments")
     n_rows = remove_masks.shape[0]
     new_values = np.empty((n_rows, seg.n_segments), dtype=np.float64)
-    chunk = max(1, max_elements // max(len(seg.values), 1))
+    chunk = max(1, BATCH_MAX_ELEMENTS // max(len(seg.values), 1))
     for start in range(0, n_rows, chunk):
         block = remove_masks[start: start + chunk]
         new_values[start: start + block.shape[0]] = (
-            aggregate.compute_without_grouped_batch(seg, block)
+            aggregate.compute_without_grouped(seg, block)
         )
     return _metric_rows(new_values, metric)
 
@@ -287,14 +285,15 @@ def _epsilons_group_sparse(
     """ε per mask row, re-aggregating only the touched (row, group) pairs.
 
     A group none of whose flat positions are removed contributes its
-    no-removal aggregate — computed once via the *same* masked kernel
-    (``compute_without_grouped`` with an all-False mask), so the fold
+    no-removal aggregate — computed once by the *same* masked kernel
+    (``compute_without_grouped`` over one all-False row), so the fold
     order matches the dense path exactly. The touched pairs are copied
-    group-wholesale into one compacted :class:`SegmentedValues` and
-    pushed through the 1-D grouped kernel in a single pass; since every
-    grouped kernel is a per-group-local fold, the compacted results are
-    bit-identical to the dense ones. Falls back to the dense batch
-    kernels when the touched volume approaches the dense volume.
+    group-wholesale into one compacted :class:`SegmentedValues`, one
+    segment per pair, and pushed through the masked kernel as a single
+    mask row; since the kernel folds each segment on its own, the
+    compacted results are bit-identical to the dense ones. Falls back to
+    :func:`subset_epsilon_grouped_batch` when the touched volume
+    approaches the dense volume.
     """
     from ..db.segments import _count_reduceat_batch
 
@@ -316,8 +315,8 @@ def _epsilons_group_sparse(
     baseline = seg.memo.get(baseline_key)
     if baseline is None:
         baseline = aggregate.compute_without_grouped(
-            seg, np.zeros(n_flat, dtype=bool)
-        )
+            seg, np.zeros((1, n_flat), dtype=bool)
+        )[0]
         seg.memo[baseline_key] = baseline
     new_values = np.tile(baseline, (n_rows, 1))
     if touched_volume:
@@ -332,9 +331,9 @@ def _epsilons_group_sparse(
             - np.repeat(mini_offsets[:-1], lengths)
             + np.repeat(starts, lengths)
         )
-        pairs = SegmentPairs(seg, flat, mini_offsets, group_idx)
+        touched = SegmentedValues(seg.values[flat], mini_offsets)
         mini_masks = remove_masks[np.repeat(row_idx, lengths), flat]
-        new_values[row_idx, group_idx] = aggregate.compute_without_pairs(
-            pairs, mini_masks
-        )
+        new_values[row_idx, group_idx] = aggregate.compute_without_grouped(
+            touched, mini_masks[None, :]
+        )[0]
     return _metric_rows(new_values, metric)

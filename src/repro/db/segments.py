@@ -4,9 +4,9 @@ The pipeline's hot paths — grouped aggregation in the executor,
 leave-one-out influence in the Preprocessor, and the ranker's Δε
 previews — all operate on *the same shape of data*: the values of one
 numeric expression partitioned into per-group segments. Iterating over
-those segments in Python (one ``Aggregate.compute`` call per group) is
-the dominant cost at scale; this module replaces the iteration with a
-single :class:`SegmentedValues` structure plus vectorized kernels.
+those segments in Python (one aggregate call per group) is the dominant
+cost at scale; this module replaces the iteration with a single
+:class:`SegmentedValues` structure plus vectorized kernels.
 
 A ``SegmentedValues`` holds a flat float64 ``values`` array in which the
 elements of segment ``g`` occupy ``values[offsets[g]:offsets[g + 1]]``
@@ -70,10 +70,9 @@ class SegmentedValues:
         self.offsets = offsets
         self._segment_ids: np.ndarray | None = None
         self._valid: np.ndarray | None = None
-        #: Kernel-local caches of segment-only derivations (e.g. the
-        #: no-removal baselines and central moments the pair-sparse Δε
-        #: kernels reuse). Keyed by the kernels themselves; races are
-        #: benign (recomputation yields identical values).
+        #: Caches of segment-only derivations (the sparse Δε branch's
+        #: no-removal baseline and the Δε memo). Keyed by their users;
+        #: races are benign (recomputation yields identical values).
         self.memo: dict = {}
 
     # ------------------------------------------------------------------
@@ -91,25 +90,6 @@ class SegmentedValues:
         else:
             values = np.empty(0, dtype=np.float64)
         return cls(values, offsets)
-
-    @classmethod
-    def from_codes(
-        cls, values: np.ndarray, codes: np.ndarray, n_segments: int
-    ) -> "tuple[SegmentedValues, np.ndarray]":
-        """Build by stably sorting ``values`` on integer segment ``codes``.
-
-        Returns ``(seg, order)`` where ``order`` is the permutation that
-        groups the flat input (``seg.values == values[order]``), so
-        callers can carry parallel arrays (tids, masks) into segment
-        order with the same gather.
-        """
-        codes = np.asarray(codes, dtype=np.int64)
-        order = np.argsort(codes, kind="stable")
-        counts = np.bincount(codes, minlength=n_segments)
-        if len(counts) > n_segments:
-            raise AggregateError("codes exceed the declared segment count")
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        return cls(np.asarray(values, dtype=np.float64)[order], offsets), order
 
     # ------------------------------------------------------------------
     # structure
@@ -147,10 +127,6 @@ class SegmentedValues:
     def segment(self, index: int) -> np.ndarray:
         """Segment ``index`` as a view into the flat array."""
         return self.values[self.offsets[index]: self.offsets[index + 1]]
-
-    def to_arrays(self) -> list[np.ndarray]:
-        """All segments as a list of views (for interop with loop code)."""
-        return [self.segment(g) for g in range(self.n_segments)]
 
     def split_flat(self, flat: np.ndarray) -> list[np.ndarray]:
         """Partition a parallel flat array into per-segment views."""
@@ -210,8 +186,8 @@ def _reduceat_batch(
     ``out[r, g]`` reduces ``values[r, offsets[g]:offsets[g + 1]]``. The
     per-segment accumulation order is identical to the 1-D kernel (a
     sequential left fold), so batching R rows produces bit-identical
-    results to R separate 1-D calls — the property the batched Δε
-    scorer's parity tests rely on.
+    results to R separate 1-D calls — the property that makes a Δε
+    row independent of the other rows scored with it.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
@@ -310,62 +286,11 @@ def segment_count(mask: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return segment_sum(np.asarray(mask, dtype=np.float64), offsets)
 
 
-def segment_stats(
-    seg: SegmentedValues, where: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(n_valid, total)`` per segment over non-NaN positions.
-
-    ``where`` optionally restricts which flat positions participate
-    (NaN positions are always excluded).
-    """
-    keep = seg.valid if where is None else (seg.valid & where)
-    n_valid = segment_count(keep, seg.offsets)
-    total = segment_sum(np.where(keep, seg.values, 0.0), seg.offsets)
+def segment_stats(seg: SegmentedValues) -> tuple[np.ndarray, np.ndarray]:
+    """``(n_valid, total)`` per segment over non-NaN positions."""
+    n_valid = segment_count(seg.valid, seg.offsets)
+    total = segment_sum(np.where(seg.valid, seg.values, 0.0), seg.offsets)
     return n_valid, total
-
-
-class SegmentPairs:
-    """A compacted selection of (mask-row, segment) pairs.
-
-    The sparse Δε scorer copies *whole segments* — only those a
-    remove-mask actually touches — into one flat array and re-aggregates
-    just these pairs. ``flat`` holds the gather indices into the parent
-    ``seg.values`` (each touched segment's full range, concatenated),
-    ``offsets`` delimits the pairs, and ``group_idx`` names each pair's
-    original segment. Because every grouped kernel is a per-segment-local
-    left fold, re-running it over a wholesale-copied segment is
-    bit-identical to running it in place — the property that lets the
-    pair kernels in :mod:`repro.db.aggregates` reuse segment statistics
-    computed once without changing a single bit of output.
-    """
-
-    __slots__ = ("seg", "flat", "offsets", "group_idx", "values", "_valid")
-
-    def __init__(
-        self,
-        seg: SegmentedValues,
-        flat: np.ndarray,
-        offsets: np.ndarray,
-        group_idx: np.ndarray,
-    ):
-        self.seg = seg
-        self.flat = flat
-        self.offsets = offsets
-        self.group_idx = group_idx
-        self.values = seg.values[flat]
-        self._valid: np.ndarray | None = None
-
-    @property
-    def n_pairs(self) -> int:
-        """Number of (mask-row, segment) pairs."""
-        return len(self.offsets) - 1
-
-    @property
-    def valid(self) -> np.ndarray:
-        """Non-NaN flat positions (gathered from the parent, cached)."""
-        if self._valid is None:
-            self._valid = self.seg.valid[self.flat]
-        return self._valid
 
 
 def segment_stats_batch(
@@ -373,9 +298,9 @@ def segment_stats_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`segment_stats` for a ``(rows, n)`` restriction matrix.
 
-    Returns ``(n_valid, total)`` of shape ``(rows, n_segments)``: row
-    ``r`` equals ``segment_stats(seg, where[r])`` bit-for-bit (the batch
-    kernels keep the 1-D accumulation order).
+    Returns ``(n_valid, total)`` of shape ``(rows, n_segments)`` over
+    the non-NaN positions that row ``r`` of ``where`` keeps. Each row is
+    folded on its own, so a row's result does not depend on the others.
     """
     where = np.asarray(where, dtype=bool)
     if where.ndim != 2 or where.shape[1] != len(seg.values):

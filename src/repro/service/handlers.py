@@ -29,6 +29,11 @@ from .sessions import SessionManager
 DEFAULT_MAX_ROWS = 200
 DEFAULT_MAX_POINTS = 2000
 
+#: Largest ``render`` plot in characters: the text grid costs time and
+#: memory in proportion to ``width × height``.
+MAX_RENDER_WIDTH = 500
+MAX_RENDER_HEIGHT = 200
+
 #: Commands the gateway runs outside admission control, on executor
 #: threads reserved for them: read-only manager/registry lookups that
 #: never run the pipeline, touch a dataset, or block on a session lock.
@@ -402,8 +407,11 @@ def _result(session: DBWipesSession, args: dict) -> dict:
 def _render(session: DBWipesSession, args: dict) -> dict:
     width = _integer("width", args.get("width", 72))
     height = _integer("height", args.get("height", 14))
-    if width < 1 or height < 1:
-        raise ProtocolError("'width' and 'height' must be positive")
+    if not (1 <= width <= MAX_RENDER_WIDTH and 1 <= height <= MAX_RENDER_HEIGHT):
+        raise ProtocolError(
+            f"'width' must be 1 to {MAX_RENDER_WIDTH} and 'height' 1 to "
+            f"{MAX_RENDER_HEIGHT}, not {width} x {height}"
+        )
     y = args.get("y")
     return {"text": session.render(y=y, width=width, height=height)}
 
@@ -529,9 +537,15 @@ def _integer(name: str, value) -> int:
 
 
 def _limit(args: dict, name: str, default: int | None) -> int | None:
-    """``max_rows`` / ``max_points``: an integer, or null for no limit."""
+    """``max_rows`` / ``max_points``: a non-negative integer, or null for
+    no limit."""
     value = args.get(name, default)
-    return None if value is None else _integer(name, value)
+    if value is None:
+        return None
+    limit = _integer(name, value)
+    if limit < 0:
+        raise ProtocolError(f"{name!r} must not be negative, not {limit}")
+    return limit
 
 
 def _metric_param(name, value):

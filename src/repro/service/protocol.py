@@ -246,10 +246,9 @@ def result_payload(result: ResultSet, max_rows: int | None = None) -> dict:
     num_rows = result.num_rows
     shown = num_rows if max_rows is None else min(num_rows, max_rows)
     # ``tolist`` gives the Python scalars ``python_value`` would, a
-    # column at a time (a negative ``max_rows`` shows no rows).
+    # column at a time.
     columns = [
-        result.column(name)[: max(shown, 0)].tolist()
-        for name in result.column_names
+        result.column(name)[:shown].tolist() for name in result.column_names
     ]
     return {
         "columns": list(result.column_names),

@@ -3,8 +3,9 @@
 Each module here keeps the straightforward shape of a kernel that
 ``src/repro`` now runs only in its fast form:
 
-* ``aggregates`` — per-group loops and naive O(n²) leave-one-out;
-* ``influence`` — naive leave-one-out influence and the one-mask Δε;
+* ``aggregates`` — numpy recomputation per group, per mask row and
+  per removed element (naive O(n²) leave-one-out);
+* ``influence`` — naive leave-one-out influence and the one-row Δε;
 * ``tree`` — per-threshold split finding (:class:`ExactDecisionTree`);
 * ``scoring`` — the one-rule-at-a-time Ranker and Merger;
 * ``learn`` — scalar MDL, the per-child CN2-SD beam, the per-point

@@ -4,7 +4,7 @@
 from scratch per removed tuple (O(|F|²) within a group) where
 :func:`repro.core.influence.leave_one_out_influence` uses one grouped
 closed-form pass. :func:`subset_epsilon` scores one per-group remove
-mask with one grouped ``compute_without`` pass, where the Ranker and
+mask as a one-row call of the masked kernel, where the Ranker and
 Merger score a whole mask set at once through
 :func:`repro.core.influence.subset_epsilon_for_mask_set`.
 """
@@ -18,7 +18,7 @@ from repro.db.aggregates import Aggregate
 from repro.db.segments import SegmentedValues, as_segments
 from repro.errors import PipelineError
 
-from .aggregates import leave_one_out_naive
+from .aggregates import compute, leave_one_out_naive
 
 
 def naive_leave_one_out_influence(
@@ -29,11 +29,12 @@ def naive_leave_one_out_influence(
     metric,
 ) -> InfluenceResult:
     """:func:`~repro.core.influence.leave_one_out_influence` with one
-    ``compute`` per group and naive recomputation per removal."""
+    :func:`~reference.aggregates.compute` per group and naive
+    recomputation per removal."""
     if len(group_values) != len(group_tids) or len(group_values) != len(rows):
         raise PipelineError("group_values, group_tids, and rows must align")
     current = np.array(
-        [aggregate.compute(values) for values in group_values], dtype=np.float64
+        [compute(aggregate, values) for values in group_values], dtype=np.float64
     )
     epsilon = metric(current)
     phi = metric.per_value_error(current)
@@ -87,4 +88,5 @@ def subset_epsilon_grouped(
     metric,
 ) -> float:
     """:func:`subset_epsilon` for one flat mask over segmented groups."""
-    return metric(aggregate.compute_without_grouped(seg, remove_mask))
+    remove_mask = np.asarray(remove_mask, dtype=bool)
+    return metric(aggregate.compute_without_grouped(seg, remove_mask[None, :])[0])

@@ -1,11 +1,11 @@
 """One-rule-at-a-time oracles for the Predicate Ranker and Merger.
 
 :class:`PerRuleRanker` and :class:`PerRuleMerger` score every predicate
-on its own: one ``Predicate.mask`` evaluation per table, one grouped
-``compute_without`` pass per predicate for Δε, boolean-mask confusion
-statistics, a dedupe keyed on the full mask bytes, and a merger that
-rescans and re-scores every head pair each round. They keep the score
-formula inline, so the parity tests check the production
+on its own: one ``Predicate.mask`` evaluation per table, one one-row
+``compute_without_grouped`` pass per predicate for Δε, boolean-mask
+confusion statistics, a dedupe keyed on the full mask bytes, and a
+merger that rescans and re-scores every head pair each round. They keep
+the score formula inline, so the parity tests check the production
 :func:`repro.core.ranker.score_predicate` as well as the batched mask,
 Δε and popcount machinery.
 

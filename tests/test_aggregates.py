@@ -1,9 +1,11 @@
 """Tests for repro.db.aggregates: semantics and removable-state identities.
 
-The load-bearing properties here are the ones the core pipeline relies
-on: ``leave_one_out`` must equal the naive per-element recomputation and
-``compute_without`` must equal recomputation on the retained subset, for
-every aggregate, on arbitrary data including NaNs.
+Each test runs the grouped kernels over a single segment. The
+load-bearing properties here are the ones the core pipeline relies on:
+``leave_one_out_grouped`` must equal the naive per-element
+recomputation and ``compute_without_grouped`` must equal recomputation
+on the retained subset, for every aggregate, on arbitrary data including
+NaNs.
 """
 
 import numpy as np
@@ -11,11 +13,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference.aggregates import leave_one_out_naive
+from reference.aggregates import compute as recompute, leave_one_out_naive
 from repro.db.aggregates import AGGREGATE_NAMES, get_aggregate, is_aggregate_name
+from repro.db.segments import SegmentedValues
 from repro.errors import AggregateError
 
 ALL = [get_aggregate(name) for name in AGGREGATE_NAMES]
+
+
+def _one_segment(values) -> SegmentedValues:
+    values = np.asarray(values)
+    return SegmentedValues(values, np.array([0, len(values)]))
+
+
+def compute(agg, values) -> float:
+    """The aggregate over ``values``, as one segment."""
+    return float(agg.compute_grouped(_one_segment(values))[0])
+
+
+def leave_one_out(agg, values) -> np.ndarray:
+    return agg.leave_one_out_grouped(_one_segment(values))
+
+
+def compute_without(agg, values, remove_mask) -> float:
+    """The aggregate over ``values`` without the masked ones: one segment,
+    one mask row."""
+    masks = np.asarray(remove_mask, dtype=bool)[None, :]
+    return float(agg.compute_without_grouped(_one_segment(values), masks)[0, 0])
+
 
 values_strategy = st.lists(
     st.one_of(
@@ -42,42 +67,42 @@ class TestRegistry:
 
 class TestComputeSemantics:
     def test_avg(self):
-        assert get_aggregate("avg").compute(np.array([1.0, 2.0, 3.0])) == 2.0
+        assert compute(get_aggregate("avg"), np.array([1.0, 2.0, 3.0])) == 2.0
 
     def test_sum_ignores_nan(self):
-        assert get_aggregate("sum").compute(np.array([1.0, np.nan, 2.0])) == 3.0
+        assert compute(get_aggregate("sum"), np.array([1.0, np.nan, 2.0])) == 3.0
 
     def test_count_ignores_nan(self):
-        assert get_aggregate("count").compute(np.array([1.0, np.nan])) == 1.0
+        assert compute(get_aggregate("count"), np.array([1.0, np.nan])) == 1.0
 
     def test_count_empty_is_zero(self):
-        assert get_aggregate("count").compute(np.array([])) == 0.0
+        assert compute(get_aggregate("count"), np.array([])) == 0.0
 
     def test_sum_all_nan_is_nan(self):
-        assert np.isnan(get_aggregate("sum").compute(np.array([np.nan])))
+        assert np.isnan(compute(get_aggregate("sum"), np.array([np.nan])))
 
     def test_stddev_is_sample_stddev(self):
         values = np.array([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
         expected = values.std(ddof=1)
-        assert get_aggregate("stddev").compute(values) == pytest.approx(expected)
+        assert compute(get_aggregate("stddev"), values) == pytest.approx(expected)
 
     def test_stddev_single_value_nan(self):
-        assert np.isnan(get_aggregate("stddev").compute(np.array([3.0])))
+        assert np.isnan(compute(get_aggregate("stddev"), np.array([3.0])))
 
     def test_var_matches_numpy(self):
         values = np.array([1.0, 5.0, 9.0, 2.0])
-        assert get_aggregate("var").compute(values) == pytest.approx(
+        assert compute(get_aggregate("var"), values) == pytest.approx(
             values.var(ddof=1)
         )
 
     def test_min_max(self):
         values = np.array([3.0, np.nan, -1.0, 7.0])
-        assert get_aggregate("min").compute(values) == -1.0
-        assert get_aggregate("max").compute(values) == 7.0
+        assert compute(get_aggregate("min"), values) == -1.0
+        assert compute(get_aggregate("max"), values) == 7.0
 
     def test_object_input_rejected(self):
         with pytest.raises(AggregateError):
-            get_aggregate("avg").compute(np.array(["a"], dtype=object))
+            compute(get_aggregate("avg"), np.array(["a"], dtype=object))
 
 
 class TestLeaveOneOutMatchesNaive:
@@ -86,28 +111,28 @@ class TestLeaveOneOutMatchesNaive:
     @pytest.mark.parametrize("agg", ALL, ids=lambda a: a.name)
     def test_simple_case(self, agg):
         values = np.array([1.0, 2.0, 3.0, 10.0, -4.0])
-        fast = agg.leave_one_out(values)
+        fast = leave_one_out(agg, values)
         naive = leave_one_out_naive(agg, values)
         np.testing.assert_allclose(fast, naive, rtol=1e-9, atol=1e-9)
 
     @pytest.mark.parametrize("agg", ALL, ids=lambda a: a.name)
     def test_with_nans(self, agg):
         values = np.array([1.0, np.nan, 3.0, np.nan, 5.0])
-        fast = agg.leave_one_out(values)
+        fast = leave_one_out(agg, values)
         naive = leave_one_out_naive(agg, values)
         np.testing.assert_allclose(fast, naive, rtol=1e-9, atol=1e-9)
 
     @pytest.mark.parametrize("agg", ALL, ids=lambda a: a.name)
     def test_duplicated_extremes(self, agg):
         values = np.array([5.0, 5.0, 1.0, 1.0, 3.0])
-        fast = agg.leave_one_out(values)
+        fast = leave_one_out(agg, values)
         naive = leave_one_out_naive(agg, values)
         np.testing.assert_allclose(fast, naive, rtol=1e-9, atol=1e-9)
 
     @pytest.mark.parametrize("agg", ALL, ids=lambda a: a.name)
     def test_singleton(self, agg):
         values = np.array([2.5])
-        fast = agg.leave_one_out(values)
+        fast = leave_one_out(agg, values)
         naive = leave_one_out_naive(agg, values)
         np.testing.assert_allclose(fast, naive, rtol=1e-9, atol=1e-9)
 
@@ -116,7 +141,7 @@ class TestLeaveOneOutMatchesNaive:
     def test_property(self, values, agg_name):
         agg = get_aggregate(agg_name)
         array = np.array(values, dtype=np.float64)
-        fast = agg.leave_one_out(array)
+        fast = leave_one_out(agg, array)
         naive = leave_one_out_naive(agg, array)
         # Conditioning-aware absolute tolerance: variance-family results
         # are only determined up to fp error of order (data spread)² · ulp.
@@ -144,8 +169,8 @@ class TestComputeWithoutMatchesRecompute:
             ),
             dtype=bool,
         )
-        fast = agg.compute_without(array, mask)
-        reference = agg.compute(array[~mask])
+        fast = compute_without(agg, array, mask)
+        reference = recompute(agg, array[~mask])
         if np.isnan(reference):
             assert np.isnan(fast)
         else:
@@ -156,18 +181,16 @@ class TestComputeWithoutMatchesRecompute:
 
     def test_mask_length_checked(self):
         with pytest.raises(AggregateError):
-            get_aggregate("avg").compute_without(
-                np.array([1.0, 2.0]), np.array([True])
-            )
+            compute_without(get_aggregate("avg"), np.array([1.0, 2.0]), [True])
 
     def test_remove_everything_is_nan(self):
-        out = get_aggregate("avg").compute_without(
-            np.array([1.0, 2.0]), np.array([True, True])
+        out = compute_without(
+            get_aggregate("avg"), np.array([1.0, 2.0]), [True, True]
         )
         assert np.isnan(out)
 
     def test_count_remove_everything_is_zero(self):
-        out = get_aggregate("count").compute_without(
-            np.array([1.0, 2.0]), np.array([True, True])
+        out = compute_without(
+            get_aggregate("count"), np.array([1.0, 2.0]), [True, True]
         )
         assert out == 0.0

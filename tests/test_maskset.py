@@ -6,8 +6,9 @@ the reference mask bit-for-bit. This harness drives :class:`repro.core.ClauseMas
 over seeded random tables mixing numeric (int and float-with-NaN) and
 categorical (string-with-NULL) columns, with random predicates covering
 inclusive/exclusive/unbounded interval ends, equality intervals, and
-plain/negated categorical membership — plus the 2-D grouped Δε kernels
-against their per-row loop references.
+plain/negated categorical membership — plus the masked Δε kernel
+against its recomputation oracle, row by row, and the group-sparse Δε
+branch against the dense one.
 """
 
 from __future__ import annotations
@@ -15,17 +16,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from reference.aggregates import (
-    compute_without_grouped_batch_loop,
-    compute_without_pairs_loop,
-)
+from reference.aggregates import compute_without_grouped_loop
 from reference.influence import subset_epsilon_grouped
-from repro.core import ClauseMaskCache, subset_epsilon_grouped_batch
+from repro.core import ClauseMaskCache, influence, subset_epsilon_grouped_batch
 from repro.core.influence import subset_epsilon_for_mask_set
 from repro.core.maskset import MaskSet, pack_mask, popcount, unpack_masks
 from repro.db import Table, get_aggregate
+from repro.db.aggregates import AGGREGATE_NAMES
 from repro.db.predicate import CategoricalClause, NumericClause, Predicate
-from repro.db.segments import SegmentedValues, SegmentPairs
+from repro.db.segments import SegmentedValues
 from repro.core.error_metrics import TooHigh
 
 CATEGORIES = ("a", "bb", "ccc", "dd", "e")
@@ -169,22 +168,91 @@ class TestPackedHelpers:
             assert popcount(packed)[0] == int(mask.sum())
 
 
+def _ragged_segments(rng: np.random.Generator) -> SegmentedValues:
+    """300 values with NaNs in ragged segments, an empty and a singleton
+    one among them."""
+    values = rng.normal(10.0, 4.0, 300)
+    values[rng.random(300) < 0.1] = np.nan
+    offsets = np.array([0, 0, 1, 40, 40, 120, 300], dtype=np.int64)
+    return SegmentedValues(values, offsets)
+
+
+class _RecordingMetric:
+    """A sum-combined ``TooHigh`` that keeps every value vector it scores."""
+
+    def __init__(self, threshold: float):
+        self.metric = TooHigh(threshold, combine="sum")
+        self.seen: list[np.ndarray] = []
+
+    def __call__(self, values: np.ndarray) -> float:
+        self.seen.append(np.array(values, dtype=np.float64))
+        return self.metric(values)
+
+
 class TestBatchDeltaEpsilonKernels:
-    @pytest.mark.parametrize(
-        "agg_name", ["count", "sum", "avg", "var", "stddev", "min", "max"]
-    )
+    @pytest.mark.parametrize("agg_name", AGGREGATE_NAMES)
     def test_compute_without_grouped_batch_matches_loop(self, agg_name):
+        """The masked kernel over a batch of 17 mask rows ≡ recomputing
+        every (row, segment) from its kept values."""
         rng = np.random.default_rng(42)
         aggregate = get_aggregate(agg_name)
-        values = rng.normal(10.0, 4.0, 300)
-        values[rng.random(300) < 0.1] = np.nan
-        # Ragged segments including an empty and a singleton one.
-        offsets = np.array([0, 0, 1, 40, 40, 120, 300], dtype=np.int64)
-        seg = SegmentedValues(values, offsets)
+        seg = _ragged_segments(rng)
         masks = rng.random((17, 300)) < 0.3
-        batch = aggregate.compute_without_grouped_batch(seg, masks)
-        loop = compute_without_grouped_batch_loop(aggregate, seg, masks)
-        np.testing.assert_array_equal(batch, loop)
+        np.testing.assert_allclose(
+            aggregate.compute_without_grouped(seg, masks),
+            compute_without_grouped_loop(aggregate, seg, masks),
+            rtol=1e-9,
+            atol=1e-9,
+        )
+
+    @pytest.mark.parametrize("agg_name", AGGREGATE_NAMES)
+    def test_masked_kernel_rows_are_independent(self, agg_name):
+        """Row ``r`` of the masked kernel over R rows is, bit for bit,
+        the kernel over row ``r`` alone: the per-rule oracle and the Δε
+        memo score one row at a time."""
+        rng = np.random.default_rng(42)
+        aggregate = get_aggregate(agg_name)
+        seg = _ragged_segments(rng)
+        masks = rng.random((17, 300)) < 0.3
+        masks[5] = False
+        masks[11] = True
+        batch = aggregate.compute_without_grouped(seg, masks)
+        for row in range(len(masks)):
+            alone = aggregate.compute_without_grouped(seg, masks[row : row + 1])
+            assert batch[row].tobytes() == alone[0].tobytes(), row
+
+    @pytest.mark.parametrize("agg_name", AGGREGATE_NAMES)
+    def test_sparse_branch_matches_dense_batch(self, agg_name, monkeypatch):
+        """The group-sparse Δε branch, which re-aggregates a compacted
+        copy of the touched groups, ≡ the dense batch bit for bit."""
+        rng = np.random.default_rng(77)
+        aggregate = get_aggregate(agg_name)
+        values = rng.normal(3.0, 2.0, 240)
+        values[rng.random(240) < 0.12] = np.nan
+        values[60:62] = np.nan
+        # Group 1 is empty, group 2 a singleton, group 4 all NULL.
+        offsets = np.array([0, 10, 10, 11, 60, 62, 120, 200, 240], dtype=np.int64)
+        seg = SegmentedValues(values, offsets)
+        masks = np.zeros((6, 240), dtype=bool)
+        masks[0, [2, 5, 30, 31, 44]] = True  # groups 0 and 3
+        masks[1, 10] = True                  # the singleton
+        masks[2, [60, 61, 210]] = True       # the all-NULL group and group 7
+        masks[3, 120:200] = True             # all of group 6
+        masks[4, 62:120:3] = True            # a third of group 5
+        # Row 5 removes nothing.
+        dense_metric = _RecordingMetric(2.0)
+        dense = subset_epsilon_grouped_batch(seg, masks, aggregate, dense_metric)
+
+        def dense_branch(*args):
+            raise AssertionError("these masks must take the sparse branch")
+
+        monkeypatch.setattr(influence, "subset_epsilon_grouped_batch", dense_branch)
+        sparse_metric = _RecordingMetric(2.0)
+        sparse = influence._epsilons_group_sparse(seg, masks, aggregate, sparse_metric)
+        assert sparse.tobytes() == dense.tobytes()
+        assert len(sparse_metric.seen) == len(masks)
+        for row, (got, want) in enumerate(zip(sparse_metric.seen, dense_metric.seen)):
+            assert got.tobytes() == want.tobytes(), row
 
     def test_subset_epsilon_grouped_batch_matches_scalar(self):
         rng = np.random.default_rng(8)
@@ -199,35 +267,6 @@ class TestBatchDeltaEpsilonKernels:
             assert batch[row] == subset_epsilon_grouped(
                 seg, masks[row], aggregate, metric
             )
-
-    @pytest.mark.parametrize(
-        "agg_name", ["count", "sum", "avg", "var", "stddev", "min", "max"]
-    )
-    def test_pair_kernels_match_pair_loop(self, agg_name):
-        """The precomputed-statistics pair kernels ≡ rebuilding the pairs
-        as a fresh segmented array and running the 1-D grouped kernel."""
-        rng = np.random.default_rng(77)
-        aggregate = get_aggregate(agg_name)
-        values = rng.normal(3.0, 2.0, 240)
-        values[rng.random(240) < 0.12] = np.nan
-        seg = SegmentedValues(
-            values, np.array([0, 10, 10, 60, 200, 240], dtype=np.int64)
-        )
-        group_idx = np.array([0, 2, 3, 3, 4], dtype=np.int64)
-        lengths = seg.lengths[group_idx]
-        offsets = np.concatenate([[0], np.cumsum(lengths)])
-        starts = seg.offsets[:-1][group_idx]
-        flat = (
-            np.arange(int(lengths.sum()), dtype=np.int64)
-            - np.repeat(offsets[:-1], lengths)
-            + np.repeat(starts, lengths)
-        )
-        pairs = SegmentPairs(seg, flat, offsets, group_idx)
-        mask = rng.random(len(flat)) < 0.35
-        np.testing.assert_array_equal(
-            aggregate.compute_without_pairs(pairs, mask),
-            compute_without_pairs_loop(aggregate, pairs, mask),
-        )
 
     def test_mask_set_epsilons_match_scalar_and_memoize(self):
         rng = np.random.default_rng(23)
@@ -274,14 +313,13 @@ class TestBatchDeltaEpsilonKernels:
                 seg, f_order_masks[row][positions], aggregate, metric
             )
 
-    def test_batch_chunks_are_seamless(self):
+    def test_batch_chunks_are_seamless(self, monkeypatch):
         rng = np.random.default_rng(15)
         aggregate = get_aggregate("avg")
         metric = TooHigh(0.0)
         seg = SegmentedValues.from_arrays([rng.normal(1, 1, 64), rng.normal(2, 1, 64)])
         masks = rng.random((11, 128)) < 0.5
         full = subset_epsilon_grouped_batch(seg, masks, aggregate, metric)
-        chunked = subset_epsilon_grouped_batch(
-            seg, masks, aggregate, metric, max_elements=130
-        )
+        monkeypatch.setattr(influence, "BATCH_MAX_ELEMENTS", 130)
+        chunked = subset_epsilon_grouped_batch(seg, masks, aggregate, metric)
         np.testing.assert_array_equal(full, chunked)

@@ -185,7 +185,7 @@ class TestResultPayloadParity:
         ],
         ids=["rows", "grouped", "empty"],
     )
-    @pytest.mark.parametrize("max_rows", [None, 0, 2, 100, -1])
+    @pytest.mark.parametrize("max_rows", [None, 0, 2, 100])
     def test_values_and_types_match(self, db, sql, max_rows):
         result = db.sql(sql)
         payload = result_payload(result, max_rows)
@@ -609,6 +609,41 @@ class TestDisplayArguments:
         envelope = call("set_metric", form="too_high", params={"expected": 1.0})
         assert envelope["error"]["kind"] == "SessionError"
         assert "expected" in envelope["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "cmd, args",
+        [
+            ("execute", {"sql": TOY_SQL, "max_rows": -1}),
+            ("result", {"max_rows": -1}),
+            ("zoom", {"max_points": -1}),
+            ("debug", {"max_rows": -1}),
+            ("debug", {"max_rows": -1, "stream": True}),
+            ("apply", {"index": 0, "max_rows": -1}),
+            ("undo", {"max_rows": -1}),
+            ("redo", {"max_rows": -1}),
+        ],
+        ids=[
+            "execute", "result", "zoom", "debug", "debug-stream", "apply",
+            "undo", "redo",
+        ],
+    )
+    def test_negative_limits_are_protocol_errors(self, call, cmd, args):
+        before = (call("sql")["result"], call("snapshot")["result"])
+        envelope = call(cmd, **args)
+        assert envelope["error"]["kind"] == "ProtocolError", envelope
+        assert "negative" in envelope["error"]["message"]
+        assert (call("sql")["result"], call("snapshot")["result"]) == before
+
+    def test_render_size_is_bounded(self, call):
+        before = call("snapshot")["result"]
+        envelope = call("render", width=2000, height=1000)
+        assert envelope["error"]["kind"] == "ProtocolError"
+        assert "500" in envelope["error"]["message"]
+        assert call("snapshot")["result"] == before
+        for width, height in [(501, 14), (72, 201)]:
+            assert not call("render", width=width, height=height)["ok"]
+        text = call("render", width=500, height=200)["result"]["text"]
+        assert max(len(line) for line in text.splitlines()) >= 500
 
 
 class TestSharedPreprocessCacheRegression:
