@@ -7,9 +7,9 @@ shared-``SplitIndex`` histogram kernels, once with the exact
 per-threshold masking reference (``tests/reference/tree.py``) scoring
 the identical candidate thresholds — asserts the outputs are
 answer-identical and the fast path is ≥5× faster, and records the
-numbers to ``BENCH_tree.json`` under ``REPRO_BENCH_DIR`` (see
-``bench_output.py``; uploaded as a CI artifact next to
-``BENCH_service.json``).
+numbers with ``environment()`` to ``BENCH_tree.json`` under
+``REPRO_BENCH_DIR`` (see ``bench_output.py``; uploaded as a CI artifact
+next to ``BENCH_service.json``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.core.predicates import PredicateEnumerator
 from repro.core.preprocessor import Preprocessor
 from repro.learn import DecisionTree, SplitIndex
 
-from bench_output import bench_path
+from bench_output import bench_path, environment
 
 BENCH_PATH = bench_path("BENCH_tree.json")
 MIN_SPEEDUP = 5.0
@@ -111,6 +111,7 @@ class TestTreeInductionAblation:
 
         payload = {
             "workload": "intel",
+            "environment": environment(),
             "f_size": f_size,
             "n_candidates": len(candidates),
             "n_strategies": len(PredicateEnumerator().strategies),

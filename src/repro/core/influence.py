@@ -295,14 +295,13 @@ def _epsilons_group_sparse(
     :func:`subset_epsilon_grouped_batch` when the touched volume
     approaches the dense volume.
     """
-    from ..db.segments import _count_reduceat_batch
+    from ..db.segments import _any_reduceat_batch
 
     n_rows = remove_masks.shape[0]
     n_flat = len(seg.values)
     if n_rows == 0:
         return np.empty(0, dtype=np.float64)
-    removed_counts = _count_reduceat_batch(remove_masks, seg.offsets)
-    row_idx, group_idx = np.nonzero(removed_counts > 0)
+    row_idx, group_idx = np.nonzero(_any_reduceat_batch(remove_masks, seg.offsets))
     lengths = seg.lengths[group_idx]
     touched_volume = int(lengths.sum())
     if touched_volume >= SPARSE_DENSITY_CUTOFF * n_rows * n_flat:

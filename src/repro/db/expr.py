@@ -145,10 +145,14 @@ class ColumnRef(Expr):
 
 
 class Literal(Expr):
-    """A constant value."""
+    """A constant value.
+
+    A numpy scalar is stored as its Python value, so it types, evaluates
+    and renders (``to_sql``) like the literal the parser would build.
+    """
 
     def __init__(self, value: Any):
-        self.value = value
+        self.value = value.item() if isinstance(value, np.generic) else value
 
     def eval(self, table: Table) -> np.ndarray:
         n = len(table)

@@ -102,3 +102,22 @@ class FineProvenance:
     def sizes(self) -> np.ndarray:
         """Per-output-row lineage sizes (how many inputs fed each row)."""
         return np.array([len(tids) for tids in self._lineage], dtype=np.int64)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the lineage arrays keep alive.
+
+        A buffer several rows view counts once, whole: grouped lineage
+        is split from one sorted tid array, and rows that HAVING, ORDER
+        BY or LIMIT keep still pin all of it.
+        """
+        owners = {}
+        for tids in self._lineage:
+            owner = tids.base if isinstance(tids.base, np.ndarray) else tids
+            owners[id(owner)] = owner
+        return sum(owner.nbytes for owner in owners.values())
+
+    def freeze(self) -> None:
+        """Make every lineage array reject in-place writes."""
+        for tids in self._lineage:
+            tids.setflags(write=False)

@@ -41,7 +41,8 @@ class ResultSet:
         self.aggregate_names = aggregate_names
         #: The table the query scanned (before WHERE). Two executions of
         #: one query text over the same source object are equivalent —
-        #: that identity keys the cross-session preprocess cache.
+        #: that identity keys the cross-session preprocess cache and the
+        #: query memo inside ``Database.sql``.
         self.source = source if source is not None else fine.base
 
     @property

@@ -243,18 +243,37 @@ def segment_count_batch(mask: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 def _count_reduceat_batch(mask: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Per-(row, segment) True counts of a boolean matrix, as int64."""
+    return _mask_reduceat_batch(np.add, mask.view(np.uint8), offsets, np.int64)
+
+
+def _any_reduceat_batch(mask: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per-(row, segment) whether a boolean matrix has any True.
+
+    Equals ``_count_reduceat_batch(mask, offsets) > 0`` without counting.
+    """
+    return _mask_reduceat_batch(np.logical_or, mask, offsets, np.bool_)
+
+
+def _mask_reduceat_batch(
+    ufunc: np.ufunc, mask: np.ndarray, offsets: np.ndarray, dtype
+) -> np.ndarray:
+    """``ufunc`` reduced over each (row, segment) of a mask matrix.
+
+    Only non-empty segments are reduced: consecutive non-empty starts
+    bound exactly one segment each. An empty segment is ``dtype``'s zero.
+    """
     if mask.ndim != 2:
         raise AggregateError("batched reduceat requires a 2-D value matrix")
     rows = mask.shape[0]
     n = len(offsets) - 1
-    out = np.zeros((rows, n), dtype=np.int64)
+    out = np.zeros((rows, n), dtype=dtype)
     if n == 0 or mask.shape[1] == 0 or rows == 0:
         return out
     starts = offsets[:-1]
     nonempty = starts < offsets[1:]
     if nonempty.any():
-        out[:, nonempty] = np.add.reduceat(
-            mask.view(np.uint8), starts[nonempty], axis=1, dtype=np.int64
+        out[:, nonempty] = ufunc.reduceat(
+            mask, starts[nonempty], axis=1, dtype=dtype
         )
     return out
 

@@ -135,6 +135,12 @@ class GatherStore(ColumnStore):
     def has_column(self, name: str) -> bool:
         return self._base.has_column(name)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the position array plus the columns gathered so far."""
+        gathered = list(self._cache.values())
+        return self._positions.nbytes + sum(array.nbytes for array in gathered)
+
 
 class MmapColumnStore(ColumnStore):
     """One ``.npy`` file per column behind a JSON manifest.

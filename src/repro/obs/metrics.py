@@ -409,6 +409,10 @@ CORE_METRICS = (
     # at zero before the first debug.
     "dbwipes_stage_memo_hits_total",
     "dbwipes_stage_memo_misses_total",
+    # Registered by every Database at construction time.
+    "dbwipes_query_memo_hits_total",
+    "dbwipes_query_memo_misses_total",
+    "dbwipes_query_memo_evictions_total",
     # Fault tolerance (PR 10) — registered at construction time by the
     # RoutingDispatcher (failovers/breaker/drains) and SessionManager
     # (recoveries), so they expose at zero before any fault occurs.

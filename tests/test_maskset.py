@@ -24,7 +24,11 @@ from repro.core.maskset import MaskSet, pack_mask, popcount, unpack_masks
 from repro.db import Table, get_aggregate
 from repro.db.aggregates import AGGREGATE_NAMES
 from repro.db.predicate import CategoricalClause, NumericClause, Predicate
-from repro.db.segments import SegmentedValues
+from repro.db.segments import (
+    SegmentedValues,
+    _any_reduceat_batch,
+    _count_reduceat_batch,
+)
 from repro.core.error_metrics import TooHigh
 
 CATEGORIES = ("a", "bb", "ccc", "dd", "e")
@@ -253,6 +257,29 @@ class TestBatchDeltaEpsilonKernels:
         assert len(sparse_metric.seen) == len(masks)
         for row, (got, want) in enumerate(zip(sparse_metric.seen, dense_metric.seen)):
             assert got.tobytes() == want.tobytes(), row
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_touched_set_equals_positive_counts(self, seed):
+        """The sparse branch's any-reduce marks exactly the (row, group)
+        pairs with a positive removed count; empty groups (leading,
+        inner and trailing) are never touched."""
+        rng = np.random.default_rng(seed)
+        lengths = rng.integers(0, 6, 40) * (rng.random(40) < 0.7)
+        lengths[[0, -1]] = 0
+        offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+        masks = rng.random((9, int(offsets[-1]))) < rng.uniform(0.02, 0.6)
+        masks[0] = False
+        masks[1] = True
+        touched = _any_reduceat_batch(masks, offsets)
+        assert touched.dtype == np.bool_
+        assert np.array_equal(touched, _count_reduceat_batch(masks, offsets) > 0)
+        assert not touched[:, lengths == 0].any()
+        for empty in (np.zeros(1, dtype=np.int64), np.zeros(4, dtype=np.int64)):
+            no_values = np.zeros((3, 0), dtype=bool)
+            assert np.array_equal(
+                _any_reduceat_batch(no_values, empty),
+                _count_reduceat_batch(no_values, empty) > 0,
+            )
 
     def test_subset_epsilon_grouped_batch_matches_scalar(self):
         rng = np.random.default_rng(8)

@@ -302,9 +302,13 @@ def cluster_debug():
             client.set_metric("too_high")
             client.debug()
             debug_trace = client.last_trace
+            client.apply(0)
+            client.undo()
+            undo_trace = client.last_trace
             yield {
                 "debug_trace": debug_trace,
                 "trace": client.trace(debug_trace),
+                "undo_trace": client.trace(undo_trace),
                 "metrics": client.metrics(),
             }
     finally:
@@ -337,6 +341,21 @@ class TestClusterAcceptance:
         tree = trace["tree"]
         assert len(tree) == 1
         assert tree[0]["name"] == "server.debug"
+
+    def test_undo_answers_from_the_query_memo(self, cluster_debug):
+        # ``undo`` re-runs the statement ``execute`` ran on that worker.
+        spans = cluster_debug["undo_trace"]["spans"]
+        sql = [s for s in spans if s["name"] == "db.sql"]
+        assert [s["attrs"]["source"] for s in sql] == ["memo"]
+        parents = {s["span_id"]: s["name"] for s in spans}
+        assert parents[sql[0]["parent_id"]] == "worker.undo"
+        merged = cluster_debug["metrics"]["merged"]
+        hits = sum(
+            m["value"]
+            for m in merged["metrics"]
+            if m["name"] == "dbwipes_query_memo_hits_total"
+        )
+        assert hits >= 1
 
     def test_merged_metrics_cover_core_names(self, cluster_debug):
         merged = cluster_debug["metrics"]["merged"]
