@@ -1,15 +1,19 @@
-"""A4 ablation: histogram tree induction vs the exact per-threshold
-reference inside the Predicate Enumerator.
+"""A4 ablation: histogram tree induction vs its two oracles inside the
+Predicate Enumerator.
 
 Runs the full enumerate-predicates stage (K candidate sets × 5 tree
-strategies) on the intel workload (|F| ≈ 4050) twice — once with the
-shared-``SplitIndex`` histogram kernels, once with the exact
-per-threshold masking reference (``tests/reference/tree.py``) scoring
-the identical candidate thresholds — asserts the outputs are
-answer-identical and the fast path is ≥5× faster, and records the
-numbers with ``environment()`` to ``BENCH_tree.json`` under
-``REPRO_BENCH_DIR`` (see ``bench_output.py``; uploaded as a CI artifact
-next to ``BENCH_service.json``).
+strategies) on the intel workload (|F| ≈ 4050) three times — with the
+production node kernel (one offset-coded histogram per node, sibling
+subtraction, one fit per distinct tree), with the per-column histogram
+oracle (``ColumnHistogramTree``: one histogram per column per node, the
+kernel the node kernel replaced), and with the exact per-threshold
+masking oracle (``ExactDecisionTree``), both in ``tests/reference/tree.py``
+and scoring the identical candidate thresholds. It asserts the three
+outputs are answer-identical and the production path is ≥5× faster
+than the exact oracle (the column arm's time is recorded, not gated),
+and records the numbers with ``environment()`` to ``BENCH_tree.json``
+under ``REPRO_BENCH_DIR`` (see ``bench_output.py``; uploaded as a CI
+artifact next to ``BENCH_service.json``).
 """
 
 from __future__ import annotations
@@ -21,7 +25,12 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from reference.tree import ExactDecisionTree, exact_trees
+from reference.tree import (
+    ColumnHistogramTree,
+    ExactDecisionTree,
+    column_histogram_trees,
+    exact_trees,
+)
 from repro.core import TooHigh
 from repro.core.enumerator import DatasetEnumerator
 from repro.core.predicates import PredicateEnumerator
@@ -76,6 +85,7 @@ class TestTreeInductionAblation:
         enumerator = PredicateEnumerator()
         for algorithm, trees, repeats in (
             ("exact", exact_trees, 2),
+            ("column", column_histogram_trees, 3),
             ("hist", nullcontext, 3),
         ):
 
@@ -87,7 +97,7 @@ class TestTreeInductionAblation:
                 seconds[algorithm] = _best_of(run, repeats)
 
         # Answer parity end-to-end: same rules for every candidate.
-        assert outputs["hist"] == outputs["exact"]
+        assert outputs["hist"] == outputs["column"] == outputs["exact"]
         assert outputs["hist"]  # the stage actually produced predicates
 
         speedup = seconds["exact"] / seconds["hist"]
@@ -101,6 +111,7 @@ class TestTreeInductionAblation:
         fit_seconds: dict[str, float] = {}
         for algorithm, tree_class, repeats in (
             ("exact", ExactDecisionTree, 2),
+            ("column", ColumnHistogramTree, 3),
             ("hist", DecisionTree, 3),
         ):
             tree = tree_class(max_depth=5, min_samples_leaf=2)
@@ -118,13 +129,19 @@ class TestTreeInductionAblation:
             "n_rules": len(outputs["hist"]),
             "enumerate_predicates": {
                 "exact_seconds": round(seconds["exact"], 4),
+                "column_seconds": round(seconds["column"], 4),
                 "hist_seconds": round(seconds["hist"], 4),
                 "speedup": round(speedup, 2),
+                "speedup_vs_column": round(seconds["column"] / seconds["hist"], 2),
             },
             "single_fit": {
                 "exact_seconds": round(fit_seconds["exact"], 4),
+                "column_seconds": round(fit_seconds["column"], 4),
                 "hist_seconds": round(fit_seconds["hist"], 4),
                 "speedup": round(fit_speedup, 2),
+                "speedup_vs_column": round(
+                    fit_seconds["column"] / fit_seconds["hist"], 2
+                ),
             },
         }
         BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -133,6 +150,7 @@ class TestTreeInductionAblation:
             f"\nA4: |F|={f_size}, {len(candidates)} candidates x "
             f"{payload['n_strategies']} strategies: "
             f"exact {seconds['exact'] * 1000:.0f} ms, "
+            f"column {seconds['column'] * 1000:.0f} ms, "
             f"hist {seconds['hist'] * 1000:.0f} ms ({speedup:.1f}x); "
             f"single fit {fit_speedup:.1f}x -> {BENCH_PATH.name}"
         )

@@ -14,9 +14,11 @@ high-influence tuples dominate the split choices.
 All K candidate × S strategy fits consume one shared
 :class:`~repro.learn.split_index.SplitIndex` (memoized on the
 :class:`~repro.core.preprocessor.PreprocessResult`), so per-column
-sorted orderings, candidate thresholds, and bin codes are derived once
+candidate thresholds, distinct values, and bin codes are derived once
 per debug cycle — and, in the service, once per *cached preprocessing*,
-shared across sessions.
+shared across sessions. Strategies that grow the same tree before
+pruning (``gini`` and ``gini/ccp`` by default) share one fit per
+candidate; each pruning works on its own copy of the tree.
 """
 
 from __future__ import annotations
@@ -132,13 +134,10 @@ class PredicateEnumerator:
             labels = candidate.label_mask(F)
             if not labels.any() or labels.all():
                 continue
-            rules: list[Rule] = list(candidate.rules)
-            for strategy in self.strategies:
-                rules.extend(
-                    self._tree_rules(
-                        F, labels, weights, features, strategy, split_index
-                    )
-                )
+            rules = list(candidate.rules)
+            rules.extend(
+                self._tree_rules(F, labels, weights, features, split_index)
+            )
             for rule in dedupe_rules(rules):
                 out.append(CandidateRule(candidate_index=index, rule=rule))
         return out
@@ -151,9 +150,63 @@ class PredicateEnumerator:
         labels: np.ndarray,
         weights: np.ndarray | None,
         features: list[str],
-        strategy: TreeStrategy,
         split_index: SplitIndex,
     ) -> list[Rule]:
+        """Every strategy's tree rules for one candidate, in strategy
+        order. Each distinct ``(criterion, max_depth, min_samples_leaf,
+        rows)`` tree is fitted once; pruning works on a copy."""
+        holdout = None
+        if any(strategy.prune == "rep" for strategy in self.strategies):
+            train_idx, val_idx = self._split_indices(len(F), labels)
+            if len(val_idx) and labels[train_idx].any():
+                holdout = (train_idx, val_idx)
+        fitted: dict[tuple, DecisionTree] = {}
+        rules: list[Rule] = []
+        for strategy in self.strategies:
+            # Reduced-error pruning fits on the train split when there is
+            # a usable one, and on all rows (unpruned) otherwise.
+            on_train = strategy.prune == "rep" and holdout is not None
+            key = (
+                strategy.criterion,
+                strategy.max_depth,
+                strategy.min_samples_leaf,
+                on_train,
+            )
+            tree = fitted.get(key)
+            if tree is None:
+                tree = fitted[key] = self._fit(
+                    strategy, F, labels, weights, features, split_index,
+                    holdout[0] if on_train else None,
+                )
+            if on_train:
+                __, val = holdout
+                tree = tree.copy().prune_reduced_error(F.take(val), labels[val])
+            elif strategy.prune == "ccp":
+                tree = tree.copy().cost_complexity_prune(strategy.ccp_alpha)
+            rules.extend(
+                Rule(
+                    predicate=rule.predicate,
+                    n_covered=rule.n_covered,
+                    n_pos_covered=rule.n_pos_covered,
+                    quality=rule.quality,
+                    source=f"tree:{strategy.describe()}",
+                    extra=rule.extra,
+                )
+                for rule in tree.positive_rules(min_precision=self.min_precision)
+            )
+        return rules
+
+    def _fit(
+        self,
+        strategy: TreeStrategy,
+        F: Table,
+        labels: np.ndarray,
+        weights: np.ndarray | None,
+        features: list[str],
+        split_index: SplitIndex,
+        rows: np.ndarray | None,
+    ) -> DecisionTree:
+        """One unpruned tree, on ``rows`` of F (all rows when None)."""
         tree = DecisionTree(
             criterion=strategy.criterion,
             max_depth=strategy.max_depth,
@@ -161,48 +214,12 @@ class PredicateEnumerator:
             max_thresholds=self.max_thresholds,
             max_categories=self.max_categories,
         )
-        if strategy.prune == "rep":
-            train_idx, val_idx = self._split_indices(len(F), labels)
-            if len(val_idx) == 0 or not labels[train_idx].any():
-                tree.fit(
-                    F,
-                    labels,
-                    sample_weight=weights,
-                    features=features,
-                    split_index=split_index,
-                )
-            else:
-                train_w = weights[train_idx] if weights is not None else None
-                tree.fit(
-                    F.take(train_idx),
-                    labels[train_idx],
-                    sample_weight=train_w,
-                    features=features,
-                    split_index=split_index.take(train_idx),
-                )
-                tree.prune_reduced_error(F.take(val_idx), labels[val_idx])
-        else:
-            tree.fit(
-                F,
-                labels,
-                sample_weight=weights,
-                features=features,
-                split_index=split_index,
-            )
-            if strategy.prune == "ccp":
-                tree.cost_complexity_prune(strategy.ccp_alpha)
-        rules = tree.positive_rules(min_precision=self.min_precision)
-        return [
-            Rule(
-                predicate=rule.predicate,
-                n_covered=rule.n_covered,
-                n_pos_covered=rule.n_pos_covered,
-                quality=rule.quality,
-                source=f"tree:{strategy.describe()}",
-                extra=rule.extra,
-            )
-            for rule in rules
-        ]
+        if rows is not None:
+            F, labels, split_index = F.take(rows), labels[rows], split_index.take(rows)
+            weights = weights[rows] if weights is not None else None
+        return tree.fit(
+            F, labels, sample_weight=weights, features=features, split_index=split_index
+        )
 
     def _split_indices(
         self, n: int, labels: np.ndarray

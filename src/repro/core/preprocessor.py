@@ -138,8 +138,8 @@ class PreprocessResult:
         """Shared tree-induction index over F's columns, computed once.
 
         The Predicate Enumerator fits K candidate × S strategy decision
-        trees per debug cycle, and every fit needs the same per-column
-        sorted orderings, candidate thresholds, and bin codes. Like
+        trees per debug cycle, and every fit needs the same candidate
+        thresholds, distinct values, and bin codes. Like
         :meth:`numeric_values` and :meth:`frequency_edges`, the index
         rides on this (cached) result, so in the service it is shared
         across sessions, not just across strategies. Reuses the

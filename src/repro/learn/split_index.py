@@ -2,25 +2,25 @@
 
 The Predicate Enumerator fits K candidate sets × S strategies decision
 trees over the *same* table F per debug cycle. Candidate thresholds,
-value orderings, and per-row bin assignments depend only on F's columns,
+distinct values, and per-row bin assignments depend only on F's columns,
 so deriving them inside every fit (and inside every tree node) repeats
 identical work K×S× times. A :class:`SplitIndex` computes them once:
 
-* numeric columns: the sorted distinct values, candidate thresholds
-  (midpoints of consecutive distinct values, capped at
-  ``max_thresholds``), and an int64 *bin code* per row such that
-  ``code <= b`` iff ``value <= thresholds[b]`` (NaN gets the one-past-
-  the-end code, so it never routes left — matching
-  :class:`~repro.learn.tree.NumericSplit` semantics);
+* numeric columns: candidate thresholds (midpoints of consecutive
+  distinct values, capped at ``max_thresholds``) and an int64 *bin
+  code* per row such that ``code <= b`` iff ``value <= thresholds[b]``
+  (NaN gets the one-past-the-end code, so it never routes left —
+  matching :class:`~repro.learn.tree.NumericSplit` semantics);
 * categorical columns: the sorted distinct non-NULL values and an int64
   *value code* per row (NULL gets the one-past-the-end code, so it never
   equals a candidate value).
 
-With codes in hand, a tree node scores **all** thresholds of a column in
-one histogram pass: accumulate per-bin weight / positive-weight / count
-(weighted ``np.bincount``), take a ``cumsum``, and evaluate every
-``(left, right)`` partition at once — no per-node sort, no per-threshold
-masking.
+The codes of all columns live in one row-major ``(n_rows, n_columns)``
+int64 matrix, :attr:`SplitIndex.codes`; each column's ``codes`` is a
+view of its column of that matrix. A tree node gathers its rows of the
+matrix once and histograms every column in one ``np.bincount`` (see
+:mod:`repro.learn.tree`), then scores **all** thresholds and values
+from that histogram — no per-node sort, no per-threshold masking.
 
 Candidate thresholds are **global** — derived once from the whole
 column, not re-derived per node as the pre-histogram code did. A deep
@@ -33,15 +33,16 @@ fits; raise ``max_thresholds`` to recover resolution where it matters.
 
 The index is row-aligned with the table it was built from;
 :meth:`SplitIndex.take` re-aligns it with a row subset (e.g. the train
-split of reduced-error pruning). In the pipeline the index is memoized
-on :class:`~repro.core.preprocessor.PreprocessResult`, so the service
-tier shares one index across sessions exactly like the segmented
-aggregates and frequency edges.
+split of reduced-error pruning) by one row gather of the matrix. In the
+pipeline the index is memoized on
+:class:`~repro.core.preprocessor.PreprocessResult`, so the service tier
+shares one index across sessions exactly like the segmented aggregates
+and frequency edges.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -78,9 +79,9 @@ class NumericColumnIndex:
         """The bin code whose left partition is ``value <= threshold``."""
         return int(np.searchsorted(self.thresholds, threshold, side="left"))
 
-    def take(self, indices: np.ndarray) -> "NumericColumnIndex":
-        """The index re-aligned with a row subset."""
-        return NumericColumnIndex(self.attr, self.thresholds, self.codes[indices])
+    def with_codes(self, codes: np.ndarray) -> "NumericColumnIndex":
+        """The same thresholds over another row set's codes."""
+        return NumericColumnIndex(self.attr, self.thresholds, codes)
 
 
 class CategoricalColumnIndex:
@@ -105,9 +106,9 @@ class CategoricalColumnIndex:
         """The code of a distinct value."""
         return self._code_by_value[value]
 
-    def take(self, indices: np.ndarray) -> "CategoricalColumnIndex":
-        """The index re-aligned with a row subset."""
-        return CategoricalColumnIndex(self.attr, self.values, self.codes[indices])
+    def with_codes(self, codes: np.ndarray) -> "CategoricalColumnIndex":
+        """The same values over another row set's codes."""
+        return CategoricalColumnIndex(self.attr, self.values, codes)
 
 
 ColumnIndex = NumericColumnIndex | CategoricalColumnIndex
@@ -116,19 +117,31 @@ ColumnIndex = NumericColumnIndex | CategoricalColumnIndex
 class SplitIndex:
     """Per-column split candidates + bin codes, shared across tree fits."""
 
-    __slots__ = ("features", "max_thresholds", "columns", "n_rows")
+    __slots__ = ("features", "max_thresholds", "codes", "columns")
 
     def __init__(
         self,
         features: tuple[str, ...],
         max_thresholds: int,
-        columns: Mapping[str, ColumnIndex],
-        n_rows: int,
+        columns: Sequence[ColumnIndex],
+        codes: np.ndarray,
     ):
         self.features = features
         self.max_thresholds = max_thresholds
-        self.columns = dict(columns)
-        self.n_rows = n_rows
+        #: Row-major ``(n_rows, len(features))`` int64 bin codes; column
+        #: ``k`` holds the codes of ``features[k]``.
+        self.codes = codes
+        #: Per-column index by name; each one's ``codes`` is a view of
+        #: its column of :attr:`codes`, so no code is stored twice.
+        self.columns = {
+            column.attr: column.with_codes(codes[:, k])
+            for k, column in enumerate(columns)
+        }
+
+    @property
+    def n_rows(self) -> int:
+        """Number of rows the index is aligned with."""
+        return self.codes.shape[0]
 
     @classmethod
     def build(
@@ -147,17 +160,20 @@ class SplitIndex:
         if max_thresholds < 1:
             raise LearnError("max_thresholds must be >= 1")
         names = tuple(features) if features is not None else tuple(table.schema.names)
-        columns: dict[str, ColumnIndex] = {}
-        for name in names:
+        codes = np.empty((len(table), len(names)), dtype=np.int64)
+        columns: list[ColumnIndex] = []
+        for k, name in enumerate(names):
             if table.schema.type_of(name).is_numeric:
                 if numeric_values is not None:
                     values = numeric_values(name)
                 else:
                     values = np.asarray(table.column(name), dtype=np.float64)
-                columns[name] = _build_numeric(name, values, max_thresholds)
+                column = _build_numeric(name, values, max_thresholds)
             else:
-                columns[name] = _build_categorical(name, table.column(name))
-        return cls(names, max_thresholds, columns, len(table))
+                column = _build_categorical(name, table.column(name))
+            codes[:, k] = column.codes
+            columns.append(column)
+        return cls(names, max_thresholds, columns, codes)
 
     def column(self, attr: str) -> ColumnIndex:
         """The per-column index for ``attr``."""
@@ -169,8 +185,12 @@ class SplitIndex:
     def take(self, indices: np.ndarray) -> "SplitIndex":
         """The index re-aligned with a row subset (shared thresholds)."""
         indices = np.asarray(indices, dtype=np.int64)
-        columns = {name: column.take(indices) for name, column in self.columns.items()}
-        return SplitIndex(self.features, self.max_thresholds, columns, len(indices))
+        return SplitIndex(
+            self.features,
+            self.max_thresholds,
+            [self.columns[name] for name in self.features],
+            self.codes[indices],
+        )
 
 
 def _build_numeric(

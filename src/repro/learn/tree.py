@@ -15,15 +15,38 @@ candidate dataset using "m standard splitting and pruning strategies
   :class:`~repro.learn.rules.Rule` objects whose predicates render to SQL.
 
 Split finding runs over a shared
-:class:`~repro.learn.split_index.SplitIndex` of candidate thresholds:
-per node, it accumulates per-bin weight / positive-weight / count
-histograms (weighted ``np.bincount``) and scores **every** threshold of
-a column in one ``cumsum`` pass, and rows are routed to children by bin
-code. The per-threshold masking path it replaced (one boolean mask and
-one weight reduction per candidate threshold, routing by raw values)
-is ``tests/reference/tree.py``; it scores the identical candidate set,
-so ``tests/test_tree_parity.py`` asserts both pick the same splits with
-the same gains.
+:class:`~repro.learn.split_index.SplitIndex` of candidate thresholds and
+bin codes, one node at a time:
+
+* **One histogram per node.** A fit offsets column ``k``'s codes by
+  ``k·W`` (W is the widest column's bin count), so every (column, bin)
+  pair has its own slot. A node gathers its rows of that matrix and
+  runs one ``np.bincount`` over them: one histogram holds every
+  column's per-bin counts, and in a weighted fit two more weighted
+  bincounts hold per-bin weight and positive weight. Left-branch stats
+  of every numeric threshold are one ``cumsum`` along the bins;
+  categorical values read their own bins. Every candidate of the node
+  is scored at once, and rows are routed to children by bin code.
+* **Sibling subtraction.** In an unweighted fit the histograms are
+  integer counts: a node's histogram is its children's sum, exactly.
+  So only the smaller child is histogrammed from its rows and the
+  larger one is the parent's minus the smaller's (the histogram trick
+  of LightGBM). A weighted fit histograms every node from its own rows,
+  because float subtraction would change the sums' bits. Only children
+  that can split get a histogram.
+* **Exactness.** Each bin sums its rows in row order, in either kind
+  of fit, and the scores are the same elementwise float expressions as
+  the per-column kernels they replaced, so splits, gains and
+  tie-breaks are bit-identical to them. ``gain_ratio``'s split
+  information is vectorized with ``np.log2``, which can differ from
+  ``math.log2`` in the last bit, so each column's near-best candidates
+  are rescored with the scalar :func:`~repro.learn.metrics.split_info`.
+
+The per-column kernels are the bit-for-bit oracle
+``ColumnHistogramTree`` in ``tests/reference/tree.py``; the
+per-threshold masking path before them, ``ExactDecisionTree``, scores
+the identical candidate set, so ``tests/test_tree_parity.py`` asserts
+all three pick the same splits with the same gains.
 
 Ties (equal-gain splits) are broken deterministically: lowest column
 name first, then lowest threshold / lowest categorical value — never by
@@ -35,6 +58,7 @@ categorical values never equal a split value, so they also route right.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -45,7 +69,7 @@ from ..db.table import Table
 from ..errors import LearnError, NotFittedError
 from .metrics import entropy, gini_impurity, split_info
 from .rules import Rule
-from .split_index import CategoricalColumnIndex, NumericColumnIndex, SplitIndex
+from .split_index import NumericColumnIndex, SplitIndex
 
 CRITERIA = ("gini", "entropy", "gain_ratio")
 
@@ -56,10 +80,17 @@ CRITERIA = ("gini", "entropy", "gain_ratio")
 #: (bin-cumsum vs per-mask reductions), so both pick the same split.
 TIE_REL_TOL = 1e-9
 
+#: ``gain_ratio`` candidates within this (relative) distance of their
+#: column's best vectorized score are rescored with the scalar
+#: ``split_info``. It only has to exceed the last-bit difference between
+#: ``np.log2`` and ``math.log2`` plus ``TIE_REL_TOL``, by a wide margin.
+RESCORE_REL_TOL = 1e-6
 
-def _tie_cutoff(best_score: float) -> float:
-    """Scores at or above this value are considered tied with ``best_score``."""
-    return best_score - TIE_REL_TOL * max(1.0, abs(best_score))
+
+def _tie_cutoff(best_score, rel_tol: float = TIE_REL_TOL):
+    """Scores at or above this value are considered tied with
+    ``best_score`` (elementwise for an array of bests)."""
+    return best_score - rel_tol * np.maximum(1.0, np.abs(best_score))
 
 
 @dataclass(frozen=True)
@@ -163,15 +194,54 @@ class _Node:
 
 
 class _FitContext:
-    """Everything one ``fit`` needs, bundled so ``_build`` recursion and
-    the parity tests can drive split finding without re-deriving state."""
+    """Everything one ``fit`` needs, bundled so the node recursion and
+    the parity tests can drive split finding without re-deriving state.
 
-    __slots__ = ("labels", "weights", "index")
+    ``codes`` is the fit's offset-coded bin matrix: row ``i`` holds, for
+    each feature ``k``, the row's bin code plus ``k·width``, so one
+    ``np.bincount`` over a node's rows histograms every feature at once.
+    In an unweighted fit a positive row's codes are further shifted by
+    ``len(features)·width``, so that one bincount counts rows and
+    positives together.
+    """
 
-    def __init__(self, labels: np.ndarray, weights: np.ndarray, index: SplitIndex):
+    __slots__ = (
+        "labels", "weights", "index", "weighted", "columns", "numeric",
+        "width", "candidates", "any_categorical", "codes",
+    )
+
+    def __init__(
+        self,
+        labels: np.ndarray,
+        weights: np.ndarray,
+        index: SplitIndex,
+        features: tuple[str, ...],
+        weighted: bool,
+    ):
         self.labels = labels
         self.weights = weights
         self.index = index
+        self.weighted = weighted
+        self.columns = [index.column(name) for name in features]
+        n_bins = np.array([column.n_bins for column in self.columns], dtype=np.int64)
+        self.width = width = int(n_bins.max(initial=1))
+        #: ``(C, 1)``: which features are numeric (thresholds take cumsums).
+        self.numeric = np.array(
+            [isinstance(column, NumericColumnIndex) for column in self.columns],
+            dtype=bool,
+        ).reshape(-1, 1)
+        #: ``(C, width)``: the bins that are split candidates — every
+        #: threshold, every non-NULL value; not the NaN/NULL bin or padding.
+        self.candidates = np.arange(width) < (n_bins - 1)[:, None]
+        self.any_categorical = bool((~self.numeric).any())
+        positions = [index.features.index(name) for name in features]
+        codes = index.codes
+        if positions != list(range(codes.shape[1])):
+            codes = codes[:, positions]
+        codes = codes + np.arange(len(positions), dtype=np.int64) * width
+        if not weighted:
+            codes += (labels * (len(positions) * width))[:, None]
+        self.codes = codes
 
 
 class DecisionTree:
@@ -202,7 +272,6 @@ class DecisionTree:
         self.max_categories = max_categories
         self._root: _Node | None = None
         self._features: tuple[str, ...] = ()
-        self._numeric: dict[str, bool] = {}
 
     # ------------------------------------------------------------------
     # fitting
@@ -226,8 +295,17 @@ class DecisionTree:
         """
         ctx, n = self._fit_context(table, labels, sample_weight, features, split_index)
         indices = np.arange(n, dtype=np.int64)
-        self._root = self._build(ctx, indices, depth=0)
+        self._root = self._node(ctx, indices, depth=0)
+        if self._can_split(self._root):
+            self._grow(ctx, self._root, indices, None)
         return self
+
+    def copy(self) -> "DecisionTree":
+        """A copy of the fitted tree with its own nodes, so pruning the
+        copy leaves this tree as it was (splits are immutable and shared)."""
+        clone = copy.copy(self)
+        clone._root = _copy_subtree(self._require_fitted())
+        return clone
 
     def _fit_context(
         self,
@@ -254,9 +332,6 @@ class DecisionTree:
         if features is None:
             features = table.schema.names
         self._features = tuple(features)
-        self._numeric = {
-            name: table.schema.type_of(name).is_numeric for name in self._features
-        }
         if split_index is None:
             split_index = SplitIndex.build(
                 table, self._features, max_thresholds=self.max_thresholds
@@ -276,27 +351,44 @@ class DecisionTree:
             missing = [f for f in self._features if f not in split_index.columns]
             if missing:
                 raise LearnError(f"split index is missing columns {missing}")
-        return _FitContext(labels, weights, split_index), len(table)
+        ctx = _FitContext(
+            labels, weights, split_index, self._features, sample_weight is not None
+        )
+        return ctx, len(table)
 
-    def _build(self, ctx: _FitContext, indices: np.ndarray, depth: int) -> _Node:
+    def _node(self, ctx: _FitContext, indices: np.ndarray, depth: int) -> _Node:
         node_weights = ctx.weights[indices]
-        node_labels = ctx.labels[indices]
         weight = float(node_weights.sum())
-        pos_weight = float(node_weights[node_labels].sum())
-        node = _Node(len(indices), weight, pos_weight, depth)
-        if (
-            depth >= self.max_depth
-            or len(indices) < self.min_samples_split
-            or pos_weight <= 0
-            or pos_weight >= weight
-        ):
-            return node
-        best = self._best_split(ctx, indices)
+        pos_weight = float(node_weights[ctx.labels[indices]].sum())
+        return _Node(len(indices), weight, pos_weight, depth)
+
+    def _can_split(self, node: _Node) -> bool:
+        return not (
+            node.depth >= self.max_depth
+            or node.n_samples < self.min_samples_split
+            or node.pos_weight <= 0
+            or node.pos_weight >= node.weight
+        )
+
+    def _grow(
+        self,
+        ctx: _FitContext,
+        node: _Node,
+        indices: np.ndarray,
+        hist: np.ndarray | None,
+    ) -> None:
+        """Split ``node`` (rows ``indices``) and grow its children, left
+        subtree first. ``hist`` is the node's histogram if known; it stays
+        ``None`` for a tree whose ``_node_histogram`` builds none (the
+        per-column oracle), and then no child is subtracted."""
+        if hist is None:
+            hist = self._node_histogram(ctx, indices)
+        best = self._best_split(ctx, indices, hist)
         if best is None:
-            return node
+            return
         split, score = best
         if score < self.min_score:
-            return node
+            return
         left_mask = self._left_mask(ctx, split, indices)
         left_indices = indices[left_mask]
         right_indices = indices[~left_mask]
@@ -304,11 +396,28 @@ class DecisionTree:
             len(left_indices) < self.min_samples_leaf
             or len(right_indices) < self.min_samples_leaf
         ):
-            return node
+            return
         node.split = split
-        node.left = self._build(ctx, left_indices, depth + 1)
-        node.right = self._build(ctx, right_indices, depth + 1)
-        return node
+        node.left = self._node(ctx, left_indices, node.depth + 1)
+        node.right = self._node(ctx, right_indices, node.depth + 1)
+        grow_left = self._can_split(node.left)
+        grow_right = self._can_split(node.right)
+        left_hist = right_hist = None
+        if hist is not None and not ctx.weighted and (grow_left or grow_right):
+            # Integer counts: histogram the smaller child, subtract for
+            # the larger one (only if it will split).
+            if len(left_indices) <= len(right_indices):
+                left_hist = self._node_histogram(ctx, left_indices)
+                if grow_right:
+                    right_hist = hist - left_hist
+            else:
+                right_hist = self._node_histogram(ctx, right_indices)
+                if grow_left:
+                    left_hist = hist - right_hist
+        if grow_left:
+            self._grow(ctx, node.left, left_indices, left_hist)
+        if grow_right:
+            self._grow(ctx, node.right, right_indices, right_hist)
 
     def _left_mask(
         self, ctx: _FitContext, split: Split, indices: np.ndarray
@@ -320,120 +429,115 @@ class DecisionTree:
             return codes <= column.code_of(split.threshold)
         return codes == column.code_of(split.value)
 
+    # -- the node kernel -------------------------------------------------
+
+    def _node_histogram(self, ctx: _FitContext, indices: np.ndarray) -> np.ndarray:
+        """The node's histogram over every (feature, bin) slot.
+
+        Unweighted fits: int64 ``(2, C, width)`` of row counts and
+        positive counts. Weighted fits: float64 ``(3, C, width)`` of row
+        counts, weights and positive weights. ``bincount`` adds each
+        bin's rows in row order, as a per-column bincount does.
+        """
+        n_columns = len(ctx.columns)
+        shape = (n_columns, ctx.width)
+        size = n_columns * ctx.width
+        flat = np.take(ctx.codes, indices, axis=0).ravel()
+        if not ctx.weighted:
+            hist = np.bincount(flat, minlength=2 * size).reshape(2, *shape)
+            hist[0] += hist[1]  # [negative rows, positive rows] -> [rows, positives]
+            return hist
+        weights = ctx.weights[indices]
+        pos_weights = np.where(ctx.labels[indices], weights, 0.0)
+        return np.stack(
+            [np.bincount(flat, minlength=size)]
+            + [
+                np.bincount(flat, weights=np.repeat(w, n_columns), minlength=size)
+                for w in (weights, pos_weights)
+            ]
+        ).reshape(3, *shape)
+
     def _best_split(
-        self, ctx: _FitContext, indices: np.ndarray
+        self, ctx: _FitContext, indices: np.ndarray, hist: np.ndarray | None = None
     ) -> tuple[Split, float] | None:
-        node_labels = ctx.labels[indices]
+        """The node's best ``(split, score)``, or ``None``: the per-node
+        hook the parity oracles override. ``hist`` is the node's
+        :meth:`_node_histogram` when the caller already has it."""
+        if not ctx.columns:
+            return None
+        if hist is None:
+            hist = self._node_histogram(ctx, indices)
         node_weights = ctx.weights[indices]
         total_w = float(node_weights.sum())
-        total_pos = float(node_weights[node_labels].sum())
-        pos_weights = np.where(node_labels, node_weights, 0.0)
-        #: (split, score, intra-column tie key) per feature.
-        found: list[tuple[Split, float, Any]] = []
-        for attr in self._features:
-            column = ctx.index.column(attr)
-            if self._numeric[attr]:
-                candidate = self._best_numeric_split(
-                    column, indices, node_weights, pos_weights, total_w, total_pos
-                )
-            else:
-                candidate = self._best_categorical_split(
-                    column, indices, node_weights, pos_weights, total_w, total_pos
-                )
-            if candidate is not None:
-                found.append(candidate)
-        if not found:
+        total_pos = float(node_weights[ctx.labels[indices]].sum())
+        n_node = len(indices)
+        # Left stats of threshold b are the cumulative sums of bins 0..b
+        # (NaN rows live in the rightmost bin, so they never count left);
+        # a categorical value's left stats are its own bin.
+        left = np.where(ctx.numeric, np.cumsum(hist, axis=-1), hist)
+        if ctx.weighted:
+            left_n, left_w, left_p = left
+        else:
+            left_n = left[0]
+            left_w = left_n.astype(np.float64)
+            left_p = left[1].astype(np.float64)
+        valid = (
+            ctx.candidates
+            & (left_n >= self.min_samples_leaf)
+            & ((n_node - left_n) >= self.min_samples_leaf)
+        )
+        if ctx.any_categorical:
+            valid &= ctx.numeric | self._categorical_candidates(ctx, left_n, left_w)
+        left_w = left_w[valid]
+        right_w = total_w - left_w
+        left_p = left_p[valid]
+        gain = self._impurity_gain(
+            total_w, total_pos, left_w, left_p, right_w, total_pos - left_p
+        )
+        scores = np.full(valid.shape, -np.inf)
+        if self.criterion == "gain_ratio":
+            _fill_gain_ratios(scores, valid, gain, left_w, right_w)
+        else:
+            scores[valid] = gain
+        # Per column: the first (lowest threshold / code) candidate tied
+        # with the column's best; -inf marks a column without candidates.
+        first = np.argmax(scores >= _tie_cutoff(scores.max(axis=1))[:, None], axis=1)
+        column_best = scores[np.arange(len(first)), first]
+        top = float(column_best.max())
+        if top == -np.inf:
             return None
         # Deterministic cross-column selection: scores within TIE_REL_TOL
-        # of the best are tied; ties resolve to the lowest column name
-        # (the intra-column key never compares across columns).
-        best_score = max(score for __, score, __ in found)
-        cutoff = _tie_cutoff(best_score)
-        tied = [entry for entry in found if entry[1] >= cutoff]
-        split, score, __ = min(tied, key=lambda entry: (entry[0].attr, entry[2]))
-        return split, score
+        # of the best are tied; ties resolve to the lowest column name.
+        k = min(
+            np.flatnonzero(column_best >= _tie_cutoff(top)),
+            key=lambda k: ctx.columns[k].attr,
+        )
+        column = ctx.columns[k]
+        position = int(first[k])
+        if isinstance(column, NumericColumnIndex):
+            split: Split = NumericSplit(column.attr, float(column.thresholds[position]))
+        else:
+            split = CategoricalSplit(column.attr, column.values[position])
+        return split, float(column_best[k])
 
-    # -- histogram kernels ---------------------------------------------
-
-    def _best_numeric_split(
-        self,
-        column: NumericColumnIndex,
-        indices: np.ndarray,
-        weights: np.ndarray,
-        pos_weights: np.ndarray,
-        total_w: float,
-        total_pos: float,
-    ) -> tuple[Split, float, float] | None:
-        """Score all thresholds in one binned cumulative-sum pass."""
-        n_thresholds = len(column.thresholds)
-        if n_thresholds == 0:
-            return None
-        codes, hist_n, hist_w, hist_p = _node_histograms(
-            column, indices, weights, pos_weights
-        )
-        # Left stats of threshold b are the cumulative sums of bins 0..b
-        # (NaN rows live in the rightmost bin, so they never count left).
-        left_n = np.cumsum(hist_n)[:n_thresholds]
-        left_w = np.cumsum(hist_w)[:n_thresholds]
-        left_p = np.cumsum(hist_p)[:n_thresholds]
-        n_node = len(codes)
-        valid = (left_n >= self.min_samples_leaf) & (
-            (n_node - left_n) >= self.min_samples_leaf
-        )
-        if not valid.any():
-            return None
-        thresholds = column.thresholds[valid]
-        left_w = left_w[valid]
-        left_p = left_p[valid]
-        scores = self._score_children(
-            total_w, total_pos, left_w, left_p, total_w - left_w, total_pos - left_p
-        )
-        best = _lowest_tied(scores)
-        threshold = float(thresholds[best])
-        return NumericSplit(column.attr, threshold), float(scores[best]), threshold
-
-    def _best_categorical_split(
-        self,
-        column: CategoricalColumnIndex,
-        indices: np.ndarray,
-        weights: np.ndarray,
-        pos_weights: np.ndarray,
-        total_w: float,
-        total_pos: float,
-    ) -> tuple[Split, float, int] | None:
-        """Score all candidate values from per-value histograms at once."""
-        n_values = len(column.values)
-        if n_values < 2:
-            return None
-        codes, hist_n, hist_w, hist_p = _node_histograms(
-            column, indices, weights, pos_weights
-        )
-        present = np.flatnonzero(hist_n[:n_values] > 0)
-        if len(present) < 2:
-            return None
-        if len(present) > self.max_categories:
+    def _categorical_candidates(
+        self, ctx: _FitContext, left_n: np.ndarray, left_w: np.ndarray
+    ) -> np.ndarray:
+        """``(C, width)``: the values of each categorical feature that may
+        split the node — present in it, at least two of them, and the
+        ``max_categories`` heaviest when there are more."""
+        present = ctx.candidates & ~ctx.numeric & (left_n > 0)
+        n_present = present.sum(axis=1)
+        present &= (n_present >= 2)[:, None]
+        for k in np.flatnonzero(n_present > self.max_categories):
+            codes = np.flatnonzero(present[k])
             # Heaviest values first; equal weights resolve to lowest code.
-            order = np.lexsort((present, -hist_w[present]))
-            present = np.sort(present[order[: self.max_categories]])
-        left_n = hist_n[present]
-        n_node = len(codes)
-        valid = (left_n >= self.min_samples_leaf) & (
-            (n_node - left_n) >= self.min_samples_leaf
-        )
-        if not valid.any():
-            return None
-        candidates = present[valid]
-        left_w = hist_w[candidates]
-        left_p = hist_p[candidates]
-        scores = self._score_children(
-            total_w, total_pos, left_w, left_p, total_w - left_w, total_pos - left_p
-        )
-        best = _lowest_tied(scores)
-        code = int(candidates[best])
-        split = CategoricalSplit(column.attr, column.values[code])
-        return split, float(scores[best]), code
+            order = np.lexsort((codes, -left_w[k, codes]))
+            present[k] = False
+            present[k, codes[order[: self.max_categories]]] = True
+        return present
 
-    def _score_children(
+    def _impurity_gain(
         self,
         total_w: float,
         total_pos: float,
@@ -442,7 +546,8 @@ class DecisionTree:
         right_w: np.ndarray,
         right_p: np.ndarray,
     ) -> np.ndarray:
-        """Vectorized split score; higher is better."""
+        """Vectorized impurity decrease (gini, or entropy for the two
+        information criteria)."""
         if self.criterion == "gini":
             parent = gini_impurity(total_pos, total_w - total_pos)
             child = (
@@ -455,15 +560,7 @@ class DecisionTree:
             left_w * _entropy_vec(left_p, left_w)
             + right_w * _entropy_vec(right_p, right_w)
         ) / total_w
-        gain = parent - child
-        if self.criterion == "entropy":
-            return gain
-        info = np.array(
-            [split_info(lw, rw) for lw, rw in zip(left_w, right_w)], dtype=np.float64
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(info > 0, gain / info, 0.0)
-        return ratio
+        return parent - child
 
     # ------------------------------------------------------------------
     # prediction
@@ -670,32 +767,32 @@ class DecisionTree:
         return "\n".join(lines)
 
 
-def _node_histograms(
-    column: NumericColumnIndex | CategoricalColumnIndex,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    pos_weights: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-bin (count, weight, positive-weight) histograms of one node.
+def _fill_gain_ratios(
+    scores: np.ndarray,
+    valid: np.ndarray,
+    gain: np.ndarray,
+    left_w: np.ndarray,
+    right_w: np.ndarray,
+) -> None:
+    """Write ``gain / split_info`` of each candidate into ``scores[valid]``.
 
-    Returns ``(codes, hist_n, hist_w, hist_p)``; NaN/NULL rows land in
-    the rightmost bin by construction of the column's codes.
+    The split information is vectorized with ``np.log2``, which can
+    differ from ``math.log2`` in the last bit. Each column's candidates
+    within ``RESCORE_REL_TOL`` of its best are then recomputed with the
+    scalar :func:`~repro.learn.metrics.split_info`, so the column's pick
+    and its score are the scalar kernel's to the last bit.
     """
-    codes = column.codes[indices]
-    n_bins = column.n_bins
-    hist_n = np.bincount(codes, minlength=n_bins)
-    # bincount accumulates weights sequentially in row order — the same
-    # float-sum order as the per-threshold reference's dict accumulation,
-    # which the tie-break parity relies on.
-    hist_w = np.bincount(codes, weights=weights, minlength=n_bins)
-    hist_p = np.bincount(codes, weights=pos_weights, minlength=n_bins)
-    return codes, hist_n, hist_w, hist_p
-
-
-def _lowest_tied(scores: np.ndarray) -> int:
-    """Index of the first (lowest threshold/code) score tied with the max."""
-    cutoff = _tie_cutoff(float(scores.max()))
-    return int(np.flatnonzero(scores >= cutoff)[0])
+    info = _split_info_vec(left_w, right_w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores[valid] = np.where(info > 0, gain / info, 0.0)
+    near = valid & (
+        scores >= _tie_cutoff(scores.max(axis=1), RESCORE_REL_TOL)[:, None]
+    )
+    rescored = []
+    for i in np.flatnonzero(near[valid]):
+        exact = split_info(left_w[i], right_w[i])
+        rescored.append(gain[i] / exact if exact > 0 else 0.0)
+    scores[near] = rescored
 
 
 def _gini_vec(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -712,6 +809,27 @@ def _entropy_vec(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
         positive = q > 0
         out[positive] -= q[positive] * np.log2(q[positive])
     return out
+
+
+def _split_info_vec(left_w: np.ndarray, right_w: np.ndarray) -> np.ndarray:
+    """:func:`~repro.learn.metrics.split_info` elementwise, with ``np.log2``."""
+    total = left_w + right_w
+    out = np.zeros_like(total)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for weight in (left_w, right_w):
+            p = weight / total
+            out -= np.where(weight > 0, p * np.log2(p), 0.0)
+    return np.where(total > 0, out, 0.0)
+
+
+def _copy_subtree(node: _Node) -> _Node:
+    clone = _Node(node.n_samples, node.weight, node.pos_weight, node.depth)
+    if not node.is_leaf:
+        assert node.left is not None and node.right is not None
+        clone.split = node.split
+        clone.left = _copy_subtree(node.left)
+        clone.right = _copy_subtree(node.right)
+    return clone
 
 
 def _subtree_cost(node: _Node) -> tuple[float, int]:

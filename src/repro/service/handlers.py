@@ -11,6 +11,7 @@ reported as ``InternalError`` without killing the connection.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from typing import Any, Callable
 
@@ -550,7 +551,7 @@ def _limit(args: dict, name: str, default: int | None) -> int | None:
 
 def _metric_param(name, value):
     """One ``set_metric`` parameter: ``threshold`` and ``expected`` take
-    a number; the metric itself checks ``combine``."""
+    a finite number; the metric itself checks ``combine``."""
     if name == "combine":
         return value
     if name not in ("threshold", "expected"):
@@ -558,9 +559,14 @@ def _metric_param(name, value):
             f"unknown metric parameter {name!r} (known: threshold, expected, combine)"
         )
     try:
-        return float(value)
+        if isinstance(value, bool):
+            raise TypeError(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ProtocolError(f"{name!r} must be a number, not {value!r}") from None
+    if not math.isfinite(number):
+        raise ProtocolError(f"{name!r} must be finite, not {value!r}")
+    return number
 
 
 _SESSION_HANDLERS: dict[str, Callable[[DBWipesSession, dict], Any]] = {

@@ -83,8 +83,12 @@ histograms merged bucket-wise) plus recent slow-request records, and
 (``args: {"trace_id": ...}``; defaults to the most recent trace).
 
 Everything on the wire is JSON-safe: numpy scalars are unwrapped,
-arrays become lists, and NaN/±inf become ``null`` (the protocol is
-strict JSON — ``allow_nan`` is off in both directions).
+arrays become lists, and NaN/±inf become ``null``. The protocol is
+strict JSON in both directions: :func:`encode` runs with ``allow_nan``
+off, and :func:`decode_line` refuses ``NaN``, ``Infinity`` and
+``-Infinity``. A number too large for a float (``1e999``) still decodes
+to ``inf``, so the argument parsers that take numbers refuse non-finite
+values themselves.
 """
 
 from __future__ import annotations
@@ -165,7 +169,7 @@ def decode_line(line: bytes | str) -> dict:
         except UnicodeDecodeError as error:
             raise ProtocolError(f"request is not valid UTF-8: {error}") from None
     try:
-        message = json.loads(line)
+        message = json.loads(line, parse_constant=_refuse_constant)
     except json.JSONDecodeError as error:
         raise ProtocolError(f"request is not valid JSON: {error.msg}") from None
     if not isinstance(message, dict):
@@ -173,6 +177,10 @@ def decode_line(line: bytes | str) -> dict:
             f"request must be a JSON object, got {type(message).__name__}"
         )
     return message
+
+
+def _refuse_constant(name: str) -> Any:
+    raise ProtocolError(f"request is not strict JSON: {name} is not a number")
 
 
 def validate_request(message: dict) -> tuple[str, str | None, dict]:
@@ -407,6 +415,13 @@ def selection_from_args(args: dict, keys_field: str) -> Any:
 
 
 def _bound(value: Any, name: str) -> float:
+    """A finite brush bound; an open side is a missing or ``null`` bound."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProtocolError(f"brush bound {name!r} must be a number")
-    return float(value)
+    try:
+        bound = float(value)
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ProtocolError(f"brush bound {name!r} must be finite, not {value!r}")
+    return bound

@@ -1,5 +1,7 @@
 """Tests for the Predicate Enumerator and Predicate Ranker stages."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,9 @@ from repro.core import (
     TooHigh,
     TreeStrategy,
 )
-from repro.db import Database
+from repro.db import Database, Table
 from repro.errors import PipelineError
+from repro.learn import DecisionTree, SplitIndex
 
 
 @pytest.fixture
@@ -79,6 +82,35 @@ class TestPredicateEnumerator:
     def test_validation_fraction_bounds(self):
         with pytest.raises(PipelineError):
             PredicateEnumerator(validation_fraction=0.0)
+
+    def test_gini_and_ccp_share_one_fit_pruned_on_a_copy(self):
+        """Ordered ccp-first, the shared gini tree is fitted once and
+        pruned on a copy: the rules equal two independent fits'."""
+        rng = np.random.default_rng(5)
+        n = 400
+        x, y = rng.random(n), rng.random(n)
+        labels = (x > 0.5) ^ (rng.random(n) < 0.2)
+        F = Table.from_columns({"x": x, "y": y})
+        features = ["x", "y"]
+        index = SplitIndex.build(F)
+        ccp = TreeStrategy(criterion="gini", prune="ccp", ccp_alpha=3.0)
+        gini = TreeStrategy(criterion="gini")
+
+        def rules(*strategies):
+            enumerator = PredicateEnumerator(strategies=strategies)
+            return [
+                (r.predicate.clauses, repr(r.n_covered), repr(r.quality), r.source)
+                for r in enumerator._tree_rules(F, labels, None, features, index)
+            ]
+
+        alone = rules(ccp), rules(gini)
+        assert [c for c, *__ in alone[0]] != [c for c, *__ in alone[1]]
+        with mock.patch.object(
+            DecisionTree, "fit", autospec=True, side_effect=DecisionTree.fit
+        ) as fit:
+            shared = rules(ccp, gini)
+        assert fit.call_count == 1
+        assert shared == alone[0] + alone[1]
 
     @pytest.mark.parametrize("prune", ["REP", "cost_complexity", ""])
     def test_unknown_prune_mode_rejected(self, prune):

@@ -8,6 +8,7 @@ closed-loop run lives in ``benchmarks/test_service_throughput.py``.
 from __future__ import annotations
 
 import json
+import math
 import socket
 from concurrent.futures import ThreadPoolExecutor
 
@@ -50,8 +51,8 @@ def toy_table() -> Table:
     return Table.from_columns({"g": g, "v": v, "tag": tag}, name="toy")
 
 
-def toy_catalog(table: Table) -> DatasetCatalog:
-    catalog = DatasetCatalog()
+def toy_catalog(table: Table, data_dir=None) -> DatasetCatalog:
+    catalog = DatasetCatalog(data_dir=data_dir)
 
     def build() -> Database:
         db = Database()
@@ -644,6 +645,72 @@ class TestDisplayArguments:
             assert not call("render", width=width, height=height)["ok"]
         text = call("render", width=500, height=200)["result"]["text"]
         assert max(len(line) for line in text.splitlines()) >= 500
+
+
+class TestNonFiniteInput:
+    """The protocol is strict JSON, and a metric parameter or brush bound
+    must be a finite number: ``NaN`` and ``±inf`` are a ``ProtocolError``
+    that leaves the session and its journal as they were."""
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_decode_line_refuses_non_finite_constants(self, constant):
+        line = f'{{"id": 1, "cmd": "ping", "args": {{"x": {constant}}}}}\n'
+        with pytest.raises(ProtocolError, match="strict JSON"):
+            decode_line(line.encode())
+
+    @pytest.mark.parametrize(
+        "brush",
+        [
+            {"below": math.nan},
+            {"above": math.inf},
+            {"y1": -math.inf},
+            {"x0": 10**400},
+            {"above": json.loads("1e999")},
+        ],
+    )
+    def test_brush_bounds_must_be_finite(self, brush):
+        with pytest.raises(ProtocolError, match="finite"):
+            brush_from_json(brush)
+
+    @pytest.fixture()
+    def manager(self, shared_table, tmp_path):
+        from repro.service.handlers import dispatch
+
+        # A data dir, so the session keeps a journal.
+        manager = SessionManager(catalog=toy_catalog(shared_table, tmp_path))
+        for cmd, args in [
+            ("open", {"name": "s", "dataset": "toy"}),
+            ("execute", {"sql": TOY_SQL}),
+            ("select_results", {"brush": {"above": 5.0}}),
+            ("zoom", {}),
+            ("select_inputs", {"brush": {"above": 50.0}}),
+            ("set_metric", {"form": "too_high", "params": {"threshold": 2.0}}),
+        ]:
+            request = {"id": 1, "cmd": cmd, "session": "s", "args": args}
+            assert dispatch(manager, request)["ok"], cmd
+        return manager
+
+    @pytest.mark.parametrize(
+        "cmd, args",
+        [
+            ("set_metric", {"form": "too_high", "params": {"threshold": "nan"}}),
+            ("set_metric", {"form": "too_high", "params": {"threshold": "-inf"}}),
+            ("set_metric", {"form": "too_high", "params": {"threshold": math.inf}}),
+            ("set_metric", {"form": "too_high", "params": {"threshold": True}}),
+            ("set_metric", {"form": "too_high", "params": {"expected": math.nan}}),
+            ("select_results", {"brush": {"below": math.nan}}),
+            ("select_inputs", {"brush": {"above": math.inf}}),
+        ],
+    )
+    def test_refused_before_the_session_or_journal_changes(self, manager, cmd, args):
+        from repro.service.handlers import dispatch
+
+        managed = manager.get("s")
+        before = (managed.session.snapshot(), list(managed.journal.records))
+        request = {"id": 2, "cmd": cmd, "session": "s", "args": args}
+        envelope = dispatch(manager, request)
+        assert envelope["error"]["kind"] == "ProtocolError"
+        assert (managed.session.snapshot(), managed.journal.records) == before
 
 
 class TestSharedPreprocessCacheRegression:

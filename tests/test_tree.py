@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 
-from reference.tree import ExactDecisionTree
+from reference.tree import ColumnHistogramTree, ExactDecisionTree
 from repro.db import Table
 from repro.errors import LearnError, NotFittedError
 from repro.learn import CRITERIA, DecisionTree, SplitIndex
 from repro.learn.tree import CategoricalSplit, NumericSplit
 
-#: The production tree and its per-threshold parity oracle.
-TREES = {"hist": DecisionTree, "exact": ExactDecisionTree}
+#: The production tree and its per-column and per-threshold oracles.
+TREES = {
+    "hist": DecisionTree,
+    "column": ColumnHistogramTree,
+    "exact": ExactDecisionTree,
+}
 
 
 @pytest.fixture
@@ -243,7 +247,7 @@ class TestTieBreaking:
             algorithm: tree(max_depth=2).fit(table, labels).to_text()
             for algorithm, tree in TREES.items()
         }
-        assert texts["hist"] == texts["exact"]
+        assert texts["hist"] == texts["column"] == texts["exact"]
 
 
 def _noisy_split_data(seed: int = 5, n: int = 600):
@@ -284,7 +288,7 @@ class TestPruningOnHistogramTrees:
             )
             tree.prune_reduced_error(val, val_labels)
             texts.append(tree.to_text())
-        assert texts[0] == texts[1]
+        assert texts[0] == texts[1] == texts[2]
 
     def test_ccp_alpha_ladder_is_monotone(self):
         train, train_labels, __, __ = _noisy_split_data(seed=9)
@@ -311,7 +315,7 @@ class TestPruningOnHistogramTrees:
             )
             tree.cost_complexity_prune(0.8)
             texts.append(tree.to_text())
-        assert texts[0] == texts[1]
+        assert texts[0] == texts[1] == texts[2]
 
     def test_pruned_hist_tree_still_extracts_rules(self, separable_table):
         table, labels = separable_table
