@@ -7,9 +7,10 @@ workload at 1× / 10× / 50× rows via ``REPRO_STORE_BENCH_SCALES``):
   maps column bytes lazily, so it must be far cheaper than regenerating
   the dataset (the whole point of warm restarts);
 * **cold vs warm restart** — the first ``debug()`` of a freshly
-  restarted process: cold pays dataset build + preprocess compute, warm
-  pays a manifest reopen + one artifact load. The answers must be
-  byte-identical; the speedup is the durability payoff on record;
+  restarted process: cold pays dataset build + persist, warm pays a
+  manifest reopen + recompute of the preprocessing from the mapped
+  table. The answers must be byte-identical; the speedup is the
+  durability payoff on record;
 * **mmap overhead** — a warm in-cache debug cycle over a memory-mapped
   table vs the in-memory reference must stay within a small constant
   factor (the lazy gathers hit the page cache, not the disk).
@@ -26,8 +27,6 @@ import time
 
 import pytest
 
-from repro.core.artifacts import ArtifactStore
-from repro.core.preprocessor import PreprocessCache
 from repro.data import generate_intel, intel_at_scale
 from repro.db import Database, Table
 from repro.frontend import Brush, DBWipesSession
@@ -70,10 +69,10 @@ def _intel_table(scale: int) -> Table:
     return table
 
 
-def _debug_cycle(db: Database, preprocess_cache=None) -> tuple[list[str], float]:
+def _debug_cycle(db: Database) -> tuple[list[str], float]:
     """One scripted Figure-4 debug cycle; returns (canonical lines, secs)."""
     start = time.perf_counter()
-    session = DBWipesSession(db, preprocess_cache=preprocess_cache)
+    session = DBWipesSession(db)
     session.execute(INTEL_SQL)
     session.select_results(Brush.above(7.0), y="std_temp")
     session.zoom()
@@ -145,28 +144,24 @@ class TestWarmRestart:
         for scale in SCALES:
             data_dir = tmp_path / f"{scale}x"
 
-            # Cold boot: build + persist the dataset, compute + persist
-            # the preprocess artifact, answer the first debug().
+            # Cold boot: build + persist the dataset, answer the first
+            # debug().
             t0 = time.perf_counter()
             catalog = self._catalog(data_dir, scale)
             db = catalog.get("intel")
-            cache = PreprocessCache(disk=ArtifactStore(data_dir / "preprocess"))
-            cold_lines, __ = _debug_cycle(db, preprocess_cache=cache)
+            cold_lines, __ = _debug_cycle(db)
             cold_seconds = time.perf_counter() - t0
-            assert cache.stats()["disk_writes"] >= 1
 
             # Restart: fresh process state, same data dir. The first
-            # debug must come back byte-identical without recomputing.
+            # debug reopens the mapped table, recomputes its
+            # preprocessing and must come back byte-identical.
             t0 = time.perf_counter()
             restarted = DatasetCatalog(data_dir=data_dir)
             db = restarted.get("intel")
-            cache = PreprocessCache(disk=ArtifactStore(data_dir / "preprocess"))
-            warm_lines, __ = _debug_cycle(db, preprocess_cache=cache)
+            warm_lines, __ = _debug_cycle(db)
             warm_seconds = time.perf_counter() - t0
-            stats = cache.stats()
 
             assert warm_lines == cold_lines
-            assert stats["disk_hits"] >= 1 and stats["disk_writes"] == 0
             rows.append(
                 {
                     "scale": scale,
@@ -174,7 +169,6 @@ class TestWarmRestart:
                     "cold_first_debug_seconds": round(cold_seconds, 6),
                     "warm_first_debug_seconds": round(warm_seconds, 6),
                     "speedup": round(cold_seconds / max(warm_seconds, 1e-9), 3),
-                    "disk_hits": stats["disk_hits"],
                 }
             )
         # Warmness must be measurable, not incidental: at the largest

@@ -506,10 +506,9 @@ def serve_main(argv: list[str]) -> int:
     ``--slow-threshold S`` marks requests slower than S seconds in the
     slow-request log (exported via the env so workers inherit it).
     ``--data-dir D`` makes the catalog durable: datasets persist as
-    memory-mapped table directories under D and preprocess artifacts
-    under ``D/preprocess``, so a restarted server answers its first
-    ``debug()`` warm (exported via ``REPRO_DATA_DIR`` so workers
-    inherit it).
+    memory-mapped table directories and sessions as journals under D,
+    so a restarted server reopens its tables instead of regenerating
+    them (exported via ``REPRO_DATA_DIR`` so workers inherit it).
 
     The server is the asyncio gateway: admission control
     (``--max-inflight`` / ``--max-queue``, shedding excess load with
@@ -523,7 +522,7 @@ def serve_main(argv: list[str]) -> int:
     import os
 
     from .obs import set_slow_threshold
-    from .service import DBWipesServer, SessionManager
+    from .service import DBWipesServer
     from .service.cache import DATA_DIR_ENV
 
     try:
@@ -550,30 +549,23 @@ def serve_main(argv: list[str]) -> int:
             # in-process one, or each forked worker's own — resolves the
             # durable root from the environment.
             os.environ[DATA_DIR_ENV] = data_dir
-        ttl_seconds = float(ttl) if ttl else None
-        common = dict(
+        # The server checks every limit before it binds or spawns.
+        server = DBWipesServer(
             host=host,
             port=port,
+            workers=workers,
+            max_sessions=max_sessions,
+            ttl_seconds=float(ttl) if ttl else None,
             max_inflight=max_inflight,
             max_queue=max_queue,
             rate=float(rate) if rate else None,
             burst=float(burst) if burst else None,
         )
-        if workers > 0:
-            server = DBWipesServer(
-                workers=workers,
-                max_sessions=max_sessions,
-                ttl_seconds=ttl_seconds,
-                **common,
-            )
-            datasets = "per-worker demo catalogs"
-        else:
-            manager = SessionManager(
-                max_sessions=max_sessions,
-                ttl_seconds=ttl_seconds,
-            )
-            server = DBWipesServer(manager, **common)
-            datasets = f"datasets: {', '.join(manager.catalog.names)}"
+        datasets = (
+            "per-worker demo catalogs"
+            if server.manager is None
+            else f"datasets: {', '.join(server.manager.catalog.names)}"
+        )
         server.start()  # binds the port; the loop runs in a thread
     except (ReproError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)

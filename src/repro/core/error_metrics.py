@@ -160,14 +160,13 @@ def available_metric_ids() -> tuple[str, ...]:
 
 
 def metric_spec(metric: ErrorMetric) -> dict | None:
-    """A JSON-safe parameter spec that round-trips through
-    :func:`metric_from_spec`, or ``None`` for unknown subclasses.
+    """A built-in metric's exact parameters, or ``None`` for other subclasses.
 
-    Used by the durable preprocess-artifact store: a persisted artifact
-    must rebuild the exact metric after a restart, so only the built-in
-    form metrics (whose behaviour is fully determined by their
-    parameters) are eligible — a user-defined subclass returns ``None``
-    and its results simply stay memory-only.
+    :func:`~repro.core.preprocessor.preprocess_key` keys on this spec,
+    because ``describe()`` rounds a threshold to six significant digits.
+    Only the built-in form metrics, whose behaviour their parameters
+    fully determine, have one; a user-defined subclass returns ``None``
+    and is keyed on its own identity.
     """
     if _METRICS.get(type(metric).form_id) is not type(metric):
         return None
@@ -177,9 +176,3 @@ def metric_spec(metric: ErrorMetric) -> dict | None:
     else:
         spec["threshold"] = metric.threshold
     return spec
-
-
-def metric_from_spec(spec: dict) -> ErrorMetric:
-    """Rebuild a metric from a :func:`metric_spec` dict."""
-    params = {k: v for k, v in spec.items() if k != "form_id"}
-    return metric_from_form(spec["form_id"], **params)

@@ -42,7 +42,6 @@ from .influence import InfluenceResult, leave_one_out_influence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..learn.split_index import SplitIndex
-    from .artifacts import ArtifactStore
     from .maskset import ClauseMaskCache
 
 
@@ -269,24 +268,15 @@ class PreprocessCache:
     benchmark.
     """
 
-    def __init__(self, max_entries: int = 64, disk: "ArtifactStore | None" = None):
+    def __init__(self, max_entries: int = 64):
         if max_entries < 1:
             raise PipelineError("max_entries must be >= 1")
         self.max_entries = max_entries
-        #: Optional disk-backed second level (an
-        #: :class:`~repro.core.artifacts.ArtifactStore`). A memory miss
-        #: probes it before computing; a computed value is written
-        #: through. Shared across restarts and across worker processes
-        #: (artifact keys are content-addressed, writes are atomic).
-        self.disk = disk
         self._lock = threading.Lock()
         self._entries: OrderedDict[Hashable, PreprocessCache._Entry] = OrderedDict()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._disk_hits = 0
-        self._disk_misses = 0
-        self._disk_writes = 0
         # Mirror the ad-hoc counters into the shared telemetry registry:
         # get-or-create means every cache instance in a process feeds the
         # same process-wide counters (the ``metrics`` command merges the
@@ -304,18 +294,6 @@ class PreprocessCache:
             "dbwipes_preprocess_cache_evictions_total",
             help="Preprocess cache entries evicted by the LRU bound.",
         )
-        self._m_disk_hits = reg.counter(
-            "dbwipes_preprocess_cache_disk_hits_total",
-            help="Preprocess cache memory misses served from disk artifacts.",
-        )
-        self._m_disk_misses = reg.counter(
-            "dbwipes_preprocess_cache_disk_misses_total",
-            help="Preprocess cache disk probes that found no artifact.",
-        )
-        self._m_disk_writes = reg.counter(
-            "dbwipes_preprocess_cache_disk_writes_total",
-            help="Preprocess artifacts written through to disk.",
-        )
 
     class _Entry:
         __slots__ = ("ready", "value", "error")
@@ -326,19 +304,9 @@ class PreprocessCache:
             self.error: BaseException | None = None
 
     def get_or_compute(
-        self,
-        key: Hashable,
-        compute: Callable[[], PreprocessResult],
-        disk_key: str | None = None,
+        self, key: Hashable, compute: Callable[[], PreprocessResult]
     ) -> PreprocessResult:
-        """Return the cached value for ``key``, computing it at most once.
-
-        When a disk tier is attached and ``disk_key`` identifies the
-        request content-addressably, a memory miss probes disk before
-        computing, and a fresh computation is written through (at most
-        one writer per artifact across processes — see
-        :class:`~repro.core.artifacts.ArtifactStore`).
-        """
+        """Return the cached value for ``key``, computing it at most once."""
         owner = False
         with self._lock:
             entry = self._entries.get(key)
@@ -364,26 +332,7 @@ class PreprocessCache:
                         self._m_evictions.inc()
         if owner:
             try:
-                value = None
-                if self.disk is not None and disk_key is not None:
-                    value = self.disk.load(disk_key)
-                    with self._lock:
-                        if value is not None:
-                            self._disk_hits += 1
-                            if obs_enabled():
-                                self._m_disk_hits.inc()
-                        else:
-                            self._disk_misses += 1
-                            if obs_enabled():
-                                self._m_disk_misses.inc()
-                if value is None:
-                    value = compute()
-                    if self.disk is not None and disk_key is not None:
-                        if self.disk.save(disk_key, value):
-                            with self._lock:
-                                self._disk_writes += 1
-                            if obs_enabled():
-                                self._m_disk_writes.inc()
+                value = compute()
             except BaseException as error:
                 # Failed computations are not cached; waiters see the error.
                 entry.error = error
@@ -402,22 +351,16 @@ class PreprocessCache:
         return entry.value
 
     def stats(self) -> dict:
-        """Counters: hits, misses, evictions, disk tier, current entries."""
+        """Counters: hits, misses, evictions, current entries."""
         with self._lock:
             total = self._hits + self._misses
-            out = {
+            return {
                 "hits": self._hits,
                 "misses": self._misses,
                 "evictions": self._evictions,
                 "entries": len(self._entries),
                 "hit_rate": (self._hits / total) if total else 0.0,
-                "disk_hits": self._disk_hits,
-                "disk_misses": self._disk_misses,
-                "disk_writes": self._disk_writes,
             }
-        if self.disk is not None:
-            out["disk"] = self.disk.stats()
-        return out
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""
@@ -495,15 +438,8 @@ class Preprocessor:
             # the first aggregate share one cache entry.
             agg_name = result.aggregate_names[0]
         key = preprocess_key(result, selected_rows, metric, agg_name)
-        disk_key = None
-        if self.cache.disk is not None:
-            from .artifacts import artifact_key
-
-            disk_key = artifact_key(result, selected_rows, metric, agg_name)
         return self.cache.get_or_compute(
-            key,
-            lambda: self._compute(result, selected_rows, metric, agg_name),
-            disk_key=disk_key,
+            key, lambda: self._compute(result, selected_rows, metric, agg_name)
         )
 
     def _compute(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from ..errors import StorageError, UnknownTableError
 from ..obs.flags import enabled as obs_enabled
@@ -14,7 +14,6 @@ from ..obs.trace import span as obs_span
 from .executor import execute_plan
 from .planner import plan_select
 from .result import ResultSet
-from .schema import Schema
 from .sqlparse.ast_nodes import SelectStatement
 from .sqlparse.parser import parse_select
 from .store import MANIFEST_NAME, GatherStore
@@ -170,13 +169,6 @@ class Database:
     ) -> Table:
         """Create and register a table from ``{column: values}`` data."""
         table = Table.from_columns(data, types=types, name=name)
-        return self.register(table)
-
-    def create_from_rows(
-        self, name: str, schema: Schema, rows: Iterable[Sequence[Any]]
-    ) -> Table:
-        """Create and register a table from row tuples."""
-        table = Table.from_rows(schema, rows, name=name)
         return self.register(table)
 
     def table(self, name: str) -> Table:

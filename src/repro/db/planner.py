@@ -31,11 +31,6 @@ class AggSpec:
     impl: Aggregate
     output_name: str
 
-    @property
-    def is_star(self) -> bool:
-        """Whether this is ``count(*)``."""
-        return isinstance(self.call.arg, Star)
-
 
 @dataclass(frozen=True)
 class KeySpec:
@@ -61,11 +56,6 @@ class LogicalPlan:
     def is_aggregate_query(self) -> bool:
         """Whether the query computes any aggregates."""
         return bool(self.aggs)
-
-    @property
-    def is_grouped(self) -> bool:
-        """Whether the query has a GROUP BY clause."""
-        return bool(self.statement.group_by)
 
     def output_names(self) -> tuple[str, ...]:
         """Output column names in SELECT order."""

@@ -276,10 +276,6 @@ class Predicate:
             return "TRUE"
         return " and ".join(clause.describe() for clause in self._clauses)
 
-    def and_clause(self, clause: Clause) -> "Predicate":
-        """A new predicate with one more clause appended."""
-        return Predicate(self._clauses + (clause,))
-
     def simplify(self) -> "Predicate | None":
         """Merge clauses on the same column.
 

@@ -24,13 +24,11 @@ are **dictionary-encoded** on write: an ``int64`` code per row (−1 for
 NULL) in the column's ``.npy`` file, plus a ``.values.json`` sidecar
 listing the values in first-occurrence order. The encoding is
 deterministic, which makes the content digest of a table identical
-whether computed from the in-memory original or the reopened mmap copy
-— that digest keys the persisted preprocess artifacts, so cache entries
-written before a restart are found after it.
+whether computed from the in-memory original or the reopened mmap copy;
+the manifest records it, so a reopened table is never re-hashed.
 
-Atomicity: every writer (table directories here, preprocess artifacts
-in :mod:`repro.core.artifacts`) stages into a ``*.tmp-<pid>-*`` sibling
-and publishes with one ``os.replace``/``os.rename`` — concurrent
+Atomicity: every table directory is staged into a ``*.tmp-<pid>-*``
+sibling and published with one ``os.replace``/``os.rename`` — concurrent
 writers (forked workers racing to persist the same dataset) each
 produce a complete staging copy and the first rename wins; losers
 discard their staging copy and read the winner's. A reader never
@@ -350,9 +348,7 @@ def table_digest(schema: Schema, columns, tids: np.ndarray) -> str:
     Canonical over the *logical* content, not the physical layout:
     numeric/bool columns hash their C-contiguous bytes, string columns
     hash their deterministic dictionary encoding. The digest of an
-    in-memory table therefore equals the digest of its mmap round-trip,
-    which is what lets preprocess artifacts persisted before a restart
-    be found after it (the artifact key starts with this digest).
+    in-memory table therefore equals the digest of its mmap round-trip.
     """
     h = hashlib.blake2b(digest_size=16)
     for column in schema:

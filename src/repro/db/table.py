@@ -161,7 +161,7 @@ class Table:
         """Digest of the table's logical content (schema + columns + tids).
 
         Identical for an in-memory table and its persisted/reopened copy;
-        used to key persisted preprocess artifacts across restarts. For
+        the manifest records it and ``store inspect`` reports it. For
         mmap-backed tables the digest comes straight from the manifest —
         no column bytes are read.
         """
@@ -199,11 +199,6 @@ class Table:
     def num_rows(self) -> int:
         """Number of rows."""
         return self._length
-
-    @property
-    def num_columns(self) -> int:
-        """Number of columns."""
-        return len(self._schema)
 
     def column(self, name: str) -> np.ndarray:
         """The storage array for a column (read-only view)."""

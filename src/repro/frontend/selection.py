@@ -36,11 +36,6 @@ class Brush:
         return cls(x0, x1, -np.inf, np.inf)
 
     @classmethod
-    def over_y(cls, y0: float, y1: float) -> "Brush":
-        """A brush spanning the full x range (select by y only)."""
-        return cls(-np.inf, np.inf, y0, y1)
-
-    @classmethod
     def above(cls, y: float) -> "Brush":
         """Everything with y >= the given value — 'suspiciously high'."""
         return cls(-np.inf, np.inf, y, np.inf)

@@ -250,15 +250,12 @@ def _metrics(manager: SessionManager, args: dict) -> dict:
 
 
 def _storage(manager: SessionManager, args: dict) -> dict:
-    """The durable tier's state: data dir, persisted datasets, artifacts.
+    """The durable tier's state: data dir and persisted datasets.
 
     Manifest reads only — never materializes a table or touches column
     bytes, so it stays in the cheap lane.
     """
-    info = manager.catalog.storage_info()
-    disk = manager.preprocess_cache.disk
-    info["preprocess_artifacts"] = disk.stats() if disk is not None else None
-    return info
+    return manager.catalog.storage_info()
 
 
 def _trace(manager: SessionManager, args: dict) -> dict:

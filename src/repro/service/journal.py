@@ -5,10 +5,10 @@ per-session JSON-line journal under the durable data dir (PR 9), so a
 session is fully described by its dataset plus the ordered command
 list — the pipeline is deterministic, so replaying the journal on any
 worker rebuilds byte-identical state. The first replayed ``debug``
-answers warm off the disk artifact tier; every later replayed
-``debug`` that repeats its selection and D′ answers from the stage
-memo on the cached ``PreprocessResult``, so it skips both enumeration
-stages (see :mod:`repro.core.backend`).
+recomputes its preprocessing from the reopened tables; every later
+replayed ``debug`` that repeats its selection and D′ answers from the
+stage memo on the cached ``PreprocessResult``, so it skips both
+enumeration stages (see :mod:`repro.core.backend`).
 
 The on-disk contract:
 

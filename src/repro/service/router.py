@@ -3,7 +3,7 @@
 The routing rule is **a fixed hash of the dataset id**: every session
 opened on dataset ``d`` lands on ``replica_set(d, n_workers)[0]``, so
 one worker owns all sessions of a dataset — and with them every shared
-artifact those sessions hit (the dataset build itself, the
+in-memory structure those sessions hit (the dataset build itself, the
 ``PreprocessCache`` entry for a debugged selection, its ``SplitIndex``
 and clause-mask memos). That affinity is the serving story: the
 preprocess-cache hit rate measured on the single-process tier (~0.96)
@@ -385,7 +385,6 @@ class RoutingDispatcher(Dispatcher):
         per_worker = []
         sessions = 0
         hits = misses = evictions = entries = 0
-        disk_hits = disk_misses = disk_writes = 0
         lru_evictions = ttl_evictions = 0
         worker_requests = restarts = 0
         for process_stats, envelope in zip(self.pool.stats(), envelopes):
@@ -403,9 +402,6 @@ class RoutingDispatcher(Dispatcher):
                 misses += int(cache.get("misses", 0))
                 evictions += int(cache.get("evictions", 0))
                 entries += int(cache.get("entries", 0))
-                disk_hits += int(cache.get("disk_hits", 0))
-                disk_misses += int(cache.get("disk_misses", 0))
-                disk_writes += int(cache.get("disk_writes", 0))
             else:
                 entry["error"] = envelope.get("error")
             per_worker.append(entry)
@@ -431,9 +427,6 @@ class RoutingDispatcher(Dispatcher):
                     "evictions": evictions,
                     "entries": entries,
                     "hit_rate": (hits / total) if total else 0.0,
-                    "disk_hits": disk_hits,
-                    "disk_misses": disk_misses,
-                    "disk_writes": disk_writes,
                 },
                 "per_worker": per_worker,
             },
@@ -443,42 +436,15 @@ class RoutingDispatcher(Dispatcher):
         """Cluster view of the durable tier.
 
         Every worker shares one data dir, so the dataset/table listing
-        comes from the first healthy worker; the per-worker artifact
-        *activity* counters (saves/loads) are summed — they live in each
-        worker's process, not on disk.
+        comes from the first healthy worker.
         """
-        merged: dict = {
-            "workers": len(self.pool),
-            "data_dir": None,
-            "datasets": [],
-            "preprocess_artifacts": None,
-        }
-        saves = loads = load_failures = entries = 0
-        seen_artifacts = False
-        first_ok = None
+        merged: dict = {"workers": len(self.pool), "data_dir": None, "datasets": []}
         for envelope in envelopes:
-            if not envelope.get("ok"):
-                continue
-            result = envelope["result"]
-            if first_ok is None:
-                first_ok = result
-            artifacts = result.get("preprocess_artifacts")
-            if isinstance(artifacts, dict):
-                seen_artifacts = True
-                saves += int(artifacts.get("saves", 0))
-                loads += int(artifacts.get("loads", 0))
-                load_failures += int(artifacts.get("load_failures", 0))
-                entries = max(entries, int(artifacts.get("entries", 0)))
-        if first_ok is not None:
-            merged["data_dir"] = first_ok.get("data_dir")
-            merged["datasets"] = first_ok.get("datasets", [])
-        if seen_artifacts:
-            merged["preprocess_artifacts"] = {
-                "entries": entries,
-                "saves": saves,
-                "loads": loads,
-                "load_failures": load_failures,
-            }
+            if envelope.get("ok"):
+                result = envelope["result"]
+                merged["data_dir"] = result.get("data_dir")
+                merged["datasets"] = result.get("datasets", [])
+                break
         return protocol.ok_response(request_id, merged)
 
     def _merge_sessions(self, request_id, envelopes: list[dict]) -> dict:

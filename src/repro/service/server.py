@@ -155,15 +155,20 @@ class TokenBucket:
     """
 
     def __init__(self, rate: float, burst: float, clock=time.monotonic):
-        if rate <= 0:
-            raise ServiceError("rate must be positive")
-        if burst < 1:
-            raise ServiceError("burst must be >= 1")
+        self.check(rate, burst)
         self.rate = float(rate)
         self.capacity = float(burst)
         self.tokens = float(burst)
         self._clock = clock
         self._last = clock()
+
+    @staticmethod
+    def check(rate: float, burst: float) -> None:
+        """Refuse a bucket that could never hand out a token."""
+        if not rate > 0:
+            raise ServiceError("rate must be positive")
+        if not burst >= 1:
+            raise ServiceError("burst must be >= 1")
 
     def _refill(self) -> None:
         now = self._clock()
@@ -199,7 +204,8 @@ class DBWipesServer:
     :class:`~repro.service.router.RoutingDispatcher`. In that mode
     ``manager`` is ``None``; ``catalog_factory``, ``config``,
     ``max_sessions`` and ``ttl_seconds`` configure every worker's own
-    manager instead. The gateway knobs:
+    manager instead. In process, ``max_sessions`` and ``ttl_seconds``
+    configure the manager built when none is given. The gateway knobs:
 
     ``max_inflight``
         Heavy commands executing at once. The GIL makes a *small* bound
@@ -212,7 +218,11 @@ class DBWipesServer:
         Heavy commands allowed to wait for a slot; one more is shed.
     ``rate`` / ``burst``
         Per-connection token bucket on heavy commands; ``rate=None``
-        disables rate limiting.
+        disables rate limiting, and ``burst`` defaults to
+        ``max(1, 2 × rate)``.
+
+    Every value is checked here, before the port is bound or a worker
+    is spawned: a bad one raises :class:`~repro.errors.ServiceError`.
     """
 
     def __init__(
@@ -234,6 +244,14 @@ class DBWipesServer:
             raise ServiceError("max_inflight must be >= 1 (or None to auto-tune)")
         if max_queue < 0:
             raise ServiceError("max_queue must be >= 0")
+        if workers < 0:
+            raise ServiceError("workers must be >= 0 (0 serves in process)")
+        if burst is None:
+            burst = max(1.0, 2.0 * (rate or 0.0))
+        if rate is not None:
+            TokenBucket.check(rate, burst)
+        self.rate = rate
+        self.burst = float(burst)
         self.host = host
         self.port = port
         #: Whether the gate resizes itself from the service-time EWMA.
@@ -249,9 +267,7 @@ class DBWipesServer:
             else self._inflight_cap
         )
         self.max_queue = int(max_queue)
-        self.rate = rate
-        self.burst = float(burst) if burst is not None else (rate or 0) * 2 or 1.0
-        if workers and int(workers) > 0:
+        if workers > 0:
             from .router import RoutingDispatcher
             from .workers import WorkerPool
 
@@ -266,8 +282,12 @@ class DBWipesServer:
                 )
             )
         else:
-            self.manager = manager if manager is not None else SessionManager()
-            self.dispatcher = LocalDispatcher(self.manager)
+            if manager is None:
+                manager = SessionManager(
+                    max_sessions=max_sessions, ttl_seconds=ttl_seconds
+                )
+            self.manager = manager
+            self.dispatcher = LocalDispatcher(manager)
 
         # Admission state — touched only from the event loop.
         self._inflight = 0

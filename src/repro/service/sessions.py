@@ -79,6 +79,19 @@ class ManagedSession:
         }
 
 
+def check_limits(max_sessions: int, ttl_seconds: float | None) -> None:
+    """Refuse session limits that no manager can serve under.
+
+    :class:`SessionManager` checks them when it is built, and so does
+    :class:`~repro.service.workers.WorkerPool` before it spawns a worker
+    whose manager would refuse them.
+    """
+    if max_sessions < 1:
+        raise ServiceError("max_sessions must be >= 1")
+    if ttl_seconds is not None and not ttl_seconds > 0:
+        raise ServiceError("ttl_seconds must be positive (or None)")
+
+
 class SessionManager:
     """Thread-safe registry of named sessions with LRU + TTL eviction."""
 
@@ -91,10 +104,7 @@ class SessionManager:
         preprocess_cache: PreprocessCache | None = None,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if max_sessions < 1:
-            raise ServiceError("max_sessions must be >= 1")
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise ServiceError("ttl_seconds must be positive (or None)")
+        check_limits(max_sessions, ttl_seconds)
         # "is not None" coalescing: SessionManager and PreprocessCache
         # define __len__, so an empty-but-real instance is falsy.
         self.catalog = (
@@ -103,17 +113,9 @@ class SessionManager:
         self.config = config
         self.max_sessions = max_sessions
         self.ttl_seconds = ttl_seconds
-        if preprocess_cache is None:
-            # A durable catalog implies a durable preprocess tier: keep
-            # artifacts next to the tables they derive from, so one data
-            # dir is the whole warm-restart state.
-            disk = None
-            if self.catalog.data_dir is not None:
-                from ..core.artifacts import ArtifactStore
-
-                disk = ArtifactStore(self.catalog.data_dir / "preprocess")
-            preprocess_cache = PreprocessCache(disk=disk)
-        self.preprocess_cache = preprocess_cache
+        self.preprocess_cache = (
+            preprocess_cache if preprocess_cache is not None else PreprocessCache()
+        )
         # A durable data dir also enables session journaling: every
         # state-mutating command lands in a per-session journal, so a
         # crashed or drained worker's sessions can be replayed anywhere

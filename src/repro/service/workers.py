@@ -61,6 +61,7 @@ from ..obs.metrics import registry as obs_registry
 from . import faults
 from .cache import DatasetCatalog
 from .protocol import error_response, partial_response
+from .sessions import check_limits
 
 #: Default seconds a routed call waits before giving up with a
 #: ``WorkerTimeout`` envelope (None = wait forever).
@@ -90,12 +91,12 @@ def _worker_main(
     obs_flags.reset_from_env()
 
     # Durable-tier fork safety mirrors the registry reset above: each
-    # worker builds its own catalog + artifact store against the shared
-    # REPRO_DATA_DIR, and every disk write in that tier stages under a
-    # per-*pid* temp name published by atomic rename with first-writer-
-    # wins — so N forked workers racing on a cold dataset or artifact
-    # produce one file, never a clobber (and a parent forked mid-persist
-    # cannot collide with any child's staging paths).
+    # worker builds its own catalog against the shared REPRO_DATA_DIR,
+    # and every table write in that tier stages under a per-*pid* temp
+    # name published by atomic rename with first-writer-wins — so N
+    # forked workers racing on a cold dataset produce one copy, never a
+    # clobber (and a parent forked mid-persist cannot collide with any
+    # child's staging paths).
     catalog = (
         catalog_factory()
         if catalog_factory is not None
@@ -535,6 +536,7 @@ class WorkerPool:
     ):
         if n_workers < 1:
             raise ServiceError("n_workers must be >= 1")
+        check_limits(max_sessions, ttl_seconds)
         self.start_method = (
             "fork"
             if "fork" in multiprocessing.get_all_start_methods()

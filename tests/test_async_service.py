@@ -346,6 +346,31 @@ class TestRateLimiting:
             with ServiceClient(host, port, session="greedy") as c2:
                 c2.execute(TOY_SQL)
 
+    @pytest.mark.parametrize(
+        "rate, burst, message",
+        [
+            (0.0, None, "rate must be positive"),
+            (-1.0, None, "rate must be positive"),
+            (float("nan"), None, "rate must be positive"),
+            (1.0, 0.5, "burst must be >= 1"),
+        ],
+        ids=["zero-rate", "negative-rate", "nan-rate", "fractional-burst"],
+    )
+    def test_bad_bucket_is_refused_when_the_server_is_built(
+        self, shared_table, rate, burst, message
+    ):
+        manager = SessionManager(catalog=toy_catalog(shared_table))
+        with pytest.raises(ServiceError, match=message):
+            DBWipesServer(manager, port=0, rate=rate, burst=burst)
+
+    def test_slow_rate_defaults_to_a_one_token_burst(self, shared_table):
+        manager = SessionManager(catalog=toy_catalog(shared_table))
+        with DBWipesServer(manager, port=0, rate=0.25) as srv:
+            assert srv.burst == 1.0
+            with ServiceClient(*srv.address, session="slow") as c:
+                assert c.ping()["pong"]
+                c.open("toy")  # spends the one token
+
 
 class TestRoutedAsyncGateway:
     def test_routed_cycle_matches_and_streams(self):

@@ -170,6 +170,40 @@ class TestDatasetsAndMain:
         assert main(["serve", *argv]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--rate", "0"], "rate must be positive"),
+            (["--rate", "1", "--burst", "0.5"], "burst must be >= 1"),
+            (["--workers", "1", "--ttl", "0"], "ttl_seconds must be positive"),
+            (["--workers", "1", "--max-sessions", "0"], "max_sessions must be >= 1"),
+            (["--workers", "-1"], "workers must be >= 0"),
+        ],
+        ids=[
+            "zero-rate",
+            "fractional-burst",
+            "workers-zero-ttl",
+            "workers-zero-sessions",
+            "negative-workers",
+        ],
+    )
+    def test_serve_rejects_bad_limits_before_starting(
+        self, argv, message, capsys, monkeypatch
+    ):
+        from repro.service import workers
+
+        def no_bind(sock, address):
+            raise AssertionError(f"serve bound {address}")
+
+        def no_spawn(*args, **kwargs):
+            raise AssertionError("serve spawned a worker process")
+
+        monkeypatch.setattr(socket.socket, "bind", no_bind)
+        monkeypatch.setattr(workers, "WorkerHandle", no_spawn)
+        assert main(["serve", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
 
 def closed_port() -> int:
     """A local port nothing listens on."""

@@ -1,23 +1,21 @@
 """The durable columnar storage tier and its parity contract.
 
-Four layers under test, bottom up:
+Three layers under test, bottom up:
 
 * :mod:`repro.db.store` — the :class:`ColumnStore` implementations:
   round-tripping every column type through the one-``.npy``-per-column
   + manifest layout, lazy gathers/slices, content digests, corrupt
   files reported by name, and the atomic first-writer-wins publication
   protocol;
-* :mod:`repro.core.artifacts` — persisted
-  :class:`~repro.core.preprocessor.PreprocessResult` bundles and the
-  disk-backed second level of :class:`PreprocessCache`;
 * :class:`~repro.service.cache.DatasetCatalog` durability — persist on
   first build, reopen from manifests on the next process, survive
   concurrent writers (the forked-worker race);
 * the **parity harness**: ``debug()`` through a memory-mapped table is
   byte-identical to the in-memory reference across execution backends
-  and scoring algorithms, and a *restarted* server's first ``debug()``
-  is byte-identical to the pre-restart answer while measurably warm
-  (the preprocess artifact is a disk hit, never a recompute).
+  and scoring algorithms, and a *restarted* server's first ``debug()``,
+  which recomputes its preprocessing from the reopened tables, is
+  byte-identical to the pre-restart answer and writes nothing but
+  tables and journals into the data dir.
 """
 
 from __future__ import annotations
@@ -32,10 +30,7 @@ import numpy as np
 import pytest
 
 from reference.scoring import per_rule_scoring
-from repro.core import Preprocessor, TooHigh
-from repro.core.artifacts import ArtifactStore, artifact_key
 from repro.core.pipeline import PipelineConfig
-from repro.core.preprocessor import PreprocessCache
 from repro.data import intel_at_scale
 from repro.db import Database, MmapColumnStore, Table
 from repro.db.store import MANIFEST_NAME, table_digest
@@ -400,108 +395,6 @@ class TestAtomicPublication:
 
 
 # ----------------------------------------------------------------------
-# preprocess artifacts
-# ----------------------------------------------------------------------
-
-
-def _preprocess_result(db: Database):
-    """Run the toy query and preprocess the outlier group's selection."""
-    result = db.sql(TOY_SQL)
-    metric = TooHigh(2.0)
-    pre = Preprocessor().run(result, [2], metric)
-    return result, pre, metric
-
-
-class TestArtifactStore:
-    def test_round_trip_is_byte_identical(self, tmp_path):
-        db = build_toy_db()
-        result, pre, metric = _preprocess_result(db)
-        key = artifact_key(result, pre.selected_rows, metric, pre.agg_name)
-        assert key is not None
-        store = ArtifactStore(tmp_path)
-        assert store.save(key, pre)
-        assert store.has(key)
-        loaded = store.load(key)
-        assert loaded is not None
-        np.testing.assert_array_equal(loaded.influence.tids, pre.influence.tids)
-        np.testing.assert_array_equal(
-            loaded.influence.scores, pre.influence.scores
-        )
-        assert loaded.epsilon == pre.epsilon
-        assert loaded.agg_name == pre.agg_name
-        assert loaded.selected_rows == pre.selected_rows
-        assert len(loaded.group_values) == len(pre.group_values)
-        for a, b in zip(pre.group_values, loaded.group_values):
-            np.testing.assert_array_equal(a, b)
-        for column in pre.F.schema.names:
-            a, b = pre.F.column(column), loaded.F.column(column)
-            if a.dtype == object:
-                assert list(a) == list(b)
-            else:
-                np.testing.assert_array_equal(a, b)
-
-    def test_corrupt_artifact_is_a_miss(self, tmp_path):
-        db = build_toy_db()
-        result, pre, metric = _preprocess_result(db)
-        key = artifact_key(result, pre.selected_rows, metric, pre.agg_name)
-        store = ArtifactStore(tmp_path)
-        store.save(key, pre)
-        store.path(key).write_bytes(b"not an npz")
-        assert store.load(key) is None
-        assert store.stats()["load_failures"] == 1
-
-    def test_save_is_idempotent(self, tmp_path):
-        db = build_toy_db()
-        result, pre, metric = _preprocess_result(db)
-        key = artifact_key(result, pre.selected_rows, metric, pre.agg_name)
-        store = ArtifactStore(tmp_path)
-        assert store.save(key, pre) is True
-        assert store.save(key, pre) is False  # already durable: no rewrite
-        assert store.keys() == [key]
-
-    def test_key_depends_on_inputs(self, tmp_path):
-        db = build_toy_db()
-        result, pre, metric = _preprocess_result(db)
-        base = artifact_key(result, [2], metric, pre.agg_name)
-        assert base == artifact_key(result, [2], metric, pre.agg_name)
-        assert base != artifact_key(result, [1, 2], metric, pre.agg_name)
-        assert base != artifact_key(result, [2], TooHigh(3.0), pre.agg_name)
-
-    def test_key_survives_representation_change(self, tmp_path):
-        """In-memory and mmap copies of one table share artifact keys."""
-        db = build_toy_db()
-        result, pre, metric = _preprocess_result(db)
-        mmap_db = db.save(tmp_path / "ds")
-        mmap_result = mmap_db.sql(TOY_SQL)
-        assert artifact_key(result, [2], metric, pre.agg_name) == artifact_key(
-            mmap_result, [2], metric, pre.agg_name
-        )
-
-
-class TestDiskBackedPreprocessCache:
-    def test_second_process_hits_disk(self, tmp_path):
-        db = build_toy_db()
-        result, pre, metric = _preprocess_result(db)
-        key = artifact_key(result, pre.selected_rows, metric, pre.agg_name)
-
-        cold = PreprocessCache(disk=ArtifactStore(tmp_path))
-        first = cold.get_or_compute("k", lambda: pre, disk_key=key)
-        assert first is pre
-        assert cold.stats()["disk_writes"] == 1
-
-        warm = PreprocessCache(disk=ArtifactStore(tmp_path))  # "restart"
-        def explode():
-            raise AssertionError("warm path must not recompute")
-
-        loaded = warm.get_or_compute("k", explode, disk_key=key)
-        stats = warm.stats()
-        assert stats["disk_hits"] == 1 and stats["misses"] == 1
-        np.testing.assert_array_equal(
-            loaded.influence.scores, pre.influence.scores
-        )
-
-
-# ----------------------------------------------------------------------
 # durable catalog
 # ----------------------------------------------------------------------
 
@@ -630,8 +523,7 @@ class TestWarmRestartInProcess:
             host, port = server.address
             with ServiceClient(host, port, timeout=60) as client:
                 cold = _service_debug(client, "boot-1")
-                cold_stats = client.stats()["preprocess_cache"]
-        assert cold_stats["disk_writes"] >= 1  # artifact persisted
+        assert not (tmp_path / "preprocess").exists()
 
         restarted = SessionManager(catalog=_toy_catalog(tmp_path))
         with DBWipesServer(restarted, port=0) as server:
@@ -640,8 +532,8 @@ class TestWarmRestartInProcess:
                 warm = _service_debug(client, "boot-2")
                 warm_stats = client.stats()["preprocess_cache"]
         assert warm == cold  # byte-identical first answer
-        assert warm_stats["disk_hits"] >= 1  # ...and it came from disk
-        assert warm_stats["disk_writes"] == 0  # nothing recomputed
+        assert warm_stats["misses"] >= 1  # recomputed from the reopened table
+        assert not (tmp_path / "preprocess").exists()
 
 
 class TestWarmRestartWorkers:
@@ -662,9 +554,8 @@ class TestWarmRestartWorkers:
                 client.set_metric("too_high")
                 cold = client.debug(max_rows=None)
                 cold["timings"] = None
-                cold_stats = client.stats()["preprocess_cache"]
-        assert cold_stats["disk_writes"] >= 1
         assert (tmp_path / "tables" / "intel" / "dataset.json").exists()
+        assert not (tmp_path / "preprocess").exists()
 
         with DBWipesServer(workers=2, port=0, catalog_factory=None) as server:
             host, port = server.address
@@ -681,8 +572,8 @@ class TestWarmRestartWorkers:
                 warm["timings"] = None
                 warm_stats = client.stats()["preprocess_cache"]
         assert warm == cold
-        assert warm_stats["disk_hits"] >= 1
-        assert warm_stats["disk_writes"] == 0
+        assert warm_stats["misses"] >= 1
+        assert not (tmp_path / "preprocess").exists()
 
     def test_storage_command_merges_across_workers(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_DATA_DIR", str(tmp_path))
@@ -691,6 +582,7 @@ class TestWarmRestartWorkers:
             host, port = server.address
             with ServiceClient(host, port, timeout=60) as client:
                 info = client.call("storage")
+        assert set(info) == {"workers", "data_dir", "datasets"}
         assert info["workers"] == 2
         assert info["data_dir"] == str(tmp_path)
         names = {entry["name"] for entry in info["datasets"]}

@@ -13,6 +13,8 @@ the single-process server. The dataset→worker assignment,
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.cli import BOOTSTRAP_QUERIES
@@ -23,6 +25,7 @@ from repro.service import (
     ServiceClient,
     WorkerPool,
 )
+from repro.service import workers as workers_module
 
 
 def _debug_payload(client: ServiceClient, session: str) -> dict:
@@ -50,6 +53,41 @@ class TestWorkerPool:
     def test_rejects_zero_workers(self):
         with pytest.raises(ServiceError):
             WorkerPool(0)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"workers": 1, "ttl_seconds": 0.0}, "ttl_seconds must be positive"),
+            ({"workers": 2, "max_sessions": 0}, "max_sessions must be >= 1"),
+            ({"workers": -1}, "workers must be >= 0"),
+            ({"ttl_seconds": 0.0}, "ttl_seconds must be positive"),
+        ],
+        ids=["zero-ttl", "zero-sessions", "negative-workers", "in-process-zero-ttl"],
+    )
+    def test_bad_limits_are_refused_before_any_spawn(
+        self, kwargs, message, monkeypatch
+    ):
+        def no_spawn(*args, **kw):
+            raise AssertionError("a worker process was spawned")
+
+        monkeypatch.setattr(workers_module, "WorkerHandle", no_spawn)
+        before = multiprocessing.active_children()
+        with pytest.raises(ServiceError, match=message):
+            DBWipesServer(port=0, **kwargs)
+        assert multiprocessing.active_children() == before
+
+    def test_pool_checks_limits_before_spawning(self, monkeypatch):
+        def no_spawn(*args, **kw):
+            raise AssertionError("a worker process was spawned")
+
+        monkeypatch.setattr(workers_module, "WorkerHandle", no_spawn)
+        with pytest.raises(ServiceError, match="ttl_seconds must be positive"):
+            WorkerPool(1, ttl_seconds=-5.0)
+
+    def test_limits_configure_the_in_process_manager(self):
+        server = DBWipesServer(port=0, max_sessions=3, ttl_seconds=60.0)
+        assert server.manager.max_sessions == 3
+        assert server.manager.ttl_seconds == 60.0
 
     def test_stats_shape(self):
         with WorkerPool(2) as pool:
