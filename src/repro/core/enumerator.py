@@ -40,6 +40,10 @@ from .preprocessor import PreprocessResult
 
 CLEAN_STRATEGIES = ("kmeans", "nb", "none")
 
+#: The "nb" cleaner drops D' tuples whose density score lies more than
+#: this many robust z-units below the median.
+NB_MAD_THRESHOLD = 3.5
+
 
 @dataclass(frozen=True)
 class CandidateSet:
@@ -78,7 +82,6 @@ class DatasetEnumerator:
         subgroup: SubgroupDiscovery | None = None,
         feature_columns: Sequence[str] | None = None,
         max_candidates: int = 8,
-        nb_mad_threshold: float = 3.5,
         min_keep_fraction: float = 0.6,
         seed: int = 0,
     ):
@@ -102,7 +105,6 @@ class DatasetEnumerator:
         self.subgroup = subgroup or SubgroupDiscovery()
         self.feature_columns = tuple(feature_columns) if feature_columns else None
         self.max_candidates = max_candidates
-        self.nb_mad_threshold = nb_mad_threshold
         self.min_keep_fraction = min_keep_fraction
         self.seed = seed
 
@@ -121,7 +123,6 @@ class DatasetEnumerator:
             ("subgroup", self.subgroup.memo_key()),
             ("feature_columns", self.feature_columns),
             ("max_candidates", self.max_candidates),
-            ("nb_mad_threshold", self.nb_mad_threshold),
             ("min_keep_fraction", self.min_keep_fraction),
             ("seed", self.seed),
         )
@@ -224,7 +225,7 @@ class DatasetEnumerator:
         if mad <= 0:
             return np.ones(len(dprime_table), dtype=bool)
         robust_z = 0.6745 * (scores - median) / mad
-        return robust_z > -self.nb_mad_threshold
+        return robust_z > -NB_MAD_THRESHOLD
 
     # ------------------------------------------------------------------
 

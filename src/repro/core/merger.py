@@ -33,11 +33,15 @@ import numpy as np
 
 from ..db.predicate import CategoricalClause, NumericClause, Predicate
 from ..errors import PipelineError
+from ..learn.bitmask import pack_mask
 from .enumerator import CandidateSet
 from .influence import subset_epsilon_for_mask_set
 from .preprocessor import PreprocessResult
 from .ranker import confusion_scores, score_predicate
 from .report import RankedPredicate
+
+#: At most this many merges are accepted per run.
+MAX_MERGE_ROUNDS = 4
 
 
 def hull(first: Predicate, second: Predicate) -> Predicate | None:
@@ -107,8 +111,7 @@ def _upper_hull(a: NumericClause, b: NumericClause) -> tuple[float | None, bool]
 class PredicateMerger:
     """Greedy hull-merging over the top of a ranked predicate list."""
 
-    def __init__(self, weights, max_terms: int = 8, top_n: int = 12,
-                 max_rounds: int = 4):
+    def __init__(self, weights, max_terms: int = 8, top_n: int = 12):
         if top_n < 2:
             raise PipelineError("top_n must be >= 2")
         if max_terms < 1:
@@ -116,7 +119,6 @@ class PredicateMerger:
         self.weights = weights
         self.max_terms = max_terms
         self.top_n = top_n
-        self.max_rounds = max_rounds
 
     def run(
         self,
@@ -141,7 +143,7 @@ class PredicateMerger:
         # new to the head window miss the cache and get scored.
         pair_scores: dict[tuple, RankedPredicate | None] = {}
         label_cache: dict[str, tuple[np.ndarray, int]] = {}
-        for _ in range(self.max_rounds):
+        for _ in range(MAX_MERGE_ROUNDS):
             head = sorted(ranked, key=lambda r: -r.score)[: self.top_n]
             # Candidate pairs grouped by column set up front: a hull only
             # exists within one frozenset(columns()) group, so cross-set
@@ -202,7 +204,7 @@ class PredicateMerger:
     ) -> None:
         """Score a round's un-cached hulls as one mask-and-Δε batch."""
         predicates = [item[1] for item in to_score]
-        f_masks = engine.mask_set(pre.F, predicates)
+        f_masks = engine.mask_set(predicates)
         live = [pos for pos in range(len(to_score)) if f_masks.counts[pos] > 0]
         for pos in range(len(to_score)):
             if f_masks.counts[pos] == 0:
@@ -230,7 +232,7 @@ class PredicateMerger:
                 if origin not in label_cache:
                     labels = candidate.label_mask(pre.F)
                     label_cache[origin] = (
-                        engine.pack_labels(labels),
+                        pack_mask(labels),
                         int(np.count_nonzero(labels)),
                     )
                 if origin not in tp_by_origin:

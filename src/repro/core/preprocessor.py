@@ -21,7 +21,6 @@ tree-induction :class:`~repro.learn.split_index.SplitIndex` it caches).
 from __future__ import annotations
 
 import threading
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -176,56 +175,28 @@ class PreprocessResult:
         """Shared batched mask engine, computed once per cached result.
 
         The Ranker and Merger evaluate every candidate predicate against
-        F (segment-order remove-masks are gathers of the F masks through
-        :attr:`segment_positions`); the engine
-        (:class:`~repro.core.maskset.ClauseMaskCache`) evaluates each
-        *distinct clause* once and stores masks bit-packed. Numeric
-        clauses whose bounds come from the tree-threshold grid are range
-        tests over the memoized :meth:`split_index` bin codes;
-        everything else uses the shared :meth:`numeric_values` casts.
-        Like the other memos, the engine rides on this (cached) result,
-        so in the service one clause-mask cache serves every session
-        debugging the same selection.
-
-        Ownership: this result owns the engine (through its memo), and
-        the engine reaches back only through a weak reference, for the
-        float64 casts and the ``split_index`` grid. So nothing forms a
-        reference cycle, and a result is freed as soon as its last
-        holder drops it, without waiting for the cyclic garbage
-        collector. An engine used after its result is gone raises
-        :class:`~repro.errors.PipelineError` when it needs a column.
+        F through the engine (:class:`~repro.core.maskset.ClauseMaskCache`),
+        which evaluates each *distinct clause* once, bit-packed. It reads
+        F's all-column :meth:`split_index` and the :meth:`numeric_values`
+        casts, which the tree fits have already built by ranking time.
+        In the service one engine serves every session debugging the
+        same selection. The engine holds F, the index and the casts, none
+        of which refers back to this result, so no reference cycle forms.
         """
         from ..learn.split_index import NumericColumnIndex
         from .maskset import ClauseMaskCache
 
         key = ("mask_engine",)
         cached = self._column_memo.get(key)
-        if cached is not None:
-            return cached
-        owner = weakref.ref(self)
-
-        def live() -> PreprocessResult:
-            result = owner()
-            if result is None:
-                raise PipelineError(
-                    "mask engine used after its PreprocessResult was freed"
-                )
-            return result
-
-        def numeric_values(column: str) -> np.ndarray:
-            return live().numeric_values(column)
-
-        def f_column_index(column: str):
-            index = live().split_index().columns.get(column)
-            return index if isinstance(index, NumericColumnIndex) else None
-
-        cached = ClauseMaskCache()
-        cached.register(
-            self.F,
-            numeric_values=numeric_values,
-            column_index=f_column_index,
-        )
-        self._column_memo[key] = cached
+        if cached is None:
+            index = self.split_index()
+            casts = {
+                name: self.numeric_values(name)
+                for name, column in index.columns.items()
+                if isinstance(column, NumericColumnIndex)
+            }
+            cached = ClauseMaskCache(self.F, index, casts)
+            self._column_memo[key] = cached
         return cached
 
     def stage_memo(self, key: Hashable):

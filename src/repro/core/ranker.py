@@ -14,7 +14,7 @@ Concretely, for predicate p over candidate c::
 Δε is evaluated with removable-aggregate subset removal — no query
 re-execution. The whole rule set is scored as one vectorized batch
 through the shared :class:`~repro.core.maskset.ClauseMaskCache`: each
-distinct clause is evaluated once per table, conjunctions are bitwise
+distinct clause is evaluated once over F, conjunctions are bitwise
 ANDs of packed bits, Δε for all rules is one grouped
 :func:`~repro.core.influence.subset_epsilon_for_mask_set` pass, and the
 confusion statistics come from popcounts of packed-mask intersections.
@@ -32,6 +32,7 @@ import numpy as np
 
 from ..db.predicate import Predicate
 from ..errors import PipelineError
+from ..learn.bitmask import pack_mask
 from .enumerator import CandidateSet
 from .influence import subset_epsilon_for_mask_set
 from .predicates import CandidateRule
@@ -149,7 +150,7 @@ class PredicateRanker:
 
         # One batched mask evaluation over F: distinct clauses once,
         # conjunctions as packed-bit ANDs, match counts via popcount.
-        f_masks = engine.mask_set(pre.F, predicates)
+        f_masks = engine.mask_set(predicates)
         kept = np.flatnonzero(f_masks.counts > 0)
 
         # One grouped Δε pass for every surviving rule at once. The
@@ -173,7 +174,7 @@ class PredicateRanker:
             if c_index not in label_packed:
                 labels = candidates[c_index].label_mask(pre.F)
                 label_packed[c_index] = (
-                    engine.pack_labels(labels),
+                    pack_mask(labels),
                     int(np.count_nonzero(labels)),
                 )
                 tp_by_candidate[c_index] = f_masks.intersection_counts(

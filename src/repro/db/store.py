@@ -88,6 +88,10 @@ class ColumnStore:
         """Whether this store physically holds a column called ``name``."""
         raise NotImplementedError
 
+    def gather(self, name: str, positions: np.ndarray) -> np.ndarray:
+        """The column's values at ``positions`` (a :class:`GatherStore` read)."""
+        return self.column(name)[positions]
+
 
 class InMemoryStore(ColumnStore):
     """The reference store: a plain dict of resident numpy arrays."""
@@ -104,7 +108,7 @@ class InMemoryStore(ColumnStore):
 
 
 class GatherStore(ColumnStore):
-    """A lazy row-subset view: ``base.column(name)[positions]`` on demand.
+    """A lazy row-subset view: ``base.gather(name, positions)`` on demand.
 
     ``Table.take``/``filter`` build one of these instead of eagerly
     copying every column: a projection-heavy pipeline over a wide table
@@ -126,7 +130,7 @@ class GatherStore(ColumnStore):
     def column(self, name: str) -> np.ndarray:
         array = self._cache.get(name)
         if array is None:
-            array = self._base.column(name)[self._positions]
+            array = self._base.gather(name, self._positions)
             self._cache[name] = array
         return array
 
@@ -146,9 +150,10 @@ class MmapColumnStore(ColumnStore):
     Open with :meth:`open` (reads only the manifest), write with
     :meth:`write` (stages then atomically renames). A numeric or boolean
     column is its file's zero-copy ``mmap``; a string column decodes its
-    mapped codes with its ``.values.json`` sidecar on first access. A
-    file that is missing, corrupt, or not ``num_rows`` values of the
-    column's type raises :class:`StorageError` naming it.
+    mapped codes with its ``.values.json`` sidecar on first access, and
+    a gather of it decodes only the gathered rows. A file that is
+    missing, corrupt, or not ``num_rows`` values of the column's type
+    raises :class:`StorageError` naming it.
     """
 
     def __init__(self, directory: str | Path, manifest: dict):
@@ -164,6 +169,9 @@ class MmapColumnStore(ColumnStore):
             ]
         )
         self._cache: dict[str, np.ndarray] = {}
+        #: ``(mapped codes, values)`` of a STR column that only gathers
+        #: have read so far; checked against each other once.
+        self._dictionaries: dict[str, tuple[np.ndarray, list]] = {}
         self._tids: np.ndarray | None = None
 
     # -- opening -------------------------------------------------------
@@ -221,7 +229,9 @@ class MmapColumnStore(ColumnStore):
             spec = self._specs[name]
             ctype = ColumnType(spec["type"])
             if ctype is ColumnType.STR:
-                array = self._decode(spec)
+                array = dict_decode(*self._dictionary(name))
+                # The decoded column serves every later read and gather.
+                self._dictionaries.pop(name, None)
             else:
                 array = self._load(spec["file"], ctype.numpy_dtype)
             self._cache[name] = array
@@ -241,8 +251,21 @@ class MmapColumnStore(ColumnStore):
             )
         return array
 
-    def _decode(self, spec: dict) -> np.ndarray:
-        """A STR column from its mapped codes and its values sidecar."""
+    def gather(self, name: str, positions: np.ndarray) -> np.ndarray:
+        """A STR column not yet decoded whole decodes only ``positions``."""
+        spec = self._specs[name]
+        if name in self._cache or ColumnType(spec["type"]) is not ColumnType.STR:
+            return self.column(name)[positions]
+        codes, values = self._dictionary(name)
+        return dict_decode(codes[positions], values)
+
+    def _dictionary(self, name: str) -> tuple[np.ndarray, list]:
+        """A STR column's mapped codes and its values sidecar, checked
+        against each other when first read."""
+        cached = self._dictionaries.get(name)
+        if cached is not None:
+            return cached
+        spec = self._specs[name]
         codes = self._load(spec["file"], np.dtype(np.int64))
         path = self.directory / spec["values"]
         try:
@@ -257,7 +280,8 @@ class MmapColumnStore(ColumnStore):
                 f"{self.directory / spec['file']} holds codes outside "
                 f"the {len(values)} values of {path}"
             )
-        return dict_decode(codes, values)
+        self._dictionaries[name] = (codes, values)
+        return codes, values
 
     # -- writing -------------------------------------------------------
 

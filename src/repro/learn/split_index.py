@@ -1,19 +1,17 @@
-"""Shared split-candidate precomputation for histogram tree induction.
+"""F's column coder: split candidates and per-row codes, built once.
 
-The Predicate Enumerator fits K candidate sets × S strategies decision
-trees over the *same* table F per debug cycle. Candidate thresholds,
-distinct values, and per-row bin assignments depend only on F's columns,
-so deriving them inside every fit (and inside every tree node) repeats
-identical work K×S× times. A :class:`SplitIndex` computes them once:
+The tree fits, CN2-SD and the Ranker's mask engine
+(:class:`~repro.core.maskset.ClauseMaskCache`) all read F's columns
+through this module, so each column of F is coded once per selection:
 
 * numeric columns: candidate thresholds (midpoints of consecutive
   distinct values, capped at ``max_thresholds``) and an int64 *bin
   code* per row such that ``code <= b`` iff ``value <= thresholds[b]``
   (NaN gets the one-past-the-end code, so it never routes left —
   matching :class:`~repro.learn.tree.NumericSplit` semantics);
-* categorical columns: the sorted distinct non-NULL values and an int64
-  *value code* per row (NULL gets the one-past-the-end code, so it never
-  equals a candidate value).
+* categorical columns (:meth:`CategoricalColumnIndex.build`): the
+  sorted distinct non-NULL values and an int64 *value code* per row
+  (NULL gets the one-past-the-end code, so it never equals a value).
 
 The codes of all columns live in one row-major ``(n_rows, n_columns)``
 int64 matrix, :attr:`SplitIndex.codes`; each column's ``codes`` is a
@@ -87,7 +85,7 @@ class NumericColumnIndex:
 class CategoricalColumnIndex:
     """Distinct values and per-row value codes of one categorical column."""
 
-    __slots__ = ("attr", "values", "codes", "_code_by_value")
+    __slots__ = ("attr", "values", "codes", "code_by_value")
 
     def __init__(self, attr: str, values: tuple, codes: np.ndarray):
         self.attr = attr
@@ -95,7 +93,26 @@ class CategoricalColumnIndex:
         self.values = values
         #: Value code per row; NULL rows hold ``len(values)``.
         self.codes = codes
-        self._code_by_value = {value: code for code, value in enumerate(values)}
+        #: Each distinct value's code. A value the column lacks has none,
+        #: so look it up with ``get`` when it may come from elsewhere.
+        self.code_by_value = {value: code for code, value in enumerate(values)}
+
+    @classmethod
+    def build(cls, attr: str, values: np.ndarray) -> "CategoricalColumnIndex":
+        """Code one column: sorted distinct non-NULL values, a code per row.
+
+        Rows match values by dict lookup, as ``CategoricalClause.mask``
+        matches them by set membership (or ``==`` on a bool column).
+        """
+        distinct = sorted({value for value in values if value is not None})
+        null_code = len(distinct)
+        code_by_value = {value: code for code, value in enumerate(distinct)}
+        codes = np.fromiter(
+            (code_by_value.get(value, null_code) for value in values),
+            dtype=np.int64,
+            count=len(values),
+        )
+        return cls(attr, tuple(distinct), codes)
 
     @property
     def n_bins(self) -> int:
@@ -104,7 +121,7 @@ class CategoricalColumnIndex:
 
     def code_of(self, value: Any) -> int:
         """The code of a distinct value."""
-        return self._code_by_value[value]
+        return self.code_by_value[value]
 
     def with_codes(self, codes: np.ndarray) -> "CategoricalColumnIndex":
         """The same values over another row set's codes."""
@@ -170,7 +187,7 @@ class SplitIndex:
                     values = np.asarray(table.column(name), dtype=np.float64)
                 column = _build_numeric(name, values, max_thresholds)
             else:
-                column = _build_categorical(name, table.column(name))
+                column = CategoricalColumnIndex.build(name, table.column(name))
             codes[:, k] = column.codes
             columns.append(column)
         return cls(names, max_thresholds, columns, codes)
@@ -212,14 +229,3 @@ def _build_numeric(
     codes[nan_mask] = len(thresholds)
     return NumericColumnIndex(attr, thresholds, np.asarray(codes, dtype=np.int64))
 
-
-def _build_categorical(attr: str, values: np.ndarray) -> CategoricalColumnIndex:
-    distinct = sorted({value for value in values if value is not None})
-    null_code = len(distinct)
-    code_by_value = {value: code for code, value in enumerate(distinct)}
-    codes = np.fromiter(
-        (code_by_value.get(value, null_code) for value in values),
-        dtype=np.int64,
-        count=len(values),
-    )
-    return CategoricalColumnIndex(attr, tuple(distinct), codes)

@@ -47,6 +47,7 @@ from ..errors import LearnError
 from .bitmask import pack_words, popcount, unpack_masks
 from .discretize import equal_frequency_edges, mdl_entropy_edges
 from .rules import Rule, dedupe_rules
+from .split_index import CategoricalColumnIndex
 
 
 @dataclass(frozen=True)
@@ -312,25 +313,22 @@ class SubgroupDiscovery:
         return _Conditions([conditions[i] for i in keep], bits[keep])
 
     def _categorical_conditions(self, table: Table, name: str):
-        """``(clause, mask)`` of the column's ``max_values`` commonest values."""
-        values = table.column(name)
-        # One pass: a code per row (first-seen order; NULL is -1). Dict
-        # lookups match rows to values exactly as CategoricalClause.mask
-        # does (set membership, or ``==`` on a bool column).
-        code_of: dict = {}
-        codes = np.fromiter(
-            (
-                -1 if value is None else code_of.setdefault(value, len(code_of))
-                for value in values
-            ),
-            dtype=np.int64,
-            count=len(values),
-        )
-        counts = np.bincount(codes[codes >= 0], minlength=len(code_of))
-        top = sorted(range(len(code_of)), key=lambda code: -counts[code])
-        distinct = list(code_of)
-        for code in top[: self.max_values]:
-            yield CategoricalClause(name, frozenset([distinct[code]])), codes == code
+        """``(clause, mask)`` of the column's ``max_values`` commonest values.
+
+        The column is coded by the split index's coder
+        (:meth:`~.split_index.CategoricalColumnIndex.build`), whose codes
+        follow the sorted values. Ties in count go to the value seen
+        first in the column, so the order does not depend on that sort.
+        """
+        column = CategoricalColumnIndex.build(name, table.column(name))
+        n_values = len(column.values)
+        counts = np.bincount(column.codes, minlength=column.n_bins)[:n_values]
+        # Every value occurs, so codes 0..n_values-1 all appear here.
+        __, first_seen = np.unique(column.codes, return_index=True)
+        order = np.lexsort((first_seen[:n_values], -counts))
+        for code in order[: self.max_values]:
+            clause = CategoricalClause(name, frozenset([column.values[code]]))
+            yield clause, column.codes == code
 
     def _numeric_edges(
         self,

@@ -86,6 +86,12 @@ TIE_REL_TOL = 1e-9
 #: ``np.log2`` and ``math.log2`` plus ``TIE_REL_TOL``, by a wide margin.
 RESCORE_REL_TOL = 1e-6
 
+#: A node with fewer rows is a leaf.
+MIN_SAMPLES_SPLIT = 2
+
+#: A split scoring below this is not taken.
+MIN_SPLIT_SCORE = 1e-9
+
 
 def _tie_cutoff(best_score, rel_tol: float = TIE_REL_TOL):
     """Scores at or above this value are considered tied with
@@ -251,9 +257,7 @@ class DecisionTree:
         self,
         criterion: str = "gini",
         max_depth: int = 6,
-        min_samples_split: int = 2,
         min_samples_leaf: int = 1,
-        min_score: float = 1e-9,
         max_thresholds: int = 32,
         max_categories: int = 32,
     ):
@@ -265,9 +269,7 @@ class DecisionTree:
             raise LearnError("min_samples_leaf must be >= 1")
         self.criterion = criterion
         self.max_depth = max_depth
-        self.min_samples_split = max(min_samples_split, 2)
         self.min_samples_leaf = min_samples_leaf
-        self.min_score = min_score
         self.max_thresholds = max_thresholds
         self.max_categories = max_categories
         self._root: _Node | None = None
@@ -365,7 +367,7 @@ class DecisionTree:
     def _can_split(self, node: _Node) -> bool:
         return not (
             node.depth >= self.max_depth
-            or node.n_samples < self.min_samples_split
+            or node.n_samples < MIN_SAMPLES_SPLIT
             or node.pos_weight <= 0
             or node.pos_weight >= node.weight
         )
@@ -387,7 +389,7 @@ class DecisionTree:
         if best is None:
             return
         split, score = best
-        if score < self.min_score:
+        if score < MIN_SPLIT_SCORE:
             return
         left_mask = self._left_mask(ctx, split, indices)
         left_indices = indices[left_mask]

@@ -186,7 +186,6 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._metrics: dict[MetricKey, Counter | Gauge | Histogram] = {}
         self._help: dict[str, str] = {}
-        self._generation = 0
 
     def _get_or_create(self, name, labels, kind, factory, help):
         if not name or not name.replace("_", "a").isalnum():
@@ -253,26 +252,11 @@ class MetricsRegistry:
             "help": help,
         }
 
-    @property
-    def generation(self) -> int:
-        """Bumped by :meth:`clear` so hot paths can cache metric objects.
-
-        A call site that keeps a :class:`Counter`/:class:`Histogram`
-        reference (instead of re-resolving the name per event) compares
-        this to the generation it cached under — after a worker-startup
-        ``clear()`` the cached object is detached from the registry and
-        must be re-fetched, or its increments would silently vanish from
-        the process's snapshot.
-        """
-        with self._lock:
-            return self._generation
-
     def clear(self) -> None:
         """Drop every metric (worker startup / tests)."""
         with self._lock:
             self._metrics.clear()
             self._help.clear()
-            self._generation += 1
 
 
 # ----------------------------------------------------------------------

@@ -289,19 +289,27 @@ def _recover(manager: SessionManager, args: dict) -> dict:
 
     The self-healing primitive: the router sends ``recover`` to a
     replica (or a respawned primary) before re-forwarding a request
-    whose owner crashed, and ``drain`` uses it to hand sessions off.
-    Replay stops at the first failing command — a truncated journal or
-    changed dataset yields the longest valid prefix, never an error
-    loop — and re-journals as it goes, so the rebuilt session's journal
-    is clean even when the on-disk copy had a corrupt tail.
+    whose owner crashed, before a re-``open`` of a placed session, and
+    ``drain`` uses it to hand sessions off. A live copy answers
+    ``already_live`` unless another worker has journaled past it; then
+    it is dropped and the journal replayed (see
+    :meth:`~repro.service.sessions.SessionManager.live`).
+
+    The replayed session adopts the loaded records as its journal, and
+    the replay writes nothing, so a worker that dies mid-replay leaves
+    the file whole for the next ``recover``. Replay stops at the first
+    failing command — a truncated journal or changed dataset yields the
+    longest valid prefix, never an error loop. Only then, or when the
+    load dropped a corrupt tail, is the kept prefix published (one
+    atomic rename), so later appends follow it.
     """
     name = args.get("session")
     if not isinstance(name, str) or not name:
         raise ProtocolError(
             "'recover' needs a non-empty 'session' string in args"
         )
-    if name in manager:
-        managed = manager.get(name)
+    managed = manager.live(name)
+    if managed is not None:
         return {
             "recovered": name,
             "dataset": managed.dataset,
@@ -323,23 +331,31 @@ def _recover(manager: SessionManager, args: dict) -> dict:
         raise ServiceError(
             f"no journal for session {name!r}", kind="NoJournal"
         )
-    manager.open(name, loaded.dataset)
+    managed = manager.open(name, loaded.dataset, history=loaded)
+    records = loaded.records
     replayed = 0
     truncated_at = None
-    for cmd, cmd_args in loaded.records:
-        handler = _SESSION_HANDLERS.get(cmd)
-        if cmd not in JOURNALED_COMMANDS or handler is None:
-            continue
-        try:
-            with manager.borrow(name) as session:
-                handler(session, cmd_args)
-        except ReproError as error:
-            truncated_at = f"{cmd}: {error}"
-            break
-        manager.record(name, cmd, cmd_args)
-        replayed += 1
+    kept = len(records)
+    try:
+        for index, (cmd, cmd_args) in enumerate(records):
+            handler = _SESSION_HANDLERS.get(cmd)
+            if cmd not in JOURNALED_COMMANDS or handler is None:
+                continue
+            try:
+                with manager.borrow(name) as session:
+                    handler(session, cmd_args)
+            except ReproError as error:
+                truncated_at = f"{cmd}: {error}"
+                kept = index
+                break
+            replayed += 1
+    except BaseException:
+        # A half-replayed copy must not serve; the journal is untouched.
+        manager.forget(name)
+        raise
+    if truncated_at is not None or loaded.corrupt_records:
+        managed.journal.truncate(1 + kept)  # the open record, then ``kept``
     manager.mark_recovered()
-    managed = manager.get(name)
     return {
         "recovered": name,
         "dataset": loaded.dataset,
@@ -356,7 +372,8 @@ def _drain_prepare(manager: SessionManager, args: dict) -> dict:
 
     Sent by the router's drain path before handing sessions off; the
     in-memory records are authoritative, so this also repairs journal
-    files corrupted on disk since their last publish.
+    files corrupted on disk since their last publish. A copy that
+    another worker has journaled past is dropped, not published.
     """
     return {"journaled": manager.journal_all(), "sessions": len(manager)}
 

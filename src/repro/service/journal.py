@@ -30,7 +30,17 @@ The on-disk contract:
   on exactly one worker at a time, so a journal has one appender; the
   in-memory record list is authoritative and the file is its mirror
   (``publish`` re-mirrors it wholesale, which is also how drain
-  repairs a journal that was corrupted on disk).
+  repairs a journal that was corrupted on disk). A failover can leave
+  an older copy of a session live on the worker it left. That copy is
+  current only while the file is a prefix of its records (the same
+  ``seq`` and ``crc`` for each, see :meth:`SessionJournal.holds`); once
+  another worker has appended past it, the session manager drops it
+  instead of serving or publishing it.
+- **Recovery writes nothing until its replay ends.** A recovered
+  session adopts the loaded records (:meth:`JournalStore.adopt`), so a
+  worker that dies mid-replay leaves the file whole. Only a replay that
+  dropped a corrupt tail or stopped early publishes, once, the prefix
+  it kept.
 
 Record 0 is always the ``open`` record naming the session and its
 dataset; subsequent records are ``{"seq", "cmd", "args", "crc"}``.
@@ -87,15 +97,20 @@ def _crc(seq: int, cmd: str, args: dict) -> str:
 class LoadedJournal:
     """The replayable content of one journal file."""
 
-    __slots__ = ("name", "dataset", "records", "corrupt_records")
+    __slots__ = ("name", "dataset", "entries", "corrupt_records")
 
-    def __init__(self, name, dataset, records, corrupt_records):
+    def __init__(self, name, dataset, entries, corrupt_records):
         self.name = name
         self.dataset = dataset
-        #: ``(cmd, args)`` pairs in execution order (open record excluded).
-        self.records = records
+        #: The valid record prefix as written, the open record first.
+        self.entries = entries
         #: Lines dropped by the checksum/shape check (replay truncated).
         self.corrupt_records = corrupt_records
+
+    @property
+    def records(self) -> list[tuple[str, dict]]:
+        """``(cmd, args)`` pairs in execution order (open record excluded)."""
+        return [(entry["cmd"], entry["args"]) for entry in self.entries[1:]]
 
 
 class SessionJournal:
@@ -103,20 +118,21 @@ class SessionJournal:
 
     __slots__ = ("store", "name", "dataset", "records", "dirty")
 
-    def __init__(self, store: "JournalStore", name: str, dataset: str):
+    def __init__(
+        self, store: "JournalStore", name: str, dataset: str, entries=None
+    ):
         self.store = store
         self.name = name
         self.dataset = dataset
-        self.records = [
-            {
-                "seq": 0,
-                "cmd": "open",
-                "args": {"name": name, "dataset": dataset},
-            }
-        ]
-        self.records[0]["crc"] = _crc(0, "open", self.records[0]["args"])
         #: The file may not mirror ``records``: the last write failed.
         self.dirty = False
+        if entries is not None:
+            # Adopted from the file, which already holds them.
+            self.records = list(entries)
+            return
+        args = {"name": name, "dataset": dataset}
+        self.records = [{"seq": 0, "cmd": "open", "args": args}]
+        self.records[0]["crc"] = _crc(0, "open", args)
         self.publish()
 
     def append(self, cmd: str, args: dict) -> None:
@@ -132,6 +148,19 @@ class SessionJournal:
     def publish(self) -> None:
         """Rewrite the whole file from ``records`` (atomic rename)."""
         self.dirty = not self.store._publish(self.name, self.records)
+
+    def truncate(self, length: int) -> None:
+        """Keep the first ``length`` records and publish them."""
+        del self.records[length:]
+        self.publish()
+
+    def holds(self, entries: list[dict]) -> bool:
+        """Whether ``entries`` (a file's records) are a prefix of ours:
+        the same ``seq`` and ``crc`` for each one."""
+        return len(entries) <= len(self.records) and all(
+            entry["seq"] == record["seq"] and entry["crc"] == record["crc"]
+            for entry, record in zip(entries, self.records)
+        )
 
 
 class JournalStore:
@@ -152,6 +181,11 @@ class JournalStore:
         """A fresh journal for a (re)opened session — truncates any
         prior file: an explicit ``open`` starts a new history."""
         return SessionJournal(self, name, dataset)
+
+    def adopt(self, loaded: LoadedJournal) -> SessionJournal:
+        """The journal of a session recovered from ``loaded``: its
+        records as read, with nothing written."""
+        return SessionJournal(self, loaded.name, loaded.dataset, loaded.entries)
 
     @staticmethod
     def _line(name: str, record: dict, plan) -> str:
@@ -210,7 +244,7 @@ class JournalStore:
             text = self.path_for(name).read_text()
         except OSError:
             return None
-        records: list[tuple[str, dict]] = []
+        entries: list[dict] = []
         dataset = None
         corrupt = 0
         for expected_seq, line in enumerate(text.splitlines()):
@@ -222,14 +256,13 @@ class JournalStore:
                 if record["cmd"] != "open" or record["args"].get("name") != name:
                     return None
                 dataset = record["args"].get("dataset")
-            else:
-                records.append((record["cmd"], record["args"]))
+            entries.append(record)
         if dataset is None:
             return None
         if corrupt:
             with self._lock:
                 self._corrupt_records += 1
-        return LoadedJournal(name, dataset, records, corrupt)
+        return LoadedJournal(name, dataset, entries, corrupt)
 
     @staticmethod
     def _parse_record(line: str, expected_seq: int) -> dict | None:

@@ -550,8 +550,16 @@ class RoutingDispatcher(Dispatcher):
     # -- session routing -----------------------------------------------
 
     def _open(self, args: dict, message: dict) -> dict:
-        """Validate an ``open``, send it to the dataset's
-        :meth:`_placement_target`, and record the placement it produced."""
+        """Validate an ``open``, send it to its worker, and record the
+        placement it produced.
+
+        A new name goes to the dataset's :meth:`_placement_target`. A
+        re-``open`` of a placed name (what ``connect --session`` sends)
+        goes to the worker that holds it, after a ``recover`` there: the
+        session answers live, or is replayed when a respawn lost it,
+        instead of starting over on the dataset's primary. ``NoJournal``
+        falls through to a plain open; a crash-class answer is returned.
+        """
         name = args.get("name")
         dataset = args.get("dataset")
         if not isinstance(name, str) or not name:
@@ -567,7 +575,21 @@ class RoutingDispatcher(Dispatcher):
                 f"session {name!r} is open on dataset {placement[1]!r}; "
                 f"close it before reopening on {dataset!r}"
             )
-        worker = self._placement_target(dataset)
+        worker = None
+        if placement is not None:
+            kind = self._hand_off(name, dataset, placement[0])
+            if kind is None:
+                worker = placement[0]
+            else:
+                self._settle(placement[0], kind not in FAILOVER_KINDS)
+                if kind in FAILOVER_KINDS:
+                    raise ServiceError(
+                        f"worker {placement[0]} could not recover session "
+                        f"{name!r}",
+                        kind=kind,
+                    )
+        if worker is None:
+            worker = self._placement_target(dataset)
         envelope = self._forward(worker, "open", message)
         if envelope.get("ok"):
             with self._lock:

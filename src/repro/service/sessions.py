@@ -31,6 +31,7 @@ from ..frontend.session import DBWipesSession
 from ..obs.flags import enabled as obs_enabled
 from ..obs.metrics import registry as obs_registry
 from .cache import DatasetCatalog, PreprocessCache
+from .journal import JournalStore, LoadedJournal
 
 
 class ManagedSession:
@@ -123,8 +124,6 @@ class SessionManager:
         # lose-on-crash semantics.
         self.journals = None
         if self.catalog.data_dir is not None:
-            from .journal import JournalStore
-
             self.journals = JournalStore(self.catalog.data_dir / "journal")
         self._clock = clock
         self._lock = threading.Lock()
@@ -167,11 +166,19 @@ class SessionManager:
     # lifecycle
     # ------------------------------------------------------------------
 
-    def open(self, name: str, dataset: str) -> ManagedSession:
+    def open(
+        self, name: str, dataset: str, history: LoadedJournal | None = None
+    ) -> ManagedSession:
         """Create (or return) the named session over a shared dataset.
 
-        Reopening an existing name on the same dataset is idempotent;
+        Reopening a live name on the same dataset is idempotent;
         reopening it on a *different* dataset is an error (close first).
+        A live copy whose journal another worker has appended past is
+        stale (see :meth:`live`): it is dropped, and the open starts a
+        fresh history, as an open of a name that is not live does.
+        ``history`` makes the new session adopt a loaded journal instead
+        of starting one: :func:`~repro.service.handlers._recover` replays
+        it, and nothing is written.
         """
         if not name:
             raise ServiceError("session name must be non-empty")
@@ -179,7 +186,7 @@ class SessionManager:
         now = self._clock()
         with self._lock:
             self._expire_locked(now)
-            existing = self._sessions.get(name)
+            existing = self._live_locked(name)
             if existing is not None:
                 if existing.dataset != dataset:
                     raise ServiceError(
@@ -195,9 +202,12 @@ class SessionManager:
             managed = ManagedSession(name, dataset, session, now)
             if self.journals is not None:
                 # An explicit open starts a fresh history (truncating any
-                # stale journal left by an evicted predecessor); recovery
-                # replays *before* re-journaling through this same path.
-                managed.journal = self.journals.create(name, dataset)
+                # stale journal left by an evicted predecessor).
+                managed.journal = (
+                    self.journals.create(name, dataset)
+                    if history is None
+                    else self.journals.adopt(history)
+                )
             self._sessions[name] = managed
             self._mirror_open(+1)
             while len(self._sessions) > self.max_sessions:
@@ -218,12 +228,30 @@ class SessionManager:
                 )
                 if victim is None:
                     break
-                del self._sessions[victim.name]
+                self._drop_locked(victim.name)
                 self._lru_evictions += 1
                 if obs_enabled():
                     self._m_lru.inc()
-                self._mirror_open(-1)
             return managed
+
+    def live(self, name: str) -> ManagedSession | None:
+        """The live session ``name``, or ``None``.
+
+        A live copy is current only while its journal file is a prefix
+        of its records; a missing file counts as current. A copy that
+        another worker has journaled past (after a failover moved the
+        session away and back) is dropped here, its journal kept, so the
+        caller replays the journal instead of serving stale state.
+        """
+        with self._lock:
+            self._expire_locked(self._clock())
+            return self._live_locked(name)
+
+    def forget(self, name: str) -> None:
+        """Drop a live session but keep its journal for a later replay."""
+        with self._lock:
+            if name in self._sessions:
+                self._drop_locked(name)
 
     def get(self, name: str) -> ManagedSession:
         """Look up a live session; raises ServiceError when unknown."""
@@ -272,11 +300,11 @@ class SessionManager:
     def close(self, name: str) -> None:
         """Drop a session explicitly."""
         with self._lock:
-            if self._sessions.pop(name, None) is None:
+            if name not in self._sessions:
                 raise ServiceError(
                     f"unknown session {name!r}", kind="UnknownSession"
                 )
-            self._mirror_open(-1)
+            self._drop_locked(name)
         if self.journals is not None:
             # A deliberate close forgets the history too; only eviction
             # and crashes leave the journal behind for recovery.
@@ -300,23 +328,26 @@ class SessionManager:
             journal.append(cmd, args)
 
     def journal_all(self) -> int:
-        """Re-publish every live session's journal from memory.
+        """Re-publish every current live session's journal from memory.
 
         The drain path calls this before handing sessions off: the
         in-memory record list is authoritative, so this also repairs a
-        journal file that was corrupted or lost on disk.
+        journal file that was corrupted or lost on disk. A stale copy
+        (see :meth:`live`) is dropped instead: publishing it would
+        overwrite the history its current owner has journaled.
         """
         if self.journals is None:
             return 0
         with self._lock:
-            journals = [
-                managed.journal
-                for managed in self._sessions.values()
-                if managed.journal is not None
+            current = [
+                managed
+                for name in list(self._sessions)
+                if (managed := self._live_locked(name)) is not None
+                and managed.journal is not None
             ]
-        for journal in journals:
-            journal.publish()
-        return len(journals)
+        for managed in current:
+            managed.journal.publish()
+        return len(current)
 
     def mark_recovered(self) -> None:
         """Count one journal-replay recovery (called by the dispatcher)."""
@@ -369,6 +400,20 @@ class SessionManager:
     # internals (callers hold self._lock)
     # ------------------------------------------------------------------
 
+    def _live_locked(self, name: str) -> ManagedSession | None:
+        managed = self._sessions.get(name)
+        if managed is None or managed.journal is None:
+            return managed
+        loaded = self.journals.load(name)
+        if loaded is None or managed.journal.holds(loaded.entries):
+            return managed
+        self._drop_locked(name)
+        return None
+
+    def _drop_locked(self, name: str) -> None:
+        del self._sessions[name]
+        self._mirror_open(-1)
+
     def _touch_locked(self, managed: ManagedSession, now: float) -> None:
         managed.last_used = now
         self._sessions.move_to_end(managed.name)
@@ -399,9 +444,8 @@ class SessionManager:
             if now - managed.last_used > self.ttl_seconds and managed.busy == 0
         ]
         for name in expired:
-            del self._sessions[name]
+            self._drop_locked(name)
             self._ttl_evictions += 1
             if obs_enabled():
                 self._m_ttl.inc()
-            self._mirror_open(-1)
         return len(expired)

@@ -22,7 +22,7 @@ from unittest import mock
 
 from repro.core import backend
 from repro.core.enumerator import CandidateSet
-from repro.core.merger import PredicateMerger, hull
+from repro.core.merger import MAX_MERGE_ROUNDS, PredicateMerger, hull
 from repro.core.predicates import CandidateRule
 from repro.core.preprocessor import PreprocessResult
 from repro.core.ranker import PredicateRanker
@@ -152,7 +152,7 @@ class PerRuleMerger(PredicateMerger):
     ) -> list[RankedPredicate]:
         ranked = list(ranked)
         candidate_by_origin = {c.origin: c for c in candidates}
-        for _ in range(self.max_rounds):
+        for _ in range(MAX_MERGE_ROUNDS):
             best_merge: RankedPredicate | None = None
             merged_from: tuple[int, int] | None = None
             head = sorted(ranked, key=lambda r: -r.score)[: self.top_n]

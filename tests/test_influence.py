@@ -163,7 +163,7 @@ class TestSubsetEpsilon:
         memo = Predicate(
             [CategoricalClause("memo", frozenset(["REATTRIBUTION TO SPOUSE"]))]
         )
-        mask_set = pre.mask_engine().mask_set(pre.F, [memo])
+        mask_set = pre.mask_engine().mask_set([memo])
         assert mask_set.counts[0] > 0
         (fast,) = subset_epsilon_for_mask_set(
             pre.segments,

@@ -6,7 +6,8 @@ the reference mask bit-for-bit. This harness drives :class:`repro.core.ClauseMas
 over seeded random tables mixing numeric (int and float-with-NaN) and
 categorical (string-with-NULL) columns, with random predicates covering
 inclusive/exclusive/unbounded interval ends, equality intervals, and
-plain/negated categorical membership — plus the masked Δε kernel
+plain/negated categorical membership, and bounds on the index's
+threshold grid — plus the masked Δε kernel
 against its recomputation oracle, row by row, and the group-sparse Δε
 branch against the dense one.
 """
@@ -29,6 +30,7 @@ from repro.db.segments import (
     _any_reduceat_batch,
     _count_reduceat_batch,
 )
+from repro.learn.split_index import NumericColumnIndex, SplitIndex
 from repro.core.error_metrics import TooHigh
 
 CATEGORIES = ("a", "bb", "ccc", "dd", "e")
@@ -49,8 +51,28 @@ def _random_table(rng: np.random.Generator, n: int) -> Table:
     )
 
 
-def _random_numeric_clause(rng: np.random.Generator, column: str) -> NumericClause:
-    kind = rng.integers(0, 4)
+def _engine(table: Table) -> ClauseMaskCache:
+    """The engine the pipeline builds for F: the table's all-column
+    split index plus float64 casts of its numeric columns."""
+    index = SplitIndex.build(table)
+    casts = {
+        name: np.asarray(table.column(name), dtype=np.float64)
+        for name, column in index.columns.items()
+        if isinstance(column, NumericColumnIndex)
+    }
+    return ClauseMaskCache(table, index, casts)
+
+
+def _random_numeric_clause(
+    rng: np.random.Generator, column: str, grid: np.ndarray
+) -> NumericClause:
+    kind = rng.integers(0, 6)
+    if kind >= 4 and len(grid):
+        # A tree rule's bound: exactly on the threshold grid.
+        threshold = float(rng.choice(grid))
+        if kind == 4:
+            return NumericClause(column, None, threshold, hi_inclusive=True)
+        return NumericClause(column, threshold, None, lo_inclusive=False)
     # Bounds drawn from the same value range as the data, sometimes
     # exactly on data points (rounded grid), sometimes off-grid.
     lo = float(np.round(rng.normal(0.0, 8.0), rng.integers(0, 3)))
@@ -76,17 +98,18 @@ def _random_categorical_clause(
     return CategoricalClause(column, values, negated=bool(rng.random() < 0.4))
 
 
-def _random_predicate(rng: np.random.Generator) -> Predicate:
+def _random_predicate(rng: np.random.Generator, index: SplitIndex) -> Predicate:
     clauses = []
     picks = rng.random(3)
+    f_grid = index.column("f").thresholds
     if picks[0] < 0.6:
-        clauses.append(_random_numeric_clause(rng, "f"))
+        clauses.append(_random_numeric_clause(rng, "f", f_grid))
     if picks[1] < 0.6:
-        clauses.append(_random_numeric_clause(rng, "i"))
+        clauses.append(_random_numeric_clause(rng, "i", index.column("i").thresholds))
     if picks[2] < 0.6:
         clauses.append(_random_categorical_clause(rng, "c"))
     if not clauses:
-        clauses.append(_random_numeric_clause(rng, "f"))
+        clauses.append(_random_numeric_clause(rng, "f", f_grid))
     return Predicate(clauses)
 
 
@@ -95,9 +118,9 @@ class TestMaskParityProperty:
         rng = np.random.default_rng(1234)
         for round_index in range(30):
             table = _random_table(rng, int(rng.integers(1, 200)))
-            engine = ClauseMaskCache()
-            predicates = [_random_predicate(rng) for __ in range(25)]
-            mask_set = engine.mask_set(table, predicates)
+            engine = _engine(table)
+            predicates = [_random_predicate(rng, engine.index) for __ in range(25)]
+            mask_set = engine.mask_set(predicates)
             bools = mask_set.bools()
             for row, predicate in enumerate(predicates):
                 expected = predicate.mask(table)
@@ -109,54 +132,52 @@ class TestMaskParityProperty:
                 assert mask_set.counts[row] == int(expected.sum())
 
     def test_true_predicate_and_empty_table(self):
-        engine = ClauseMaskCache()
         table = _random_table(np.random.default_rng(7), 13)
-        mask_set = engine.mask_set(table, [Predicate.true()])
+        mask_set = _engine(table).mask_set([Predicate.true()])
         assert mask_set.counts[0] == 13
         assert mask_set.bools()[0].all()
 
         empty = table.filter(np.zeros(13, dtype=bool))
-        empty_set = engine.mask_set(empty, [Predicate.true()])
+        empty_set = _engine(empty).mask_set([Predicate.true()])
         assert empty_set.counts[0] == 0
 
     def test_distinct_clauses_evaluated_once(self):
-        engine = ClauseMaskCache()
         table = _random_table(np.random.default_rng(3), 50)
+        engine = _engine(table)
         shared = NumericClause("f", 0.0, None)
         predicates = [
             Predicate([shared]),
             Predicate([shared, CategoricalClause("c", frozenset(["a"]))]),
             Predicate([shared, NumericClause("i", None, 2.0)]),
         ]
-        engine.mask_set(table, predicates)
+        engine.mask_set(predicates)
         stats = engine.stats()
         assert stats["clauses"] == 3  # shared clause cached once
         assert stats["predicates"] == 3
 
         # A repeated evaluation is pure cache hits: no new entries.
-        engine.mask_set(table, predicates)
+        engine.mask_set(predicates)
         assert engine.stats() == stats
 
     def test_fallback_covers_off_fast_path_clauses(self):
         # A categorical clause over a numeric column has no code table;
         # the engine must fall back to the reference evaluator.
-        engine = ClauseMaskCache()
         table = _random_table(np.random.default_rng(11), 60)
         predicate = Predicate([CategoricalClause("i", frozenset([2, 3]))])
         np.testing.assert_array_equal(
-            engine.predicate_mask(table, predicate), predicate.mask(table)
+            _engine(table).mask_set([predicate]).bools()[0], predicate.mask(table)
         )
 
     def test_digests_identify_equal_masks(self):
-        engine = ClauseMaskCache()
         table = _random_table(np.random.default_rng(5), 80)
+        engine = _engine(table)
         same_a = Predicate([NumericClause("f", 0.0, None)])
         # A redundant second clause: different predicate, identical mask.
         same_b = Predicate(
             [NumericClause("f", 0.0, None), NumericClause("f", -1e9, None)]
         )
         different = Predicate([NumericClause("f", None, 0.0)])
-        mask_set = engine.mask_set(table, [same_a, same_b, different])
+        mask_set = engine.mask_set([same_a, same_b, different])
         digests = mask_set.digests()
         assert digests[0] == digests[1]
         assert digests[0] != digests[2]

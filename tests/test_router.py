@@ -202,6 +202,40 @@ class TestWalk:
         assert request(router, "sql")["ok"]
         assert pool.calls == [(primary, "open"), (primary, "sql")]
 
+    def test_reopen_resumes_on_the_placed_worker(self):
+        """A re-``open`` of a placed session recovers it where it lives
+        (here the replica it failed over to) and opens it there."""
+        router, pool, _ = make_router()
+        primary, replica = replica_set(router)
+        open_session(router)
+        pool.faults[(primary, "execute")] = ["WorkerCrashed"]
+        assert request(router, "execute", sql="SELECT 1")["ok"]
+        pool.calls.clear()
+        assert open_session(router) == replica
+        assert pool.calls == [(replica, "recover"), (replica, "open")]
+        assert router.placement_of("s") == (replica, "toy")
+
+    def test_reopen_without_a_journal_opens_where_a_new_session_would(self):
+        router, pool, _ = make_router(journaled=False)
+        primary, replica = replica_set(router)
+        open_session(router)
+        pool.live[primary].clear()  # lost, e.g. by an eviction
+        pool.calls.clear()
+        assert open_session(router) == primary
+        assert pool.calls == [(primary, "recover"), (primary, "open")]
+
+    def test_reopen_on_a_crashing_worker_is_reported(self):
+        router, pool, _ = make_router()
+        primary, _ = replica_set(router)
+        open_session(router)
+        pool.faults[(primary, "recover")] = ["WorkerCrashed"]
+        pool.calls.clear()
+        envelope = router.handle(
+            {"id": 0, "cmd": "open", "args": {"name": "s", "dataset": "toy"}}
+        )
+        assert kind(envelope) == "WorkerCrashed"
+        assert pool.calls == [(primary, "recover")]
+
     def test_crash_without_a_journal_frees_the_name_for_another_dataset(self):
         router, pool, _ = make_router(journaled=False)
         primary, _ = replica_set(router)

@@ -31,11 +31,13 @@ from repro.service import (
     FaultPlan,
     JournalStore,
     ServiceClient,
+    SessionManager,
     WorkerPool,
 )
+import repro.service.handlers as handlers
 import repro.service.router as routing
 from repro.service import faults
-from repro.service.router import replica_set
+from repro.service.router import RoutingDispatcher, replica_set
 from repro.service.workers import WorkerHandle
 
 from test_async_service import routed_toy_catalog
@@ -823,3 +825,231 @@ class TestSingleProcessLifecycleCommands:
                         c.call("resize", workers=2)
                     assert excinfo.value.kind == "ProtocolError"
                     assert "unknown command 'resize'" in str(excinfo.value)
+
+
+# ----------------------------------------------------------------------
+# a served session lives on one worker, and its journal stays whole
+# ----------------------------------------------------------------------
+
+#: The §3.2-style toy cycle as wire commands, up to and including debug.
+TOY_CYCLE = (
+    ("execute", {"sql": TOY_SQL}),
+    ("select_results", {"brush": {"above": 5.0}}),
+    ("zoom", {}),
+    ("select_inputs", {"brush": {"above": 50.0}}),
+    ("set_metric", {"form": "too_high", "params": {"threshold": 2.0}}),
+    ("debug", {}),
+)
+
+#: The snapshot fields that describe a session's state (not its timings).
+STATE_FIELDS = (
+    "state", "sql", "num_rows", "selected_rows", "n_dprime", "metric",
+    "applied_predicates",
+)
+
+
+def _call(dispatch, cmd: str, session: str | None = None, **args) -> dict:
+    """One request through ``dispatch`` (a router's ``handle`` or a
+    manager-bound ``handlers.dispatch``); the result, or a failed test."""
+    envelope = dispatch({"id": cmd, "cmd": cmd, "session": session, "args": args})
+    assert envelope["ok"], envelope
+    return envelope["result"]
+
+
+def _state(snapshot: dict) -> dict:
+    return {field: snapshot[field] for field in STATE_FIELDS}
+
+
+def _routed(data_dir, call_timeout: float = 30.0):
+    """Two workers journaling under ``data_dir``, behind a router that
+    does not see the data dir itself."""
+    pool = WorkerPool(
+        2,
+        catalog_factory=functools.partial(toy_catalog_in, str(data_dir)),
+        call_timeout=call_timeout,
+    )
+    return pool, RoutingDispatcher(pool)
+
+
+def _no_fault_answers(router) -> tuple[dict, str]:
+    """The state after the brushes and the SQL after ``apply 0`` of a
+    session that never met a fault."""
+    _call(router.handle, "open", name="ref", dataset="toy")
+    for cmd, args in TOY_CYCLE[:2]:
+        _call(router.handle, cmd, "ref", **args)
+    brushed = _state(_call(router.handle, "snapshot", "ref"))
+    for cmd, args in TOY_CYCLE[2:]:
+        _call(router.handle, cmd, "ref", **args)
+    _call(router.handle, "apply", "ref", index=0)
+    return brushed, _call(router.handle, "sql", "ref")["sql"]
+
+
+class TestOneLiveCopy:
+    def test_reopen_after_a_failover_resumes_the_session(
+        self, tmp_path, monkeypatch
+    ):
+        """A killed primary heals "a" on the replica; a second ``open``
+        of "a" (what ``connect --session a`` sends) resumes it there, not
+        as a new session on the respawned primary, and the journal keeps
+        its history."""
+        monkeypatch.delenv("REPRO_DATA_DIR", raising=False)
+        pool, router = _routed(tmp_path)
+        with pool:
+            brushed, applied_sql = _no_fault_answers(router)
+            primary = replica_set("toy", len(pool))[0]
+            _call(router.handle, "open", name="a", dataset="toy")
+            _call(router.handle, "execute", "a", sql=TOY_SQL)
+            faults.install(FaultPlan(kill_worker=primary, kill_on_request=1))
+            _call(router.handle, "select_results", "a", brush={"above": 5.0})
+            faults.clear()
+            healed_on = router.placement_of("a")[0]
+            assert healed_on != primary
+            reopened = _call(router.handle, "open", name="a", dataset="toy")
+            assert reopened["worker"] == healed_on
+            assert _state(reopened["snapshot"]) == brushed
+            loaded = JournalStore(tmp_path / "journal").load("a")
+            assert [cmd for cmd, __ in loaded.records][:2] == [
+                "execute",
+                "select_results",
+            ]
+            for cmd, args in TOY_CYCLE[2:]:
+                _call(router.handle, cmd, "a", **args)
+            _call(router.handle, "apply", "a", index=0)
+            assert _call(router.handle, "sql", "a")["sql"] == applied_sql
+
+    def test_a_copy_its_journal_moved_past_is_replayed(
+        self, tmp_path, monkeypatch
+    ):
+        """A dropped ``debug`` reply moves "a" from P to Q, where ``apply``
+        runs; a kill of Q hands "a" back to P, which still holds its
+        pre-move copy. P must replay the journal instead of answering
+        from that copy, so ``sql`` carries the applied predicate."""
+        monkeypatch.delenv("REPRO_DATA_DIR", raising=False)
+        pool, router = _routed(tmp_path, call_timeout=2.0)
+        with pool:
+            __, applied_sql = _no_fault_answers(router)
+            assert "NOT" in applied_sql
+            first = _call(router.handle, "open", name="a", dataset="toy")["worker"]
+            for cmd, args in TOY_CYCLE:
+                _call(router.handle, cmd, "a", **args)
+            faults.install(FaultPlan(drop_worker=first, drop_on_request=1))
+            _call(router.handle, "debug", "a")  # times out on P, answered by Q
+            faults.clear()
+            second = router.placement_of("a")[0]
+            assert second != first
+            _call(router.handle, "apply", "a", index=0)
+            faults.install(FaultPlan(kill_worker=second, kill_on_request=1))
+            assert _call(router.handle, "sql", "a")["sql"] == applied_sql
+            faults.clear()
+            assert router.placement_of("a")[0] == first
+
+
+class _Died(BaseException):
+    """A worker dying mid-replay, as far as the replay can tell."""
+
+
+def _manager(data_dir) -> SessionManager:
+    return SessionManager(catalog=toy_catalog_in(str(data_dir)))
+
+
+def _on(manager: SessionManager):
+    return functools.partial(handlers.dispatch, manager)
+
+
+class TestRecoverWritesAfterReplay:
+    def test_death_mid_replay_leaves_the_journal_whole(
+        self, tmp_path, monkeypatch
+    ):
+        """A replay that dies at ``debug`` writes nothing, and the next
+        ``recover`` rebuilds the no-fault session from every record."""
+        owner = _manager(tmp_path)
+        _call(_on(owner), "open", name="a", dataset="toy")
+        for cmd, args in TOY_CYCLE:
+            _call(_on(owner), cmd, "a", **args)
+        _call(_on(owner), "apply", "a", index=0)
+        expected = _state(_call(_on(owner), "snapshot", "a"))
+        path = JournalStore(tmp_path / "journal").path_for("a")
+        before = path.read_bytes()
+
+        def dies(session, args):
+            raise _Died()
+
+        heir = _manager(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setitem(handlers._SESSION_HANDLERS, "debug", dies)
+            with pytest.raises(_Died):
+                handlers.dispatch(
+                    heir, {"id": 1, "cmd": "recover", "args": {"session": "a"}}
+                )
+        assert path.read_bytes() == before
+        assert "a" not in heir  # the half-replayed copy does not serve
+        recovered = _call(_on(heir), "recover", session="a")
+        assert recovered["replayed"] == len(TOY_CYCLE) + 1
+        assert recovered["truncated_at"] is None
+        assert _state(_call(_on(heir), "snapshot", "a")) == expected
+        assert path.read_bytes() == before  # a clean replay writes nothing
+
+    def test_replay_that_stops_early_publishes_the_kept_prefix(self, tmp_path):
+        """A record that no longer replays truncates the journal to the
+        records before it, so later appends follow that prefix."""
+        owner = _manager(tmp_path)
+        _call(_on(owner), "open", name="a", dataset="toy")
+        _call(_on(owner), "execute", "a", sql=TOY_SQL)
+        store = JournalStore(tmp_path / "journal")
+        journal = owner.get("a").journal
+        journal.append("apply", {"index": 0})  # fails: nothing ranked yet
+        journal.append("zoom", {})
+        heir = _manager(tmp_path)
+        recovered = _call(_on(heir), "recover", session="a")
+        assert recovered["replayed"] == 1
+        assert recovered["truncated_at"].startswith("apply")
+        assert [cmd for cmd, __ in store.load("a").records] == ["execute"]
+        _call(_on(heir), "select_results", "a", brush={"above": 5.0})
+        assert [cmd for cmd, __ in store.load("a").records] == [
+            "execute",
+            "select_results",
+        ]
+
+
+class TestStaleCopies:
+    """Two managers over one data dir stand for two workers: "a" moved
+    from ``old`` to ``new``, which journaled past ``old``'s copy."""
+
+    def _moved(self, tmp_path):
+        old, new = _manager(tmp_path), _manager(tmp_path)
+        _call(_on(old), "open", name="a", dataset="toy")
+        _call(_on(old), "execute", "a", sql=TOY_SQL)
+        _call(_on(new), "recover", session="a")
+        _call(_on(new), "select_results", "a", brush={"above": 5.0})
+        return old, new, JournalStore(tmp_path / "journal")
+
+    def test_drain_prepare_does_not_publish_a_stale_copy(self, tmp_path):
+        old, new, store = self._moved(tmp_path)
+        assert _call(_on(old), "drain_prepare")["journaled"] == 0
+        assert "a" not in old
+        assert [cmd for cmd, __ in store.load("a").records] == [
+            "execute",
+            "select_results",
+        ]
+
+    def test_recover_replays_over_a_stale_copy(self, tmp_path):
+        old, new, store = self._moved(tmp_path)
+        recovered = _call(_on(old), "recover", session="a")
+        assert not recovered["already_live"]
+        assert recovered["replayed"] == 2
+        assert _call(_on(old), "snapshot", "a")["selected_rows"] == _call(
+            _on(new), "snapshot", "a"
+        )["selected_rows"]
+
+    def test_open_of_a_stale_copy_starts_fresh(self, tmp_path):
+        old, new, store = self._moved(tmp_path)
+        opened = _call(_on(old), "open", name="a", dataset="toy")
+        assert opened["snapshot"]["state"] == "new"
+        assert store.load("a").records == []
+
+    def test_a_current_copy_stays_live(self, tmp_path):
+        old, new, store = self._moved(tmp_path)
+        recovered = _call(_on(new), "recover", session="a")
+        assert recovered["already_live"]
+        assert _call(_on(new), "drain_prepare")["journaled"] == 1
+        assert len(store.load("a").records) == 2

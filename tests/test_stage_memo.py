@@ -22,8 +22,7 @@ from repro.core.predicates import DEFAULT_STRATEGIES, PredicateEnumerator
 from repro.core.preprocessor import PreprocessCache, Preprocessor
 from repro.data import FECConfig, generate_fec, walkthrough_query
 from repro.db import Database
-from repro.db.predicate import NumericClause, Predicate
-from repro.errors import PipelineError
+from repro.db.predicate import CategoricalClause, NumericClause, Predicate
 from repro.frontend import Brush, DBWipesSession
 from repro.learn.subgroup import SubgroupDiscovery
 from repro.obs import registry
@@ -299,7 +298,6 @@ ALTERNATES = {
         "subgroup": SubgroupDiscovery(beam_width=3),
         "feature_columns": ("amount",),
         "max_candidates": 3,
-        "nb_mad_threshold": 2.0,
         "min_keep_fraction": 0.5,
         "seed": 7,
     },
@@ -377,14 +375,24 @@ class TestLifetime:
         finally:
             gc.enable()
 
-    def test_engine_outliving_its_result_fails_loudly(self, db):
+    def test_engine_outliving_its_result_still_answers(self, db):
+        """The engine owns F, the split index and the casts, so it
+        answers equal to ``Predicate.mask`` after its result is freed."""
         session = _session(db, shared=False)
         metric = _brush(session)
         preprocessor = Preprocessor()
         pre = preprocessor.run(session.result, session.selected_rows, metric)
         F, engine = pre.F, pre.mask_engine()
-        predicate = Predicate([NumericClause("amount", 0.0, None)])
+        held = weakref.ref(pre)
+        predicates = [
+            Predicate([NumericClause("amount", 0.0, None)]),
+            Predicate(
+                [CategoricalClause("memo", frozenset(["REATTRIBUTION TO SPOUSE"]))]
+            ),
+        ]
         del pre, preprocessor
         gc.collect()
-        with pytest.raises(PipelineError, match="freed"):
-            engine.mask_set(F, [predicate])
+        assert held() is None
+        masks = engine.mask_set(predicates).bools()
+        for row, predicate in enumerate(predicates):
+            np.testing.assert_array_equal(masks[row], predicate.mask(F))

@@ -354,6 +354,46 @@ class TestLazyStores:
             table.column("tag")[i] for i in (3, 170, 44, 3)
         ]
 
+    def test_gathering_k_rows_of_a_mapped_str_column_decodes_k_values(
+        self, tmp_path, monkeypatch
+    ):
+        """F's gather of a mapped STR column decodes its own rows only and
+        leaves the whole column undecoded; a later whole-column read
+        still decodes (and keeps) every row."""
+        import repro.db.store as store_module
+
+        decoded = []
+        real_decode = store_module.dict_decode
+        monkeypatch.setattr(
+            store_module,
+            "dict_decode",
+            lambda codes, values: decoded.append(len(codes))
+            or real_decode(codes, values),
+        )
+        table = toy_table().save(tmp_path / "toy")
+        positions = np.array([3, 170, 44, 3, 13])
+        picked = table.take(positions).column("tag")
+        assert decoded == [len(positions)]
+        whole = table.column("tag")
+        assert decoded == [len(positions), len(table)]
+        assert list(picked) == list(whole[positions])
+        assert picked[4] is None  # row 13 is a NULL
+        # A gather after the whole-column read slices the kept column.
+        again = table.take(positions).column("tag")
+        assert decoded == [len(positions), len(table)]
+        assert list(again) == list(picked)
+
+    def test_gather_checks_every_code_of_the_column(self, tmp_path):
+        """A code outside the sidecar's values fails the gather even when
+        it sits on a row the gather skips."""
+        directory = toy_table().save(tmp_path / "toy").store.directory
+        path = directory / "c3.npy"  # tag
+        codes = np.load(path)
+        codes[100] = 99
+        np.save(path, codes)
+        with pytest.raises(StorageError, match="outside"):
+            Table.open(directory).take(np.array([0, 1])).column("tag")
+
     def test_compositions_stay_flat_and_correct(self):
         table = toy_table()
         mask = np.zeros(90, dtype=bool)
