@@ -455,9 +455,6 @@ class RemoteShell(BaseShell):
         self._print(f"trace {result['trace_id']}")
         self._print(render_tree(result["tree"]).rstrip())
 
-    def _cmd_help(self, args: list[str]) -> None:
-        self._print(__doc__ or "")
-
 
 def _flag_value(argv: list[str], name: str, default: str) -> str:
     """The value of ``--name value`` in argv (last one wins)."""
@@ -512,9 +509,8 @@ def serve_main(argv: list[str]) -> int:
 
     The server is the asyncio gateway: admission control
     (``--max-inflight`` / ``--max-queue``, shedding excess load with
-    ``ServerBusy`` + ``retry_after``), per-connection token-bucket rate
-    limiting (``--rate`` / ``--burst`` heavy commands per second), and
-    streamed partial ``debug`` frames (``args: {"stream": true}``).
+    ``ServerBusy`` + ``retry_after``) and per-connection token-bucket
+    rate limiting (``--rate`` / ``--burst`` heavy commands per second).
     ``--async`` is accepted and ignored, because scripts such as the
     ``bench/`` launcher pass it. An unknown argument, or a value flag
     given last, is an error before anything boots.

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -108,16 +108,8 @@ class InProcessBackend:
         metric: ErrorMetric,
         dprime_tids: Sequence[int] | np.ndarray = (),
         agg_name: str | None = None,
-        on_partial: Callable[[str, list], None] | None = None,
     ) -> DebugReport:
-        """Run the full pipeline and return the ranked predicate report.
-
-        ``on_partial(stage, ranked)``, when given, is invoked with
-        intermediate ranked lists as they become available — once after
-        the rank stage and once per surviving merge round — so a
-        streaming front end can push early answers. The hook observes
-        snapshot copies only; the report is identical either way.
-        """
+        """Run the full pipeline and return the ranked predicate report."""
         timings: dict[str, float] = {}
 
         with obs_span("pipeline.debug"):
@@ -164,22 +156,11 @@ class InProcessBackend:
             with obs_span("stage.rank"):
                 ranked = self._ranker.run(pre, candidates, candidate_rules)
             timings["rank"] = time.perf_counter() - start
-            if on_partial is not None:
-                on_partial("rank", list(ranked))
 
             if self._merger is not None:
                 start = time.perf_counter()
                 with obs_span("stage.merge"):
-                    ranked = self._merger.run(
-                        pre,
-                        candidates,
-                        ranked,
-                        on_round=(
-                            None
-                            if on_partial is None
-                            else lambda rs: on_partial("merge", rs)
-                        ),
-                    )
+                    ranked = self._merger.run(pre, candidates, ranked)
                 timings["merge"] = time.perf_counter() - start
 
         self._debug_count += 1

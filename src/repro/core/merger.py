@@ -27,7 +27,7 @@ greedy loop it replaced is the byte-identity oracle in
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -125,16 +125,8 @@ class PredicateMerger:
         pre: PreprocessResult,
         candidates: Sequence[CandidateSet],
         ranked: list[RankedPredicate],
-        on_round: Callable[[list[RankedPredicate]], None] | None = None,
     ) -> list[RankedPredicate]:
-        """Insert winning merges into ``ranked`` (returned re-sorted).
-
-        ``on_round``, when given, is called after each *accepted* merge
-        with a snapshot copy of the current ranked list — the streaming
-        hook behind partial ``debug`` frames. It observes only; the
-        merge computation (and therefore the final list) is byte-for-byte
-        identical with or without it.
-        """
+        """Insert winning merges into ``ranked`` (returned re-sorted)."""
         ranked = list(ranked)
         candidate_by_origin = {c.origin: c for c in candidates}
         engine = pre.mask_engine()
@@ -188,8 +180,6 @@ class PredicateMerger:
             drop = {head[merged_from[0]].predicate, head[merged_from[1]].predicate}
             ranked = [r for r in ranked if r.predicate not in drop]
             ranked.append(best_merge)
-            if on_round is not None:
-                on_round(list(ranked))
         ranked.sort(key=lambda r: (-r.score, r.complexity, r.predicate.describe()))
         return ranked
 

@@ -18,7 +18,7 @@ in ``tests/reference/``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -97,15 +97,12 @@ class RankedProvenance:
         metric: ErrorMetric,
         dprime_tids: Sequence[int] | np.ndarray = (),
         agg_name: str | None = None,
-        on_partial: Callable[[str, list], None] | None = None,
     ) -> DebugReport:
         """Run the full pipeline and return the ranked predicate report.
 
         Parameters mirror the paper's inputs: the executed query result,
         the suspicious output rows S, the error metric ε, the optional
         suspicious input examples D', and which aggregate column to debug.
-        ``on_partial(stage, ranked)`` streams intermediate ranked lists
-        (post-rank, then per merge round) without changing the result.
         """
         return self.backend.debug(
             result,
@@ -113,5 +110,4 @@ class RankedProvenance:
             metric,
             dprime_tids=dprime_tids,
             agg_name=agg_name,
-            on_partial=on_partial,
         )

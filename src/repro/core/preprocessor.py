@@ -219,14 +219,6 @@ class PreprocessResult:
         """Make ``outputs`` the one :meth:`stage_memo` entry."""
         self._column_memo[("stages",)] = (key, outputs)
 
-    def group_masks_for_tids(self, tids: np.ndarray) -> list[np.ndarray]:
-        """Per-group boolean masks marking which group tuples are in ``tids``."""
-        wanted = np.unique(np.asarray(tids, dtype=np.int64).ravel())
-        return [
-            np.isin(np.asarray(group_tids, dtype=np.int64), wanted)
-            for group_tids in self.group_tids
-        ]
-
 
 class PreprocessCache:
     """A thread-safe keyed LRU cache of :class:`PreprocessResult` values.

@@ -57,16 +57,6 @@ class LogicalPlan:
         """Whether the query computes any aggregates."""
         return bool(self.aggs)
 
-    def output_names(self) -> tuple[str, ...]:
-        """Output column names in SELECT order."""
-        names = []
-        for kind, index in self.output_order:
-            if kind == "key":
-                names.append(self.keys[index].output_name)
-            else:
-                names.append(self.aggs[index].output_name)
-        return tuple(names)
-
 
 def plan_select(statement: SelectStatement, schema: Schema) -> LogicalPlan:
     """Validate ``statement`` against ``schema`` and build a :class:`LogicalPlan`."""

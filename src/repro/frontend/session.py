@@ -15,7 +15,7 @@ first — the same constraints the GUI enforces by graying out controls.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -309,17 +309,8 @@ class DBWipesSession:
             self._agg_name = agg_name
         return metric
 
-    def debug(
-        self,
-        agg_name: str | None = None,
-        on_partial: Callable[[str, list], None] | None = None,
-    ) -> DebugReport:
-        """Run ranked provenance on (S, D', ε) — the 'debug!' button.
-
-        ``on_partial(stage, ranked)`` streams intermediate ranked lists
-        (post-rank, then per merge round); the returned report and the
-        session's state transitions are unaffected by it.
-        """
+    def debug(self, agg_name: str | None = None) -> DebugReport:
+        """Run ranked provenance on (S, D', ε) — the 'debug!' button."""
         if not self._selected_rows:
             raise SessionError("select suspicious results before debugging")
         if self._metric is None:
@@ -332,7 +323,6 @@ class DBWipesSession:
             self._metric,
             dprime_tids=self._dprime,
             agg_name=self._agg_name or self._default_agg_name(),
-            on_partial=on_partial,
         )
         self._report = report
         self._stage_timings = dict(report.timings)

@@ -694,21 +694,6 @@ class DecisionTree:
         __, n_leaves = _subtree_cost(root)
         return n_leaves
 
-    @property
-    def n_nodes(self) -> int:
-        """Total node count."""
-        root = self._require_fitted()
-        count = 0
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            if not node.is_leaf:
-                assert node.left is not None and node.right is not None
-                stack.append(node.left)
-                stack.append(node.right)
-        return count
-
     def positive_rules(self, min_precision: float = 0.0) -> list[Rule]:
         """Rules for every positive-predicting leaf (root-to-leaf paths).
 

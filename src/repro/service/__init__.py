@@ -20,8 +20,8 @@ tier for the reproduction:
   dependency-free asyncio gateway over either dispatcher: one event
   loop, commands on a bounded executor, admission control (bounded
   in-flight + queue, ``ServerBusy`` shedding with ``retry_after``) with
-  a cheap lane outside it, per-connection token-bucket rate limiting,
-  and streamed partial ``debug`` frames;
+  a cheap lane outside it, and per-connection token-bucket rate
+  limiting;
 * :mod:`~repro.service.client` — :class:`ServiceClient`, the blocking
   client used by tests, benchmarks, and ``python -m repro connect``;
 * :mod:`~repro.service.journal` — :class:`JournalStore`: per-session

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 import socket
 import time
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from ..errors import ProtocolError, ServiceError
 from .protocol import MAX_LINE_BYTES, decode_line, encode
@@ -108,15 +108,7 @@ class ServiceClient:
 
     def call(self, cmd: str, session: str | None = None, **args: Any) -> Any:
         """Send one request and block for its response's ``result``."""
-        request_id = self._send(cmd, session, args)
-        while True:
-            response = self._read_frame(request_id)
-            if response.get("partial"):
-                # A streamed frame the caller did not ask to iterate
-                # (``stream=True`` passed through plain call()): drain it
-                # and keep waiting for the terminating envelope.
-                continue
-            return self._unwrap(response)
+        return self._unwrap(self._receive(self._send(cmd, session, args)))
 
     def call_with_retry(
         self,
@@ -160,32 +152,6 @@ class ServiceClient:
                 sleep(delay)
                 attempt += 1
 
-    def stream(
-        self, cmd: str, session: str | None = None, **args: Any
-    ) -> Iterator[dict]:
-        """Send one request and iterate its response frames in order.
-
-        Yields each ``{"partial": True, "seq": ..., "result": ...}``
-        frame as it arrives, then ``{"partial": False, "result": ...}``
-        built from the terminating envelope, and stops. Server-reported
-        errors raise :class:`ServiceError` exactly as :meth:`call` does.
-        Pass ``stream=True`` in ``args`` to actually request partial
-        frames; without it the server sends only the final envelope and
-        this yields a single item.
-        """
-        request_id = self._send(cmd, session, args)
-        while True:
-            response = self._read_frame(request_id)
-            if response.get("partial"):
-                yield {
-                    "partial": True,
-                    "seq": response.get("seq"),
-                    "result": response.get("result"),
-                }
-                continue
-            yield {"partial": False, "result": self._unwrap(response)}
-            return
-
     def _send(self, cmd: str, session: str | None, args: dict[str, Any]) -> int:
         self.connect()
         assert self._sock is not None and self._rfile is not None
@@ -209,7 +175,7 @@ class ServiceClient:
             raise self._failed(error)
         return request_id
 
-    def _read_frame(self, request_id: int) -> dict:
+    def _receive(self, request_id: int) -> dict:
         assert self._rfile is not None
         try:
             line = self._rfile.readline(MAX_LINE_BYTES + 1)
@@ -354,20 +320,6 @@ class ServiceClient:
     def debug(self, agg: str | None = None, max_rows: int | None = None) -> dict:
         """Run ranked provenance; returns the report payload."""
         return self.call("debug", agg=agg, max_rows=max_rows)
-
-    def debug_stream(
-        self, agg: str | None = None, max_rows: int | None = None
-    ) -> Iterator[dict]:
-        """Streamed ranked provenance: partial rankings, then the report.
-
-        Yields ``{"partial": True, "seq": n, "result": {...}}`` frames as
-        merge rounds survive server-side, then ``{"partial": False,
-        "result": <full report payload>}``. Works single-process or
-        routed — workers forward partial frames back over their pipe. A
-        mid-stream failover replays the stream from a replica, so
-        partial frames are at-least-once; the final frame is exact.
-        """
-        return self.stream("debug", agg=agg, max_rows=max_rows, stream=True)
 
     def apply(self, index: int, max_rows: int | None = 200) -> dict:
         """Click the ranked predicate at 0-based ``index``."""

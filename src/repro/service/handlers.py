@@ -49,12 +49,12 @@ CHEAP_COMMANDS = frozenset(
 
 class Dispatcher:
     """A front end's command path: subclasses define the blocking
-    ``handle(message, emit_partial=None) -> envelope``; the server
-    awaits it through :meth:`handle_async`."""
+    ``handle(message) -> envelope``; the server awaits it through
+    :meth:`handle_async`."""
 
-    async def handle_async(self, message: dict, emit_partial=None) -> dict:
+    async def handle_async(self, message: dict) -> dict:
         """:meth:`handle` on a thread of the running loop's executor."""
-        return await asyncio.to_thread(self.handle, message, emit_partial)
+        return await asyncio.to_thread(self.handle, message)
 
 
 class LocalDispatcher(Dispatcher):
@@ -68,36 +68,23 @@ class LocalDispatcher(Dispatcher):
     def __init__(self, manager: SessionManager):
         self.manager = manager
 
-    def handle(self, message: dict, emit_partial: Callable | None = None) -> dict:
-        return dispatch(self.manager, message, emit_partial=emit_partial)
+    def handle(self, message: dict) -> dict:
+        return dispatch(self.manager, message)
 
     def close(self) -> None:
         """Nothing to shut down in-process."""
 
 
-def dispatch(
-    manager: SessionManager,
-    message: dict,
-    role: str = "server",
-    emit_partial: Callable[[int, dict], None] | None = None,
-) -> dict:
-    """Handle one decoded request message; always returns an envelope.
+def dispatch(manager: SessionManager, message: dict, role: str = "server") -> dict:
+    """Handle one decoded request message; always returns one envelope.
 
     The entry point of the single-process server (``role="server"``) and
     of every worker process (``role="worker"``), instrumented by
     :func:`instrumented`.
-
-    ``emit_partial(seq, payload)``, when given and the request is a
-    ``debug`` with ``args: {"stream": true}``, receives partial ranked
-    payloads as the pipeline produces them — the server turns each into
-    a ``partial`` wire frame ahead of this function's returned
-    terminating envelope.
     """
     request_id = message.get("id") if isinstance(message, dict) else None
     return instrumented(
-        role,
-        message,
-        lambda: _dispatch_inner(manager, message, request_id, emit_partial),
+        role, message, lambda: _dispatch_inner(manager, message, request_id)
     )
 
 
@@ -151,12 +138,7 @@ def instrumented(role: str, message: dict, run: Callable[[], dict]) -> dict:
     return envelope
 
 
-def _dispatch_inner(
-    manager: SessionManager,
-    message: dict,
-    request_id,
-    emit_partial: Callable[[int, dict], None] | None = None,
-) -> dict:
+def _dispatch_inner(manager: SessionManager, message: dict, request_id) -> dict:
     try:
         cmd, session_name, args = protocol.validate_request(message)
         if cmd in _SERVER_HANDLERS:
@@ -172,14 +154,7 @@ def _dispatch_inner(
                 result = {"closed": session_name}
             else:
                 with manager.borrow(session_name) as session:
-                    if (
-                        cmd == "debug"
-                        and emit_partial is not None
-                        and bool(args.get("stream"))
-                    ):
-                        result = _debug_streaming(session, args, emit_partial)
-                    else:
-                        result = _SESSION_HANDLERS[cmd](session, args)
+                    result = _SESSION_HANDLERS[cmd](session, args)
                 if cmd in JOURNALED_COMMANDS:
                     # Journaled only after the handler succeeds, so the
                     # replay history never contains a failed mutation.
@@ -473,29 +448,6 @@ def _set_metric(session: DBWipesSession, args: dict) -> dict:
 def _debug(session: DBWipesSession, args: dict) -> dict:
     max_rows = _limit(args, "max_rows", None)
     return protocol.report_payload(session.debug(args.get("agg")), max_rows)
-
-
-def _debug_streaming(
-    session: DBWipesSession, args: dict, emit_partial: Callable[[int, dict], None]
-) -> dict:
-    """``debug`` with live partial frames: same report, early glimpses.
-
-    Emits one frame after the rank stage and one per surviving merge
-    round, each a sorted snapshot shaped like a miniature report. The
-    terminating envelope carries exactly what a non-streamed ``debug``
-    would have returned — byte-identical by the observe-only contract
-    of the ``on_partial`` hooks underneath.
-    """
-    seq = 0
-    max_rows = _limit(args, "max_rows", None)
-
-    def on_partial(stage: str, ranked: list) -> None:
-        nonlocal seq
-        emit_partial(seq, protocol.partial_report_payload(ranked, stage, max_rows))
-        seq += 1
-
-    report = session.debug(args.get("agg"), on_partial=on_partial)
-    return protocol.report_payload(report, max_rows)
 
 
 def _apply(session: DBWipesSession, args: dict) -> dict:

@@ -44,8 +44,8 @@ process. On the single-process tier ``recover`` works the same
 (journals permitting) while ``drain`` returns a structured
 ``ServiceError``. The worker count is fixed for the life of a server.
 
-The server's gateway (:mod:`repro.service.server`) adds two more wire
-forms. A request shed by admission control or per-client rate
+The server's gateway (:mod:`repro.service.server`) adds one more wire
+form. A request shed by admission control or per-client rate
 limiting gets a ``ServerBusy`` error envelope whose error object
 carries ``retry_after`` (seconds the client should back off before
 retrying)::
@@ -53,23 +53,6 @@ retrying)::
     {"id": 7, "ok": false, "error": {"kind": "ServerBusy",
                                      "message": "...",
                                      "retry_after": 0.25}}
-
-And a ``debug`` request carrying ``args: {"stream": true}`` may receive
-zero or more *partial frames* before its final envelope — the current
-ranked rules after the rank stage and after each surviving merge
-round::
-
-    {"id": 7, "partial": true, "seq": 0, "result": {"stage": "rank",
-                                                    "predicates": [...],
-                                                    "n_predicates": 3}}
-
-Partial frames are marked ``"partial": true`` and carry no ``ok`` key;
-the exchange always ends with one ordinary final envelope that is
-byte-identical to the non-streamed response. Both additions made
-``PROTOCOL_VERSION`` 2. Partial frames also cross the worker pipe
-on the routed tier, with one caveat: a mid-stream failover replays the
-stream from the replica, so partial frames are at-least-once — the
-final envelope is exact either way.
 
 Telemetry rides the same framing. Every response envelope is stamped
 with a top-level ``"trace"`` string — the request's trace id — and a
@@ -109,7 +92,8 @@ from ..frontend.selection import Brush
 #: Bumped on wire-incompatible changes; served by ``ping``.
 #: 2 = ``ServerBusy``/``retry_after`` envelopes and streamed partial
 #: ``debug`` frames (the gateway). 3 = ``resize`` left the protocol.
-PROTOCOL_VERSION = 3
+#: 4 = streamed partial frames left it: every request gets one envelope.
+PROTOCOL_VERSION = 4
 
 #: Upper bound on one wire line in either direction; longer lines are a
 #: protocol error (keeps a misbehaving peer from ballooning memory, and
@@ -227,11 +211,6 @@ def busy_response(request_id: Any, message: str, retry_after: float) -> dict:
     }
 
 
-def partial_response(request_id: Any, seq: int, result: Any) -> dict:
-    """One streamed partial frame (``"partial": true``, no ``ok`` key)."""
-    return {"id": request_id, "partial": True, "seq": int(seq), "result": result}
-
-
 def annotate_worker(envelope: dict, worker: int) -> dict:
     """Tag a success envelope's object result with the answering worker.
 
@@ -316,28 +295,6 @@ def report_payload(report: DebugReport, max_rows: int | None = None) -> dict:
         "n_dprime": report.n_dprime,
         "n_candidates": report.n_candidates,
         "timings": dict(report.timings),
-    }
-
-
-def partial_report_payload(
-    ranked: Iterable[RankedPredicate],
-    stage: str,
-    max_rows: int | None = None,
-) -> dict:
-    """A streamed snapshot of the ranked rules mid-``debug``.
-
-    ``stage`` names where the snapshot was taken (``"rank"`` or
-    ``"merge"``); the predicates are presented in final ranking order
-    (best first) so a client can render each frame as-is.
-    """
-    ordered = sorted(
-        ranked, key=lambda r: (-r.score, r.complexity, r.predicate.describe())
-    )
-    shown = len(ordered) if max_rows is None else min(len(ordered), max_rows)
-    return {
-        "stage": stage,
-        "predicates": [ranked_payload(r) for r in ordered[:shown]],
-        "n_predicates": len(ordered),
     }
 
 

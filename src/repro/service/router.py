@@ -171,10 +171,8 @@ class RoutingDispatcher(Dispatcher):
     forwards to each worker in turn) → :meth:`WorkerPool.call`. The
     server awaits it through the inherited ``handle_async``, on an
     executor thread, so pipe waits, failover backoff and drain waits
-    never block the event loop. Workers forward partial debug frames
-    back over the pipe, so routed ``debug`` streams end to end.
-    ``clock`` (breakers, drain wait) and ``sleep`` (backoff, drain wait)
-    are seams for tests.
+    never block the event loop. ``clock`` (breakers, drain wait) and
+    ``sleep`` (backoff, drain wait) are seams for tests.
     """
 
     def __init__(
@@ -261,7 +259,7 @@ class RoutingDispatcher(Dispatcher):
 
     # -- dispatch entry ------------------------------------------------
 
-    def handle(self, message: dict, emit_partial=None) -> dict:
+    def handle(self, message: dict) -> dict:
         """Route one decoded request; always returns an envelope.
 
         The front end is the server accept path of the cluster: the root
@@ -272,18 +270,10 @@ class RoutingDispatcher(Dispatcher):
         the message's ``trace`` field, and the response envelope is
         stamped with the trace id so clients can recover the full span
         tree.
-
-        ``emit_partial(seq, payload)`` — when provided and the request
-        asks for a stream — receives each partial frame a worker sends
-        back over the pipe, ahead of the returned terminating envelope.
-        A mid-stream failover replays the stream from the replica, so
-        partial frames are at-least-once; the final envelope is exact.
         """
-        return instrumented(
-            "server", message, lambda: self._dispatch(message, emit_partial)
-        )
+        return instrumented("server", message, lambda: self._dispatch(message))
 
-    def _dispatch(self, message: dict, emit_partial=None) -> dict:
+    def _dispatch(self, message: dict) -> dict:
         """Answer or route one request. A request the router rejects
         raises a :class:`ReproError`, answered here as an error envelope
         of its ``kind`` (or class name)."""
@@ -325,9 +315,7 @@ class RoutingDispatcher(Dispatcher):
             if cmd == "drain":
                 return self._drain_command(request_id, args)
             if cmd in _SESSION_HANDLERS:
-                return self._route_session(
-                    request_id, cmd, session, args, message, emit_partial
-                )
+                return self._route_session(request_id, cmd, session, message)
             known = sorted(COMMANDS)
             raise ProtocolError(f"unknown command {cmd!r} (known: {known})")
         except ReproError as error:
@@ -346,9 +334,7 @@ class RoutingDispatcher(Dispatcher):
 
     # -- traced worker forwards ----------------------------------------
 
-    def _forward(
-        self, worker: int, cmd: str, message: dict, on_partial=None
-    ) -> dict:
+    def _forward(self, worker: int, cmd: str, message: dict) -> dict:
         """One worker call under a ``router.<cmd>`` span.
 
         The span's context is injected into the forwarded message's
@@ -363,7 +349,7 @@ class RoutingDispatcher(Dispatcher):
         with obs_trace.span(f"router.{cmd}", worker=worker) as span:
             context = obs_trace.wire_context(span)
             forwarded = {**message, "trace": context} if context else message
-            return self.pool.call(worker, forwarded, on_partial=on_partial)
+            return self.pool.call(worker, forwarded)
 
     def _broadcast(self, cmd: str, message: dict) -> list[dict]:
         """The forward above, fanned out to every worker in order."""
@@ -613,13 +599,7 @@ class RoutingDispatcher(Dispatcher):
         )
 
     def _route_session(
-        self,
-        request_id,
-        cmd: str,
-        session: str | None,
-        args: dict,
-        message: dict,
-        emit_partial=None,
+        self, request_id, cmd: str, session: str | None, message: dict
     ) -> dict:
         """Route one session-scoped command along :meth:`_walk`.
 
@@ -635,15 +615,7 @@ class RoutingDispatcher(Dispatcher):
                 f"unknown session {session!r}; open it first", kind="UnknownSession"
             )
         worker, dataset = placement
-        on_partial = None
-        if emit_partial is not None and args.get("stream"):
-
-            def on_partial(envelope, _emit=emit_partial):
-                _emit(envelope.get("seq", 0), envelope.get("result"))
-
-        envelope = self._walk(
-            request_id, cmd, session, dataset, worker, message, on_partial
-        )
+        envelope = self._walk(request_id, cmd, session, dataset, worker, message)
         closed = cmd == "close" and (
             envelope.get("ok") or self._error_kind(envelope) == "UnknownSession"
         )
@@ -690,7 +662,6 @@ class RoutingDispatcher(Dispatcher):
         dataset: str,
         placed: int,
         message: dict,
-        on_partial=None,
     ) -> dict:
         """Forward one session command, healing its session on failure.
 
@@ -733,16 +704,14 @@ class RoutingDispatcher(Dispatcher):
                         self._forget(session, sent_to)
                     break
             sent_to = target
-            last = self._forward(target, cmd, message, on_partial=on_partial)
+            last = self._forward(target, cmd, message)
             if cmd != "close" and self._error_kind(last) == "UnknownSession":
                 # A respawn, an eviction or an adopted placement lost the
                 # session on a healthy worker: replay it in place and
                 # re-send, or forget it when there is no journal.
                 kind = self._hand_off(session, dataset, target)
                 if kind is None:
-                    last = self._forward(
-                        target, cmd, message, on_partial=on_partial
-                    )
+                    last = self._forward(target, cmd, message)
                 elif kind == "NoJournal":
                     self._forget(session, target)
             healthy = self._error_kind(last) not in FAILOVER_KINDS

@@ -28,11 +28,10 @@ On top of either, the gateway keeps an explicit capacity model:
   per-stage timing counters of recently served requests (see
   ``protocol.busy_response``) — instead of silent unbounded queue growth;
 * **per-client token buckets** (``rate``/``burst``) bound any single
-  connection's heavy-command rate before it reaches the shared queue;
-* **streamed partial results**: a ``debug`` with ``args: {"stream":
-  true}`` emits ``partial`` frames with the ranked rules as merge rounds
-  survive, then the byte-identical final envelope. Routed workers relay
-  the frames over their pipes, so both dispatchers stream.
+  connection's heavy-command rate before it reaches the shared queue.
+
+Whatever the lane, each request line gets exactly one response line:
+its envelope.
 
 Dependency-free by design: ``asyncio``, ``concurrent.futures`` and
 ``multiprocessing`` from the standard library plus the repo's own
@@ -60,7 +59,6 @@ from .protocol import (
     decode_line,
     encode,
     error_response,
-    partial_response,
 )
 from .sessions import SessionManager
 
@@ -325,10 +323,6 @@ class DBWipesServer:
             labels={"reason": "rate_limited"},
             help="Requests shed by the async gateway, by reason.",
         )
-        self._m_partials = reg.counter(
-            "dbwipes_partial_frames_total",
-            help="Streamed partial debug frames emitted.",
-        )
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -489,7 +483,7 @@ class DBWipesServer:
                     return
                 if line.strip() == b"":
                     continue
-                envelope = await self._respond_to(line, writer, bucket)
+                envelope = await self._respond_to(line, bucket)
                 if not await self._write(writer, envelope):
                     return
         finally:
@@ -519,12 +513,7 @@ class DBWipesServer:
             return False
         return True
 
-    async def _respond_to(
-        self,
-        line: bytes,
-        writer: asyncio.StreamWriter,
-        bucket: TokenBucket | None,
-    ) -> dict:
+    async def _respond_to(self, line: bytes, bucket: TokenBucket | None) -> dict:
         try:
             message = decode_line(line)
         except Exception as error:
@@ -536,16 +525,16 @@ class DBWipesServer:
             # Cheap lane: skips admission, so liveness and telemetry stay
             # observable under overload, which is exactly when they matter.
             return await self._handle_cheap(message, request_id, cmd)
-        return await self._handle_heavy(message, request_id, cmd, writer, bucket)
+        return await self._handle_heavy(message, request_id, cmd, bucket)
 
     # ------------------------------------------------------------------
     # the two lanes
     # ------------------------------------------------------------------
 
-    async def _run(self, message: dict, request_id, emit=None) -> dict:
+    async def _run(self, message: dict, request_id) -> dict:
         """One request through the dispatcher on an executor thread."""
         try:
-            return await self.dispatcher.handle_async(message, emit)
+            return await self.dispatcher.handle_async(message)
         except RuntimeError:
             # The executor shut down under the request (server stopping).
             return error_response(
@@ -566,12 +555,7 @@ class DBWipesServer:
         return envelope
 
     async def _handle_heavy(
-        self,
-        message: dict,
-        request_id,
-        cmd,
-        writer: asyncio.StreamWriter,
-        bucket: TokenBucket | None,
+        self, message: dict, request_id, cmd, bucket: TokenBucket | None
     ) -> dict:
         if bucket is not None and not bucket.try_take(1.0):
             self._shed_count += 1
@@ -607,15 +591,9 @@ class DBWipesServer:
         if obs_enabled():
             self._g_queue.set(float(self._waiting))
             self._g_inflight.set(float(self._inflight))
-        wants_stream = (
-            cmd == "debug"
-            and isinstance(message.get("args"), dict)
-            and bool(message["args"].get("stream"))
-        )
-        emit = self._make_emit(writer, request_id) if wants_stream else None
         start = time.perf_counter()
         try:
-            envelope = await self._run(message, request_id, emit)
+            envelope = await self._run(message, request_id)
         finally:
             self._inflight -= 1
             self._gate.release()
@@ -623,40 +601,6 @@ class DBWipesServer:
                 self._g_inflight.set(float(self._inflight))
         self._observe_heavy(cmd, envelope, time.perf_counter() - start)
         return envelope
-
-    def _make_emit(self, writer: asyncio.StreamWriter, request_id):
-        """A thread-safe partial-frame sender for one streamed request.
-
-        Called mid-pipeline from the executor thread (in-process) or from
-        a worker handle's reader thread (routed); each frame write is
-        marshalled onto the loop with ``call_soon_threadsafe``, which
-        FIFO-orders every partial ahead of the executor future's own
-        completion callback — so the client always sees partials strictly
-        before the terminating envelope.
-        """
-        assert self._loop is not None
-        loop = self._loop
-
-        def emit(seq: int, payload: dict) -> None:
-            data = encode(partial_response(request_id, seq, payload))
-            if len(data) > MAX_LINE_BYTES:
-                return  # partials are best-effort; never break the framing
-
-            def _send() -> None:
-                if not writer.is_closing():
-                    try:
-                        writer.write(data)
-                    except (ConnectionError, OSError):
-                        pass
-
-            try:
-                loop.call_soon_threadsafe(_send)
-            except RuntimeError:
-                return  # loop closed under the request
-            if obs_enabled():
-                self._m_partials.inc()
-
-        return emit
 
     # ------------------------------------------------------------------
     # the shedding signal

@@ -24,11 +24,6 @@ durable tier: with a data dir, each session's journal
 (:mod:`repro.service.journal`) lets the router replay it onto a
 replica or the respawned process; without one, clients re-``open``.
 
-Streamed ``debug`` partials also cross the pipe: a worker emits
-``(token, partial_frame)`` tuples mid-dispatch and the reader routes
-them to the call's ``on_partial`` hook without completing the call, so
-the routed tier streams exactly like the in-process dispatcher.
-
 Two lifecycle verbs beyond crash-respawn: :meth:`WorkerHandle.restart`
 swaps in a fresh process (rolling restarts, via ``drain``), and
 :attr:`WorkerHandle.draining` marks a worker closed to *new* session
@@ -60,7 +55,7 @@ from ..obs.flags import enabled as obs_enabled
 from ..obs.metrics import registry as obs_registry
 from . import faults
 from .cache import DatasetCatalog
-from .protocol import error_response, partial_response
+from .protocol import error_response
 from .sessions import check_limits
 
 #: Default seconds a routed call waits before giving up with a
@@ -116,23 +111,8 @@ def _worker_main(
         if item is None:  # orderly shutdown sentinel
             break
         token, message = item
-        emit = None
-        if isinstance(message, dict):
-            args = message.get("args")
-            if isinstance(args, dict) and bool(args.get("stream")):
-                request_id = message.get("id")
-
-                def emit(seq, payload, _token=token, _rid=request_id):
-                    # Partial frames interleave with the final (token,
-                    # envelope) send on the same single-threaded loop,
-                    # so frame order on the pipe matches emit order.
-                    try:
-                        conn.send((_token, partial_response(_rid, seq, payload)))
-                    except (BrokenPipeError, OSError):
-                        pass
-
         try:
-            envelope = dispatch(manager, message, role="worker", emit_partial=emit)
+            envelope = dispatch(manager, message, role="worker")
         except BaseException as error:  # noqa: BLE001 — dispatch shields, belt and braces
             envelope = error_response(
                 message.get("id") if isinstance(message, dict) else None,
@@ -147,24 +127,14 @@ def _worker_main(
 
 
 class _Pending:
-    """One in-flight call: the caller's event and the response slot.
+    """One in-flight call: the caller's event and the response slot."""
 
-    The caller waits on ``event``. Streamed calls pass ``on_partial``,
-    invoked from the reader thread for each partial frame *without*
-    completing the call.
-    """
+    __slots__ = ("request_id", "event", "envelope")
 
-    __slots__ = ("request_id", "event", "envelope", "on_partial")
-
-    def __init__(
-        self,
-        request_id: Any,
-        on_partial: Callable[[dict], None] | None = None,
-    ):
+    def __init__(self, request_id: Any):
         self.request_id = request_id
         self.event = threading.Event()
         self.envelope: dict | None = None
-        self.on_partial = on_partial
 
     def complete(self, envelope: dict) -> None:
         self.envelope = envelope
@@ -421,24 +391,17 @@ class WorkerHandle:
             f"worker {self.index} did not answer within {timeout}s",
         )
 
-    def call(
-        self,
-        message: dict,
-        timeout: float | None = None,
-        on_partial: Callable[[dict], None] | None = None,
-    ) -> dict:
+    def call(self, message: dict, timeout: float | None = None) -> dict:
         """Send one request to the worker and wait for its envelope.
 
         Never raises for worker failures: a dead worker yields a
         ``WorkerCrashed`` envelope (and a respawn), an unresponsive one a
         ``WorkerTimeout`` envelope — the connection is never left hung.
-        ``on_partial`` receives streamed partial frames (reader thread)
-        ahead of the returned terminating envelope.
         """
         if timeout is None:
             timeout = self.call_timeout
         request_id = message.get("id") if isinstance(message, dict) else None
-        pending = _Pending(request_id, on_partial=on_partial)
+        pending = _Pending(request_id)
         outcome = self._begin_call(message, pending)
         if isinstance(outcome, dict):
             return outcome
@@ -455,17 +418,6 @@ class WorkerHandle:
                 break
             except (ValueError, TypeError):
                 continue  # unframeable response; keep the worker alive
-            if isinstance(envelope, dict) and envelope.get("partial"):
-                # A streamed frame: route to the call's hook without
-                # completing it (the terminating envelope still comes).
-                with self._lock:
-                    pending = self._pending.get(token)
-                    dropped = self._faulted.get(token) == "drop"
-                if pending is not None and not dropped:
-                    hook = pending.on_partial
-                    if hook is not None:
-                        hook(envelope)
-                continue
             with self._lock:
                 fault = self._faulted.get(token)
                 if fault == "drop":
@@ -559,17 +511,9 @@ class WorkerPool:
     def __len__(self) -> int:
         return len(self.workers)
 
-    def call(
-        self,
-        index: int,
-        message: dict,
-        timeout: float | None = None,
-        on_partial: Callable[[dict], None] | None = None,
-    ) -> dict:
+    def call(self, index: int, message: dict, timeout: float | None = None) -> dict:
         """One request to one worker; always returns an envelope."""
-        return self.workers[index].call(
-            message, timeout=timeout, on_partial=on_partial
-        )
+        return self.workers[index].call(message, timeout=timeout)
 
     async def call_async(self, index: int, message: dict, **kwargs) -> dict:
         """:meth:`call` on a thread of the running loop's executor.

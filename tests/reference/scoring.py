@@ -17,7 +17,7 @@ byte-for-byte against the production path.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Sequence
+from typing import Sequence
 from unittest import mock
 
 from repro.core import backend
@@ -148,7 +148,6 @@ class PerRuleMerger(PredicateMerger):
         pre: PreprocessResult,
         candidates: Sequence[CandidateSet],
         ranked: list[RankedPredicate],
-        on_round: Callable[[list[RankedPredicate]], None] | None = None,
     ) -> list[RankedPredicate]:
         ranked = list(ranked)
         candidate_by_origin = {c.origin: c for c in candidates}
@@ -179,8 +178,6 @@ class PerRuleMerger(PredicateMerger):
             drop = {head[merged_from[0]].predicate, head[merged_from[1]].predicate}
             ranked = [r for r in ranked if r.predicate not in drop]
             ranked.append(best_merge)
-            if on_round is not None:
-                on_round(list(ranked))
         return _sort(ranked)
 
     def _score_hull(

@@ -1,5 +1,5 @@
 """The asyncio gateway: cheap/heavy lanes, admission control, per-client
-rate limiting, streamed partial ``debug`` frames, and routed mode.
+rate limiting, one envelope per request, and routed mode.
 
 Reuses the deterministic "toy" dataset from ``test_service`` so every
 socket round-trip stays fast; the stepped load curve at scale lives in
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import socket
 import threading
 import time
 
@@ -36,8 +37,7 @@ def strip_timings(payload: dict) -> dict:
     """Report payloads minus the wall-clock ``timings`` block.
 
     Timings differ between any two runs; everything else must be
-    byte-identical between the server and the in-process dispatcher and
-    across streamed/non-streamed paths."""
+    byte-identical between the server and the in-process dispatcher."""
     out = dict(payload)
     out.pop("timings", None)
     return out
@@ -50,6 +50,43 @@ def canonical(payload: dict) -> str:
 def routed_toy_catalog():
     """Module-level so worker processes can reconstruct it."""
     return toy_catalog(toy_table())
+
+
+def lines_for_stream_flag_debug(host: str, port: int, session: str) -> list[dict]:
+    """Every line a raw socket reads for one ``debug`` sent with
+    ``"args": {"stream": true}``, up to the answer of a ``ping`` sent
+    after it on the same connection (the gateway answers a connection's
+    requests in order)."""
+    with socket.create_connection((host, port), timeout=120) as sock:
+        reader = sock.makefile("rb")
+        sock.sendall(
+            encode(
+                {
+                    "id": "debug",
+                    "cmd": "debug",
+                    "session": session,
+                    "args": {"stream": True},
+                }
+            )
+            + encode({"id": "after", "cmd": "ping"})
+        )
+        lines = []
+        while True:
+            message = decode_line(reader.readline())
+            if message.get("id") == "after":
+                return lines
+            lines.append(message)
+
+
+def assert_one_debug_envelope(lines: list[dict], baseline: dict) -> None:
+    """``lines`` is one final ``ok`` envelope carrying ``baseline``'s
+    report: a stream flag is an ignored argument, not a second answer."""
+    assert len(lines) == 1, lines
+    (envelope,) = lines
+    assert envelope["id"] == "debug"
+    assert envelope["ok"] is True
+    assert "partial" not in envelope
+    assert canonical(envelope["result"]) == canonical(baseline)
 
 
 def slow_manager(table, release: threading.Event) -> SessionManager:
@@ -179,9 +216,9 @@ def async_client(async_server):
 
 
 class TestCheapLane:
-    def test_ping_reports_protocol_v2(self, async_client):
+    def test_ping_reports_protocol_version(self, async_client):
         pong = async_client.ping()
-        assert pong["version"] == PROTOCOL_VERSION
+        assert pong["version"] == PROTOCOL_VERSION == 4
         assert pong.get("workers", 0) == 0
 
     def test_stats_sessions_metrics_answer(self, async_client):
@@ -213,37 +250,13 @@ class TestFullSurfaceParity:
         assert served_report["n_predicates"] >= 1
 
 
-class TestStreamingDebug:
-    def test_partial_frames_then_identical_final(self, async_client):
-        run_debug_cycle(async_client)  # plain debug to set up state
-        baseline = async_client.debug()
-        frames = list(async_client.debug_stream())
-        partials = [f for f in frames if f["partial"]]
-        # At least the post-rank snapshot streams; merge rounds add more.
-        assert len(partials) >= 1
-        assert frames[-1]["partial"] is False
-        assert all(not f["partial"] for f in frames[-1:])
-        # seq is contiguous from 0 and stages are the documented ones.
-        assert [f["seq"] for f in partials] == list(range(len(partials)))
-        assert partials[0]["result"]["stage"] == "rank"
-        assert {f["result"]["stage"] for f in partials} <= {"rank", "merge"}
-        for frame in partials:
-            snapshot = frame["result"]
-            assert snapshot["n_predicates"] == len(snapshot["predicates"])
-            scores = [p["score"] for p in snapshot["predicates"]]
-            assert scores == sorted(scores, reverse=True)
-        # The terminating frame is byte-identical to a plain debug().
-        assert canonical(frames[-1]["result"]) == canonical(baseline)
-
-    def test_plain_call_with_stream_flag_drains_partials(self, async_client):
-        run_debug_cycle(async_client)
-        baseline = async_client.debug()
-        # call() (not stream()) with stream=True: partial frames arrive
-        # on the wire but the client drains them and returns the final
-        # envelope — no desync, same answer.
-        result = async_client.call("debug", stream=True)
-        assert canonical(result) == canonical(baseline)
-        assert async_client.ping()["version"] == PROTOCOL_VERSION
+class TestOneDebugAnswer:
+    def test_stream_flag_gets_one_envelope(self, async_server, async_client):
+        report = run_debug_cycle(async_client)
+        assert_one_debug_envelope(
+            lines_for_stream_flag_debug(*async_server.address, "async-rt"),
+            report,
+        )
 
 
 class TestAdmissionControl:
@@ -373,7 +386,7 @@ class TestRateLimiting:
 
 
 class TestRoutedAsyncGateway:
-    def test_routed_cycle_matches_and_streams(self):
+    def test_routed_cycle_answers_each_debug_once(self):
         pytest.importorskip("multiprocessing")
         with DBWipesServer(
             port=0, workers=2, catalog_factory=routed_toy_catalog
@@ -385,16 +398,11 @@ class TestRoutedAsyncGateway:
                 assert pong["workers"] == 2
                 report = run_debug_cycle(c)
                 assert report["n_predicates"] >= 1
-                # Workers stream partial frames back over the pipe: the
-                # routed debug_stream behaves like the in-process one.
-                frames = list(c.debug_stream())
-                partials = [f for f in frames if f["partial"]]
-                assert len(partials) >= 1
-                assert [f["seq"] for f in partials] == list(
-                    range(len(partials))
+                # A worker sends one envelope back over its pipe, stream
+                # flag or not.
+                assert_one_debug_envelope(
+                    lines_for_stream_flag_debug(host, port, "routed"), report
                 )
-                assert frames[-1]["partial"] is False
-                assert canonical(frames[-1]["result"]) == canonical(c.debug())
                 # Broadcast cheap commands merge across workers.
                 stats = c.stats()
                 assert stats["workers"] == 2

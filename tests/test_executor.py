@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.db import Database, Table, parse_select, plan_select
+from repro.db import Database, Table, parse_select
 from repro.errors import (
     PlanError,
     TypeMismatchError,
@@ -54,11 +54,6 @@ class TestPlanner:
     def test_default_agg_names(self, sensors_db):
         result = sensors_db.sql("SELECT avg(temp), count(*) FROM sensors")
         assert result.column_names == ("avg_temp", "count")
-
-    def test_plan_output_names(self, sensors_table):
-        stmt = parse_select("SELECT room, avg(temp) FROM sensors GROUP BY room")
-        plan = plan_select(stmt, sensors_table.schema)
-        assert plan.output_names() == ("room", "avg_temp")
 
 
 class TestGlobalAggregates:

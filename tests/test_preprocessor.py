@@ -69,12 +69,6 @@ class TestPreprocessor:
         with pytest.raises(PipelineError):
             Preprocessor().run(window_result, [0], TooHigh(30.0), agg_name="zz")
 
-    def test_group_masks_for_tids(self, window_result):
-        pre = Preprocessor().run(window_result, [1], TooLow(1000.0))
-        masks = pre.group_masks_for_tids(np.array([3]))
-        assert len(masks) == 1
-        assert masks[0].sum() == 1
-
     def test_count_star_debuggable(self, sensors_db):
         result = sensors_db.sql(
             "SELECT room, count(*) AS n FROM sensors GROUP BY room ORDER BY room"

@@ -51,7 +51,7 @@ class FakePool:
     def __len__(self) -> int:
         return len(self.workers)
 
-    def call(self, index, message, timeout=None, on_partial=None) -> dict:
+    def call(self, index, message, timeout=None) -> dict:
         cmd = message["cmd"]
         args = message.get("args") or {}
         self.calls.append((index, cmd))

@@ -762,9 +762,9 @@ class TestChaosAcceptance:
     def test_crash_mid_stream_yields_structured_terminal_error(
         self, monkeypatch
     ):
-        """No journal tier: killing the worker during a streamed debug
-        must end the exchange with a structured WorkerCrashed envelope —
-        never a hang or a truncated line."""
+        """No journal tier: killing the worker during a debug must end
+        the exchange with a structured WorkerCrashed envelope — never a
+        hang or a truncated line."""
         monkeypatch.delenv("REPRO_DATA_DIR", raising=False)
         with DBWipesServer(
             port=0, workers=2, catalog_factory=routed_toy_catalog
@@ -781,8 +781,7 @@ class TestChaosAcceptance:
                     FaultPlan(kill_worker=primary, kill_on_request=1)
                 )
                 with pytest.raises(ServiceError) as excinfo:
-                    for _frame in c.debug_stream():
-                        pass
+                    c.debug()
                 assert excinfo.value.kind == "WorkerCrashed"
                 # The connection survived the crash: the same client
                 # reopens and finishes the cycle on the respawned tier.

@@ -618,15 +618,11 @@ class TestDisplayArguments:
             ("result", {"max_rows": -1}),
             ("zoom", {"max_points": -1}),
             ("debug", {"max_rows": -1}),
-            ("debug", {"max_rows": -1, "stream": True}),
             ("apply", {"index": 0, "max_rows": -1}),
             ("undo", {"max_rows": -1}),
             ("redo", {"max_rows": -1}),
         ],
-        ids=[
-            "execute", "result", "zoom", "debug", "debug-stream", "apply",
-            "undo", "redo",
-        ],
+        ids=["execute", "result", "zoom", "debug", "apply", "undo", "redo"],
     )
     def test_negative_limits_are_protocol_errors(self, call, cmd, args):
         before = (call("sql")["result"], call("snapshot")["result"])
