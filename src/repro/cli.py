@@ -4,8 +4,11 @@ The paper's §3 invites attendees to "explore anomalies in campaign
 donations ... and in readings from a 54-node sensor deployment", with
 provided bootstrap queries. This CLI is that experience in a terminal:
 
-* ``python -m repro fec`` / ``python -m repro intel`` — load a dataset
-  with its bootstrap query and start the interactive loop;
+* ``python -m repro fec`` / ``python -m repro intel`` — start a private
+  loopback server in this process, open session ``demo`` on the
+  dataset, run its bootstrap query and start the interactive loop (the
+  ``connect`` shell below; ``REPRO_DATA_DIR`` makes the catalog durable,
+  as for ``serve``);
 * ``python -m repro fec --script`` — run the full §3.2 walkthrough
   non-interactively (useful for demos, docs, and tests);
 * ``python -m repro serve`` — boot the multi-session TCP service, an
@@ -19,8 +22,8 @@ provided bootstrap queries. This CLI is that experience in a terminal:
   table directories of one memory-mapped ``.npy`` file per column;
   ``store inspect --data-dir D`` prints the layout from the manifests
   alone;
-* ``python -m repro connect`` — the same interactive loop, but against
-  a running server (``--host``, ``--port``, ``--session``,
+* ``python -m repro connect`` — the same interactive loop against a
+  running server (``--host``, ``--port``, ``--session``,
   ``--dataset``, ``--script``);
 * ``python -m repro metrics`` — cluster-merged telemetry from a running
   server, Prometheus text by default (``--host``, ``--port``,
@@ -30,50 +33,35 @@ provided bootstrap queries. This CLI is that experience in a terminal:
   [--host H] [--port P]`` drains in-flight work, flushes journals,
   hands sessions to replicas, and optionally restarts the process.
 
-Interactive commands mirror the dashboard's controls::
+Interactive commands mirror the dashboard's controls; each is one
+request to the server::
 
     sql <query>         run a new aggregate query
     show                render the current scatterplot
     select y> <v>       brush results with y above v   (also: y<, x=, row <i>)
     zoom                zoom into the selected results' input tuples
-    inputs y> <v>       brush zoomed tuples as D' (also: y<)
+    inputs y> <v>       brush zoomed tuples as D' (also: y<, x=, row <tid>)
     forms               list error-metric options for the debugged aggregate
     metric <id> [v]     pick the error metric (threshold/expected = v)
     debug               compute ranked predicates
     apply <rank>        click a predicate: rewrite the query and re-execute
     undo / redo         undo / redo the last cleaning
     query               print the current SQL
+    snapshot            print the session's state
+    stats               print the server's counters
+    metrics             print the server's telemetry (Prometheus text)
+    trace [id]          print the span tree of the last (or given) request
     help                this text
     quit                leave
 """
 
 from __future__ import annotations
 
-import math
 import sys
-from typing import Callable, Iterable, TextIO
+from contextlib import contextmanager
+from typing import Iterable, Iterator, TextIO
 
-from .data import (
-    FECConfig,
-    IntelConfig,
-    generate_fec,
-    generate_intel,
-    walkthrough_query,
-)
-from .db import Database
 from .errors import ReproError
-from .frontend import Brush, DBWipesSession
-
-#: Bootstrap queries, as the demo "will provide several queries ... to
-#: bootstrap their investigations".
-BOOTSTRAP_QUERIES = {
-    "fec": walkthrough_query("MCCAIN"),
-    "intel": (
-        "SELECT minute / 30 AS window, avg(temp) AS avg_temp, "
-        "stddev(temp) AS std_temp FROM readings "
-        "GROUP BY minute / 30 ORDER BY window"
-    ),
-}
 
 #: Scripted walkthroughs replaying §3.2 (fec) and Figures 4-6 (intel).
 SCRIPTS = {
@@ -102,34 +90,29 @@ SCRIPTS = {
     ],
 }
 
-
-def load_dataset(name: str) -> Database:
-    """Build the named demo database (``fec`` or ``intel``)."""
-    db = Database()
-    if name == "fec":
-        table, __ = generate_fec(FECConfig())
-    elif name == "intel":
-        table, __ = generate_intel(
-            IntelConfig(failure_onset_frac=0.7)
-        )
-    else:
-        raise ReproError(f"unknown dataset {name!r}; choose 'fec' or 'intel'")
-    db.register(table)
-    return db
+#: The brush bounds each shell brush sets to its value.
+_BRUSH_BOUNDS = {"y>": ("y0",), "y<": ("y1",), "x=": ("x0", "x1")}
 
 
-class BaseShell:
-    """Line-command dispatch shared by the local and remote shells.
+def _text(value, spec: str = ".4g") -> str:
+    """A payload value as text; the wire carries NaN and ±inf as ``null``."""
+    if value is None:
+        return "NULL"
+    return format(value, spec) if isinstance(value, float) else str(value)
 
-    Subclasses fill ``self._commands`` with ``name -> handler(args)``;
-    everything about reading, echoing, dispatching, and error rendering
-    lives here so the two shells cannot drift.
+
+class Shell:
+    """The demo's line commands over a :class:`~repro.service.ServiceClient`.
+
+    Every command line is one wire request, so ``python -m repro
+    fec|intel`` (a private in-process server) and ``connect`` (a running
+    one) validate and answer alike.
     """
 
-    def __init__(self, out: TextIO | None = None):
+    def __init__(self, client, out: TextIO | None = None):
+        self.client = client
         self.out = out or sys.stdout
         self._debug_agg: str | None = None
-        self._commands: dict[str, Callable[[list[str]], None]] = {}
 
     def _print(self, text: str = "") -> None:
         print(text, file=self.out)
@@ -145,13 +128,14 @@ class BaseShell:
         name, args = parts[0].lower(), parts[1:]
         if name in ("quit", "exit"):
             return False
-        handler = self._commands.get(name)
+        handler = getattr(self, f"_cmd_{name}", None)
         if handler is None:
             self._print(f"unknown command {name!r}; try 'help'")
             return True
         try:
             handler(args)
-        except ReproError as error:
+        except (ReproError, ValueError) as error:
+            # ValueError: a number argument that does not parse.
             self._print(f"error: {error}")
         return True
 
@@ -175,212 +159,57 @@ class BaseShell:
             if not self.run_line(line):
                 break
 
-    def _cmd_help(self, args: list[str]) -> None:
-        self._print(__doc__ or "")
-
     @staticmethod
-    def _parse_brush(args: list[str]) -> tuple[Brush | list[int], list[str]]:
-        """Parse ``y> 5`` / ``y< 0`` / ``x= 3`` / ``row 1 2 3`` selections."""
+    def _parse_brush(args: list[str], keys: str) -> tuple[dict, list[str]]:
+        """``y> 5`` / ``y< 0`` / ``x= 3`` / ``row 1 2 3`` as the wire
+        selection: ``{"brush": {...}}``, or ``{keys: [...]}``."""
         if not args:
             raise ReproError("selection needs an argument; e.g. 'select y> 10'")
         head = args[0]
         if head == "row":
-            return [int(a) for a in args[1:]], []
-        if head in ("y>", "y<", "x=") and len(args) >= 2:
+            return {keys: [int(a) for a in args[1:]]}, []
+        if head in _BRUSH_BOUNDS and len(args) >= 2:
             value = float(args[1])
-            rest = args[2:]
-            if head == "y>":
-                return Brush.above(value), rest
-            if head == "y<":
-                return Brush.below(value), rest
-            return Brush.over_x(value, value), rest
+            return {"brush": dict.fromkeys(_BRUSH_BOUNDS[head], value)}, args[2:]
         raise ReproError(f"cannot parse selection {' '.join(args)!r}")
 
-
-class DemoShell(BaseShell):
-    """A line-command shell over a :class:`DBWipesSession`."""
-
-    def __init__(self, db: Database, out: TextIO | None = None):
-        super().__init__(out)
-        self.session = DBWipesSession(db)
-        self._commands = {
-            "sql": self._cmd_sql,
-            "show": self._cmd_show,
-            "select": self._cmd_select,
-            "zoom": self._cmd_zoom,
-            "inputs": self._cmd_inputs,
-            "forms": self._cmd_forms,
-            "metric": self._cmd_metric,
-            "debug": self._cmd_debug,
-            "apply": self._cmd_apply,
-            "undo": self._cmd_undo,
-            "redo": self._cmd_redo,
-            "query": self._cmd_query,
-            "help": self._cmd_help,
-        }
-
     # -- commands ----------------------------------------------------------
 
-    def _cmd_sql(self, args: list[str]) -> None:
-        query = " ".join(args)
-        result = self.session.execute(query)
-        self._debug_agg = None
-        self._print(f"{result.num_rows} rows")
-        self._print(result.to_text(max_rows=8))
-
-    def _cmd_show(self, args: list[str]) -> None:
-        y = args[0] if args else None
-        self._print(self.session.render(y=y, height=14))
-
-    def _cmd_select(self, args: list[str]) -> None:
-        brush, rest = self._parse_brush(args)
-        y_axis = rest[0] if rest else None
-        if y_axis:
-            rows = self.session.select_results(brush, y=y_axis)
-            self._debug_agg = y_axis
-        else:
-            rows = self.session.select_results(brush)
-        self._print(f"selected {len(rows)} suspicious results: {list(rows)[:12]}")
-
-    def _cmd_zoom(self, args: list[str]) -> None:
-        scatter = self.session.zoom()
-        self._print(
-            f"zoomed into {len(scatter)} input tuples "
-            f"(x: {scatter.x_label}, y: {scatter.y_label})"
-        )
-
-    def _cmd_inputs(self, args: list[str]) -> None:
-        brush, __ = self._parse_brush(args)
-        tids = self.session.select_inputs(brush)
-        self._print(f"selected {len(tids)} suspicious inputs as D'")
-
-    def _cmd_forms(self, args: list[str]) -> None:
-        for option in self.session.error_form(self._debug_agg):
-            defaults = f"  (default {option.defaults})" if option.defaults else ""
-            self._print(f"  {option.form_id:10s} {option.label}{defaults}")
-
-    def _cmd_metric(self, args: list[str]) -> None:
-        if not args:
-            self._print("usage: metric <form_id> [value]")
-            return
-        form_id = args[0]
-        params = {}
-        if len(args) > 1:
-            key = "expected" if form_id == "not_equal" else "threshold"
-            params[key] = float(args[1])
-        metric = self.session.set_metric(form_id, agg_name=self._debug_agg,
-                                         **params)
-        self._print(f"metric: {metric.describe()}")
-
-    def _cmd_debug(self, args: list[str]) -> None:
-        report = self.session.debug(self._debug_agg)
-        self._print(report.to_text(max_rows=8))
-
-    def _cmd_apply(self, args: list[str]) -> None:
-        rank = int(args[0]) if args else 1
-        result = self.session.apply_predicate(rank - 1)
-        predicate = self.session.applied_predicates[-1]
-        self._print(f"applied: NOT ({predicate.describe()})")
-        self._print(f"{result.num_rows} rows after cleaning")
-
-    def _cmd_undo(self, args: list[str]) -> None:
-        self.session.undo_cleaning()
-        self._print("undone")
-
-    def _cmd_redo(self, args: list[str]) -> None:
-        self.session.redo_cleaning()
-        self._print("redone")
-
-    def _cmd_query(self, args: list[str]) -> None:
-        self._print(self.session.current_sql())
-
-
-class RemoteShell(BaseShell):
-    """The :class:`DemoShell` experience over a live service socket.
-
-    Same command names; every line becomes one wire request through a
-    :class:`~repro.service.client.ServiceClient`.
-    """
-
-    def __init__(self, client, out: TextIO | None = None):
-        super().__init__(out)
-        self.client = client
-        self._commands = {
-            "sql": self._cmd_sql,
-            "show": self._cmd_show,
-            "select": self._cmd_select,
-            "zoom": self._cmd_zoom,
-            "inputs": self._cmd_inputs,
-            "forms": self._cmd_forms,
-            "metric": self._cmd_metric,
-            "debug": self._cmd_debug,
-            "apply": self._cmd_apply,
-            "undo": self._cmd_undo,
-            "redo": self._cmd_redo,
-            "query": self._cmd_query,
-            "snapshot": self._cmd_snapshot,
-            "stats": self._cmd_stats,
-            "metrics": self._cmd_metrics,
-            "trace": self._cmd_trace,
-            "help": self._cmd_help,
-        }
-
-    # -- commands ----------------------------------------------------------
-
-    @classmethod
-    def _parse_wire_brush(cls, args: list[str]) -> tuple[dict | list[int], list[str]]:
-        """Parse the shell's brush syntax into wire selections."""
-        selection, rest = cls._parse_brush(args)
-        if isinstance(selection, list):
-            return selection, rest
-        def bound(value: float) -> float | None:
-            return None if not math.isfinite(value) else value
-
-        return (
-            {
-                "x0": bound(selection.x0),
-                "x1": bound(selection.x1),
-                "y0": bound(selection.y0),
-                "y1": bound(selection.y1),
-            },
-            rest,
-        )
+    def _cmd_help(self, args: list[str]) -> None:
+        self._print(__doc__ or "")
 
     def _cmd_sql(self, args: list[str]) -> None:
         result = self.client.execute(" ".join(args), max_rows=8)
         self._debug_agg = None
         self._print(f"{result['num_rows']} rows")
-        for row in result["rows"]:
-            self._print("  " + "  ".join(str(v) for v in row))
+        for row in [result["columns"], *result["rows"]]:
+            self._print("  " + "  ".join(_text(value) for value in row))
+        hidden = result["num_rows"] - len(result["rows"])
+        if hidden:
+            self._print(f"... ({hidden} more rows)")
 
     def _cmd_show(self, args: list[str]) -> None:
         y = args[0] if args else None
         self._print(self.client.render(height=14, y=y))
 
     def _cmd_select(self, args: list[str]) -> None:
-        selection, rest = self._parse_wire_brush(args)
+        selection, rest = self._parse_brush(args, "rows")
         y_axis = rest[0] if rest else None
         if y_axis:
             self._debug_agg = y_axis
-        kwargs = {"rows": selection} if isinstance(selection, list) else {
-            "brush": selection
-        }
-        rows = self.client.select_results(y=y_axis, **kwargs)
+        rows = self.client.select_results(y=y_axis, **selection)
         self._print(f"selected {len(rows)} suspicious results: {rows[:12]}")
 
     def _cmd_zoom(self, args: list[str]) -> None:
-        scatter = self.client.zoom()
+        scatter = self.client.zoom(max_points=0)
         self._print(
             f"zoomed into {scatter['n']} input tuples "
             f"(x: {scatter['x_label']}, y: {scatter['y_label']})"
         )
 
     def _cmd_inputs(self, args: list[str]) -> None:
-        selection, __ = self._parse_wire_brush(args)
-        kwargs = {"tids": selection} if isinstance(selection, list) else {
-            "brush": selection
-        }
-        tids = self.client.select_inputs(**kwargs)
+        selection, __ = self._parse_brush(args, "tids")
+        tids = self.client.select_inputs(**selection)
         self._print(f"selected {len(tids)} suspicious inputs as D'")
 
     def _cmd_forms(self, args: list[str]) -> None:
@@ -402,29 +231,43 @@ class RemoteShell(BaseShell):
 
     def _cmd_debug(self, args: list[str]) -> None:
         report = self.client.debug(self._debug_agg, max_rows=8)
+        self._print(f"Ranked predicates — {report['metric']}")
         self._print(
-            f"Ranked predicates — {report['metric']} "
-            f"(eps = {report['epsilon']:.4g})"
+            f"S = {report['selected_rows']}, |F| = {report['n_inputs']}, "
+            f"|D'| = {report['n_dprime']}, candidates = {report['n_candidates']}, "
+            f"eps = {_text(report['epsilon'])}"
         )
+        self._print("-" * 72)
+        if not report["predicates"]:
+            self._print("(no predicates found)")
         for rank, ranked in enumerate(report["predicates"], start=1):
+            before, reduction = ranked["epsilon_before"], ranked["error_reduction"]
+            relative = 0.0
+            if before and before > 0 and reduction is not None:
+                relative = reduction / before
             self._print(
                 f"{rank:2d}. {ranked['predicate']}  "
-                f"[score={ranked['score']:.3f} "
-                f"Δε={ranked['error_reduction']:.3g}]"
+                f"[score={_text(ranked['score'], '.3f')} "
+                f"Δε={_text(reduction, '.3g')} ({100 * relative:.0f}%) "
+                f"f1={_text(ranked['accuracy'], '.2f')} "
+                f"terms={ranked['complexity']}]"
             )
+        hidden = report["n_predicates"] - len(report["predicates"])
+        if hidden:
+            self._print(f"... ({hidden} more)")
 
     def _cmd_apply(self, args: list[str]) -> None:
         rank = int(args[0]) if args else 1
-        applied = self.client.apply(rank - 1)
+        applied = self.client.apply(rank - 1, max_rows=0)
         self._print(f"applied: NOT ({applied['applied']})")
         self._print(f"{applied['result']['num_rows']} rows after cleaning")
 
     def _cmd_undo(self, args: list[str]) -> None:
-        self.client.undo()
+        self.client.undo(max_rows=0)
         self._print("undone")
 
     def _cmd_redo(self, args: list[str]) -> None:
-        self.client.redo()
+        self.client.redo(max_rows=0)
         self._print("redone")
 
     def _cmd_query(self, args: list[str]) -> None:
@@ -479,10 +322,13 @@ _VERB_FLAGS = {
     "drain": ({"--host", "--port", "--worker", "--deadline"}, {"--restart"}),
 }
 
+#: Any other verb names a dataset (``fec``, ``intel``): only ``--script``.
+_DEMO_FLAGS = (set(), {"--script"})
+
 
 def _check_flags(verb: str, argv: list[str]) -> None:
     """Reject an unknown ``verb`` argument or a value flag with no value."""
-    values, switches = _VERB_FLAGS[verb]
+    values, switches = _VERB_FLAGS.get(verb, _DEMO_FLAGS)
     i = 0
     while i < len(argv):
         if argv[i] in switches:
@@ -536,10 +382,11 @@ def serve_main(argv: list[str]) -> int:
         rate = _flag_value(argv, "--rate", "")
         burst = _flag_value(argv, "--burst", "")
         if slow:
+            # Refuses a negative or NaN value before anything is exported.
+            set_slow_threshold(float(slow))
             # Via the environment so ``spawn``-started workers (which
             # re-import everything) see the same threshold.
             os.environ["REPRO_SLOW_REQUEST_SECONDS"] = str(float(slow))
-            set_slow_threshold(float(slow))
         if data_dir:
             # Same idiom: every catalog built after this point — the
             # in-process one, or each forked worker's own — resolves the
@@ -649,6 +496,28 @@ def _reach(host: str, port: int, session: str | None = None):
     return client
 
 
+def _drive(client, dataset: str, scripted: bool) -> int:
+    """Open ``dataset``, run its bootstrap query, then the script or the
+    prompt; ``connect`` and ``python -m repro fec|intel`` share it."""
+    try:
+        opened = client.open(dataset)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    shell = Shell(client)
+    bootstrap = opened.get("bootstrap")
+    print(f"Joined session {client.session!r} on dataset {dataset!r}.")
+    if bootstrap:
+        print(f"  {bootstrap}")
+        shell.run_line(f"sql {bootstrap}")
+    if scripted:
+        shell.run(SCRIPTS.get(dataset, ()))
+        return 0
+    print("Type 'help' for commands.")
+    shell.repl()
+    return 0
+
+
 def connect_main(argv: list[str]) -> int:
     """``python -m repro connect`` — the demo shell over a live socket."""
     try:
@@ -660,30 +529,45 @@ def connect_main(argv: list[str]) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    scripted = "--script" in argv
     client = _reach(host, port, session)
     if client is None:
         return 2
     try:
-        opened = client.open(dataset)
-    except ReproError as error:
+        return _drive(client, dataset, "--script" in argv)
+    finally:
+        client.close()
+
+
+@contextmanager
+def loopback_client(manager=None) -> Iterator:
+    """A client, as session ``demo``, of a private in-process server on a
+    free loopback port.
+
+    ``manager`` defaults to the server's own
+    :class:`~repro.service.SessionManager` over the demo datasets.
+    """
+    from .service import DBWipesServer, ServiceClient
+
+    server = DBWipesServer(manager, port=0)
+    server.start()
+    client = ServiceClient(*server.address, session="demo")
+    try:
+        yield client
+    finally:
+        client.close()
+        server.stop()
+
+
+def demo_main(dataset: str, argv: list[str]) -> int:
+    """``python -m repro fec|intel`` — the ``connect`` shell against a
+    private loopback server, as session ``demo``."""
+    try:
+        _check_flags(dataset, argv)
+        with loopback_client() as client:
+            return _drive(client, dataset, "--script" in argv)
+    except (ReproError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
-        client.close()
         return 2
-    shell = RemoteShell(client)
-    bootstrap = opened.get("bootstrap")
-    print(f"Joined session {session!r} on dataset {dataset!r}.")
-    if bootstrap:
-        print(f"  {bootstrap}")
-        shell.run_line(f"sql {bootstrap}")
-    if scripted:
-        shell.run(SCRIPTS.get(dataset, ()))
-        client.close()
-        return 0
-    print("Type 'help' for commands.")
-    shell.repl()
-    client.close()
-    return 0
 
 
 def metrics_main(argv: list[str]) -> int:
@@ -773,31 +657,13 @@ def main(argv: list[str] | None = None) -> int:
     if not argv or argv[0] in ("-h", "--help"):
         print(__doc__)
         return 0
-    if argv[0] == "serve":
-        return serve_main(argv[1:])
-    if argv[0] == "store":
-        return store_main(argv[1:])
-    if argv[0] == "connect":
-        return connect_main(argv[1:])
-    if argv[0] == "metrics":
-        return metrics_main(argv[1:])
-    if argv[0] == "drain":
-        return drain_main(argv[1:])
-    dataset = argv[0]
-    scripted = "--script" in argv[1:]
-    try:
-        db = load_dataset(dataset)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    shell = DemoShell(db)
-    bootstrap = BOOTSTRAP_QUERIES[dataset]
-    print(f"Loaded demo dataset {dataset!r}. Bootstrap query:")
-    print(f"  {bootstrap}")
-    shell.run_line(f"sql {bootstrap}")
-    if scripted:
-        shell.run(SCRIPTS[dataset])
-        return 0
-    print("Type 'help' for commands.")
-    shell.repl()
-    return 0
+    verbs = {
+        "serve": serve_main,
+        "store": store_main,
+        "connect": connect_main,
+        "metrics": metrics_main,
+        "drain": drain_main,
+    }
+    if argv[0] in verbs:
+        return verbs[argv[0]](argv[1:])
+    return demo_main(argv[0], argv[1:])

@@ -7,6 +7,7 @@ labels the real data never had.
 """
 
 from .anomalies import GroundTruth, explanation_quality, tid_set_quality
+from .demo import BOOTSTRAP_QUERIES, load_dataset
 from .fec import REATTRIBUTION_MEMO, FECConfig, generate_fec, walkthrough_query
 from .intel import (
     WALKTHROUGH_QUERY,
@@ -18,6 +19,7 @@ from .intel import (
 from .synthetic import SyntheticConfig, dirty_group_rows, generate_synthetic
 
 __all__ = [
+    "BOOTSTRAP_QUERIES",
     "FECConfig",
     "GroundTruth",
     "IntelConfig",
@@ -31,6 +33,7 @@ __all__ = [
     "generate_intel",
     "generate_synthetic",
     "intel_at_scale",
+    "load_dataset",
     "tid_set_quality",
     "walkthrough_query",
 ]

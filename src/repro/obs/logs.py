@@ -55,9 +55,18 @@ def slow_threshold() -> float:
 
 
 def set_slow_threshold(seconds: float) -> None:
-    """Set the slow-request threshold for this process (≥ 0)."""
+    """Set the slow-request threshold for this process (seconds, >= 0).
+
+    A negative or NaN value is a ``ValueError``: a worker reading it from
+    ``REPRO_SLOW_REQUEST_SECONDS`` would keep the default instead.
+    """
     global _SLOW_SECONDS
-    _SLOW_SECONDS = max(0.0, float(seconds))
+    seconds = float(seconds)
+    if not seconds >= 0:
+        raise ValueError(
+            f"slow-request threshold must be >= 0 seconds, not {seconds}"
+        )
+    _SLOW_SECONDS = seconds
 
 
 class StructuredLogger:

@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Callable
 
 from ..core.preprocessor import PreprocessCache, preprocess_key
+from ..data import BOOTSTRAP_QUERIES, load_dataset
 from ..db import Database
 from ..errors import ServiceError, StorageError
 
@@ -80,11 +81,8 @@ class DatasetCatalog:
     ) -> "DatasetCatalog":
         """A catalog preloaded with the paper's demo datasets (§3).
 
-        The builders and bootstrap queries are the CLI's own (one
-        definition serves both the local shell and the service).
+        The builders and bootstrap queries are :mod:`repro.data.demo`'s.
         """
-        from ..cli import BOOTSTRAP_QUERIES, load_dataset
-
         catalog = cls(data_dir=data_dir)
         for name, bootstrap in BOOTSTRAP_QUERIES.items():
             catalog.register(name, partial(load_dataset, name), bootstrap=bootstrap)

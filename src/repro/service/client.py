@@ -15,7 +15,9 @@ local script ports to the service by swapping the object::
         client.apply(0)
 
 Server-reported failures raise :class:`~repro.errors.ServiceError`
-whose ``kind`` is the server-side exception class name.
+whose ``kind`` is the server-side exception class name. A request
+argument that is NaN or ±inf raises
+:class:`~repro.errors.ProtocolError` before anything is sent.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import time
 from typing import Any, Callable
 
 from ..errors import ProtocolError, ServiceError
-from .protocol import MAX_LINE_BYTES, decode_line, encode
+from .protocol import MAX_LINE_BYTES, decode_line, encode, refuse_non_finite
 
 #: Error kinds :meth:`ServiceClient.call_with_retry` treats as
 #: transient. ``ServerBusy`` is load shedding (honour its
@@ -162,6 +164,7 @@ class ServiceClient:
         if target is not None:
             request["session"] = target
         if args:
+            refuse_non_finite(args)
             request["args"] = args
         payload = encode(request)
         if len(payload) > MAX_LINE_BYTES:

@@ -66,7 +66,9 @@ histograms merged bucket-wise) plus recent slow-request records, and
 (``args: {"trace_id": ...}``; defaults to the most recent trace).
 
 Everything on the wire is JSON-safe: numpy scalars are unwrapped,
-arrays become lists, and NaN/±inf become ``null``. The protocol is
+arrays become lists, and NaN/±inf become ``null`` in a response. A
+request may not carry them: :class:`~repro.service.client.ServiceClient`
+refuses one before sending (:func:`refuse_non_finite`). The protocol is
 strict JSON in both directions: :func:`encode` runs with ``allow_nan``
 off, and :func:`decode_line` refuses ``NaN``, ``Infinity`` and
 ``-Infinity``. A number too large for a float (``1e999``) still decodes
@@ -130,6 +132,24 @@ def jsonify(value: Any) -> Any:
     if isinstance(value, (list, tuple, set, frozenset)):
         return [jsonify(v) for v in value]
     return str(value)
+
+
+def refuse_non_finite(value: Any, name: str = "args") -> None:
+    """Raise :class:`~repro.errors.ProtocolError` at a NaN or ±inf in a
+    request's arguments.
+
+    :func:`jsonify` would send it as ``null``, which the server reads as
+    a missing value: a ``null`` brush bound is an open side, so
+    ``{"y0": inf}`` would select everything.
+    """
+    if isinstance(value, dict):
+        for key, item in value.items():
+            refuse_non_finite(item, str(key))
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            refuse_non_finite(item, name)
+    elif isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        raise ProtocolError(f"{name!r} must be finite, not {value!r}")
 
 
 def encode(message: dict) -> bytes:

@@ -7,17 +7,22 @@ import socket
 import numpy as np
 import pytest
 
-from repro.cli import BOOTSTRAP_QUERIES, SCRIPTS, DemoShell, load_dataset, main
-from repro.db import Database
+from repro.cli import SCRIPTS, Shell, loopback_client, main
+from repro.data import BOOTSTRAP_QUERIES, load_dataset
 from repro.errors import ReproError
-from repro.frontend import Brush
+from repro.service import DatasetCatalog, SessionManager
 
 
 @pytest.fixture
 def shell(donations_db):
+    """The shell over an in-process server, and the manager's live session."""
+    catalog = DatasetCatalog()
+    catalog.register("donations", donations_db)
+    manager = SessionManager(catalog=catalog)
     out = io.StringIO()
-    shell = DemoShell(donations_db, out=out)
-    return shell, out
+    with loopback_client(manager) as client:
+        client.open("donations")
+        yield Shell(client, out=out), out, manager.live(client.session).session
 
 
 QUERY = (
@@ -28,7 +33,7 @@ QUERY = (
 
 class TestShellCommands:
     def test_sql_and_show(self, shell):
-        sh, out = shell
+        sh, out, session = shell
         sh.run_line(QUERY)
         sh.run_line("show")
         text = out.getvalue()
@@ -36,7 +41,7 @@ class TestShellCommands:
         assert "x: day" in text
 
     def test_full_loop_via_commands(self, shell):
-        sh, out = shell
+        sh, out, session = shell
         sh.run([
             QUERY,
             "select y< 0",
@@ -52,60 +57,112 @@ class TestShellCommands:
         assert "suspicious results" in text
         assert "Ranked predicates" in text
         assert "applied: NOT" in text
-        assert "NOT" in sh.session.current_sql()
+        assert "NOT" in session.current_sql()
 
     def test_undo_redo(self, shell):
-        sh, out = shell
+        sh, out, session = shell
         sh.run([
             QUERY, "select y< 0", "zoom", "inputs y< 0",
             "metric too_low 0", "debug", "apply 1", "undo", "redo",
         ], echo=False)
-        assert len(sh.session.applied_predicates) == 1
+        assert len(session.applied_predicates) == 1
         assert "undone" in out.getvalue()
         assert "redone" in out.getvalue()
 
     def test_row_selection(self, shell):
-        sh, out = shell
+        sh, out, session = shell
         sh.run_line(QUERY)
         sh.run_line("select row 0 1 2")
-        assert sh.session.selected_rows == (0, 1, 2)
+        assert session.selected_rows == (0, 1, 2)
 
     def test_unknown_command_reports(self, shell):
-        sh, out = shell
+        sh, out, session = shell
         assert sh.run_line("frobnicate") is True
         assert "unknown command" in out.getvalue()
 
     def test_errors_are_caught_not_raised(self, shell):
-        sh, out = shell
+        sh, out, session = shell
         sh.run_line("zoom")  # out of order
         assert "error:" in out.getvalue()
 
     def test_quit_stops(self, shell):
-        sh, __ = shell
+        sh, __, __ = shell
         assert sh.run_line("quit") is False
 
     def test_comments_and_blank_lines_ignored(self, shell):
-        sh, out = shell
+        sh, out, session = shell
         assert sh.run_line("") is True
         assert sh.run_line("# a comment") is True
         assert out.getvalue() == ""
 
     def test_parse_brush_forms(self):
-        brush, rest = DemoShell._parse_brush(["y>", "5", "std"])
-        assert isinstance(brush, Brush) and rest == ["std"]
-        brush, __ = DemoShell._parse_brush(["y<", "0"])
-        assert brush.y1 == 0
-        brush, __ = DemoShell._parse_brush(["x=", "3"])
-        assert brush.x0 == brush.x1 == 3
-        rows, __ = DemoShell._parse_brush(["row", "1", "2"])
-        assert rows == [1, 2]
+        brush, rest = Shell._parse_brush(["y>", "5", "std"], "rows")
+        assert brush == {"brush": {"y0": 5.0}} and rest == ["std"]
+        brush, __ = Shell._parse_brush(["y<", "0"], "rows")
+        assert brush == {"brush": {"y1": 0.0}}
+        brush, __ = Shell._parse_brush(["x=", "3"], "rows")
+        assert brush == {"brush": {"x0": 3.0, "x1": 3.0}}
+        rows, __ = Shell._parse_brush(["row", "1", "2"], "rows")
+        assert rows == {"rows": [1, 2]}
+        tids, __ = Shell._parse_brush(["row", "7"], "tids")
+        assert tids == {"tids": [7]}
         with pytest.raises(ReproError):
-            DemoShell._parse_brush([])
+            Shell._parse_brush([], "rows")
         with pytest.raises(ReproError):
-            DemoShell._parse_brush(["nonsense"])
+            Shell._parse_brush(["nonsense"], "rows")
+
+    def test_a_number_that_does_not_parse_is_an_error_line(self, shell):
+        sh, out, session = shell
+        sh.run_line(QUERY)
+        assert sh.run_line("select y> abc") is True
+        assert "error: could not convert string to float: 'abc'" in out.getvalue()
+        assert session.selected_rows == ()
+
+    @pytest.mark.parametrize("line", ["select y> inf", "metric too_low nan"])
+    def test_a_non_finite_number_is_refused(self, shell, line):
+        sh, out, session = shell
+        sh.run([QUERY, "select y< 0", "metric too_low 0"], echo=False)
+        before = session.snapshot()
+        sh.run_line(line)
+        assert "error: " in out.getvalue().splitlines()[-1]
+        assert "must be finite" in out.getvalue().splitlines()[-1]
+        assert session.snapshot() == before
+
+    def test_debug_prints_the_selection_line_and_every_score_field(self, shell):
+        sh, out, session = shell
+        sh.run([
+            QUERY, "select y< 0", "zoom", "inputs y< 0",
+            "metric too_low 0", "debug",
+        ], echo=False)
+        report = session.report
+        top = report.predicates[0]
+        text = out.getvalue()
+        assert (
+            f"S = {list(report.selected_rows)}, |F| = {report.n_inputs}, "
+            f"|D'| = {report.n_dprime}, candidates = {report.n_candidates}, "
+            f"eps = {report.epsilon:.4g}"
+        ) in text
+        assert f" 1. {top.describe()}" in text
+
+    def test_sql_prints_column_names_and_the_hidden_row_count(self, shell):
+        sh, out, __ = shell
+        sh.run_line(QUERY)
+        lines = out.getvalue().splitlines()
+        assert lines[0] == "30 rows"
+        assert lines[1].split() == ["day", "total"]
+        assert lines[-1] == "... (22 more rows)"
+
+    def test_server_commands(self, shell):
+        sh, out, __ = shell
+        sh.run([QUERY, "trace", "snapshot", "stats", "metrics"], echo=False)
+        text = out.getvalue()
+        assert "  state: executed" in text
+        assert "  sessions: 1" in text
+        assert "dbwipes_requests_total" in text
+        assert "trace " in text and "server.execute" in text
 
     def test_repl_reads_until_quit(self, shell):
-        sh, out = shell
+        sh, out, session = shell
         stdin = io.StringIO(QUERY + "\nquit\n")
         sh.repl(stdin=stdin)
         assert "rows" in out.getvalue()
@@ -138,6 +195,23 @@ class TestDatasetsAndMain:
 
     def test_main_unknown_dataset(self, capsys):
         assert main(["mars"]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown dataset 'mars'")
+
+    def test_demo_refuses_an_unknown_argument_before_starting(
+        self, capsys, monkeypatch
+    ):
+        def no_bind(sock, address):
+            raise AssertionError(f"the demo bound {address}")
+
+        def no_build(name):
+            raise AssertionError(f"the demo built {name}")
+
+        monkeypatch.setattr(socket.socket, "bind", no_bind)
+        monkeypatch.setattr("repro.service.cache.load_dataset", no_build)
+        assert main(["intel", "--scirpt"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown intel argument '--scirpt'")
+        assert captured.out == ""
 
     def test_main_scripted_fec(self, capsys):
         assert main(["fec", "--script"]) == 0
@@ -178,6 +252,8 @@ class TestDatasetsAndMain:
             (["--workers", "1", "--ttl", "0"], "ttl_seconds must be positive"),
             (["--workers", "1", "--max-sessions", "0"], "max_sessions must be >= 1"),
             (["--workers", "-1"], "workers must be >= 0"),
+            (["--slow-threshold", "-1"], "threshold must be >= 0 seconds, not -1.0"),
+            (["--slow-threshold", "nan"], "threshold must be >= 0 seconds, not nan"),
         ],
         ids=[
             "zero-rate",
@@ -185,6 +261,8 @@ class TestDatasetsAndMain:
             "workers-zero-ttl",
             "workers-zero-sessions",
             "negative-workers",
+            "negative-slow-threshold",
+            "nan-slow-threshold",
         ],
     )
     def test_serve_rejects_bad_limits_before_starting(

@@ -171,7 +171,7 @@ class TestWorkerFailure:
         pytest.importorskip("multiprocessing")
         import time
 
-        from repro.cli import BOOTSTRAP_QUERIES
+        from repro.data import BOOTSTRAP_QUERIES
         from repro.errors import ServiceError
         from repro.obs import registry
         from repro.service import DBWipesServer, FaultPlan, ServiceClient, faults

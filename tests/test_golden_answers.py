@@ -2,13 +2,14 @@
 
 The printed ``python -m repro intel|fec --script`` transcripts round
 scores to three or four digits, so they cannot catch a one-ulp change.
-This module replays both flows in process (scale 1, with and without
-merging) and compares one blake2b digest per ``debug`` against
-``tests/golden/scripted_flows.json``. A third flow, ``intel-clean``, is
-the intel script with D′ brushed at ``y> 60``: there the k-means
-cleaner finds clusters and drops examples, and merging accepts a
-merge, which the two scripted flows never do. A digest covers, in
-order:
+This module replays both flows through the demo shell against an
+in-process server (scale 1, with and without merging), reads each
+report from the manager's live session, and compares one blake2b
+digest per ``debug`` against ``tests/golden/scripted_flows.json``. A
+third flow, ``intel-clean``, is the intel script with D′ brushed at
+``y> 60``: there the k-means cleaner finds clusters and drops
+examples, and merging accepts a merge, which the two scripted flows
+never do. A digest covers, in order:
 
 * every field of every ranked predicate: the predicate's exact clause
   bounds, then ``repr`` of score, ε before/after, accuracy, precision,
@@ -33,12 +34,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.cli import BOOTSTRAP_QUERIES, SCRIPTS, DemoShell, load_dataset
+from repro.cli import SCRIPTS, Shell, loopback_client
 from repro.core import PipelineConfig, enumerator
 from repro.core.enumerator import DatasetEnumerator
 from repro.db.predicate import NumericClause, Predicate
-from repro.frontend import DBWipesSession
 from repro.learn import SubgroupDiscovery, choose_k, standardize
+from repro.service import SessionManager
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "scripted_flows.json"
 
@@ -151,17 +152,18 @@ def run_flow(flow: str, merge: bool, monkeypatch) -> list[tuple]:
     monkeypatch.setattr(enumerator, "dominant_cluster_mask", recording_mask)
     monkeypatch.setattr(DatasetEnumerator, "clean_dprime", recording_clean)
     dataset, script = SCRIPTED[flow]
-    db = load_dataset(dataset)
-    shell = DemoShell(db, out=io.StringIO())
-    shell.session = DBWipesSession(db, PipelineConfig(merge_predicates=merge))
-    shell.run_line(f"sql {BOOTSTRAP_QUERIES[dataset]}")
+    manager = SessionManager(config=PipelineConfig(merge_predicates=merge))
     answers = []
-    for line in script:
-        shell.run_line(line)
-        if line == "debug":
-            answers.append((shell.session.report, list(fitted), list(cleanings)))
-            fitted.clear()
-            cleanings.clear()
+    with loopback_client(manager) as client:
+        shell = Shell(client, out=io.StringIO())
+        shell.run_line(f"sql {client.open(dataset)['bootstrap']}")
+        for line in script:
+            shell.run_line(line)
+            if line == "debug":
+                report = manager.live(client.session).session.report
+                answers.append((report, list(fitted), list(cleanings)))
+                fitted.clear()
+                cleanings.clear()
     return answers
 
 

@@ -7,6 +7,7 @@ checked, those inside functions and ``TYPE_CHECKING`` blocks included:
   or ``cli``;
 * ``learn`` imports none of ``core``, ``frontend``, ``service`` or ``cli``;
 * ``core`` imports none of ``frontend``, ``service`` or ``cli``;
+* ``service`` does not import ``cli`` (the shell drives the service);
 * ``obs`` imports no ``repro`` module but ``errors`` (and its own);
 * no module imports test code (``tests``, ``reference``, ``conftest``).
 
@@ -26,6 +27,7 @@ FORBIDDEN = {
     "db": {"learn", "core", "frontend", "service", "cli"},
     "learn": {"core", "frontend", "service", "cli"},
     "core": {"frontend", "service", "cli"},
+    "service": {"cli"},
 }
 OBS_ALLOWED = {"obs", "errors"}
 TEST_CODE = {"tests", "reference", "conftest"}

@@ -28,11 +28,10 @@ from reference.learn import (
     rule_lines,
     scalar_mdl_entropy_edges,
 )
-from repro.cli import BOOTSTRAP_QUERIES, load_dataset
 from repro.core import PipelineConfig, RankedProvenance, TooHigh
 from repro.core.enumerator import DatasetEnumerator
 from repro.core.preprocessor import Preprocessor
-from repro.data import IntelConfig, generate_intel
+from repro.data import BOOTSTRAP_QUERIES, IntelConfig, generate_intel, load_dataset
 from repro.db import Database, Table
 from repro.frontend import Brush, DBWipesSession
 from repro.learn import (

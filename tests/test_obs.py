@@ -16,8 +16,8 @@ import sys
 
 import pytest
 
-from repro.cli import BOOTSTRAP_QUERIES
 from repro.core import PipelineConfig
+from repro.data import BOOTSTRAP_QUERIES
 from repro.errors import ObservabilityError
 from repro.obs import (
     CORE_METRICS,

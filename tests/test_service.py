@@ -709,6 +709,30 @@ class TestNonFiniteInput:
         assert (managed.session.snapshot(), managed.journal.records) == before
 
 
+class TestClientRefusesNonFinite:
+    """NaN and ±inf would reach the server as ``null``: an open brush
+    side, or a missing metric parameter."""
+
+    def test_refused_before_sending(self, shared_table):
+        manager = SessionManager(catalog=toy_catalog(shared_table))
+        with DBWipesServer(manager, port=0) as server:
+            with ServiceClient(*server.address, session="s") as client:
+                client.open("toy")
+                client.execute(TOY_SQL)
+                client.select_results(brush={"above": 5.0})
+                client.set_metric("too_high", threshold=2.0)
+                session = manager.get("s").session
+                before = session.snapshot()
+                with pytest.raises(ProtocolError, match="'y0' must be finite"):
+                    client.select_results(brush={"y0": math.inf})
+                with pytest.raises(ProtocolError, match="'threshold' must be finite"):
+                    client.set_metric("too_high", threshold=math.nan)
+                assert session.snapshot() == before
+                assert session.snapshot()["selected_rows"] != []
+                # The connection is still in step: the next call answers.
+                assert client.sql() == session.current_sql()
+
+
 class TestSharedPreprocessCacheRegression:
     def test_two_sessions_same_dataset_one_cache_entry(self, shared_table,
                                                        reference_report):

@@ -29,7 +29,7 @@ from reference.tree import (
     ExactDecisionTree,
     column_histogram_trees,
 )
-from repro.cli import BOOTSTRAP_QUERIES, SCRIPTS, DemoShell, load_dataset
+from repro.cli import SCRIPTS, Shell, loopback_client
 from repro.core import predicates
 from repro.db import Table
 from repro.learn import CRITERIA, DecisionTree, SplitIndex, split_info
@@ -390,9 +390,12 @@ def fec_stage():
         return run(self, pre, candidates)
 
     script = SCRIPTS["fec"]
-    with mock.patch.object(predicates.PredicateEnumerator, "run", recording_run):
-        shell = DemoShell(load_dataset("fec"), out=io.StringIO())
-        shell.run_line(f"sql {BOOTSTRAP_QUERIES['fec']}")
+    with (
+        mock.patch.object(predicates.PredicateEnumerator, "run", recording_run),
+        loopback_client() as client,
+    ):
+        shell = Shell(client, out=io.StringIO())
+        shell.run_line(f"sql {client.open('fec')['bootstrap']}")
         for line in script[: script.index("debug") + 1]:
             shell.run_line(line)
     (stage,) = captured

@@ -17,7 +17,7 @@ import multiprocessing
 
 import pytest
 
-from repro.cli import BOOTSTRAP_QUERIES
+from repro.data import BOOTSTRAP_QUERIES
 from repro.errors import ServiceError
 from repro.service import (
     DBWipesServer,
